@@ -10,10 +10,13 @@ cites Kagaris-Tragoudas's polynomial MWIS-on-transitive-graphs algorithm.
 
 We solve the problem exactly through LP duality: the chain-covering dual
 of the antichain LP is a *minimum flow with lower bounds* on a split-node
-network.  A feasible flow is built directly, reduced to minimality with a
-reverse (sink-to-source) Edmonds-Karp pass on the residual graph, and the
-optimal antichain is read off the final residual cut.  Total weight of
-the antichain equals the minimum flow value, which the implementation
+network.  A feasible flow is seeded directly as residual capacities,
+reduced to minimality by a reverse (sink-to-source) maximum flow on the
+Dinic kernel of :mod:`repro.graphalg.maxflow` (the paper's reference
+solves it by augmenting paths; any maximum flow leaves the same unique
+minimal residual cut, so the antichain does not depend on the choice),
+and the optimal antichain is read off that cut.  Total weight of the
+antichain equals the minimum flow value, which the implementation
 asserts -- strong duality doubles as a built-in self-check.
 """
 
@@ -21,10 +24,9 @@ from __future__ import annotations
 
 from collections.abc import Hashable, Iterable, Mapping
 
-from repro.graphalg.maxflow import FlowNetwork, INFINITY
+from repro.graphalg.maxflow import INFINITY, ResidualGraph
 
-_SOURCE = ("@source",)
-_SINK = ("@sink",)
+_SOURCE, _SINK = 0, 1
 
 
 def max_weight_antichain(
@@ -37,13 +39,13 @@ def max_weight_antichain(
     Parameters
     ----------
     elements:
-        The ground set.
+        The ground set; repeated elements count once.
     order_pairs:
         Pairs ``(u, v)`` meaning ``u < v``.  The relation need not be
         transitively closed as long as comparability is preserved by
         paths (DAG edges are fine: reachability through intermediate
         *elements* is captured by the flow network's paths).  Pairs whose
-        endpoints are outside ``elements`` are ignored.
+        endpoints are outside ``elements``, and ``(v, v)``, are ignored.
     weights:
         Non-negative integer weight per element.  Scale floats to
         integers before calling; exact arithmetic keeps the duality
@@ -55,61 +57,40 @@ def max_weight_antichain(
         Deterministically-ordered list of chosen elements (zero-weight
         elements are never chosen) and its total weight.
     """
-    element_list = list(elements)
-    element_set = set(element_list)
+    element_list = list(dict.fromkeys(elements))
+    index = {v: k for k, v in enumerate(element_list)}
     for element in element_list:
         if weights[element] < 0:
             raise ValueError(f"negative weight on element {element!r}")
 
-    # --- build the lower-bound network and a feasible flow -------------
-    network = FlowNetwork()
+    # --- the lower-bound network, seeded with a feasible flow ----------
+    # Element k splits into in-node 2 + 2k and out-node 3 + 2k.  One
+    # chain per element, source -> in -> out -> sink, carries w; each arc
+    # has capacity INFINITY, so its forward residual is INFINITY - w and
+    # its reverse may shed the flow w -- except the split arc, whose
+    # lower bound w leaves it f - l = 0 to shed.
+    graph = ResidualGraph(2 + 2 * len(element_list))
     total = 0
-    lower: dict[tuple, int] = {}
-    for v in element_list:
-        v_in, v_out = (v, "in"), (v, "out")
+    for k, v in enumerate(element_list):
         weight = weights[v]
-        network.add_edge(_SOURCE, v_in, INFINITY)
-        network.add_edge(v_in, v_out, INFINITY)
-        network.add_edge(v_out, _SINK, INFINITY)
-        lower[(v_in, v_out)] = weight
-        if weight:
-            # One chain per element: source -> v -> sink, carrying w(v).
-            network.flow[(_SOURCE, v_in)] += weight
-            network.flow[(v_in, _SOURCE)] -= weight
-            network.flow[(v_in, v_out)] += weight
-            network.flow[(v_out, v_in)] -= weight
-            network.flow[(v_out, _SINK)] += weight
-            network.flow[(_SINK, v_out)] -= weight
-            total += weight
-    seen_pairs = set()
+        graph.add_arc(_SOURCE, 2 + 2 * k, INFINITY - weight, weight)
+        graph.add_arc(2 + 2 * k, 3 + 2 * k, INFINITY - weight)
+        graph.add_arc(3 + 2 * k, _SINK, INFINITY - weight, weight)
+        total += weight
     for u, v in order_pairs:
-        if u in element_set and v in element_set and (u, v) not in seen_pairs:
-            seen_pairs.add((u, v))
-            network.add_edge((u, "out"), (v, "in"), INFINITY)
+        ku, kv = index.get(u), index.get(v)
+        if ku is not None and kv is not None and ku != kv:
+            graph.add_arc(3 + 2 * ku, 2 + 2 * kv, INFINITY)
 
     # --- minimize the flow: max residual flow from sink back to source -
-    # Residual capacities: forward arc (x, y) may gain c - f, and may
-    # shed f - l via its reverse.  FlowNetwork already tracks c - f for
-    # both directions given the skew-symmetric flow; the lower bounds
-    # only shrink the reverse capacity, which we impose by pre-charging
-    # the reverse capacity ledger.
-    for (v_in_v_out), bound in lower.items():
-        v_in, v_out = v_in_v_out
-        network.capacity[(v_out, v_in)] -= 0  # reverse starts at 0 capacity
-        # residual(v_out, v_in) = cap - flow = 0 - (-f) = f; restrict to
-        # f - l by lowering the reverse capacity below zero by l.
-        network.capacity[(v_out, v_in)] = -bound
-    reduction = network.run_max_flow(_SINK, _SOURCE)
+    reduction, reachable = graph.max_flow(_SINK, _SOURCE)
     minimum_flow = total - reduction
 
     # --- read the antichain off the final residual cut -----------------
-    reachable = network.min_cut_source_side(_SINK)
     antichain = [
         v
-        for v in element_list
-        if weights[v] > 0
-        and (v, "out") in reachable
-        and (v, "in") not in reachable
+        for k, v in enumerate(element_list)
+        if weights[v] > 0 and reachable[3 + 2 * k] and not reachable[2 + 2 * k]
     ]
     chosen_weight = sum(weights[v] for v in antichain)
     if chosen_weight != minimum_flow:

@@ -5,15 +5,19 @@ Gscale must pick, among the critical-path network (CPN) nodes, a set that
 time-critical boundary is sped up by a resize -- and (b) has minimum total
 weight, where the weight is the area-penalty-per-unit-of-timing-gain of
 resizing that node.  That is exactly a minimum-weight vertex separator,
-computed here with the classic node-splitting reduction to edge min-cut
-and the Edmonds-Karp max-flow from :mod:`repro.graphalg.maxflow`.
+computed with the classic node-splitting reduction to edge min-cut on
+the Dinic kernel of :mod:`repro.graphalg.maxflow`.  The paper runs
+Edmonds-Karp, but every maximum flow leaves the same unique minimal
+residual cut, where the separator is read, so the choice changes nothing.
 """
 
 from __future__ import annotations
 
 from collections.abc import Hashable, Iterable, Mapping
 
-from repro.graphalg.maxflow import FlowNetwork, INFINITY
+from repro.graphalg.maxflow import INFINITY, ResidualGraph
+
+_SOURCE, _SINK = 0, 1
 
 
 def min_weight_separator(
@@ -28,9 +32,9 @@ def min_weight_separator(
     Parameters
     ----------
     nodes, edges:
-        The DAG to separate.  Every node is removable (including sources
-        and sinks themselves); ``weights`` gives each node's non-negative
-        integer removal cost.
+        The DAG to separate; repeated nodes count once.  Every node is
+        removable (including sources and sinks themselves); ``weights``
+        gives each node's non-negative integer removal cost.
     sources, sinks:
         Path endpoints.  Paths are directed source → sink.
 
@@ -42,46 +46,43 @@ def min_weight_separator(
 
     Notes
     -----
-    Construction: split node ``v`` into ``(v, 'in') -> (v, 'out')`` with
-    capacity ``weights[v]``; each DAG edge ``u -> v`` becomes
-    ``(u,'out') -> (v,'in')`` with infinite capacity; a super-source feeds
-    every source's *in* side and every sink's *out* side feeds a super-
-    sink, both with infinite capacity.  Saturated split arcs crossing the
-    min cut are the separator.
+    Construction: node ``k`` splits into in-node ``2 + 2k`` -> out-node
+    ``3 + 2k`` with capacity ``weights[v]``; each DAG edge ``u -> v``
+    becomes ``out(u) -> in(v)`` with infinite capacity; the super-source
+    (node 0) feeds every source's in-node and every sink's out-node feeds
+    the super-sink (node 1), both with infinite capacity.  Saturated
+    split arcs crossing the min cut are the separator.
     """
-    node_list = list(nodes)
-    node_set = set(node_list)
-    for node in node_set:
+    node_list = list(dict.fromkeys(nodes))
+    index = {v: k for k, v in enumerate(node_list)}
+    for node in node_list:
         if weights[node] < 0:
             raise ValueError(f"negative weight on node {node!r}")
 
-    network = FlowNetwork()
-    super_source = ("@s",)
-    super_sink = ("@t",)
-    for v in node_list:
-        network.add_edge((v, "in"), (v, "out"), weights[v])
+    graph = ResidualGraph(2 + 2 * len(node_list))
+    for k, v in enumerate(node_list):
+        graph.add_arc(2 + 2 * k, 3 + 2 * k, weights[v])
     for u, v in edges:
-        if u in node_set and v in node_set:
-            network.add_edge((u, "out"), (v, "in"), INFINITY)
+        if u in index and v in index:
+            graph.add_arc(3 + 2 * index[u], 2 + 2 * index[v], INFINITY)
     for v in sources:
-        if v in node_set:
-            network.add_edge(super_source, (v, "in"), INFINITY)
+        if v in index:
+            graph.add_arc(_SOURCE, 2 + 2 * index[v], INFINITY)
     for v in sinks:
-        if v in node_set:
-            network.add_edge((v, "out"), super_sink, INFINITY)
+        if v in index:
+            graph.add_arc(3 + 2 * index[v], _SINK, INFINITY)
 
-    value = network.run_max_flow(super_source, super_sink)
+    value, source_side = graph.max_flow(_SOURCE, _SINK)
     if value >= INFINITY:
         raise ValueError(
             "no finite separator exists (a zero-weight-free path was "
             "expected; check that weights cover every path)"
         )
 
-    source_side = network.min_cut_source_side(super_source)
     separator = [
         v
-        for v in node_list
-        if (v, "in") in source_side and (v, "out") not in source_side
+        for k, v in enumerate(node_list)
+        if source_side[2 + 2 * k] and not source_side[3 + 2 * k]
     ]
     return separator, value
 

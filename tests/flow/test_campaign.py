@@ -584,10 +584,15 @@ def test_sharded_campaign_merges_back_to_the_full_store(tmp_path):
     merged = tmp_path / "merged.jsonl"
     merge_stores(shard_paths, merged)
     assert rows_equal(ResultStore(merged).load(), full.load())
-    # and the merged store aggregates to the same tables
-    a = format_table1(rows_to_results(full.load()))
-    b = format_table1(rows_to_results(ResultStore(merged).load()))
-    assert a == b
+    # and the merged store aggregates to the same tables, modulo the
+    # CPU(s) column: Gscale's wall clock is volatile like the row's
+    def table(rows):
+        for row in rows:
+            if row.get("report"):
+                row["report"]["runtime_s"] = 0.0
+        return format_table1(rows_to_results(rows))
+
+    assert table(full.load()) == table(ResultStore(merged).load())
 
 
 def test_campaign_cli_shard_and_merge(tmp_path, capsys):

@@ -51,15 +51,14 @@ def test_diamond():
 def test_heavy_single_beats_wide_antichain():
     pairs = [("top", x) for x in "abc"]
     weights = {"top": 100, "a": 10, "b": 10, "c": 10}
-    chain, weight = max_weight_antichain(["top", "a", "b", "c"], pairs,
-                                         weights)
+    chain, weight = max_weight_antichain(
+        ["top", "a", "b", "c"], pairs, weights
+    )
     assert chain == ["top"] and weight == 100
 
 
 def test_zero_weight_elements_never_chosen():
-    chain, weight = max_weight_antichain(
-        ["a", "b"], [], {"a": 0, "b": 3}
-    )
+    chain, weight = max_weight_antichain(["a", "b"], [], {"a": 0, "b": 3})
     assert chain == ["b"] and weight == 3
 
 
@@ -81,14 +80,22 @@ def test_comparability_through_intermediate_elements():
 def test_layered_dag():
     # Three layers of 3; middle layer heaviest.
     elements = [f"{layer}{k}" for layer in "abc" for k in range(3)]
-    pairs = [
-        (f"a{i}", f"b{j}") for i in range(3) for j in range(3)
-    ] + [
-        (f"b{i}", f"c{j}") for i in range(3) for j in range(3)
-    ]
+    pairs = [(f"a{i}", f"b{j}") for i in range(3) for j in range(3)]
+    pairs += [(f"b{i}", f"c{j}") for i in range(3) for j in range(3)]
     weights = {e: (20 if e[0] == "b" else 7) for e in elements}
     chain, weight = max_weight_antichain(elements, pairs, weights)
     assert sorted(chain) == ["b0", "b1", "b2"] and weight == 60
+
+
+def test_repeated_elements_count_once():
+    chain, weight = max_weight_antichain(["a", "a", "b"], [], {"a": 3, "b": 2})
+    assert chain == ["a", "b"] and weight == 5
+
+
+def test_self_pairs_ignored():
+    pairs = [("a", "a"), ("a", "b")]
+    chain, weight = max_weight_antichain("ab", pairs, {"a": 4, "b": 3})
+    assert chain == ["a"] and weight == 4
 
 
 def test_is_antichain_helper():
@@ -98,7 +105,7 @@ def test_is_antichain_helper():
     assert is_antichain(pairs, [])
 
 
-@given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+@given(st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_matches_brute_force_on_random_dags(seed):
     rng = random.Random(seed)

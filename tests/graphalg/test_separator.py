@@ -37,8 +37,9 @@ def test_chokepoint_preferred_over_wide_layer():
     nodes = ["s1", "s2", "m", "t1", "t2"]
     edges = [("s1", "m"), ("s2", "m"), ("m", "t1"), ("m", "t2")]
     weights = {"s1": 4, "s2": 4, "m": 5, "t1": 4, "t2": 4}
-    cut, weight = min_weight_separator(nodes, edges, weights,
-                                       ["s1", "s2"], ["t1", "t2"])
+    cut, weight = min_weight_separator(
+        nodes, edges, weights, ["s1", "s2"], ["t1", "t2"]
+    )
     assert cut == ["m"] and weight == 5
 
 
@@ -61,10 +62,21 @@ def test_negative_weight_rejected():
 
 def test_edges_outside_node_set_ignored():
     cut, weight = min_weight_separator(
-        ["a", "b"], [("a", "zz"), ("a", "b")], {"a": 2, "b": 3},
-        ["a"], ["b"],
+        ["a", "b"],
+        [("a", "zz"), ("a", "b")],
+        {"a": 2, "b": 3},
+        ["a"],
+        ["b"],
     )
     assert weight == 2
+
+
+def test_repeated_nodes_count_once():
+    # A repeated node must not double its split capacity.
+    cut, weight = min_weight_separator(
+        ["a", "a", "b"], [("a", "b")], {"a": 3, "b": 5}, ["a"], ["b"]
+    )
+    assert cut == ["a"] and weight == 3
 
 
 def test_is_separator_helper():
@@ -74,17 +86,14 @@ def test_is_separator_helper():
     assert not is_separator(nodes, edges, ["a"], ["c"], [])
 
 
-@given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+@given(st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_separator_is_valid_and_not_beaten_by_singletons(seed):
     rng = random.Random(seed)
     n = rng.randint(2, 9)
     nodes = list(range(n))
     edges = [
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if rng.random() < 0.4
+        (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4
     ]
     weights = {v: rng.randint(1, 10) for v in nodes}
     sources = [0]

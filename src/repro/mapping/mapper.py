@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from repro.library.cells import Cell, Library
-from repro.netlist.functions import TruthTable
+from repro.netlist.functions import TruthTable, _var_pattern, compose_bits
 from repro.netlist.network import Network
 from repro.mapping.match import MatchTable
 from repro.mapping.subject import to_subject_graph
@@ -48,19 +48,9 @@ class Cut:
     table: TruthTable
 
 
-def _rebase(table: TruthTable, old_leaves: tuple[str, ...],
-            new_leaves: tuple[str, ...]) -> TruthTable:
-    """Re-express a cut function over a superset leaf list."""
-    position = {leaf: k for k, leaf in enumerate(new_leaves)}
-    m = len(new_leaves)
-    return table.compose(
-        [TruthTable.var(m, position[leaf]) for leaf in old_leaves]
-    )
-
-
-def enumerate_cuts(subject: Network, max_leaves: int,
-                   per_node: int = DEFAULT_CUTS_PER_NODE
-                   ) -> dict[str, list[Cut]]:
+def enumerate_cuts(
+    subject: Network, max_leaves: int, per_node: int = DEFAULT_CUTS_PER_NODE
+) -> dict[str, list[Cut]]:
     """Priority cuts with local functions for every subject node.
 
     Each gate keeps its ``per_node`` best non-trivial cuts (fewer leaves
@@ -78,6 +68,8 @@ def enumerate_cuts(subject: Network, max_leaves: int,
             continue
         depth[name] = 1 + max(depth[f] for f in node.fanins)
         candidates: dict[tuple[str, ...], Cut] = {}
+        n_fanins = len(node.fanins)
+        function_bits = node.function.bits
         fanin_cut_lists = [cuts[f] for f in node.fanins]
         for combo in product(*fanin_cut_lists):
             leaf_set = set()
@@ -88,12 +80,20 @@ def enumerate_cuts(subject: Network, max_leaves: int,
             leaves = tuple(sorted(leaf_set))
             if leaves in candidates:
                 continue
+            # Rebase each fanin cut onto the merged leaves, then compose.
+            m = len(leaves)
+            position = {leaf: k for k, leaf in enumerate(leaves)}
             substitutions = [
-                _rebase(cut.table, cut.leaves, leaves) for cut in combo
+                compose_bits(
+                    len(cut.leaves),
+                    cut.table.bits,
+                    [_var_pattern(m, position[leaf]) for leaf in cut.leaves],
+                    m,
+                )
+                for cut in combo
             ]
-            candidates[leaves] = Cut(
-                leaves, node.function.compose(substitutions)
-            )
+            bits = compose_bits(n_fanins, function_bits, substitutions, m)
+            candidates[leaves] = Cut(leaves, TruthTable(m, bits))
         ranked = sorted(
             candidates.values(),
             key=lambda cut: (
@@ -114,8 +114,12 @@ class _Choice:
     arrival: float
 
 
-def _cover(subject: Network, matches: MatchTable,
-           cuts: dict[str, list[Cut]], est_load: float) -> dict[str, _Choice]:
+def _cover(
+    subject: Network,
+    matches: MatchTable,
+    cuts: dict[str, list[Cut]],
+    est_load: float,
+) -> dict[str, _Choice]:
     """Delay-optimal dynamic-programming choice per subject gate."""
     arrival: dict[str, float] = {}
     choice: dict[str, _Choice] = {}
@@ -148,16 +152,15 @@ def _cover(subject: Network, matches: MatchTable,
     return choice
 
 
-def _extract(subject: Network, choice: dict[str, _Choice],
-             name: str) -> Network:
+def _extract(
+    subject: Network, choice: dict[str, _Choice], name: str
+) -> Network:
     """Materialize the chosen cover as a mapped network."""
     mapped = Network(name)
     for input_name in subject.inputs:
         mapped.add_input(input_name)
 
-    roots = [
-        out for out in subject.outputs if not subject.nodes[out].is_input
-    ]
+    roots = [out for out in subject.outputs if not subject.nodes[out].is_input]
     stack = list(roots)
     while stack:
         current = stack[-1]
@@ -185,10 +188,13 @@ def _extract(subject: Network, choice: dict[str, _Choice],
     return mapped
 
 
-def map_network(network: Network, library: Library,
-                match_table: MatchTable | None = None,
-                per_node: int = DEFAULT_CUTS_PER_NODE,
-                est_load: float = EST_LOAD) -> Network:
+def map_network(
+    network: Network,
+    library: Library,
+    match_table: MatchTable | None = None,
+    per_node: int = DEFAULT_CUTS_PER_NODE,
+    est_load: float = EST_LOAD,
+) -> Network:
     """Minimum-delay technology mapping of an optimized network."""
     matches = match_table or MatchTable(library)
     subject = to_subject_graph(network)
@@ -197,9 +203,12 @@ def map_network(network: Network, library: Library,
     return _extract(subject, choice, f"{network.name}_mapped")
 
 
-def speed_up_sizing(mapped: Network, library: Library,
-                    po_load: float = DEFAULT_PO_LOAD,
-                    max_passes: int = 12) -> float:
+def speed_up_sizing(
+    mapped: Network,
+    library: Library,
+    po_load: float = DEFAULT_PO_LOAD,
+    max_passes: int = 12,
+) -> float:
     """Upsize critical-path gates until the worst delay stops improving.
 
     The covering DP works with estimated loads, so the freshly-extracted
@@ -234,8 +243,12 @@ def speed_up_sizing(mapped: Network, library: Library,
     return best
 
 
-def recover_area(mapped: Network, library: Library, tspec: float,
-                 po_load: float = DEFAULT_PO_LOAD) -> int:
+def recover_area(
+    mapped: Network,
+    library: Library,
+    tspec: float,
+    po_load: float = DEFAULT_PO_LOAD,
+) -> int:
     """Downsize gates under ``tspec``; returns the number of resizes.
 
     Repeated reverse-topological sweeps with exact suffix required times

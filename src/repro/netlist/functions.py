@@ -15,6 +15,7 @@ hashable, allocation-free boolean algebra.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from functools import lru_cache
 
 MAX_INPUTS = 16
 """Hard cap on truth-table width (2**16 output bits)."""
@@ -25,16 +26,40 @@ def _mask(n_inputs: int) -> int:
     return (1 << (1 << n_inputs)) - 1
 
 
+@lru_cache(maxsize=None)
 def _var_pattern(n_inputs: int, index: int) -> int:
     """Bit pattern of the projection function ``x[index]``.
 
     Row ``i`` of the table is 1 exactly when bit ``index`` of ``i`` is 1.
+    Cached: there are at most 136 distinct patterns for ``n <= 16``.
     """
     bits = 0
     for row in range(1 << n_inputs):
         if row >> index & 1:
             bits |= 1 << row
     return bits
+
+
+def compose_bits(n: int, bits: int, subs: Sequence[int], m: int) -> int:
+    """:meth:`TruthTable.compose` on raw bit patterns.
+
+    ``bits`` is an ``n``-input table and ``subs[k]`` the ``m``-input
+    table substituted for variable ``k``; the result is the ``m``-input
+    table of the composition.  Nothing is validated: callers pass
+    in-range patterns, one per variable.
+    """
+    full = _mask(m)
+    result = 0
+    for row in range(1 << n):
+        if not bits >> row & 1:
+            continue
+        term = full
+        for k in range(n):
+            term &= subs[k] if row >> k & 1 else full ^ subs[k]
+            if not term:
+                break
+        result |= term
+    return result
 
 
 class TruthTable:
@@ -341,18 +366,8 @@ class TruthTable:
         for sub in substitutions:
             if sub.n_inputs != m:
                 raise ValueError("substitutions must share one arity")
-        result = TruthTable.const(m, False)
-        for row in range(1 << self.n_inputs):
-            if not self.bits >> row & 1:
-                continue
-            term = TruthTable.const(m, True)
-            for k in range(self.n_inputs):
-                sub = substitutions[k]
-                term = term & (sub if row >> k & 1 else ~sub)
-                if term.bits == 0:
-                    break
-            result = result | term
-        return result
+        subs = [sub.bits for sub in substitutions]
+        return TruthTable(m, compose_bits(self.n_inputs, self.bits, subs, m))
 
     def minterms(self) -> list[int]:
         """Rows on which the function is 1, ascending."""
@@ -412,6 +427,7 @@ __all__ = [
     "MAX_INPUTS",
     "TruthTable",
     "all_functions",
+    "compose_bits",
     "random_table",
     "cube_distance",
     "parse_minterm",

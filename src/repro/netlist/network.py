@@ -39,8 +39,13 @@ class Node:
 
     __slots__ = ("name", "fanins", "function", "cell")
 
-    def __init__(self, name: str, fanins: list[str], function: TruthTable | None,
-                 cell=None):
+    def __init__(
+        self,
+        name: str,
+        fanins: list[str],
+        function: TruthTable | None,
+        cell=None,
+    ):
         self.name = name
         self.fanins = list(fanins)
         self.function = function
@@ -60,9 +65,24 @@ class Node:
 class Network:
     """A combinational logic network.
 
-    The class maintains fanout indices incrementally and provides the
-    topological iteration, structural editing, and simulation primitives
-    that the optimizer, mapper, timer, and dual-Vdd passes build on.
+    The class provides the topological iteration, structural editing,
+    and simulation primitives that the optimizer, mapper, timer, and
+    dual-Vdd passes build on.  Its adjacency caches come in two kinds:
+
+    * the fanout sets behind :meth:`fanouts` stay live: every editing
+      method updates just the sets its edit touches, so an optimization
+      pass that alternates edits with fanout queries never rescans the
+      network;
+    * the order-carrying caches (:meth:`topological`,
+      :meth:`topo_index`, :meth:`reader_pins` and the reader lists
+      behind them) are dropped by every edit and rebuilt lazily by one
+      scan on the next query, so the order is always derived from
+      scratch.
+
+    :meth:`rewire` is the edit primitive for changing a node's fanins
+    and function in place.  Code that assigns :attr:`Node.fanins`
+    directly must call :meth:`_invalidate` afterwards, which resets
+    every cache.
     """
 
     def __init__(self, name: str = "top"):
@@ -83,7 +103,12 @@ class Network:
     # ------------------------------------------------------------------
 
     def _invalidate(self) -> None:
+        """Drop every adjacency cache, fanout sets included."""
         self._fanouts = None
+        self._drop_order()
+
+    def _drop_order(self) -> None:
+        """Drop the order-carrying caches after an edit."""
         self._topo = None
         self._topo_index = None
         self._reader_pins = None
@@ -97,15 +122,32 @@ class Network:
         node = Node(name, [], None)
         self.nodes[name] = node
         self.inputs.append(name)
-        self._invalidate()
+        if self._fanouts is not None:
+            self._fanouts[name] = set()
+        self._drop_order()
         return node
 
-    def add_node(self, name: str, fanins: Iterable[str],
-                 function: TruthTable, cell=None) -> Node:
+    def add_node(
+        self, name: str, fanins: Iterable[str], function: TruthTable, cell=None
+    ) -> Node:
         """Add an internal node computing ``function`` over ``fanins``."""
         if name in self.nodes:
             raise ValueError(f"node {name!r} already exists")
         fanins = list(fanins)
+        self._check_fanins(name, fanins, function)
+        node = Node(name, fanins, function, cell)
+        self.nodes[name] = node
+        fanouts = self._fanouts
+        if fanouts is not None:
+            fanouts[name] = set()
+            for fanin in fanins:
+                fanouts[fanin].add(name)
+        self._drop_order()
+        return node
+
+    def _check_fanins(
+        self, name: str, fanins: list[str], function: TruthTable
+    ) -> None:
         if function.n_inputs != len(fanins):
             raise ValueError(
                 f"node {name!r}: function arity {function.n_inputs} "
@@ -114,10 +156,6 @@ class Network:
         for fanin in fanins:
             if fanin not in self.nodes:
                 raise ValueError(f"node {name!r}: unknown fanin {fanin!r}")
-        node = Node(name, fanins, function, cell)
-        self.nodes[name] = node
-        self._invalidate()
-        return node
 
     def set_output(self, name: str) -> None:
         """Mark an existing node as a primary output."""
@@ -141,13 +179,45 @@ class Network:
         """
         if name in self.outputs:
             raise ValueError(f"cannot remove primary output {name!r}")
-        fanouts = self.fanouts(name)
-        if fanouts:
-            raise ValueError(f"cannot remove {name!r}: fanouts {sorted(fanouts)}")
+        readers = self.fanouts(name)
+        if readers:
+            raise ValueError(
+                f"cannot remove {name!r}: fanouts {sorted(readers)}"
+            )
         if name in self.inputs:
             self.inputs.remove(name)
-        del self.nodes[name]
-        self._invalidate()
+        fanouts = self._fanouts
+        for fanin in self.nodes.pop(name).fanins:
+            fanouts[fanin].discard(name)
+        del fanouts[name]
+        self._drop_order()
+
+    def rewire(
+        self,
+        name: str,
+        fanins: Iterable[str],
+        function: TruthTable | None = None,
+    ) -> None:
+        """Give gate ``name`` new ``fanins`` and optionally a new function.
+
+        The function, new or kept, must have one variable per fanin.
+        Only the fanout sets of the old and new fanins are touched.
+        """
+        node = self.nodes[name]
+        if node.is_input:
+            raise ValueError(f"cannot rewire primary input {name!r}")
+        fanins = list(fanins)
+        function = node.function if function is None else function
+        self._check_fanins(name, fanins, function)
+        fanouts = self._fanouts
+        if fanouts is not None:
+            for fanin in node.fanins:
+                fanouts[fanin].discard(name)
+            for fanin in fanins:
+                fanouts[fanin].add(name)
+        node.fanins = fanins
+        node.function = function
+        self._drop_order()
 
     def replace_fanin(self, node_name: str, old: str, new: str) -> None:
         """Rewire every ``old`` fanin of ``node_name`` to ``new``."""
@@ -156,8 +226,7 @@ class Network:
             raise ValueError(f"unknown node {new!r}")
         if old not in node.fanins:
             raise ValueError(f"{old!r} is not a fanin of {node_name!r}")
-        node.fanins = [new if f == old else f for f in node.fanins]
-        self._invalidate()
+        self.rewire(node_name, [new if f == old else f for f in node.fanins])
 
     def substitute(self, old: str, new: str) -> None:
         """Redirect every reader of ``old`` (fanouts and POs) to ``new``."""
@@ -166,27 +235,39 @@ class Network:
         for reader in list(self.fanouts(old)):
             self.replace_fanin(reader, old, new)
         self.outputs = [new if out == old else out for out in self.outputs]
-        self._invalidate()
+        self._drop_order()
 
-    def insert_buffer(self, driver: str, reader: str, name: str,
-                      function: TruthTable, cell=None) -> Node:
+    def insert_buffer(
+        self,
+        driver: str,
+        reader: str,
+        name: str,
+        function: TruthTable,
+        cell=None,
+    ) -> Node:
         """Insert a single-input node on the ``driver -> reader`` edge.
 
         Used for level-converter insertion: only the one edge is rewired,
         other fanouts of ``driver`` are untouched.  ``reader`` may be the
         sentinel ``"@output"`` to splice the converter in front of the
-        primary-output use of ``driver``.
+        primary-output use of ``driver``.  The edge is checked before
+        anything is added, so a rejected call leaves the network as it
+        was.
         """
         if function.n_inputs != 1:
             raise ValueError("buffer function must have exactly one input")
-        node = self.add_node(name, [driver], function, cell)
         if reader == "@output":
             if driver not in self.outputs:
                 raise ValueError(f"{driver!r} is not a primary output")
-            self.outputs = [name if out == driver else out for out in self.outputs]
+        elif driver not in self.nodes[reader].fanins:
+            raise ValueError(f"{driver!r} is not a fanin of {reader!r}")
+        node = self.add_node(name, [driver], function, cell)
+        if reader == "@output":
+            self.outputs = [
+                name if out == driver else out for out in self.outputs
+            ]
         else:
             self.replace_fanin(reader, driver, name)
-        self._invalidate()
         return node
 
     # ------------------------------------------------------------------
@@ -194,19 +275,16 @@ class Network:
     # ------------------------------------------------------------------
 
     def _build_adjacency(self) -> None:
-        """Build every adjacency cache in one scan over the fanin lists.
+        """Build the order caches in one scan over the fanin lists.
 
-        One pass fills fanout sets, edge-exact reader pins, the
-        first-seen unique-reader lists, and the unique-fanin in-degree
-        counts together.  Uniqueness (a node may read the same signal
-        twice) is detected by the fanout set's length delta, so the
-        per-node ``set(node.fanins)`` allocation the old in-degree
-        counter paid -- and the three separate O(E) scans -- are gone.
-        The unique-reader lists keep the first-occurrence order the old
-        ``dict.fromkeys`` dedup produced, so :meth:`topological` emits
-        the exact same order as before.
+        One pass fills the edge-exact reader pins, the first-seen
+        unique-reader lists, and the unique-fanin in-degree counts
+        together.  The unique-reader lists keep first-occurrence order,
+        so :meth:`topological` is a pure function of the node insertion
+        order and the fanin lists.  The fanout sets are derived from the
+        reader lists only when they are missing (a fresh network, or
+        after :meth:`_invalidate`); live sets are left as they are.
         """
-        fanouts: dict[str, set[str]] = {n: set() for n in self.nodes}
         reader_pins: dict[str, list[tuple[str, int]]] = {
             name: [] for name in self.nodes
         }
@@ -215,14 +293,17 @@ class Network:
         for node in self.nodes.values():
             name = node.name
             for pin, fanin in enumerate(node.fanins):
-                targets = fanouts[fanin]
-                before = len(targets)
-                targets.add(name)
-                if len(targets) != before:
+                unique = readers[fanin]
+                # A node's pins are scanned together, so a repeated
+                # fanin finds this node already last in the list.
+                if not unique or unique[-1] != name:
+                    unique.append(name)
                     in_degree[name] += 1
-                    readers[fanin].append(name)
                 reader_pins[fanin].append((name, pin))
-        self._fanouts = fanouts
+        if self._fanouts is None:
+            self._fanouts = {
+                name: set(unique) for name, unique in readers.items()
+            }
         self._reader_pins = {
             name: tuple(pins) for name, pins in reader_pins.items()
         }
@@ -230,7 +311,11 @@ class Network:
         self._in_degree = in_degree
 
     def fanouts(self, name: str) -> set[str]:
-        """Names of nodes that read ``name`` as a fanin."""
+        """Names of nodes that read ``name`` as a fanin.
+
+        The set is live: later edits update it in place, so copy it
+        before editing the network while iterating over it.
+        """
         if self._fanouts is None:
             self._build_adjacency()
         return self._fanouts[name]
@@ -261,7 +346,9 @@ class Network:
                     ready.append(fanout)
         if len(order) != len(self.nodes):
             cyclic = sorted(set(self.nodes) - set(order))
-            raise ValueError(f"network has a combinational cycle through {cyclic[:5]}")
+            raise ValueError(
+                f"network has a combinational cycle through {cyclic[:5]}"
+            )
         self._topo = order
         return order
 
@@ -334,7 +421,9 @@ class Network:
             if node.is_input:
                 level[name] = 0
             else:
-                level[name] = 1 + max((level[f] for f in node.fanins), default=0)
+                level[name] = 1 + max(
+                    (level[f] for f in node.fanins), default=0
+                )
         return max((level[out] for out in self.outputs), default=0)
 
     def stats(self) -> dict[str, int]:
@@ -363,8 +452,9 @@ class Network:
                 values[name] = node.function.evaluate(fanin_values)
         return values
 
-    def evaluate_words(self, input_words: dict[str, int],
-                       width_mask: int) -> dict[str, int]:
+    def evaluate_words(
+        self, input_words: dict[str, int], width_mask: int
+    ) -> dict[str, int]:
         """Bit-parallel zero-delay evaluation over packed vectors."""
         words: dict[str, int] = {}
         for name in self.topological():
@@ -373,7 +463,9 @@ class Network:
                 words[name] = input_words[name] & width_mask
             else:
                 fanin_words = [words[f] for f in node.fanins]
-                words[name] = node.function.evaluate_word(fanin_words, width_mask)
+                words[name] = node.function.evaluate_word(
+                    fanin_words, width_mask
+                )
         return words
 
     # ------------------------------------------------------------------
@@ -389,7 +481,9 @@ class Network:
             node = self.nodes[node_name]
             if node.is_input:
                 continue
-            clone.add_node(node_name, list(node.fanins), node.function, node.cell)
+            clone.add_node(
+                node_name, list(node.fanins), node.function, node.cell
+            )
         for output in self.outputs:
             clone.set_output(output)
         return clone

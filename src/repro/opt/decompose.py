@@ -90,9 +90,7 @@ def decompose_node(network: Network, name: str, builder: _Builder) -> None:
     node = network.nodes[name]
     const = node.function.const_value()
     if const is not None:
-        node.function = TruthTable.const(0, bool(const))
-        node.fanins = []
-        network._invalidate()
+        network.rewire(name, [], TruthTable.const(0, bool(const)))
         return
 
     parity = _parity_structure(node.function)
@@ -102,9 +100,7 @@ def decompose_node(network: Network, name: str, builder: _Builder) -> None:
         root = builder._tree("xor", TruthTable.xor(2), signals)
         if inverted:
             root = builder.inverter(root)
-        node.function = TruthTable.identity()
-        node.fanins = [root]
-        network._invalidate()
+        network.rewire(name, [root], TruthTable.identity())
         return
 
     cubes = minimize_cubes(node.function)
@@ -120,9 +116,7 @@ def decompose_node(network: Network, name: str, builder: _Builder) -> None:
         cube_signals.append(builder.and_tree(literals))
     root = builder.or_tree(cube_signals)
 
-    node.function = TruthTable.identity()
-    node.fanins = [root]
-    network._invalidate()
+    network.rewire(name, [root], TruthTable.identity())
 
 
 def decompose_network(network: Network, max_inputs: int = 2,

@@ -42,9 +42,8 @@ def _collapse_into_reader(network: Network, name: str, reader: str) -> bool:
             substitutions.append(node.function.compose(node_subs))
         else:
             substitutions.append(TruthTable.var(m, position[fanin]))
-    reader_node.function = reader_node.function.compose(substitutions)
-    reader_node.fanins = new_fanins
-    network._invalidate()
+    network.rewire(reader, new_fanins,
+                   reader_node.function.compose(substitutions))
     return True
 
 

@@ -190,9 +190,7 @@ def simplify_network(network: Network) -> int:
                 if index not in support:
                     table = table.cofactor(index, 0).remove_variable(index)
                     fanins.pop(index)
-            node.function = table
-            node.fanins = fanins
-            network._invalidate()
+            network.rewire(name, fanins, table)
             changed += 1
     return changed
 

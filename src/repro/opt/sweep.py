@@ -23,9 +23,7 @@ def _propagate_constant(network: Network, name: str, value: int) -> None:
             if fanins[index] == name:
                 table = table.cofactor(index, value).remove_variable(index)
                 fanins.pop(index)
-        node.function = table
-        node.fanins = fanins
-        network._invalidate()
+        network.rewire(reader, fanins, table)
 
 
 def _dedupe_fanins(network: Network, name: str) -> bool:
@@ -52,9 +50,7 @@ def _dedupe_fanins(network: Network, name: str) -> bool:
         else:
             seen[fanin] = index
             index += 1
-    node.function = table
-    node.fanins = fanins
-    network._invalidate()
+    network.rewire(name, fanins, table)
     return True
 
 
@@ -77,9 +73,7 @@ def sweep(network: Network) -> int:
             const = node.function.const_value()
             if const is not None and node.fanins:
                 # Shrink to an explicit constant node first.
-                node.function = TruthTable.const(0, bool(const))
-                node.fanins = []
-                network._invalidate()
+                network.rewire(name, [], TruthTable.const(0, bool(const)))
                 edits += 1
                 changed = True
             if node.function.n_inputs == 0:

@@ -215,6 +215,18 @@ class TestStructure:
         with pytest.raises(ValueError):
             TruthTable.xor(2).compose([TruthTable.var(1, 0)])
 
+    @given(tables, st.integers(min_value=1, max_value=5), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_compose_matches_row_by_row_evaluation(self, table, m, data):
+        subs = [
+            TruthTable(m, data.draw(st.integers(0, (1 << (1 << m)) - 1)))
+            for _ in range(table.n_inputs)
+        ]
+        expected = TruthTable.from_function(
+            m, lambda *xs: table.evaluate([sub.evaluate(xs) for sub in subs])
+        )
+        assert table.compose(subs) == expected
+
     def test_minterms_and_count(self):
         table = TruthTable.and_(2)
         assert table.minterms() == [3]

@@ -1,9 +1,12 @@
 """Unit tests for the logic-network data structure."""
 
-import pytest
+import random
 
-from repro.netlist.functions import TruthTable
-from repro.netlist.network import Network
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.netlist.functions import TruthTable, random_table
+from repro.netlist.network import Network, Node
 
 _AND2 = TruthTable.and_(2)
 _OR2 = TruthTable.or_(2)
@@ -97,7 +100,11 @@ class TestTopology:
     def test_stats(self):
         stats = small_network().stats()
         assert stats == {
-            "inputs": 2, "outputs": 1, "gates": 2, "nets": 4, "depth": 2,
+            "inputs": 2,
+            "outputs": 1,
+            "gates": 2,
+            "nets": 4,
+            "depth": 2,
         }
 
     def test_repeated_fanin_counts_once_for_topo(self):
@@ -157,6 +164,62 @@ class TestEditing:
         with pytest.raises(ValueError):
             net.insert_buffer("t", "f", "bad", _AND2)
 
+    def test_insert_buffer_rejects_before_editing(self):
+        net = Network()
+        net.add_input("a")
+        net.add_node("g", ["a"], _INV)
+        net.add_node("h", ["g"], _INV)
+        net.set_output("h")
+        before = _snapshot(net)
+        with pytest.raises(ValueError, match="not a fanin"):
+            net.insert_buffer("a", "h", "lc0", TruthTable.identity())
+        with pytest.raises(ValueError, match="not a primary output"):
+            net.insert_buffer("g", "@output", "lc1", TruthTable.identity())
+        assert _snapshot(net) == before
+
+    def test_rewire_moves_fanouts(self):
+        net = small_network()
+        net.rewire("f", ["b", "b"], _AND2)
+        assert net.nodes["f"].fanins == ["b", "b"]
+        assert net.nodes["f"].function == _AND2
+        assert net.fanouts("a") == {"t"}
+        assert net.fanouts("t") == set()
+        assert net.fanouts("b") == {"t", "f"}
+
+    def test_rewire_keeps_function_by_default(self):
+        net = small_network()
+        net.rewire("f", ["a", "t"])
+        assert net.nodes["f"].function == _OR2
+        assert net.topological().index("t") < net.topological().index("f")
+
+    @pytest.mark.parametrize(
+        "fanins, function",
+        [
+            (["a"], None),  # kept OR2 needs two fanins
+            (["a", "zz"], _AND2),  # unknown fanin
+        ],
+    )
+    def test_rewire_rejects_before_editing(self, fanins, function):
+        net = small_network()
+        before = _snapshot(net)
+        with pytest.raises(ValueError):
+            net.rewire("f", fanins, function)
+        assert _snapshot(net) == before
+
+    def test_output_substitute_renews_order(self):
+        # Snapshots keyed on the topological() list object (FlatNetwork)
+        # read the PO set, so an outputs-only edit must renew that list.
+        net = small_network()
+        net.add_node("t2", ["a", "b"], _OR2)
+        order = net.topological()
+        net.substitute("f", "t2")
+        assert net.topological() is not order
+
+    def test_rewire_rejects_primary_input(self):
+        net = small_network()
+        with pytest.raises(ValueError, match="primary input"):
+            net.rewire("a", [])
+
 
 class TestEvaluation:
     def test_evaluate_full_adder_row(self):
@@ -200,8 +263,7 @@ class TestCachedIndexes:
     def test_topo_index_matches_topological(self):
         net = small_network()
         index = net.topo_index()
-        assert [name for name, _ in
-                sorted(index.items(), key=lambda kv: kv[1])] == net.topological()
+        assert sorted(index, key=index.get) == net.topological()
 
     def test_topo_index_invalidated_by_edits(self):
         net = small_network()
@@ -223,3 +285,119 @@ class TestCachedIndexes:
         net.add_node("dup", ["a", "a"], _AND2)
         pins = net.reader_pins()
         assert ("dup", 0) in pins["a"] and ("dup", 1) in pins["a"]
+
+
+def _snapshot(net: Network):
+    """Everything an edit may touch, in comparable form."""
+    return (
+        {
+            name: (list(node.fanins), node.function)
+            for name, node in net.nodes.items()
+        },
+        list(net.outputs),
+        {name: set(net.fanouts(name)) for name in net.nodes},
+        list(net.topological()),
+    )
+
+
+def _seeded_dag(seed: int) -> Network:
+    rng = random.Random(seed)
+    net = Network("dag")
+    for name in ("a", "b", "c"):
+        net.add_input(name)
+    for k in range(6):
+        names = list(net.nodes)
+        fanins = [rng.choice(names) for _ in range(rng.randint(1, 3))]
+        net.add_node(f"g{k}", fanins, random_table(len(fanins), rng))
+    net.set_output("g4")
+    net.set_output("g5")
+    return net
+
+
+def _fresh_clone(net: Network) -> Network:
+    """Same nodes in the same insertion order, every cache reset."""
+    clone = Network(net.name)
+    clone.nodes = {
+        name: Node(name, node.fanins, node.function)
+        for name, node in net.nodes.items()
+    }
+    clone.inputs = list(net.inputs)
+    clone.outputs = list(net.outputs)
+    clone._invalidate()
+    return clone
+
+
+def _draw_table(draw, n_inputs: int) -> TruthTable:
+    top = (1 << (1 << n_inputs)) - 1
+    return TruthTable(n_inputs, draw(st.integers(0, top)))
+
+
+_EDITS = (
+    "add_node",
+    "remove_node",
+    "replace_fanin",
+    "substitute",
+    "insert_buffer",
+    "rewire",
+)
+
+
+def _random_edit(net: Network, data) -> None:
+    """Apply one drawn edit; edits that would close a cycle are skipped."""
+    draw = data.draw
+    names = list(net.nodes)
+    kind = draw(st.sampled_from(_EDITS))
+    if kind == "add_node":
+        fanins = draw(st.lists(st.sampled_from(names), max_size=3))
+        table = _draw_table(draw, len(fanins))
+        net.add_node(net.fresh_name("x"), fanins, table)
+        return
+    name = draw(st.sampled_from(names))
+    # Nodes outside name's fanout cone can feed it without a cycle.
+    upstream = [n for n in names if n not in net.transitive_fanout([name])]
+    node = net.nodes[name]
+    if kind == "insert_buffer":
+        readers = sorted(net.fanouts(name))
+        if name in net.outputs:
+            readers.append("@output")
+        if readers:
+            reader = draw(st.sampled_from(readers))
+            buffer = net.fresh_name("buf")
+            net.insert_buffer(name, reader, buffer, TruthTable.identity())
+    elif kind == "substitute":
+        if upstream:
+            net.substitute(name, draw(st.sampled_from(upstream)))
+    elif node.is_input:
+        return
+    elif kind == "remove_node":
+        if not net.fanouts(name) and name not in net.outputs:
+            net.remove_node(name)
+    elif kind == "replace_fanin":
+        if node.fanins and upstream:
+            old = draw(st.sampled_from(node.fanins))
+            new = draw(st.sampled_from(upstream))
+            net.replace_fanin(name, old, new)
+    elif upstream:
+        fanins = draw(st.lists(st.sampled_from(upstream), max_size=3))
+        net.rewire(name, fanins, _draw_table(draw, len(fanins)))
+
+
+@given(st.integers(min_value=0, max_value=2**16), st.data())
+@settings(max_examples=60, deadline=None)
+def test_incremental_adjacency_matches_fresh_rebuild(seed, data):
+    """Live fanouts and rebuilt order caches match a from-scratch build.
+
+    Random edit sequences run on a seeded DAG; after each batch every
+    fanout set, the topological order and the reader pins must equal
+    those of a clone whose caches were all reset.
+    """
+    net = _seeded_dag(seed)
+    net.fanouts("a")
+    for _ in range(data.draw(st.integers(min_value=1, max_value=8))):
+        for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
+            _random_edit(net, data)
+        fresh = _fresh_clone(net)
+        for name in net.nodes:
+            assert net.fanouts(name) == fresh.fanouts(name)
+        assert net.topological() == fresh.topological()
+        assert net.reader_pins() == fresh.reader_pins()

@@ -96,13 +96,9 @@ def test_minimal_for_known_optimum():
 
 
 def test_simplify_network_drops_false_dependencies(control_network):
-    node = control_network.nodes["p1"]
     # Rebuild p1 = a & b as a 3-input function ignoring the third input.
-    control_network.nodes["p1"].fanins = ["a", "b", "e"]
-    control_network.nodes["p1"].function = TruthTable.from_function(
-        3, lambda a, b, e: a and b
-    )
-    control_network._invalidate()
+    and_ab = TruthTable.from_function(3, lambda a, b, e: a and b)
+    control_network.rewire("p1", ["a", "b", "e"], and_ab)
     changed = simplify_network(control_network)
     assert changed == 1
     assert control_network.nodes["p1"].fanins == ["a", "b"]
@@ -151,11 +147,10 @@ def test_greedy_completion_beyond_essential_primes():
 
 def test_simplify_network_handles_fully_degenerate_node(control_network):
     """A node ignoring every fanin shrinks to a zero-input constant."""
-    control_network.nodes["p1"].function = TruthTable.const(2, True)
-    control_network._invalidate()
+    node = control_network.nodes["p1"]
+    control_network.rewire("p1", node.fanins, TruthTable.const(2, True))
     changed = simplify_network(control_network)
     assert changed >= 1
-    node = control_network.nodes["p1"]
     assert node.fanins == []
     assert node.function.const_value() == 1
 
@@ -163,9 +158,8 @@ def test_simplify_network_handles_fully_degenerate_node(control_network):
 def test_simplify_network_counts_every_changed_node(control_network):
     for name in ("p1", "p2"):
         node = control_network.nodes[name]
-        node.fanins = list(node.fanins) + ["e"]
-        node.function = TruthTable.from_function(
+        widened = TruthTable.from_function(
             3, lambda a, b, e, f=node.function: bool(
                 f.bits >> ((b << 1) | a) & 1))
-    control_network._invalidate()
+        control_network.rewire(name, node.fanins + ["e"], widened)
     assert simplify_network(control_network) == 2

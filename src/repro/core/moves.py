@@ -454,7 +454,9 @@ class MoveEngine:
         self.state = state
         self.cost_model = get_cost_model(cost_model)
         self.stats: MoveStats = state.move_stats
-        #: Post-move worst delay of the last :meth:`try_move` attempt.
+        #: Post-move worst delay of the last :meth:`try_move` that
+        #: committed; ``None`` after any other attempt (a reject may
+        #: stop the timing repair before the worst delay is known).
         #: Saves committed-move callers a redundant full STA rebuild in
         #: non-incremental mode (the transaction already computed it).
         self.last_worst_delay: float | None = None
@@ -543,29 +545,33 @@ class MoveEngine:
         """Apply ``move`` as a what-if transaction; keep it only if legal.
 
         The move is applied inside a timing transaction and kept when
-        the circuit still meets ``tspec`` (within the state's timing
-        tolerance), the worst delay does not exceed ``worst_delay_cap``
-        (when given), and -- with ``require_power_gain`` -- the
-        measured total power strictly improved over ``power_before``
-        (measured here when the caller does not supply it; callers
-        attempting many moves against one unchanged state pass the
-        baseline in to skip the redundant O(network) estimations).  A
-        rejected move is undone and the journaled timing values are
-        restored without recomputation.  Returns whether the move was
-        committed.
+        the worst delay exceeds neither ``tspec`` plus the state's
+        timing tolerance nor ``worst_delay_cap`` (when given), and --
+        with ``require_power_gain`` -- the measured total power
+        strictly improved over ``power_before`` (measured here when the
+        caller does not supply it; callers attempting many moves
+        against one unchanged state pass the baseline in to skip the
+        redundant O(network) estimations).  The timing check is one
+        :meth:`~repro.timing.incremental.IncrementalTiming.exceeds`
+        query, which may reject before re-timing the whole forward
+        cone.  A rejected move is undone and the journaled timing
+        values are restored without recomputation.  Resets
+        :attr:`last_worst_delay` and :attr:`last_power` on entry.
+        Returns whether the move was committed.
         """
         state = self.state
         self.last_power = None
+        self.last_worst_delay = None
         if require_power_gain and power_before is None:
             power_before = state.power().total
         state.begin_move()
         try:
             move.apply(state)
             check = state.timing()
-            ok = check.meets_timing(state.options.timing_tolerance)
-            self.last_worst_delay = check.worst_delay
-            if ok and worst_delay_cap is not None:
-                ok = self.last_worst_delay <= worst_delay_cap
+            limit = check.tspec + state.options.timing_tolerance
+            if worst_delay_cap is not None and worst_delay_cap < limit:
+                limit = worst_delay_cap
+            ok = not check.exceeds(limit)
             if ok and require_power_gain:
                 measured = state.power().total
                 ok = measured < power_before
@@ -585,6 +591,7 @@ class MoveEngine:
             raise
         if ok:
             state.commit_move()
+            self.last_worst_delay = check.worst_delay
         else:
             move.undo(state)
             state.rollback_move()

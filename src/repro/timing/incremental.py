@@ -56,6 +56,26 @@ or immediately after rolling back -- the journal only covers the timing
 arrays, not the caller's state.  This is what makes Gscale's per-resize
 verification and Dscale's converter cleanup touch only the mutated
 gate's cone instead of the whole network.
+
+Bounded what-if probes
+----------------------
+Inside a transaction :meth:`exceeds` answers "is the post-move
+``worst_delay`` above ``limit``?" and may stop the forward repair as
+soon as the answer is proven to be yes.  The repair pops positions
+in topological order, so every popped node's new arrival is final.
+:meth:`begin` leaves the required times fully refreshed; since then
+only the pending backward seeds and their fanin cones can have gone
+stale, so a node positioned after every backward seed still has an
+exact required time.  When the repair pops such a node with a final arrival above
+``required + (limit - tspec)``, :meth:`_path_bound` carries that
+arrival forward along the reader terms that set the required times,
+with exactly :meth:`_compute_arrival`'s association and the live
+post-move delays, to a primary output.  Rounded addition is monotone,
+so the walk is a lower bound on the exact ``worst_delay``; when it
+exceeds ``limit`` the move is rejected without re-timing the rest of
+its forward cone.  No margin or tolerance enters the proof.  The
+arrays are then half repaired, so every query raises
+``RuntimeError`` until :meth:`rollback`.
 """
 
 from __future__ import annotations
@@ -112,6 +132,9 @@ class _ArrayView(Mapping):
 
     def __len__(self) -> int:
         return len(self._pos)
+
+
+_SPENT = "timing transaction ended in an early reject; call rollback()"
 
 
 class _Journal:
@@ -450,6 +473,7 @@ class IncrementalTiming:
         self._bwd_seeds: set[str] = set()
         self._clean = True
         self._fwd_clean = True
+        self._spent = False
 
         mode = self._build_mode
         if mode is None:
@@ -576,10 +600,18 @@ class IncrementalTiming:
     # Propagation
     # ------------------------------------------------------------------
 
-    def _ensure_forward(self) -> None:
-        """Repair loads and arrivals (what ``worst_delay`` needs)."""
+    def _ensure_forward(self, limit: float | None = None) -> bool:
+        """Repair loads and arrivals (what ``worst_delay`` needs).
+
+        With a ``limit`` (transactions only, see :meth:`exceeds`) the
+        repair stops as soon as :meth:`_path_bound` proves the repaired
+        ``worst_delay`` is above it; that returns ``True`` and leaves
+        the engine rollback-only.  Otherwise returns ``False``.
+        """
+        if self._spent:
+            raise RuntimeError(_SPENT)
         if self._fwd_clean:
-            return
+            return False
         calc = self.calculator
         pos = self._pos
         journal = self._journal
@@ -596,6 +628,15 @@ class IncrementalTiming:
         if self._fwd_seeds:
             arrival = self._arrival
             scheduled = {pos[name] for name in self._fwd_seeds}
+            above = math.inf  # no early exit without a limit
+            if limit is not None:
+                # Only the backward seeds and their fanin cones hold
+                # stale required times; every later node's is exact.
+                above = max(
+                    (pos[name] for name in self._bwd_seeds), default=-1
+                )
+                margin = limit - self.tspec
+                required = self._required
             self._fwd_seeds.clear()
             heap = list(scheduled)
             heapq.heapify(heap)
@@ -603,6 +644,13 @@ class IncrementalTiming:
                 i = heapq.heappop(heap)
                 scheduled.discard(i)
                 new = self._compute_arrival(self._order[i])
+                if (
+                    i > above
+                    and new > required[i] + margin
+                    and self._path_bound(i, new) > limit
+                ):
+                    self._spent = True
+                    return True
                 if new != arrival[i]:
                     if journal is not None and i not in journal.arrival:
                         journal.arrival[i] = arrival[i]
@@ -613,16 +661,65 @@ class IncrementalTiming:
                             scheduled.add(j)
                             heapq.heappush(heap, j)
         self._fwd_clean = True
+        return False
+
+    def _path_bound(self, i: int, at: float) -> float:
+        """A lower bound on ``worst_delay`` through position ``i``.
+
+        ``at`` is the node's final arrival.  The walk follows the reader
+        term that sets each node's required time down to a primary
+        output, adding each stage with :meth:`_compute_arrival`'s exact
+        association, then the output converter.  Every step is a term
+        of the reader's arrival maximum, so the result never exceeds
+        the repaired ``worst_delay``.  ``-inf`` when the walk reaches a
+        node with no reader and no output.
+        """
+        calc = self.calculator
+        order = self._order
+        pos = self._pos
+        reqs = self._required
+        loads = self._load
+        lc_edges = calc.lc_edges
+        variant = calc.variant
+        is_output = self._is_output
+        while True:
+            name = order[i]
+            best = math.inf
+            if name in is_output:
+                best = self.tspec - calc.edge_extra_delay(name, OUTPUT)
+            step = None
+            for reader, pin in self._reader_pins[name]:
+                j = pos[reader]
+                cell = variant(reader)
+                stage = cell.intrinsics[pin] + cell.drive_res * loads[j]
+                term = reqs[j] - stage
+                lc = None
+                if (name, reader) in lc_edges:
+                    lc = calc.lc_delay(name, reader)
+                    term -= lc
+                if term < best:
+                    best = term
+                    step = (j, lc, stage)
+            if step is None:
+                if name in is_output:
+                    return at + calc.edge_extra_delay(name, OUTPUT)
+                return -math.inf
+            i, lc, stage = step
+            if lc is not None:
+                at += lc
+            at += stage
 
     def refresh(self) -> "IncrementalTiming":
         """Repair every stale value; no-op when nothing is dirty.
 
         The forward half (loads + arrivals) and the backward half
         (required times) are independent; what-if probes that only ask
-        ``worst_delay`` / ``meets_timing`` trigger just the forward
+        ``worst_delay`` / ``exceeds`` trigger just the forward
         repair, and the backward cascade of committed moves is paid once
         at the next slack/required query instead of per move.
         """
+        if self._spent:
+            raise RuntimeError(_SPENT)
         if self._clean:
             return self
         self._ensure_forward()
@@ -669,6 +766,8 @@ class IncrementalTiming:
         """Keep every value computed since :meth:`begin`."""
         if self._journal is None:
             raise RuntimeError("no active timing transaction")
+        if self._spent:
+            raise RuntimeError(_SPENT)
         self._journal = None
 
     def rollback(self) -> None:
@@ -693,6 +792,7 @@ class IncrementalTiming:
         self._bwd_seeds.clear()
         self._clean = True
         self._fwd_clean = True
+        self._spent = False
 
     # ------------------------------------------------------------------
     # Queries (TimingAnalysis-compatible)
@@ -783,6 +883,17 @@ class IncrementalTiming:
 
     def meets_timing(self, tolerance: float = 1e-9) -> bool:
         return self.worst_delay <= self.tspec + tolerance
+
+    def exceeds(self, limit: float) -> bool:
+        """Whether ``worst_delay > limit``, answered as early as proven.
+
+        Inside a transaction the forward repair stops at the first path
+        certificate (see the module docstring); the engine is then
+        rollback-only and every query raises until :meth:`rollback`.
+        """
+        if self._journal is not None and self._ensure_forward(limit):
+            return True
+        return self.worst_delay > limit
 
     def critical_path(self) -> list[str]:
         """One worst input-to-output path (node names, PI first)."""

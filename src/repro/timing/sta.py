@@ -156,6 +156,10 @@ class TimingAnalysis:
     def meets_timing(self, tolerance: float = 1e-9) -> bool:
         return self.worst_delay <= self.tspec + tolerance
 
+    def exceeds(self, limit: float) -> bool:
+        """Whether ``worst_delay > limit`` (API parity with the engine)."""
+        return self.worst_delay > limit
+
     def critical_path(self) -> list[str]:
         """One worst input-to-output path (node names, PI first)."""
         return trace_critical_path(self.calculator, self.arrival, self.load)

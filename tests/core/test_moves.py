@@ -512,6 +512,30 @@ def test_last_power_tracks_power_gated_commits(multirail_state):
         plain.undo(state)
 
 
+def test_last_worst_delay_tracks_commits_only(multirail_state):
+    """last_worst_delay is the post-commit worst delay, and None after a
+    rejected or raising attempt instead of an older attempt's value."""
+    state = multirail_state
+    engine = MoveEngine(state)
+    lowest = state.n_rails - 1
+    for name in state.network.gates():
+        move = DemoteMove(name)
+        if state.rail_of(name) < lowest and engine.try_move(move):
+            break
+    else:
+        pytest.skip("no demotion meets tspec")
+    assert engine.last_worst_delay == state.full_timing().worst_delay
+    move.undo(state)
+    assert not engine.try_move(DemoteMove(name), worst_delay_cap=-1.0)
+    assert engine.last_worst_delay is None
+    assert engine.try_move(move)
+    with pytest.raises(KeyError):
+        engine.try_move(ResizeMove("no_such_gate", None))
+    assert engine.last_worst_delay is None
+    move.undo(state)
+    assert_equivalent(state)
+
+
 # -- end-to-end: the capabilities pay off on real circuits -------------
 
 

@@ -10,6 +10,7 @@ the engine recomputes with the same kernels).
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -21,6 +22,12 @@ from repro.bench.generators import (
     pla_control,
     ripple_adder,
     sec_decoder,
+)
+from repro.core.moves import (
+    DemoteMove,
+    DropConverterMove,
+    ResizeMove,
+    RetargetShifterMove,
 )
 from repro.core.state import ScalingOptions, ScalingState
 from repro.flow.experiment import prepare_circuit
@@ -430,3 +437,174 @@ def test_output_boundary_converter_equivalence(library):
     assert_equivalent(state)
     state.promote(out)
     assert_equivalent(state)
+
+
+# ---------------------------------------------------------------------
+# Bounded what-if probes: ``exceeds(limit)`` inside a transaction may
+# stop the forward repair at the first path certificate.  The answer
+# must equal the oracle's ``worst_delay > limit`` at every limit,
+# including the two floats adjacent to the exact worst delay, and the
+# rollback must restore the arrays bit for bit whether or not the
+# repair stopped early.
+# ---------------------------------------------------------------------
+
+_PROBE_KINDS = ("demote", "deep", "retarget", "resize", "drop")
+
+
+def _probe_move(rng, state, kind):
+    """One random :mod:`repro.core.moves` move of ``kind``, or None."""
+    gates = state.network.gates()
+    lowest = state.n_rails - 1
+    if kind == "demote":
+        cands = [g for g in gates if state.rail_of(g) < lowest]
+        return DemoteMove(rng.choice(cands)) if cands else None
+    if kind == "deep":
+        cands = [g for g in gates if state.rail_of(g) < lowest - 1]
+        return DemoteMove(rng.choice(cands), target=lowest) if cands else None
+    if kind == "retarget":
+        cands = [g for g in gates
+                 if state.rail_of(g) < lowest
+                 and state.lc_edges.readers_of(g)]
+        return RetargetShifterMove(rng.choice(cands)) if cands else None
+    if kind == "resize":
+        name = rng.choice(gates)
+        cell = state.network.nodes[name].cell
+        return ResizeMove(name, rng.choice(state.library.variants(cell.base)))
+    if state.lc_edges:
+        return DropConverterMove(rng.choice(sorted(state.lc_edges)))
+    return None
+
+
+def _arrays(engine):
+    _, arrival, required, load = engine.levelized_arrays()
+    return list(arrival), list(required), list(load)
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**32 - 1),
+       setup=st.lists(st.sampled_from(_PROBE_KINDS), max_size=3),
+       kind=st.sampled_from(_PROBE_KINDS),
+       factor=st.floats(0.5, 1.5))
+def test_exceeds_matches_oracle_and_rolls_back(multirail_state, seed, setup,
+                                               kind, factor):
+    state = multirail_state
+    rng = random.Random(seed)
+    # Committed set-up moves vary the starting point (shifters to
+    # retarget or drop, mixed rails) across examples.
+    for setup_kind in setup:
+        move = _probe_move(rng, state, setup_kind)
+        if move is not None:
+            move.apply(state)
+    move = _probe_move(rng, state, kind)
+    if move is None:
+        return
+    engine = state.timing()
+    before = _arrays(engine)
+
+    move.apply(state)
+    worst = state.full_timing().worst_delay
+    move.undo(state)
+    assert _arrays(engine) == before
+    limits = (
+        worst,
+        math.nextafter(worst, -math.inf),
+        math.nextafter(worst, math.inf),
+        state.tspec + state.options.timing_tolerance,
+        factor * worst,
+    )
+    for limit in limits:
+        state.begin_move()
+        move.apply(state)
+        assert engine.exceeds(limit) == (worst > limit), limit
+        move.undo(state)
+        state.rollback_move()
+        assert _arrays(engine) == before, limit
+    assert_equivalent(state)
+
+
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**32 - 1),
+       setup=st.lists(st.sampled_from(_PROBE_KINDS), max_size=3))
+def test_path_bound_is_a_tight_lower_bound(multirail_state, seed, setup):
+    """The certificate walk from any node's arrival never overshoots
+    the exact worst delay, and from the critical path it reaches it."""
+    state = multirail_state
+    rng = random.Random(seed)
+    for setup_kind in setup:
+        move = _probe_move(rng, state, setup_kind)
+        if move is not None:
+            move.apply(state)
+    engine = state.timing()
+    _, arrival, _, _ = engine.levelized_arrays()
+    worst = state.full_timing().worst_delay
+    bounds = [engine._path_bound(i, at) for i, at in enumerate(arrival)]
+    assert max(bounds) <= worst
+    assert max(bounds) == pytest.approx(worst, rel=1e-12)
+
+
+def _early_reject(state):
+    """Open a transaction whose ``exceeds`` stopped the repair early.
+
+    A resize seeds only the gate's fanin cones backward, so the gate
+    is popped past every backward seed.  Under a limit below zero it is
+    a certificate at the latest, before the repair reaches its readers.
+    Returns the applied move.
+    """
+    engine = state.timing()
+    for name in state.network.gates():
+        cell = state.network.nodes[name].cell
+        others = [v for v in state.library.variants(cell.base)
+                  if v is not cell]
+        if not others:
+            continue
+        move = ResizeMove(name, others[0])
+        state.begin_move()
+        move.apply(state)
+        assert engine.exceeds(-1.0)
+        if not engine._fwd_clean:
+            return move
+        move.undo(state)
+        state.rollback_move()
+    raise AssertionError("no resize stopped the forward repair early")
+
+
+def _first_name(engine):
+    return next(iter(engine.arrival))
+
+
+_SPENT_QUERIES = {
+    "worst_delay": lambda e: e.worst_delay,
+    "exceeds": lambda e: e.exceeds(math.inf),
+    "arrival": lambda e: e.arrival[_first_name(e)],
+    "load": lambda e: e.load[_first_name(e)],
+    "required": lambda e: e.required[_first_name(e)],
+    "slack": lambda e: e.slack(_first_name(e)),
+    "refresh": lambda e: e.refresh(),
+    "levelized_arrays": lambda e: e.levelized_arrays(),
+    "commit": lambda e: e.commit(),
+}
+
+
+@pytest.mark.parametrize("query", sorted(_SPENT_QUERIES))
+def test_early_reject_is_rollback_only(multirail_state, query):
+    """After an early reject every query raises until rollback()."""
+    state = multirail_state
+    engine = state.timing()
+    before = _arrays(engine)
+    move = _early_reject(state)
+    with pytest.raises(RuntimeError, match="rollback"):
+        _SPENT_QUERIES[query](engine)
+    move.undo(state)  # the caller's own revert still reaches the engine
+    state.rollback_move()
+    assert _arrays(engine) == before
+    assert_equivalent(state)
+
+
+def test_exceeds_outside_a_transaction_is_worst_delay(multirail_state):
+    engine = multirail_state.timing()
+    worst = engine.worst_delay
+    assert engine.exceeds(math.nextafter(worst, -math.inf))
+    assert not engine.exceeds(worst)
+    assert not engine._spent

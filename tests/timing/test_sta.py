@@ -145,3 +145,9 @@ def test_empty_outputs_worst_delay_zero(library):
     analysis = TimingAnalysis(DelayCalculator(net, library), 1.0)
     assert analysis.worst_delay == 0.0
     assert analysis.critical_path() == []
+
+
+def test_exceeds_is_worst_delay_above_limit(analysis):
+    worst = analysis.worst_delay
+    assert analysis.exceeds(math.nextafter(worst, -math.inf))
+    assert not analysis.exceeds(worst)

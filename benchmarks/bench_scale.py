@@ -10,10 +10,8 @@ timing build -- the operation the flat-core refactor vectorizes:
 * ``flat``: constructing the shared CSR :class:`FlatNetwork` snapshot
   itself (paid once per prepared circuit, amortized over every build,
   power measurement, and batched pricing sweep that follows);
-* ``pure``: the level-by-level vectorized build on plain Python lists
-  (the no-NumPy twin);
-* ``numpy``: the same sweep on NumPy arrays (skipped when NumPy is not
-  importable);
+* ``numpy``: the level-by-level vectorized build over the snapshot's
+  NumPy planes (the engine's default);
 
 plus the flat power measurement vs the serial per-node walk, and a
 sampled batched-vs-serial Dscale pricing sweep.  Every vectorized
@@ -55,7 +53,7 @@ from repro.core.moves import DemoteMove, MoveEngine
 from repro.core.state import ScalingState
 from repro.library.compass import build_compass_library
 from repro.mapping.match import MatchTable
-from repro.netlist.flat import HAVE_NUMPY, build_flat, numpy_active
+from repro.netlist.flat import build_flat
 from repro.power.activity import probabilistic_activities
 from repro.power.estimate import estimate_power_calc
 from repro.timing.incremental import IncrementalTiming
@@ -167,7 +165,7 @@ def bench_size(label, spec, library, match_table, slack=1.2):
     probe = IncrementalTiming(state.calc, 0.0, build_mode="serial")
     tspec = slack * probe.worst_delay
     state.tspec = tspec
-    state.flat().arrays()
+    state.flat()
 
     # Freeze the setup graph (network, state, snapshot: the bulk of the
     # heap) out of the cyclic collector's reach: every discarded timing
@@ -180,46 +178,24 @@ def bench_size(label, spec, library, match_table, slack=1.2):
         lambda: IncrementalTiming(state.calc, tspec, build_mode="serial"),
         repeat,
     )
-    def build_snapshot():
-        flat = build_flat(network, state.calc, activity=activity)
-        flat.arrays()  # include the one-time array-plane materialization
-        return flat
-
-    flat_s, _ = time_call(build_snapshot, repeat)
-    pure_s, engine_pure = time_call(
-        lambda: IncrementalTiming(
-            state.calc, tspec, flat_source=state.flat, build_mode="pure"
-        ),
+    flat_s, _ = time_call(
+        lambda: build_flat(network, state.calc, activity=activity), repeat
+    )
+    numpy_s, engine_numpy = time_call(
+        lambda: IncrementalTiming(state.calc, tspec, flat_source=state.flat),
         repeat,
     )
+    if engine_numpy.levelized_arrays() != engine_serial.levelized_arrays():
+        raise AssertionError(f"{label}: numpy build != serial oracle")
     builds = {
         "serial": {"seconds": serial_s, "gates_per_s": gates / serial_s},
         "flat_snapshot": {"seconds": flat_s},
-        "pure": {
-            "seconds": pure_s,
-            "gates_per_s": gates / pure_s,
-            "speedup": serial_s / pure_s,
-        },
-    }
-    oracle = engine_serial.levelized_arrays()
-    if engine_pure.levelized_arrays() != oracle:
-        raise AssertionError(f"{label}: pure build != serial oracle")
-    vectorized_s = pure_s
-    if HAVE_NUMPY:
-        numpy_s, engine_numpy = time_call(
-            lambda: IncrementalTiming(
-                state.calc, tspec, flat_source=state.flat, build_mode="numpy"
-            ),
-            repeat,
-        )
-        if engine_numpy.levelized_arrays() != oracle:
-            raise AssertionError(f"{label}: numpy build != serial oracle")
-        builds["numpy"] = {
+        "numpy": {
             "seconds": numpy_s,
             "gates_per_s": gates / numpy_s,
             "speedup": serial_s / numpy_s,
-        }
-        vectorized_s = numpy_s
+        },
+    }
 
     power_serial_s, p_serial = time_call(
         lambda: estimate_power_calc(state.calc, activity), repeat
@@ -241,7 +217,7 @@ def bench_size(label, spec, library, match_table, slack=1.2):
         "tspec_ns": tspec,
         "generate_s": gen_s,
         "builds": builds,
-        "build_speedup": serial_s / vectorized_s,
+        "build_speedup": serial_s / numpy_s,
         "power": {
             "serial_s": power_serial_s,
             "flat_s": power_flat_s,
@@ -298,10 +274,7 @@ def main(argv=None):
     library = build_compass_library()
     match_table = MatchTable(library)
 
-    report = {
-        "numpy": numpy_active(),
-        "sizes": {},
-    }
+    report = {"sizes": {}}
     for label in labels:
         report["sizes"][label] = bench_size(
             label, SIZES[label], library, match_table

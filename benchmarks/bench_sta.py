@@ -41,7 +41,6 @@ from repro.core.state import ScalingOptions, ScalingState
 from repro.api import Flow, FlowConfig
 from repro.library.compass import build_compass_library
 from repro.mapping.match import MatchTable
-from repro.timing import batch
 from repro.timing.sta import TimingAnalysis
 
 DEFAULT_CIRCUIT = "C7552"
@@ -98,9 +97,7 @@ def bench_pricing(prepared, library, repeat=5):
     The workload is the pre-CVS slack set -- every gate with positive
     slack that can still move down a rail, i.e. the candidate list the
     first (and largest) Dscale round prices.  Both paths must return
-    bit-identical feasibility flags and gains; the batched path runs
-    vectorized when NumPy is importable (``numpy`` in the report says
-    which path was measured).
+    bit-identical feasibility flags and gains.
     """
     state = ScalingState(prepared.fresh_copy(), library,
                          tspec=prepared.tspec, activity=prepared.activity)
@@ -132,7 +129,6 @@ def bench_pricing(prepared, library, repeat=5):
             "pricing: batched results differ from the serial loop")
     n = len(candidates)
     return {
-        "numpy": batch.numpy_active(),
         "candidates": n,
         "feasible": sum(serial_result[0]),
         "serial_s": serial_s,

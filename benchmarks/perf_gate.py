@@ -15,8 +15,8 @@ Gated:
 * ``sta.speedup``     -- per-move STA update (full rebuild / refresh);
 * ``gscale.speedup``  -- end-to-end Gscale (full / incremental);
 * ``pricing.speedup`` -- batched vs serial move pricing.  On a
-  NumPy-enabled ``C7552`` report the vectorized kernel must also clear
-  an absolute 3.0x floor, independent of the baseline.
+  ``C7552`` report the vectorized kernel must also clear an absolute
+  3.0x floor, independent of the baseline.
 
 Run::
 
@@ -104,17 +104,13 @@ def check(
                 f"limit {max_regression:.0%})"
             )
 
-    pricing = current.get("pricing") or {}
-    if (
-        pricing.get("numpy")
-        and current.get("circuit") == PRICING_FLOOR_CIRCUIT
-    ):
-        speedup = pricing.get("speedup")
+    if current.get("circuit") == PRICING_FLOOR_CIRCUIT:
+        speedup = (current.get("pricing") or {}).get("speedup")
         if not isinstance(speedup, (int, float)) or speedup < PRICING_FLOOR:
             failures.append(
                 f"batched pricing speedup {speedup!r} is below the "
                 f"absolute {PRICING_FLOOR:.1f}x floor on "
-                f"{PRICING_FLOOR_CIRCUIT} with NumPy active"
+                f"{PRICING_FLOOR_CIRCUIT}"
             )
         else:
             print(

@@ -53,9 +53,8 @@ class ScalingMethod:
     would fabricate a comparison).  ``batch_pricing`` declares that the
     method prices candidates through the move engine's batched sweeps
     (``check_moves`` / ``price_moves`` / ``profile_resizes``), which
-    vectorize when NumPy is importable -- results are bit-identical
-    either way, the flag only advertises where the optional dependency
-    buys throughput.
+    run vectorized with NumPy -- results are bit-identical to the serial
+    loops, the flag only advertises where the batching buys throughput.
     """
 
     name: str

@@ -41,6 +41,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.core.cvs import CvsResult, run_cvs
 from repro.core.moves import (
     CostModel,
@@ -52,15 +54,9 @@ from repro.core.moves import (
 )
 from repro.core.state import ScalingState
 from repro.graphalg.antichain import max_weight_antichain
-from repro.netlist.flat import numpy_active
 from repro.timing.delay import OUTPUT
 from repro.timing.incremental import IncrementalTiming
 from repro.timing.sta import TimingAnalysis
-
-try:  # NumPy is optional; the list path below is the fallback
-    import numpy as _np
-except ImportError:  # pragma: no cover - the no-numpy CI job covers this
-    _np = None
 
 _WEIGHT_SCALE = 10_000
 """Power gains (uW) are scaled to integers for exact flow arithmetic."""
@@ -291,7 +287,7 @@ def _slack_set(
 
     With the incremental engine this reads the levelized arrays plus
     the shared flat planes -- one subtraction and two comparisons per
-    node, vectorized under NumPy -- instead of a per-name ``slack()``
+    node, vectorized with NumPy -- instead of a per-name ``slack()``
     call through the method surface.  Emitted order (topological,
     inputs excluded) and every float comparison are identical to
     filtering ``network.gates()`` serially, which remains the path for
@@ -308,29 +304,12 @@ def _slack_set(
             and analysis.slack(name) > tolerance
         ]
     order, arrival, required, _ = arrays()
-    is_input = flat.is_input
-    if numpy_active():
-        np = _np
-        a = flat.arrays()
-        rails = np.zeros(a.n, dtype=np.intp)
-        pos = a.pos
-        for name, level in state.levels.items():
-            if level:
-                rails[pos[name]] = int(level)
-        mask = (
-            (np.asarray(required) - np.asarray(arrival) > tolerance)
-            & (rails < lowest)
-            & ~np.asarray(is_input)
-        )
-        return [order[i] for i in np.flatnonzero(mask).tolist()]
-    rail_of = state.rail_of
-    return [
-        name
-        for i, name in enumerate(order)
-        if not is_input[i]
-        and rail_of(name) < lowest
-        and required[i] - arrival[i] > tolerance
-    ]
+    mask = (
+        (np.asarray(required) - np.asarray(arrival) > tolerance)
+        & (flat.rail_plane(state.levels) < lowest)
+        & ~np.asarray(flat.is_input)
+    )
+    return [order[i] for i in np.flatnonzero(mask).tolist()]
 
 
 def _best_demotion(

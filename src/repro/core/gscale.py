@@ -205,8 +205,7 @@ def run_gscale(
         weights: dict[str, int] = {}
         profiles: dict[str, tuple[float, float, float]] = {}
         # One batched pricing sweep over the whole CPN (bit-identical
-        # to the serial resize_profile per name, vectorized when NumPy
-        # is importable).
+        # to the serial resize_profile per name, vectorized).
         for name, profile in zip(nodes, engine.profile_resizes(nodes)):
             if profile is None or profile[1] <= 0:
                 weights[name] = _UNRESIZABLE

@@ -476,9 +476,9 @@ class MoveEngine:
 
         Demotions route through the cost model's
         :meth:`CostModel.demotion_gains` sweep (vectorized for the
-        built-in models when NumPy is importable, bit-identical to the
-        serial loop either way); every other kind is priced through its
-        own :meth:`Move.price` hook, so mixed batches are fine.
+        built-in models, bit-identical to the serial loop); every
+        other kind is priced through its own :meth:`Move.price` hook,
+        so mixed batches are fine.
         """
         gains: list[float] = [0.0] * len(moves)
         demote_at: list[int] = []

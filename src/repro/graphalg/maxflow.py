@@ -11,8 +11,7 @@ side, and that cut is all the callers read.
 Nodes are ints ``0 .. n-1``.  Arc ``e`` and its reverse ``e ^ 1`` live
 in flat ``to`` (head) and ``res`` (residual capacity) lists; each node
 lists its arc ids.  Capacities are integers -- callers scale real
-weights first so flow arithmetic is exact.  The kernel is pure Python
-and imports no NumPy, so the no-NumPy CI leg runs the identical path.
+weights first so flow arithmetic is exact.  The kernel is pure Python.
 """
 
 from __future__ import annotations

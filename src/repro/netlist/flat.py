@@ -22,9 +22,9 @@ Edge rows per driver follow the driver's ``network.fanouts`` set
 iteration order, which is stable for the lifetime of the set object,
 so sequential accumulation over the rows carries the serial bits.
 Per-rail planes (``fi_intr`` / ``rp_intr`` / ``drive`` / ``energy``)
-hold each gate's library-twin constants at every rail, and ``depth`` /
-``by_depth`` group positions into levelized batches for the vectorized
-forward/backward sweeps.
+hold each gate's library-twin constants at every rail, and
+``by_depth`` groups positions into levelized batches for the
+vectorized forward/backward sweeps.
 
 Lifecycle
 ---------
@@ -36,33 +36,26 @@ assignments, level-shifter edges, and the timing arrays are *not* in
 the snapshot -- they change per move and are overlaid per sweep by the
 consumers.
 
-NumPy is an **optional** dependency: the core planes are plain Python
-lists (the pure sweeps and the no-NumPy CI leg run on them directly),
-and :meth:`FlatNetwork.arrays` lazily materializes the NumPy view the
-vectorized kernels index.  ``REPRO_PURE_PYTHON=1`` forces the pure
-path even with NumPy installed.
+Planes are NumPy arrays (NumPy is a required dependency): the
+``*_ptr`` / ``*_src`` / ``*_reader`` tables and ``by_depth`` batches
+are ``np.intp``, ``is_po`` / ``no_wire`` are bool, the per-rail planes
+are ``(n_rails, rows)`` float matrices, and ``fi_owner`` / ``e_owner``
+/ ``e_counts`` are the derived row-owner tables the levelized sweeps
+use.  ``is_input`` stays a plain list and ``pos`` a dict, because the
+per-node Python loops index them one name at a time.
 """
 
 from __future__ import annotations
 
-import os
-
-try:  # NumPy is optional; every consumer has a pure-Python twin
-    import numpy as _np
-except ImportError:  # pragma: no cover - the no-numpy CI job covers this
-    _np = None
-
-HAVE_NUMPY = _np is not None
-"""Whether NumPy imported (the vectorized paths' prerequisite)."""
+import numpy as np
 
 PURE_PYTHON_ENV = "REPRO_PURE_PYTHON"
-"""Set (to any non-empty value) to force the pure-Python sweeps even
-with NumPy installed -- the equivalence tests toggle this."""
+"""Retired switch name; perfbench's environment stamp imports it."""
 
 
 def numpy_active() -> bool:
-    """True when the vectorized paths will actually run."""
-    return HAVE_NUMPY and not os.environ.get(PURE_PYTHON_ENV, "")
+    """Always ``True``: perfbench's environment stamp imports it."""
+    return True
 
 
 def csr_take(ptr, sel):
@@ -70,9 +63,8 @@ def csr_take(ptr, sel):
 
     Returns ``(rows, owner, counts)``: the flat row indices of every
     selected segment in order, the position *within sel* owning each
-    row, and the per-segment row counts.  NumPy only.
+    row, and the per-segment row counts.
     """
-    np = _np
     starts = ptr[sel]
     counts = ptr[sel + 1] - starts
     total = int(counts.sum())
@@ -84,35 +76,10 @@ def csr_take(ptr, sel):
     return rows, owner, counts
 
 
-class FlatArrays:
-    """The NumPy view over a :class:`FlatNetwork`.
-
-    Field names and dtypes match what the batched pricing kernels
-    historically indexed (``is_po`` is a bool array, the ``*_ptr`` /
-    ``*_src`` / ``*_reader`` tables are ``np.intp``, ``is_input`` stays
-    a plain list, ``pos`` a dict), plus the derived row-owner tables
-    the levelized sweeps use.
-    """
-
-    __slots__ = (
-        "network", "version", "order", "pos", "n", "n_rails",
-        "is_input", "is_po", "no_wire", "a01", "rails_v",
-        "fi_ptr", "fi_src", "fi_intr",
-        "rp_ptr", "rp_reader", "rp_intr",
-        "e_ptr", "e_reader", "e_cap",
-        "drive", "energy",
-        "lc_intr", "lc_res", "lc_icap", "lc_ie",
-        "po_load", "wire_base", "wire_per",
-        "depth", "by_depth",
-        "node_idx", "fi_owner", "rp_owner", "e_owner", "e_counts",
-    )
-
-
 class FlatNetwork:
     """Flat planes over everything only a resize can change.
 
-    All planes are plain Python lists (see the module docstring for
-    the layout); :meth:`arrays` returns the cached NumPy view.
+    See the module docstring for the layout and the plane types.
     """
 
     __slots__ = (
@@ -124,59 +91,21 @@ class FlatNetwork:
         "drive", "energy",
         "lc_intr", "lc_res", "lc_icap", "lc_ie",
         "po_load", "wire_base", "wire_per",
-        "depth", "by_depth",
-        "_np_view",
+        "by_depth", "node_idx", "fi_owner", "e_owner", "e_counts",
     )
 
-    def arrays(self) -> FlatArrays:
-        """The cached NumPy view (requires NumPy)."""
-        if _np is None:  # pragma: no cover - guarded by numpy_active()
-            raise RuntimeError("NumPy is not available")
-        view = self._np_view
-        if view is not None:
-            return view
-        np = _np
-        view = FlatArrays()
-        view.network = self.network
-        view.version = self.version
-        view.order = self.order
-        view.pos = self.pos
-        view.n = self.n
-        view.n_rails = self.n_rails
-        view.is_input = self.is_input
-        view.is_po = np.asarray(self.is_po)
-        view.no_wire = np.asarray(self.no_wire)
-        view.a01 = np.asarray(self.a01)
-        view.rails_v = np.asarray(self.rails_v)
-        view.fi_ptr = np.asarray(self.fi_ptr, dtype=np.intp)
-        view.fi_src = np.asarray(self.fi_src, dtype=np.intp)
-        view.fi_intr = np.asarray(self.fi_intr)
-        view.rp_ptr = np.asarray(self.rp_ptr, dtype=np.intp)
-        view.rp_reader = np.asarray(self.rp_reader, dtype=np.intp)
-        view.rp_intr = np.asarray(self.rp_intr)
-        view.e_ptr = np.asarray(self.e_ptr, dtype=np.intp)
-        view.e_reader = np.asarray(self.e_reader, dtype=np.intp)
-        view.e_cap = np.asarray(self.e_cap)
-        view.drive = np.asarray(self.drive)
-        view.energy = np.asarray(self.energy)
-        view.lc_intr = np.asarray(self.lc_intr)
-        view.lc_res = np.asarray(self.lc_res)
-        view.lc_icap = np.asarray(self.lc_icap)
-        view.lc_ie = np.asarray(self.lc_ie)
-        view.po_load = self.po_load
-        view.wire_base = self.wire_base
-        view.wire_per = self.wire_per
-        view.depth = np.asarray(self.depth, dtype=np.intp)
-        view.by_depth = [
-            np.asarray(level, dtype=np.intp) for level in self.by_depth
-        ]
-        view.node_idx = np.arange(self.n, dtype=np.intp)
-        view.fi_owner = np.repeat(view.node_idx, np.diff(view.fi_ptr))
-        view.rp_owner = np.repeat(view.node_idx, np.diff(view.rp_ptr))
-        view.e_counts = np.diff(view.e_ptr)
-        view.e_owner = np.repeat(view.node_idx, view.e_counts)
-        self._np_view = view
-        return view
+    def rail_plane(self, levels) -> np.ndarray:
+        """Per-position rail indices of ``levels`` (0 = high supply).
+
+        Rails change per move, so every sweep overlays them on the
+        snapshot through this plane.
+        """
+        rails = np.zeros(self.n, dtype=np.intp)
+        pos = self.pos
+        for name, level in levels.items():
+            if level:
+                rails[pos[name]] = int(level)
+        return rails
 
 
 def build_flat(network, calc, activity=None, version: int = 0) -> FlatNetwork:
@@ -280,6 +209,12 @@ def build_flat(network, calc, activity=None, version: int = 0) -> FlatNetwork:
         lc_icap[rail] = cell.input_caps[0]
         lc_ie[rail] = cell.internal_energy
 
+    intp = np.intp
+    fi_ptr = np.asarray(fi_ptr, dtype=intp)
+    e_ptr = np.asarray(e_ptr, dtype=intp)
+    node_idx = np.arange(n, dtype=intp)
+    e_counts = np.diff(e_ptr)
+
     flat = FlatNetwork()
     flat.network = network
     flat.version = version
@@ -288,31 +223,33 @@ def build_flat(network, calc, activity=None, version: int = 0) -> FlatNetwork:
     flat.n = n
     flat.n_rails = n_rails
     flat.is_input = is_input
-    flat.is_po = is_po
-    flat.no_wire = no_wire
-    flat.a01 = a01
-    flat.rails_v = tuple(calc.library.rails)
+    flat.is_po = np.asarray(is_po, dtype=bool)
+    flat.no_wire = np.asarray(no_wire, dtype=bool)
+    flat.a01 = np.asarray(a01)
+    flat.rails_v = np.asarray(calc.library.rails)
     flat.fi_ptr = fi_ptr
-    flat.fi_src = fi_src
-    flat.fi_intr = fi_intr
-    flat.rp_ptr = rp_ptr
-    flat.rp_reader = rp_reader
-    flat.rp_intr = rp_intr
+    flat.fi_src = np.asarray(fi_src, dtype=intp)
+    flat.fi_intr = np.asarray(fi_intr)
+    flat.rp_ptr = np.asarray(rp_ptr, dtype=intp)
+    flat.rp_reader = np.asarray(rp_reader, dtype=intp)
+    flat.rp_intr = np.asarray(rp_intr)
     flat.e_ptr = e_ptr
-    flat.e_reader = e_reader
-    flat.e_cap = e_cap
-    flat.drive = drive
-    flat.energy = energy
-    flat.lc_intr = lc_intr
-    flat.lc_res = lc_res
-    flat.lc_icap = lc_icap
-    flat.lc_ie = lc_ie
+    flat.e_reader = np.asarray(e_reader, dtype=intp)
+    flat.e_cap = np.asarray(e_cap)
+    flat.drive = np.asarray(drive)
+    flat.energy = np.asarray(energy)
+    flat.lc_intr = np.asarray(lc_intr)
+    flat.lc_res = np.asarray(lc_res)
+    flat.lc_icap = np.asarray(lc_icap)
+    flat.lc_ie = np.asarray(lc_ie)
     flat.po_load = calc.po_load
     flat.wire_base = calc.library.wire_model.base
     flat.wire_per = calc.library.wire_model.per_fanout
-    flat.depth = depth
-    flat.by_depth = by_depth
-    flat._np_view = None
+    flat.by_depth = [np.asarray(level, dtype=intp) for level in by_depth]
+    flat.node_idx = node_idx
+    flat.fi_owner = np.repeat(node_idx, np.diff(fi_ptr))
+    flat.e_owner = np.repeat(node_idx, e_counts)
+    flat.e_counts = e_counts
     return flat
 
 
@@ -348,12 +285,8 @@ def flat_of(state) -> FlatNetwork:
 
 
 __all__ = [
-    "HAVE_NUMPY",
-    "PURE_PYTHON_ENV",
-    "FlatArrays",
     "FlatNetwork",
     "build_flat",
     "csr_take",
     "flat_of",
-    "numpy_active",
 ]

@@ -20,6 +20,12 @@ figure -- which is what the paper's per-circuit numbers are -- does not
 include it.  Pass ``include_input_nets=True`` for chip-level accounting.
 
 Units: fF * V^2 * MHz = 1e-3 uW, so totals are reported in uW directly.
+
+Given the shared :class:`~repro.netlist.flat.FlatNetwork` snapshot,
+the per-node switching and internal terms are computed as NumPy
+vectors over its planes; the accumulation stays a sequential Python
+loop in topological order, so the totals carry the per-node walk's
+bits exactly.
 """
 
 from __future__ import annotations
@@ -27,16 +33,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from collections.abc import Collection, Mapping
 
+import numpy as np
+
 from repro.library.cells import Library
-from repro.netlist.flat import numpy_active
 from repro.netlist.network import Network
 from repro.power.activity import Activity
 from repro.timing.delay import DEFAULT_PO_LOAD, DelayCalculator
-
-try:  # NumPy is optional; the pure flat path below is the fallback
-    import numpy as _np
-except ImportError:  # pragma: no cover - the no-numpy CI job covers this
-    _np = None
 
 _UW = 1e-3
 """fF * V^2 * MHz to uW."""
@@ -164,39 +166,18 @@ def _estimate_power_flat(calculator, activity, clock_mhz,
     :func:`estimate_power_calc`.
     """
     order = flat.order
-    n = flat.n
-    pos = flat.pos
     rails_lib = calculator.library.rails
     rates = [activity.rate01(name) for name in order]
-    if loads is None or len(loads) != n:
+    if loads is None or len(loads) != flat.n:
         loads = [calculator.load(name) for name in order]
 
-    if numpy_active():
-        np = _np
-        a = flat.arrays()
-        rails = np.zeros(n, dtype=np.intp)
-        for name, level in calculator.levels.items():
-            if level:
-                rails[pos[name]] = int(level)
-        rate_vec = np.asarray(rates)
-        load_vec = np.asarray(loads)
-        vdd = a.rails_v[rails]
-        energy = a.energy[rails, a.node_idx]
-        sw_terms = (rate_vec * clock_mhz * load_vec * vdd * vdd * _UW).tolist()
-        in_terms = (rate_vec * clock_mhz * energy * _UW).tolist()
-    else:
-        rail_rows = [0] * n
-        for name, level in calculator.levels.items():
-            if level:
-                rail_rows[pos[name]] = int(level)
-        energy_plane = flat.energy
-        sw_terms = [0.0] * n
-        in_terms = [0.0] * n
-        for i in range(n):
-            rail = rail_rows[i]
-            vdd = rails_lib[rail]
-            sw_terms[i] = rates[i] * clock_mhz * loads[i] * vdd * vdd * _UW
-            in_terms[i] = rates[i] * clock_mhz * energy_plane[rail][i] * _UW
+    rails = flat.rail_plane(calculator.levels)
+    rate_vec = np.asarray(rates)
+    load_vec = np.asarray(loads)
+    vdd = flat.rails_v[rails]
+    energy = flat.energy[rails, flat.node_idx]
+    sw_terms = (rate_vec * clock_mhz * load_vec * vdd * vdd * _UW).tolist()
+    in_terms = (rate_vec * clock_mhz * energy * _UW).tolist()
 
     switching = 0.0
     internal = 0.0

@@ -21,15 +21,12 @@ vectorized full builds in :mod:`repro.timing.incremental` and the
 flat power/candidate paths in :mod:`repro.core` -- one CSR build per
 state instead of one per layer.)  Each sweep then overlays
 the things that do change (rail assignments, the timing arrays) and
-the per-candidate arithmetic becomes elementwise array math plus
+the per-candidate arithmetic becomes elementwise NumPy array math plus
 segmented reductions over the flat levelized arrays of
 :class:`~repro.timing.incremental.IncrementalTiming`.
 
-NumPy is an **optional** dependency: when it is importable (and not
-disabled through the ``REPRO_PURE_PYTHON`` environment variable) the
-vectorized kernels run; otherwise a pure-Python sweep computes the
-same answers with the standard library only.  Both paths -- and the
-serial per-candidate loops they replace -- are **bit-identical**:
+The vectorized kernels are **bit-identical** to the serial
+per-candidate loops they replace:
 
 * every float expression replicates the serial association exactly
   (``(a + e) + (i + r*l)``, ``req - (i + r*l)``, ...);
@@ -43,12 +40,13 @@ serial per-candidate loops they replace -- are **bit-identical**:
   pre-summed in the same ascending-pin order;
 * candidates the vector kernels do not model exactly -- gates already
   carrying level shifters on their output or input edges -- fall back
-  to the per-candidate pure-Python sweep, which *is* the serial
-  arithmetic restated.
+  per candidate: the feasibility check to :class:`_LcEdgeFallback`,
+  the serial check arithmetic restated over one per-call snapshot of
+  the state, and the gains to the serial
+  :func:`~repro.power.estimate.demotion_gain` itself.
 
-The pure path doubles as the equivalence oracle for the vectorized
-one, and both are pinned against the serial loops by the hypothesis
-suites in ``tests/core/test_moves.py``.
+The hypothesis suites in ``tests/core/test_moves.py`` pin every path
+against the serial loops.
 
 This module sits in the timing layer: it imports nothing from
 ``repro.core`` and duck-types the state (``calc`` / ``network`` /
@@ -61,71 +59,18 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from repro.netlist.flat import (
-    HAVE_NUMPY,
-    PURE_PYTHON_ENV,
-    FlatArrays,
-    csr_take as _csr_take,
-    flat_of,
-    numpy_active,
-)
-from repro.timing.delay import OUTPUT
+import numpy as np
 
-try:  # NumPy is optional; the pure-Python sweep below is the fallback
-    import numpy as _np
-except ImportError:  # pragma: no cover - the no-numpy CI job covers this
-    _np = None
+from repro.netlist.flat import FlatNetwork, csr_take as _csr_take, flat_of
+from repro.power.estimate import demotion_gain
+from repro.timing.delay import OUTPUT
 
 _UW = 1e-3
 """fF * V^2 * MHz to uW -- the same conversion as repro.power.estimate."""
 
 
-def _timing_maps(analysis):
-    """``(arrival, required, load)`` as plain name-keyed mappings.
-
-    :class:`~repro.timing.incremental.IncrementalTiming` exposes its
-    flat levelized arrays through one O(V) snapshot (plain-dict lookups
-    skip the per-access staleness checks of its live views, and the
-    copies are frozen against later mutations); a full
-    :class:`~repro.timing.sta.TimingAnalysis` already stores plain
-    dicts.  Values are bit-identical either way.
-    """
-    snapshot = getattr(analysis, "levelized_snapshot", None)
-    if snapshot is not None:
-        return snapshot()
-    return analysis.arrival, analysis.required, analysis.load
-
-
-# ---------------------------------------------------------------------
-# The shared static snapshot (owned by repro.netlist.flat)
-# ---------------------------------------------------------------------
-
-
-def _static_of(state) -> FlatArrays:
-    """The NumPy view of the state's shared flat snapshot.
-
-    :func:`repro.netlist.flat.flat_of` caches the snapshot on the
-    state and rebuilds it when the network identity, its topological
-    revision, or ``cells_version`` changes; the pricing kernels here
-    index the NumPy view.
-    """
-    return flat_of(state).arrays()
-
-
-def _rails_overlay(static: FlatArrays, state):
-    """Per-position rail indices for this sweep (0 = high supply)."""
-    np = _np
-    rails = np.zeros(static.n, dtype=np.intp)
-    pos = static.pos
-    for name, level in state.levels.items():
-        if level:
-            rails[pos[name]] = int(level)
-    return rails
-
-
-def _flat_timing(static: FlatArrays, analysis):
+def _flat_timing(static: FlatNetwork, analysis):
     """``(arrival, required, load)`` as position-aligned float arrays."""
-    np = _np
     arrays = getattr(analysis, "levelized_arrays", None)
     if arrays is not None:
         order, arrival, required, load = arrays()
@@ -159,7 +104,6 @@ class _NetVectors:
 
 
 def _net_vectors(static, rails_arr, cp, tg, lc_at_outputs) -> _NetVectors:
-    np = _np
     m = len(cp)
     n_rails = static.n_rails
     rows, ci, _ = _csr_take(static.e_ptr, cp)
@@ -261,24 +205,27 @@ def _split_candidates(state, static, candidates, fallback_names):
 
 
 # ---------------------------------------------------------------------
-# Per-sweep context (pure path and vector fallback)
+# The lc-edge fallback of the feasibility check
 # ---------------------------------------------------------------------
 
 
-class _SweepContext:
-    """Lookups shared by every candidate of one pure-Python sweep.
+class _LcEdgeFallback:
+    """The serial check for candidates already carrying level shifters.
 
-    The state must not mutate while a context is alive -- the rail
-    table, converter-edge set, and pin-cap tables are snapshots, which
-    is exactly what makes them cheap to consult per edge.  Each public
-    kernel call builds (and drops) its own context.
+    The vector kernel does not model a candidate with a shifter on its
+    output or on a fanin edge; :func:`check_demotions` prices those
+    here, one candidate at a time, with the serial arithmetic restated
+    over snapshot tables.  The state must not mutate while a fallback
+    is alive -- the rail table, converter-edge set, and pin-cap tables
+    are snapshots, which is exactly what makes them cheap to consult
+    per edge.  Each :func:`check_demotions` call builds its own.
     """
 
     __slots__ = (
         "calc", "network", "nodes", "reader_pins", "outputs",
         "rails_of", "lc_set", "lc_drivers", "lc_at_outputs", "po_load",
-        "wire_cap", "n_rails", "lc_intr", "lc_res", "lc_input_cap",
-        "_caps",
+        "wire_cap", "lc_intr", "lc_res", "lc_input_cap", "tolerance",
+        "tspec", "_caps",
     )
 
     def __init__(self, state):
@@ -300,13 +247,14 @@ class _SweepContext:
         self.lc_at_outputs = state.options.lc_at_outputs
         self.po_load = calc.po_load
         self.wire_cap = state.library.wire_model.cap
-        self.n_rails = calc.n_rails
+        self.tolerance = state.options.timing_tolerance
+        self.tspec = state.tspec
         # Shifter cells per destination rail, unpacked for inline
         # pin_delay(0, load) == intrinsics[0] + drive_res * load.
         self.lc_intr = {}
         self.lc_res = {}
         self.lc_input_cap = {}
-        for rail in range(max(1, self.n_rails - 1)):
+        for rail in range(max(1, calc.n_rails - 1)):
             cell = calc.lc_cell_for(rail)
             self.lc_intr[rail] = cell.intrinsics[0]
             self.lc_res[rail] = cell.drive_res
@@ -335,25 +283,18 @@ class _SweepContext:
 
     def net_profile(
         self, name: str, target: int
-    ) -> tuple[float, dict[int, float], dict[int, float]]:
-        """``(load_after, converter_loads, converter_delays)``.
+    ) -> tuple[float, dict[int, float]]:
+        """``(load_after, converter_delays)`` of a validated demotion.
 
         A restatement of :meth:`DelayCalculator.demotion_net_change`
         followed by :meth:`~DelayCalculator.post_demotion_converter_delays`
-        over the context's snapshot tables.  Iterates the same
-        ``fanouts`` set in the same order, so every capacitance sum and
-        every ``converter_loads`` insertion carries the serial bits.
+        over the snapshot tables.  Iterates the same ``fanouts`` set in
+        the same order, so every capacitance sum and every converter
+        group carries the serial bits.
         """
         rails_of = self.rails_of
         lc_set = self.lc_set
         rail = rails_of[name]
-        if target >= self.n_rails:
-            raise ValueError(f"{name!r} is already at the lowest rail")
-        if target <= rail:
-            raise ValueError(
-                f"demotion target {target} must sit below {name!r}'s "
-                f"current rail {rail}"
-            )
         caps = self.caps_of(name)
         fanouts = self.network.fanouts(name)
         has_shifters = name in self.lc_drivers
@@ -441,7 +382,91 @@ class _SweepContext:
                 converter_delays[conv_rail] = (
                     lc_intr[conv_rail] + lc_res[conv_rail] * load
                 )
-        return load_after, converter_loads, converter_delays
+        return load_after, converter_delays
+
+    def _reader_edge_rows(self, name, target, converter_delays):
+        """Yield ``(extra, reader, pin)`` per fanout pin of ``name``.
+
+        ``extra`` is the post-demotion shifter delay charged on the
+        edge: the merged group's delay for edges that keep or gain a
+        shifter, 0.0 for readers staying directly on the (lower-swing)
+        net.  A new edge appears exactly where the reader's rail sits
+        below the demotion target and no shifter exists yet -- the same
+        classification ``demotion_net_change`` recorded.
+        """
+        rails_of = self.rails_of
+        lc_set = self.lc_set
+        has_shifters = name in self.lc_drivers
+        driver_rail = rails_of[name]
+        prev_reader = None
+        extra = 0.0
+        for reader, pin in self.reader_pins[name]:
+            if reader != prev_reader:
+                prev_reader = reader
+                if has_shifters and (name, reader) in lc_set:
+                    # Existing shifter: priced at its *current*
+                    # destination rail (converter_rail of the
+                    # pre-demotion state).
+                    current = min(rails_of[reader], driver_rail - 1)
+                    extra = converter_delays[current if current > 0 else 0]
+                elif rails_of[reader] < target:
+                    extra = converter_delays[rails_of[reader]]
+                else:
+                    extra = 0.0
+            yield extra, reader, pin
+
+    def check(self, analysis, candidates) -> list[bool]:
+        """Feasibility of validated ``(name, target)`` demotions."""
+        calc = self.calc
+        nodes = self.nodes
+        lc_set = self.lc_set
+        tolerance = self.tolerance
+        arrival = analysis.arrival
+        required = analysis.required
+        load = analysis.load
+        variant = calc.variant
+
+        results: list[bool] = []
+        for name, target in candidates:
+            load_after, converter_delays = self.net_profile(name, target)
+            low_cell = calc.rail_variant_of(nodes[name].cell, target)
+            intrinsics = low_cell.intrinsics
+            stage = low_cell.drive_res * load_after
+            out_arrival = 0.0
+            for pin, fanin in enumerate(nodes[name].fanins):
+                if (fanin, name) in lc_set:
+                    at_pin = arrival[fanin] + calc.lc_delay(fanin, name)
+                else:
+                    at_pin = arrival[fanin] + 0.0
+                at_pin += intrinsics[pin] + stage
+                if at_pin > out_arrival:
+                    out_arrival = at_pin
+            ok = True
+            prev_reader = None
+            reader_stage = reader_req = 0.0
+            reader_intr: tuple[float, ...] = ()
+            for extra, reader, pin in self._reader_edge_rows(
+                name, target, converter_delays
+            ):
+                if reader != prev_reader:
+                    prev_reader = reader
+                    reader_cell = variant(reader)
+                    reader_intr = reader_cell.intrinsics
+                    reader_stage = reader_cell.drive_res * load[reader]
+                    reader_req = required[reader]
+                deadline = reader_req - (reader_intr[pin] + reader_stage)
+                if out_arrival + extra > deadline + tolerance:
+                    ok = False
+                    break
+            if ok and name in self.outputs:
+                if (name, OUTPUT) in lc_set or self.lc_at_outputs:
+                    extra = converter_delays[0]
+                else:
+                    extra = 0.0
+                if out_arrival + extra > self.tspec + tolerance:
+                    ok = False
+            results.append(ok)
+        return results
 
 
 # ---------------------------------------------------------------------
@@ -461,101 +486,7 @@ def check_demotions(
     """
     if not candidates:
         return []
-    if numpy_active():
-        return _check_numpy(state, analysis, candidates)
-    ctx = _SweepContext(state)
-    arrival, required, load = _timing_maps(analysis)
-    return _check_pure(state, ctx, arrival, required, load, candidates)
-
-
-def _reader_edge_rows(ctx, name, target, converter_delays):
-    """Yield ``(extra, reader, pin)`` per fanout pin of ``name``.
-
-    ``extra`` is the post-demotion shifter delay charged on the edge:
-    the merged group's delay for edges that keep or gain a shifter,
-    0.0 for readers staying directly on the (lower-swing) net.  A new
-    edge appears exactly where the reader's rail sits below the
-    demotion target and no shifter exists yet -- the same
-    classification ``demotion_net_change`` recorded.
-    """
-    rails_of = ctx.rails_of
-    lc_set = ctx.lc_set
-    has_shifters = name in ctx.lc_drivers
-    driver_rail = rails_of[name]
-    prev_reader = None
-    extra = 0.0
-    for reader, pin in ctx.reader_pins[name]:
-        if reader != prev_reader:
-            prev_reader = reader
-            if has_shifters and (name, reader) in lc_set:
-                # Existing shifter: priced at its *current* destination
-                # rail (converter_rail of the pre-demotion state).
-                current = min(rails_of[reader], driver_rail - 1)
-                extra = converter_delays[current if current > 0 else 0]
-            elif rails_of[reader] < target:
-                extra = converter_delays[rails_of[reader]]
-            else:
-                extra = 0.0
-        yield extra, reader, pin
-
-
-def _check_pure(state, ctx, arrival, required, load, candidates):
-    """The stdlib sweep; the vectorized path's equivalence oracle."""
-    calc = ctx.calc
-    nodes = ctx.nodes
-    lc_set = ctx.lc_set
-    tolerance = state.options.timing_tolerance
-    tspec = state.tspec
-    variant = calc.variant
-
-    results: list[bool] = []
-    for name, target in candidates:
-        if target is None:
-            target = ctx.rails_of[name] + 1
-        load_after, _, converter_delays = ctx.net_profile(name, target)
-        low_cell = calc.rail_variant_of(nodes[name].cell, target)
-        intrinsics = low_cell.intrinsics
-        stage = low_cell.drive_res * load_after
-        out_arrival = 0.0
-        for pin, fanin in enumerate(nodes[name].fanins):
-            if (fanin, name) in lc_set:
-                at_pin = arrival[fanin] + calc.lc_delay(fanin, name)
-            else:
-                at_pin = arrival[fanin] + 0.0
-            at_pin += intrinsics[pin] + stage
-            if at_pin > out_arrival:
-                out_arrival = at_pin
-        ok = True
-        prev_reader = None
-        reader_stage = reader_req = 0.0
-        reader_intr: tuple[float, ...] = ()
-        for extra, reader, pin in _reader_edge_rows(
-            ctx, name, target, converter_delays
-        ):
-            if reader != prev_reader:
-                prev_reader = reader
-                reader_cell = variant(reader)
-                reader_intr = reader_cell.intrinsics
-                reader_stage = reader_cell.drive_res * load[reader]
-                reader_req = required[reader]
-            deadline = reader_req - (reader_intr[pin] + reader_stage)
-            if out_arrival + extra > deadline + tolerance:
-                ok = False
-                break
-        if ok and name in ctx.outputs:
-            if (name, OUTPUT) in lc_set or ctx.lc_at_outputs:
-                extra = converter_delays[0]
-            else:
-                extra = 0.0
-            if out_arrival + extra > tspec + tolerance:
-                ok = False
-        results.append(ok)
-    return results
-
-
-def _check_numpy(state, analysis, candidates):
-    np = _np
-    static = _static_of(state)
+    static = flat_of(state)
     # Shifter-carrying candidates (kept output shifters, or a converter
     # on an input edge) need the exact per-candidate treatment.
     fallback_names: set[str] = set()
@@ -569,7 +500,7 @@ def _check_numpy(state, analysis, candidates):
 
     ok = [True] * len(candidates)
     if vec_k:
-        rails_arr = _rails_overlay(static, state)
+        rails_arr = static.rail_plane(state.levels)
         arrival, required, load = _flat_timing(static, analysis)
         cp = np.asarray(vec_pos, dtype=np.intp)
         tg = np.asarray(vec_tgt, dtype=np.intp)
@@ -579,19 +510,14 @@ def _check_numpy(state, analysis, candidates):
         for k, flag in zip(vec_k, flags):
             ok[k] = flag
     if fallback:
-        ctx = _SweepContext(state)
         sub = [(name, target) for _, name, target in fallback]
-        flags = _check_pure(
-            state, ctx,
-            analysis.arrival, analysis.required, analysis.load, sub,
-        )
+        flags = _LcEdgeFallback(state).check(analysis, sub)
         for (k, _, _), flag in zip(fallback, flags):
             ok[k] = flag
     return ok
 
 
 def _check_vec(state, static, rails_arr, arrival, required, load, cp, tg):
-    np = _np
     m = len(cp)
     options = state.options
     tolerance = options.timing_tolerance
@@ -652,62 +578,12 @@ def demotion_gains(
     computed elementwise (same float association as the serial
     expression), and the order-sensitive per-shifter subtraction runs
     in the same first-seen group order the serial loop walks.
+    Candidates that already drive level shifters are priced by the
+    serial function itself.
     """
     if not candidates:
         return []
-    if numpy_active():
-        return _gains_numpy(state, candidates)
-    ctx = _SweepContext(state)
-    return _gains_pure(state, ctx, candidates)
-
-
-def _gains_pure(state, ctx, candidates):
-    """Per-candidate gains over a sweep context (serial arithmetic)."""
-    calc = ctx.calc
-    nodes = ctx.nodes
-    rails_of = ctx.rails_of
-    activity = state.activity
-    rails = state.rails
-    clock_mhz = state.options.clock_mhz
-    calc_load = calc.load
-    variant = calc.variant
-    rail_variant_of = calc.rail_variant_of
-
-    gains: list[float] = []
-    for name, target in candidates:
-        node = nodes[name]
-        if node.is_input:
-            raise ValueError("primary inputs cannot be demoted")
-        source = rails_of[name]
-        if target is None:
-            target = source + 1
-        if target >= len(rails):
-            raise ValueError(f"{name!r} is already at the lowest rail")
-        load_after, converter_loads, _ = ctx.net_profile(name, target)
-        rate = activity.rate01(name) * clock_mhz
-        vdd_before = rails[source]
-        vdd_after = rails[target]
-        gain = rate * (
-            calc_load(name) * vdd_before * vdd_before
-            - load_after * vdd_after * vdd_after
-        ) * _UW
-        gain += rate * (
-            variant(name).internal_energy
-            - rail_variant_of(node.cell, target).internal_energy
-        ) * _UW
-        for rail, lc_out_load in converter_loads.items():
-            lc_cell = calc.lc_cell_for(rail)
-            lc_vdd = rails[rail]
-            gain -= rate * (
-                lc_cell.internal_energy + lc_out_load * lc_vdd * lc_vdd
-            ) * _UW
-        gains.append(gain)
-    return gains
-
-
-def _gains_numpy(state, candidates):
-    np = _np
-    static = _static_of(state)
+    static = flat_of(state)
     pos = static.pos
     is_input = static.is_input
     for name, _ in candidates:
@@ -720,10 +596,10 @@ def _gains_numpy(state, candidates):
         state, static, candidates, fallback_names
     )
 
+    options = state.options
     gains = [0.0] * len(candidates)
     if vec_k:
-        options = state.options
-        rails_arr = _rails_overlay(static, state)
+        rails_arr = static.rail_plane(state.levels)
         cp = np.asarray(vec_pos, dtype=np.intp)
         tg = np.asarray(vec_tgt, dtype=np.intp)
         net = _net_vectors(
@@ -767,11 +643,15 @@ def _gains_numpy(state, candidates):
                 vec[po_new] = vec[po_new] - term
         for k, value in zip(vec_k, vec.tolist()):
             gains[k] = value
-    if fallback:
-        ctx = _SweepContext(state)
-        sub = [(name, target) for _, name, target in fallback]
-        for (k, _, _), value in zip(fallback, _gains_pure(state, ctx, sub)):
-            gains[k] = value
+    for k, name, target in fallback:
+        gains[k] = demotion_gain(
+            state.calc,
+            state.activity,
+            name,
+            clock_mhz=options.clock_mhz,
+            lc_at_outputs=options.lc_at_outputs,
+            target=target,
+        )
     return gains
 
 
@@ -835,30 +715,20 @@ def resize_profiles(
         penalties.append(driver_penalty)
         areas.append(candidate.area - node.cell.area)
 
-    if numpy_active() and idx:
-        np = _np
-        load_arr = np.asarray(loads)
-        own_gain = (np.asarray(intr_cur) + np.asarray(res_cur) * load_arr) - (
-            np.asarray(intr_up) + np.asarray(res_up) * load_arr
-        )
-        net_gains = (own_gain - np.asarray(penalties)).tolist()
-    else:
-        net_gains = [
-            (intr_cur[j] + res_cur[j] * loads[j])
-            - (intr_up[j] + res_up[j] * loads[j])
-            - penalties[j]
-            for j in range(len(idx))
-        ]
+    if not idx:
+        return results
+    load_arr = np.asarray(loads)
+    own_gain = (np.asarray(intr_cur) + np.asarray(res_cur) * load_arr) - (
+        np.asarray(intr_up) + np.asarray(res_up) * load_arr
+    )
+    net_gains = (own_gain - np.asarray(penalties)).tolist()
     for j, k in enumerate(idx):
         results[k] = (areas[j], net_gains[j], penalties[j])
     return results
 
 
 __all__ = [
-    "HAVE_NUMPY",
-    "PURE_PYTHON_ENV",
     "check_demotions",
     "demotion_gains",
-    "numpy_active",
     "resize_profiles",
 ]

@@ -76,6 +76,13 @@ exceeds ``limit`` the move is rejected without re-timing the rest of
 its forward cone.  No margin or tolerance enters the proof.  The
 arrays are then half repaired, so every query raises
 ``RuntimeError`` until :meth:`rollback`.
+
+Full builds
+-----------
+The initial build and every :meth:`full_invalidate` run one levelized
+NumPy sweep over the shared :class:`~repro.netlist.flat.FlatNetwork`
+snapshot.  ``build_mode="serial"`` runs the per-node kernels over
+every gate instead: the readable oracle the sweep is tested against.
 """
 
 from __future__ import annotations
@@ -84,21 +91,12 @@ import heapq
 import math
 from collections.abc import Iterator, Mapping
 
-from repro.netlist.flat import (
-    HAVE_NUMPY,
-    FlatNetwork,
-    build_flat,
-    csr_take,
-    numpy_active,
-)
+import numpy as np
+
+from repro.netlist.flat import FlatNetwork, build_flat, csr_take
 from repro.netlist.network import Network
 from repro.timing.delay import DelayCalculator, OUTPUT
 from repro.timing.sta import trace_critical_path
-
-try:  # NumPy is optional; the pure sweep below is the fallback
-    import numpy as _np
-except ImportError:  # pragma: no cover - the no-numpy CI job covers this
-    _np = None
 
 
 class _ArrayView(Mapping):
@@ -154,11 +152,9 @@ class _Journal:
 #
 # The initial build (and every post-topology rebuild) used to run the
 # per-node serial kernels over every gate through the method-call
-# surface of DelayCalculator.  The sweeps below compute the same three
-# arrays from the FlatNetwork planes: a pure-Python twin (the no-NumPy
-# path and the readable restatement of the arithmetic) and a levelized
-# NumPy path (segmented reductions per depth level).  Both are
-# bit-identical to the serial kernels:
+# surface of DelayCalculator.  The levelized sweep below computes the
+# same three arrays from the FlatNetwork planes with segmented
+# reductions per depth level, bit-identically to the serial kernels:
 #
 # * loads accumulate the pre-summed edge caps in the same
 #   ``network.fanouts`` row order the serial ``calc.load`` iterates,
@@ -187,15 +183,6 @@ def _lc_fallback_sets(flat, lc_edges):
         if reader != OUTPUT:
             readers.add(pos[reader])
     return drivers, readers
-
-
-def _rails_plane(flat, calc, zeros):
-    """Per-position rail indices for this sweep (0 = high supply)."""
-    pos = flat.pos
-    for name, level in calc.levels.items():
-        if level:
-            zeros[pos[name]] = int(level)
-    return zeros
 
 
 def _serial_arrival_flat(flat, calc, rails, arrivals, loads, i):
@@ -244,94 +231,12 @@ def _serial_required_flat(flat, calc, rails, reqs, loads, i, tspec):
     return required
 
 
-def _sweep_pure(flat: FlatNetwork, calc, tspec: float):
-    """Full build over the flat planes, standard library only."""
-    order = flat.order
-    n = flat.n
-    lc_edges = calc.lc_edges
-    rails = _rails_plane(flat, calc, [0] * n)
-    lc_drivers, lc_readers = _lc_fallback_sets(flat, lc_edges)
-
-    e_ptr = flat.e_ptr
-    e_cap = flat.e_cap
-    is_po = flat.is_po
-    no_wire = flat.no_wire
-    po_load = flat.po_load
-    wire_base = flat.wire_base
-    wire_per = flat.wire_per
-    loads = [0.0] * n
-    for i in range(n):
-        if i in lc_drivers:
-            loads[i] = calc.load(order[i])
-            continue
-        total = 0.0
-        start = e_ptr[i]
-        end = e_ptr[i + 1]
-        for r in range(start, end):
-            total += e_cap[r]
-        connections = end - start
-        if is_po[i]:
-            connections += 1
-            total += po_load
-        if connections > 0 and not no_wire[i]:
-            total += wire_base + wire_per * connections
-        loads[i] = total
-
-    is_input = flat.is_input
-    fi_ptr = flat.fi_ptr
-    fi_src = flat.fi_src
-    fi_intr = flat.fi_intr
-    drive = flat.drive
-    arrivals = [0.0] * n
-    for i in range(n):
-        if is_input[i]:
-            continue
-        if i in lc_readers:
-            arrivals[i] = _serial_arrival_flat(
-                flat, calc, rails, arrivals, loads, i
-            )
-            continue
-        rail = rails[i]
-        intr = fi_intr[rail]
-        stage = drive[rail][i] * loads[i]
-        worst = 0.0
-        for r in range(fi_ptr[i], fi_ptr[i + 1]):
-            at_pin = arrivals[fi_src[r]] + (intr[r] + stage)
-            if at_pin > worst:
-                worst = at_pin
-        arrivals[i] = worst
-
-    rp_ptr = flat.rp_ptr
-    rp_reader = flat.rp_reader
-    rp_intr = flat.rp_intr
-    stage_of = [drive[rails[j]][j] * loads[j] for j in range(n)]
-    reqs = [math.inf] * n
-    for i in range(n - 1, -1, -1):
-        if i in lc_drivers:
-            reqs[i] = _serial_required_flat(
-                flat, calc, rails, reqs, loads, i, tspec
-            )
-            continue
-        required = tspec if is_po[i] else math.inf
-        intr = rp_intr
-        for r in range(rp_ptr[i], rp_ptr[i + 1]):
-            j = rp_reader[r]
-            term = reqs[j] - (intr[rails[j]][r] + stage_of[j])
-            if term < required:
-                required = term
-        reqs[i] = required
-
-    return loads, arrivals, reqs
-
-
-def _sweep_numpy(flat: FlatNetwork, calc, tspec: float):
-    """Levelized vectorized full build (requires NumPy)."""
-    np = _np
-    a = flat.arrays()
+def _sweep(a: FlatNetwork, calc, tspec: float):
+    """Levelized vectorized full build: ``(loads, arrivals, reqs)``."""
     n = a.n
     order = a.order
     lc_edges = calc.lc_edges
-    rails = _rails_plane(a, calc, np.zeros(n, dtype=np.intp))
+    rails = a.rail_plane(calc.levels)
     lc_drivers, lc_readers = _lc_fallback_sets(a, lc_edges)
 
     # Loads: np.add.at applies strictly in row order == fanouts order,
@@ -420,18 +325,12 @@ class IncrementalTiming:
         ``flat_source`` is an optional zero-argument callable returning
         the owner's cached :class:`~repro.netlist.flat.FlatNetwork`
         (:meth:`repro.core.state.ScalingState.flat`); without it the
-        engine builds its own snapshot per full sweep.  ``build_mode``
-        pins the full-sweep kernel -- ``"serial"`` (the per-node oracle
-        loops), ``"pure"`` (flat-plane sweep, standard library only) or
-        ``"numpy"`` -- instead of the default auto pick (NumPy when
-        available and not disabled by ``REPRO_PURE_PYTHON``, else
-        pure).  All modes are bit-identical; the serial mode is the
-        equivalence oracle the others are tested against.
+        engine builds its own snapshot per full sweep.
+        ``build_mode="serial"`` runs the per-node oracle loops instead
+        of the flat sweep; both are bit-identical.
         """
-        if build_mode not in (None, "serial", "pure", "numpy"):
+        if build_mode not in (None, "serial"):
             raise ValueError(f"unknown build mode {build_mode!r}")
-        if build_mode == "numpy" and not HAVE_NUMPY:
-            raise RuntimeError("build_mode='numpy' requires NumPy")
         self.calculator = calculator
         self.network: Network = calculator.network
         self.tspec = tspec
@@ -475,10 +374,7 @@ class IncrementalTiming:
         self._fwd_clean = True
         self._spent = False
 
-        mode = self._build_mode
-        if mode is None:
-            mode = "numpy" if numpy_active() else "pure"
-        flat = self._acquire_flat() if mode != "serial" else None
+        flat = None if self._build_mode == "serial" else self._acquire_flat()
         if flat is None:
             calc = self.calculator
             for i, name in enumerate(self._order):
@@ -488,8 +384,7 @@ class IncrementalTiming:
             for i in range(n - 1, -1, -1):
                 self._required[i] = self._compute_required(self._order[i])
             return
-        sweep = _sweep_numpy if mode == "numpy" else _sweep_pure
-        loads, arrivals, reqs = sweep(flat, self.calculator, self.tspec)
+        loads, arrivals, reqs = _sweep(flat, self.calculator, self.tspec)
         self._load[:] = loads
         self._arrival[:] = arrivals
         self._required[:] = reqs
@@ -802,25 +697,6 @@ class IncrementalTiming:
         """Plain-dict copy of all arrivals (frozen against later moves)."""
         self._ensure_forward()
         return dict(zip(self._order, self._arrival))
-
-    def levelized_snapshot(
-        self,
-    ) -> tuple[dict[str, float], dict[str, float], dict[str, float]]:
-        """``(arrival, required, load)`` plain-dict copies, repaired.
-
-        One O(V) materialization of the flat levelized arrays for the
-        batched pricing kernel (:mod:`repro.timing.batch`): plain-dict
-        lookups skip the per-access staleness check of the live
-        :class:`_ArrayView` mappings, and the copies are frozen against
-        later moves.  Values are bit-identical to reading the views.
-        """
-        self.refresh()
-        order = self._order
-        return (
-            dict(zip(order, self._arrival)),
-            dict(zip(order, self._required)),
-            dict(zip(order, self._load)),
-        )
 
     def levelized_arrays(
         self,

@@ -222,4 +222,4 @@ def test_bench_scale_quick_smoke(tmp_path):
     report = json.loads(out.read_text())
     entry = report["sizes"]["1k"]
     assert entry["gates"] == 50 * 20 + 50
-    assert entry["builds"]["pure"]["speedup"] > 0
+    assert entry["builds"]["numpy"]["speedup"] > 0

@@ -11,7 +11,6 @@ end-to-end tests pin the capabilities' value on real MCNC circuits.
 
 from __future__ import annotations
 
-import os
 import random
 
 import pytest
@@ -79,15 +78,19 @@ def snapshot(state):
     )
 
 
-@pytest.fixture(scope="module", params=sorted(MULTI_RAILS))
-def multirail_state(request):
-    library = build_compass_library(rails=MULTI_RAILS[request.param])
+def _multirail_state(rails):
+    library = build_compass_library(rails=MULTI_RAILS[rails])
     prepared = prepare_circuit(
         mixed_datapath(width=5, n_control=3, n_products=8, seed=29),
         library, match_table=MatchTable(library))
     return ScalingState(prepared.network, library,
                         tspec=2.5 * prepared.tspec,
                         activity=prepared.activity)
+
+
+@pytest.fixture(scope="module", params=sorted(MULTI_RAILS))
+def multirail_state(request):
+    return _multirail_state(request.param)
 
 
 # -- MoveStats ---------------------------------------------------------
@@ -381,26 +384,6 @@ def _batched_pricing(state, analysis, candidates):
     return feasible, gains
 
 
-class _pure_python_forced:
-    """Force (or release) the REPRO_PURE_PYTHON kill switch."""
-
-    def __init__(self, on):
-        self.on = on
-
-    def __enter__(self):
-        self.had = os.environ.get(timing_batch.PURE_PYTHON_ENV)
-        if self.on:
-            os.environ[timing_batch.PURE_PYTHON_ENV] = "1"
-        else:
-            os.environ.pop(timing_batch.PURE_PYTHON_ENV, None)
-
-    def __exit__(self, *exc):
-        if self.had is None:
-            os.environ.pop(timing_batch.PURE_PYTHON_ENV, None)
-        else:
-            os.environ[timing_batch.PURE_PYTHON_ENV] = self.had
-
-
 @settings(max_examples=12, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(seed=st.integers(0, 2**32 - 1),
@@ -408,8 +391,7 @@ class _pure_python_forced:
 def test_batched_pricing_bit_identical_to_serial(
         multirail_state, seed, kinds):
     """The batch kernels equal the serial check/gain loops *bitwise* on
-    randomly perturbed 3- and 4-rail states -- through both the
-    vectorized (NumPy) path and the pure-Python sweep."""
+    randomly perturbed 3- and 4-rail states."""
     state = multirail_state
     rng = random.Random(seed)
     applied = []
@@ -422,36 +404,58 @@ def test_batched_pricing_bit_identical_to_serial(
         analysis = state.timing()
         candidates = _pricing_candidates(rng, state)
         serial = _serial_pricing(state, analysis, candidates)
-        with _pure_python_forced(False):
-            assert timing_batch.numpy_active() == timing_batch.HAVE_NUMPY
-            assert _batched_pricing(state, analysis, candidates) == serial
-        with _pure_python_forced(True):
-            assert not timing_batch.numpy_active()
-            assert _batched_pricing(state, analysis, candidates) == serial
+        assert _batched_pricing(state, analysis, candidates) == serial
     finally:
         for move in reversed(applied):
             move.undo(state)
 
 
-@pytest.mark.parametrize("pure", [False, True])
-def test_batched_pricing_validation_matches_serial(multirail_state, pure):
-    """Both batch paths raise the serial loops' ValueErrors verbatim."""
+def test_lc_edge_candidates_take_the_fallback_bit_identically(monkeypatch):
+    """Candidates on spliced converter edges leave the vector kernels,
+    in both the check and the gain sweep, and the fallback answers
+    exactly what the serial check_demotion / demotion_gain do."""
+    state = _multirail_state("3rails")
+    split = timing_batch._split_candidates
+    routed = []
+
+    def spy(*args):
+        result = split(*args)
+        routed.append(len(result[4]))
+        return result
+
+    monkeypatch.setattr(timing_batch, "_split_candidates", spy)
+    for name in state.network.gates()[::3]:
+        DemoteMove(name).apply(state)
+    assert state.lc_edges, "the demotions must splice converter edges"
+    analysis = state.timing()
+    lowest = state.n_rails - 1
+    candidates = [
+        (name, target)
+        for name in state.network.gates()
+        for target in range(state.rail_of(name) + 1, lowest + 1)
+    ]
+    serial = _serial_pricing(state, analysis, candidates)
+    assert _batched_pricing(state, analysis, candidates) == serial
+    assert len(routed) == 2 and min(routed) > 0, routed
+
+
+def test_batched_pricing_validation_matches_serial(multirail_state):
+    """The batch kernels raise the serial loops' ValueErrors verbatim."""
     state = multirail_state
     analysis = state.timing()
     name = state.network.gates()[0]
-    with _pure_python_forced(pure):
-        with pytest.raises(ValueError, match="already at the lowest rail"):
-            timing_batch.check_demotions(
-                state, analysis, [(name, state.n_rails)])
-        with pytest.raises(ValueError, match="must sit below"):
-            timing_batch.check_demotions(
-                state, analysis, [(name, state.rail_of(name))])
-        with pytest.raises(ValueError, match="already at the lowest rail"):
-            timing_batch.demotion_gains(state, [(name, state.n_rails)])
-        primary_input = next(
-            n for n, node in state.network.nodes.items() if node.is_input)
-        with pytest.raises(ValueError, match="primary inputs"):
-            timing_batch.demotion_gains(state, [(primary_input, None)])
+    with pytest.raises(ValueError, match="already at the lowest rail"):
+        timing_batch.check_demotions(
+            state, analysis, [(name, state.n_rails)])
+    with pytest.raises(ValueError, match="must sit below"):
+        timing_batch.check_demotions(
+            state, analysis, [(name, state.rail_of(name))])
+    with pytest.raises(ValueError, match="already at the lowest rail"):
+        timing_batch.demotion_gains(state, [(name, state.n_rails)])
+    primary_input = next(
+        n for n, node in state.network.nodes.items() if node.is_input)
+    with pytest.raises(ValueError, match="primary inputs"):
+        timing_batch.demotion_gains(state, [(primary_input, None)])
 
 
 def test_price_moves_mixed_kinds_match_price(multirail_state):
@@ -476,14 +480,12 @@ def test_check_moves_rejects_non_demote(multirail_state):
         engine.check_moves([PromoteMove(name)])
 
 
-@pytest.mark.parametrize("pure", [False, True])
-def test_profile_resizes_match_serial(multirail_state, pure):
+def test_profile_resizes_match_serial(multirail_state):
     state = multirail_state
     engine = MoveEngine(state)
     analysis = state.timing()
     names = state.network.gates()
-    with _pure_python_forced(pure):
-        profiles = engine.profile_resizes(names)
+    profiles = engine.profile_resizes(names)
     for name, profile in zip(names, profiles):
         assert profile == resize_profile(state, analysis, name), name
 

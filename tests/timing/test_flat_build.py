@@ -4,16 +4,16 @@ The flat-core refactor replaces the incremental engine's from-scratch
 build (and the power walk, and Dscale's slack-set scan) with
 level-by-level sweeps over the shared :class:`FlatNetwork` snapshot.
 These tests pin the contract those sweeps carry: **bit identity** with
-the kept serial kernels -- not approximate equality -- in both the
-NumPy and the pure-Python twin, across random mutation histories that
-exercise rail overlays, converter-edge fallbacks, and snapshot
-invalidation by resize.
+the kept serial kernels -- not approximate equality -- across random
+mutation histories that exercise rail overlays, converter-edge
+fallbacks, and snapshot invalidation by resize.
 """
 
 from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -23,7 +23,7 @@ from repro.bench.generators import mixed_datapath, pla_control
 from repro.core.dscale import _slack_set
 from repro.core.state import ScalingState
 from repro.mapping.match import MatchTable
-from repro.netlist.flat import HAVE_NUMPY, build_flat, flat_of
+from repro.netlist.flat import build_flat, flat_of
 from repro.power.estimate import estimate_power_calc
 from repro.timing.incremental import IncrementalTiming
 
@@ -35,8 +35,6 @@ GENERATORS = {
         n_inputs=10, n_outputs=5, n_products=12, seed=5
     ),
 }
-
-MODES = ("pure", "numpy") if HAVE_NUMPY else ("pure",)
 
 RELAXED = settings(
     max_examples=8,
@@ -87,15 +85,10 @@ def mutate(rng, state, steps):
 
 
 def assert_builds_bit_identical(state):
-    """Every vectorized full build == the serial oracle build, exactly."""
-    oracle = IncrementalTiming(
-        state.calc, state.tspec, build_mode="serial"
-    ).levelized_arrays()
-    for mode in MODES:
-        engine = IncrementalTiming(
-            state.calc, state.tspec, flat_source=state.flat, build_mode=mode
-        )
-        assert engine.levelized_arrays() == oracle, mode
+    """The vectorized full build == the serial oracle build, exactly."""
+    oracle = IncrementalTiming(state.calc, state.tspec, build_mode="serial")
+    engine = IncrementalTiming(state.calc, state.tspec, flat_source=state.flat)
+    assert engine.levelized_arrays() == oracle.levelized_arrays()
 
 
 class TestFullBuild:
@@ -124,17 +117,6 @@ class TestFullBuild:
                     state.lc_edges.add((driver, reader))
         assert state.lc_edges, "scenario must exercise the lc fallback"
         assert_builds_bit_identical(state)
-
-    def test_pure_mode_forced_by_env(self, prepared, library, monkeypatch):
-        monkeypatch.setenv("REPRO_PURE_PYTHON", "1")
-        state = make_state(prepared, library)
-        auto = IncrementalTiming(
-            state.calc, state.tspec, flat_source=state.flat
-        )
-        serial = IncrementalTiming(
-            state.calc, state.tspec, build_mode="serial"
-        )
-        assert auto.levelized_arrays() == serial.levelized_arrays()
 
     def test_invalidate_rebuild_matches_oracle(self, prepared, library):
         # A full_invalidate() on a live engine must rebuild through the
@@ -168,9 +150,9 @@ class TestSnapshotCache:
         flat = flat_of(state)
         direct = build_flat(state.network, state.calc, activity=state.activity)
         assert flat.order is state.network.topological()
-        assert flat.drive == direct.drive
-        assert flat.energy == direct.energy
-        assert flat.fi_ptr == direct.fi_ptr
+        assert np.array_equal(flat.drive, direct.drive)
+        assert np.array_equal(flat.energy, direct.energy)
+        assert np.array_equal(flat.fi_ptr, direct.fi_ptr)
 
 
 class TestFlatPower:
@@ -190,19 +172,6 @@ class TestFlatPower:
         assert flat.switching == serial.switching
         assert flat.internal == serial.internal
         assert flat.converter == serial.converter
-        assert dict(flat.per_node) == dict(serial.per_node)
-
-    def test_pure_flat_power_equals_serial(
-        self, prepared, library, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_PURE_PYTHON", "1")
-        state = make_state(prepared, library)
-        mutate(random.Random(11), state, steps=8)
-        serial = estimate_power_calc(state.calc, state.activity)
-        flat = estimate_power_calc(
-            state.calc, state.activity, flat=state.flat()
-        )
-        assert flat.total == serial.total
         assert dict(flat.per_node) == dict(serial.per_node)
 
 

@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.pipeline import scale_voltage
+from repro.api import Flow, FlowConfig
 from repro.core.state import ScalingOptions
-from repro.flow.experiment import prepare_circuit
 from repro.library.compass import build_compass_library
 from repro.mapping.match import MatchTable
 
@@ -29,16 +28,19 @@ CIRCUITS = ["b9", "C432"]
 def test_ablation_max_iter(benchmark, prepared_cache, library, name,
                            max_iter):
     prepared = prepared_cache(name)
+    flow = Flow(FlowConfig(method="gscale", max_iter=max_iter),
+                library=library)
 
     def setup():
         return (prepared.fresh_copy(),), {}
 
     def run(network):
-        return scale_voltage(network, library, prepared.tspec,
-                             method="gscale", activity=prepared.activity,
-                             max_iter=max_iter)
+        return flow.scale(network, prepared.tspec,
+                          activity=prepared.activity)
 
-    _, report = benchmark.pedantic(run, setup=setup, rounds=1, iterations=1)
+    _, artifact = benchmark.pedantic(run, setup=setup, rounds=1,
+                                     iterations=1)
+    report = artifact.report
     benchmark.extra_info["improvement_pct"] = round(report.improvement_pct, 2)
     benchmark.extra_info["max_iter"] = max_iter
     assert report.improvement_pct >= -1e-9
@@ -49,14 +51,16 @@ def test_ablation_voltage_pair(benchmark, vdd_low):
     """Gscale saving vs. Vlow: lower rails save more per gate but slow
     each demoted gate more, shrinking the demotable region."""
     library = build_compass_library(vdd_low=vdd_low)
-    match_table = MatchTable(library)
+    flow = Flow(FlowConfig(circuit="b9", method="gscale", vdd_low=vdd_low),
+                library=library, match_table=MatchTable(library))
 
     def run():
-        prepared = prepare_circuit("b9", library, match_table=match_table)
-        return scale_voltage(prepared.network, library, prepared.tspec,
-                             method="gscale", activity=prepared.activity)
+        prepared = flow.prepare()
+        return flow.scale(prepared.network, prepared.tspec,
+                          activity=prepared.activity)
 
-    _, report = benchmark.pedantic(run, rounds=1, iterations=1)
+    _, artifact = benchmark.pedantic(run, rounds=1, iterations=1)
+    report = artifact.report
     ceiling = 100.0 * (1 - (vdd_low / 5.0) ** 2)
     benchmark.extra_info["vdd_low"] = vdd_low
     benchmark.extra_info["improvement_pct"] = round(report.improvement_pct, 2)
@@ -67,17 +71,19 @@ def test_ablation_voltage_pair(benchmark, vdd_low):
 @pytest.mark.parametrize("budget", [0.0, 0.05, 0.10, 0.20])
 def test_ablation_area_budget(benchmark, prepared_cache, library, budget):
     prepared = prepared_cache("C432")
+    flow = Flow(FlowConfig(method="gscale", area_budget=budget),
+                library=library)
 
     def setup():
         return (prepared.fresh_copy(),), {}
 
     def run(network):
-        return scale_voltage(network, library, prepared.tspec,
-                             method="gscale", activity=prepared.activity,
-                             area_budget=budget)
+        return flow.scale(network, prepared.tspec,
+                          activity=prepared.activity)
 
-    state, report = benchmark.pedantic(run, setup=setup, rounds=1,
-                                       iterations=1)
+    _, artifact = benchmark.pedantic(run, setup=setup, rounds=1,
+                                     iterations=1)
+    report = artifact.report
     benchmark.extra_info["budget"] = budget
     benchmark.extra_info["improvement_pct"] = round(report.improvement_pct, 2)
     benchmark.extra_info["area_increase"] = round(
@@ -91,17 +97,21 @@ def test_ablation_converter_design(benchmark, prepared_cache, library,
                                    lc_kind):
     """Dscale under the two restoration designs the paper employs."""
     prepared = prepared_cache("C499")
-    options = ScalingOptions(lc_kind=lc_kind)
+    flow = Flow(
+        FlowConfig(method="dscale", options=ScalingOptions(lc_kind=lc_kind)),
+        library=library,
+    )
 
     def setup():
         return (prepared.fresh_copy(),), {}
 
     def run(network):
-        return scale_voltage(network, library, prepared.tspec,
-                             method="dscale", activity=prepared.activity,
-                             options=options)
+        return flow.scale(network, prepared.tspec,
+                          activity=prepared.activity)
 
-    _, report = benchmark.pedantic(run, setup=setup, rounds=1, iterations=1)
+    _, artifact = benchmark.pedantic(run, setup=setup, rounds=1,
+                                     iterations=1)
+    report = artifact.report
     benchmark.extra_info["lc_kind"] = lc_kind
     benchmark.extra_info["improvement_pct"] = round(report.improvement_pct, 2)
     assert report.improvement_pct >= -1e-9

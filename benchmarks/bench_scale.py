@@ -4,9 +4,9 @@ Measures, across generated ``gen:layered:...`` circuits of increasing
 size (1k / 10k / 100k gates by default), the cost of the *from-scratch*
 timing build -- the operation the flat-core refactor vectorizes:
 
-* ``serial``: the engine's kept per-node oracle build
-  (``IncrementalTiming(..., build_mode="serial")``, the pre-flat-core
-  behaviour);
+* ``serial``: the per-node serial oracle build
+  (:class:`~repro.timing.sta.TimingAnalysis` over the same cached
+  calculator);
 * ``flat``: constructing the shared CSR :class:`FlatNetwork` snapshot
   itself (paid once per prepared circuit, amortized over every build,
   power measurement, and batched pricing sweep that follows);
@@ -57,6 +57,7 @@ from repro.netlist.flat import build_flat
 from repro.power.activity import probabilistic_activities
 from repro.power.estimate import estimate_power_calc
 from repro.timing.incremental import IncrementalTiming
+from repro.timing.sta import TimingAnalysis
 
 SIZES: dict[str, str] = {
     "1k": "gen:layered:width=50:depth=20:seed=11",
@@ -162,7 +163,7 @@ def bench_size(label, spec, library, match_table, slack=1.2):
 
     # Anchor the timing budget on the measured minimum so the required
     # sweep works with a realistic (finite, non-degenerate) tspec.
-    probe = IncrementalTiming(state.calc, 0.0, build_mode="serial")
+    probe = TimingAnalysis(state.calc, 0.0)
     tspec = slack * probe.worst_delay
     state.tspec = tspec
     state.flat()
@@ -174,9 +175,8 @@ def bench_size(label, spec, library, match_table, slack=1.2):
     gc.collect()
     gc.freeze()
 
-    serial_s, engine_serial = time_call(
-        lambda: IncrementalTiming(state.calc, tspec, build_mode="serial"),
-        repeat,
+    serial_s, oracle = time_call(
+        lambda: TimingAnalysis(state.calc, tspec), repeat
     )
     flat_s, _ = time_call(
         lambda: build_flat(network, state.calc, activity=activity), repeat
@@ -185,7 +185,12 @@ def bench_size(label, spec, library, match_table, slack=1.2):
         lambda: IncrementalTiming(state.calc, tspec, flat_source=state.flat),
         repeat,
     )
-    if engine_numpy.levelized_arrays() != engine_serial.levelized_arrays():
+    order, arrival, required, load = engine_numpy.levelized_arrays()
+    if (
+        arrival != [oracle.arrival[name] for name in order]
+        or required != [oracle.required[name] for name in order]
+        or load != [oracle.load[name] for name in order]
+    ):
         raise AssertionError(f"{label}: numpy build != serial oracle")
     builds = {
         "serial": {"seconds": serial_s, "gates_per_s": gates / serial_s},

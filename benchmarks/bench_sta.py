@@ -1,4 +1,4 @@
-"""Full vs incremental STA benchmark, emitting JSON.
+"""Incremental STA and batched pricing benchmark, emitting JSON.
 
 Measures, on one generated benchmark circuit (default: the largest in
 the suite):
@@ -6,10 +6,10 @@ the suite):
 * ``sta``: per-move timing-update cost -- a full ``TimingAnalysis``
   rebuild vs an :class:`IncrementalTiming` dirty-region refresh after
   each of a sequence of demotions;
-* ``dscale`` / ``gscale``: end-to-end wall clock of the full scaling
-  runs with ``ScalingOptions(incremental=False)`` (the seed's
-  rebuild-per-move behaviour) vs the incremental engine, asserting both
-  modes produce identical results;
+* ``dscale`` / ``gscale``: end-to-end wall clock of the scaling runs
+  on the incremental engine plus their move counts, asserting after
+  each run that the state is legal and the engine equals a full
+  rebuild (``ScalingState.full_timing``) bitwise;
 * ``pricing``: throughput of one Dscale candidate sweep (feasibility
   check + gain pricing over the slack set) through the serial
   per-candidate calls vs the batched ``MoveEngine.check_moves`` /
@@ -21,9 +21,9 @@ Run::
         [--out bench_sta.json] [--quick]
 
 ``--quick`` picks a small circuit and trims the move count so the CI
-smoke check stays under a minute.  Exit status is non-zero when the two
-modes disagree, making this an equivalence smoke test as well as a
-benchmark.
+smoke check stays under a minute.  Exit status is non-zero when the
+engine ever disagrees with the oracle, making this an equivalence smoke
+test as well as a benchmark.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from repro.core.cvs import run_cvs
 from repro.core.dscale import check_demotion, run_dscale
 from repro.core.gscale import run_gscale
 from repro.core.moves import DemoteMove, MoveEngine
-from repro.core.state import ScalingOptions, ScalingState
+from repro.core.state import ScalingState
 from repro.api import Flow, FlowConfig
 from repro.library.compass import build_compass_library
 from repro.mapping.match import MatchTable
@@ -139,47 +139,38 @@ def bench_pricing(prepared, library, repeat=5):
     }
 
 
+def assert_engine_is_oracle(state, label):
+    """The engine's arrays and worst delay == a full rebuild, bitwise."""
+    engine = state.timing()
+    order, arrival, required, load = engine.levelized_arrays()
+    oracle = state.full_timing()
+    if (arrival != [oracle.arrival[name] for name in order]
+            or required != [oracle.required[name] for name in order]
+            or load != [oracle.load[name] for name in order]
+            or engine.worst_delay != oracle.worst_delay):
+        raise AssertionError(
+            f"{label}: engine differs from the full-rebuild oracle")
+
+
 def bench_end_to_end(prepared, library, runner, label):
-    """One algorithm, both modes; asserts identical outcomes.
+    """One algorithm on the engine; asserts a legal, oracle-exact end.
 
     The per-move-kind counters (attempted / committed / rolled back,
-    from the state's :class:`MoveStats`) join the equivalence check --
-    the two timing modes must make identical move decisions -- and the
-    report, so a perf regression is attributable to the move mix that
-    produced it.
+    from the state's :class:`MoveStats`) join the report, so a perf
+    regression is attributable to the move mix that produced it.
     """
-    timings = {}
-    outcomes = {}
-    moves = {}
-    for incremental in (False, True):
-        best = float("inf")
-        for _ in range(2):  # best-of-2 damps scheduler noise
-            state = ScalingState(
-                prepared.fresh_copy(), library, tspec=prepared.tspec,
-                activity=prepared.activity,
-                options=ScalingOptions(incremental=incremental))
-            elapsed, _ = time_call(lambda: runner(state))
-            best = min(best, elapsed)
-        timings[incremental] = best
-        moves[incremental] = state.move_stats.as_dict()
-        outcomes[incremental] = (
-            sorted(state.low_nodes()),
-            sorted(state.lc_edges),
-            {name: node.cell.name
-             for name, node in state.network.nodes.items()
-             if node.cell is not None},
-            round(state.power().total, 9),
-            moves[incremental],
-        )
-    if outcomes[False] != outcomes[True]:
-        raise AssertionError(
-            f"{label}: incremental and full modes disagree")
+    best = float("inf")
+    for _ in range(2):  # best-of-2 damps scheduler noise
+        state = ScalingState(prepared.fresh_copy(), library,
+                             tspec=prepared.tspec,
+                             activity=prepared.activity)
+        elapsed, _ = time_call(lambda: runner(state))
+        best = min(best, elapsed)
+        state.validate()
+        assert_engine_is_oracle(state, label)
     return {
-        "full_s": timings[False],
-        "incremental_s": timings[True],
-        "speedup": (timings[False] / timings[True]
-                    if timings[True] > 0 else None),
-        "moves": moves[True],
+        "incremental_s": best,
+        "moves": state.move_stats.as_dict(),
     }
 
 

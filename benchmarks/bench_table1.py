@@ -16,8 +16,8 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import benchmark_names
+from repro.api import Flow, FlowConfig
 from repro.bench.paper_data import PAPER_TABLE1
-from repro.core.pipeline import scale_voltage
 from repro.flow.tables import format_table1, suite_averages
 
 
@@ -27,18 +27,18 @@ def test_table1_cell(benchmark, prepared_cache, library, record_report,
                      name, method):
     """One (circuit, algorithm) cell of Table 1."""
     prepared = prepared_cache(name)
+    flow = Flow(FlowConfig(method=method), library=library)
 
     def setup():
         return (prepared.fresh_copy(),), {}
 
     def run(network):
-        return scale_voltage(
-            network, library, prepared.tspec, method=method,
-            activity=prepared.activity,
-        )
+        return flow.scale(network, prepared.tspec,
+                          activity=prepared.activity)
 
-    state, report = benchmark.pedantic(run, setup=setup, rounds=1,
-                                       iterations=1)
+    _, artifact = benchmark.pedantic(run, setup=setup, rounds=1,
+                                     iterations=1)
+    report = artifact.report
     paper = PAPER_TABLE1[name]
     paper_pct = {"cvs": paper.cvs_pct, "dscale": paper.dscale_pct,
                  "gscale": paper.gscale_pct}[method]

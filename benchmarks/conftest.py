@@ -18,9 +18,9 @@ import os
 
 import pytest
 
+from repro.api import BUILTIN_METHODS as METHODS
 from repro.api import Flow, FlowConfig
 from repro.bench.mcnc import MCNC_NAMES
-from repro.core.pipeline import METHODS
 from repro.flow.campaign import CampaignJob, make_row, rows_to_results
 from repro.flow.experiment import run_prepared
 from repro.flow.store import ResultStore

@@ -4,16 +4,15 @@ Compares a freshly measured ``bench_sta.py`` JSON report against the
 committed baseline (``benchmarks/baselines/bench_sta.json``) and exits
 non-zero when a gated metric regressed more than the allowed fraction.
 
-The gated metrics are the *speedup ratios* (full-mode time divided by
-incremental-mode time), not absolute wall-clock: ratios compare the two
-code paths on the same machine in the same run, so the gate is stable
+The gated metrics are *speedup ratios* (serial-path time divided by
+fast-path time), not absolute wall-clock: ratios compare the two code
+paths on the same machine in the same run, so the gate is stable
 across runner hardware while still catching changes that erode the
-incremental engine's advantage.
+fast paths' advantage.
 
 Gated:
 
 * ``sta.speedup``     -- per-move STA update (full rebuild / refresh);
-* ``gscale.speedup``  -- end-to-end Gscale (full / incremental);
 * ``pricing.speedup`` -- batched vs serial move pricing.  On a
   ``C7552`` report the vectorized kernel must also clear an absolute
   3.0x floor, independent of the baseline.
@@ -46,7 +45,6 @@ DEFAULT_MAX_REGRESSION = 0.25
 
 GATED_METRICS = (
     ("sta", "speedup", "per-move STA speedup"),
-    ("gscale", "speedup", "end-to-end Gscale speedup"),
     ("pricing", "speedup", "batched move-pricing speedup"),
 )
 

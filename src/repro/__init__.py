@@ -26,15 +26,16 @@ Quickstart (the ``repro.api`` front door)::
 
 Lower-level use::
 
-    from repro import (build_compass_library, load_circuit, rugged,
-                       map_network, scale_voltage)
+    from repro import (Flow, FlowConfig, build_compass_library,
+                       load_circuit, map_network, rugged)
 
     library = build_compass_library()          # (5 V, 4.3 V) dual-Vdd
     network = load_circuit("rot")              # synthetic MCNC benchmark
     rugged(network)                            # optimize
     mapped = map_network(network, library)     # technology-map
-    state, report = scale_voltage(mapped, library, tspec=12.0)
-    print(report.improvement_pct, state.low_ratio)
+    flow = Flow(FlowConfig(method="gscale"), library=library)
+    state, artifact = flow.scale(mapped, tspec=12.0)
+    print(artifact.report.improvement_pct, state.low_ratio)
 """
 
 from repro.netlist import (
@@ -70,19 +71,18 @@ from repro.core import (
     DscaleResult,
     GscaleResult,
     ScalingOptions,
-    ScalingReport,
     ScalingState,
     materialize_converters,
     run_cvs,
     run_dscale,
     run_gscale,
-    scale_voltage,
 )
 from repro.api import (
     Flow,
     FlowConfig,
     RunArtifact,
     ScalingMethod,
+    ScalingReport,
     register_method,
 )
 from repro.bench import CIRCUITS, load_circuit
@@ -128,7 +128,6 @@ __all__ = [
     "run_cvs",
     "run_dscale",
     "run_gscale",
-    "scale_voltage",
     "Flow",
     "FlowConfig",
     "RunArtifact",

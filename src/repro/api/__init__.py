@@ -20,10 +20,6 @@ Quickstart::
     for method in ("cvs", "dscale", "gscale"):
         artifact = flow.replace(method=method).run(prepared=prepared)
         print(method, artifact.report.improvement_pct)
-
-The legacy entry points (``repro.scale_voltage``,
-``repro.flow.experiment.prepare_circuit``) are thin deprecation shims
-over this module.
 """
 
 from repro.api.artifact import (

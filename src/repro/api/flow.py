@@ -20,8 +20,7 @@ Entry points, from highest to lowest level:
   one :class:`PreparedCircuit` serves every method (this is what the
   campaign workers cache).
 * :meth:`Flow.scale` -- enter at the ``scale`` stage with an
-  already-mapped network and an explicit timing budget (the old
-  ``scale_voltage`` contract).
+  already-mapped network and an explicit timing budget.
 """
 
 from __future__ import annotations

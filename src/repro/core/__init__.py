@@ -6,7 +6,8 @@
 * :mod:`repro.core.dscale`   -- MWIS-based scaling of all slack (sec. 2).
 * :mod:`repro.core.gscale`   -- separator-guided sizing + CVS (sec. 3).
 * :mod:`repro.core.restore`  -- converter materialization / export.
-* :mod:`repro.core.pipeline` -- the ``scale_voltage`` front door.
+
+The front door that runs them is :class:`repro.api.Flow`.
 """
 
 from repro.core.moves import (
@@ -37,7 +38,6 @@ from repro.core.restore import (
     materialize_converters,
     materialized_timing,
 )
-from repro.core.pipeline import METHODS, ScalingReport, scale_voltage
 
 __all__ = [
     "BUILTIN_COST_MODELS",
@@ -63,9 +63,6 @@ __all__ = [
     "MaterializedDesign",
     "materialize_converters",
     "materialized_timing",
-    "METHODS",
-    "ScalingReport",
-    "scale_voltage",
     "get_cost_model",
     "list_cost_models",
     "register_cost_model",

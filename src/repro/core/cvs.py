@@ -95,8 +95,8 @@ def _cvs_pass(
     outputs = frozenset(network.outputs)
     tspec = state.tspec
 
-    # Pass-start snapshots.  The timing analysis (incremental engine or
-    # full rebuild) already satisfies the required-time fixed point
+    # Pass-start snapshots.  The timing engine already satisfies the
+    # required-time fixed point
     # ``required[n] = f(required[readers of n], current state)``
     # bit-exactly, so instead of re-deriving every node's required time
     # the pass copies the snapshot and repairs only the *stale region*:

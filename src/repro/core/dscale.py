@@ -280,30 +280,21 @@ def cleanup_converters(
 
 def _slack_set(
     state: ScalingState,
-    analysis: TimingAnalysis | IncrementalTiming,
+    analysis: IncrementalTiming,
     lowest: int,
 ) -> list[str]:
     """``getSlkSet``: sub-``lowest`` gates with positive slack.
 
-    With the incremental engine this reads the levelized arrays plus
-    the shared flat planes -- one subtraction and two comparisons per
-    node, vectorized with NumPy -- instead of a per-name ``slack()``
-    call through the method surface.  Emitted order (topological,
-    inputs excluded) and every float comparison are identical to
-    filtering ``network.gates()`` serially, which remains the path for
-    a full :class:`TimingAnalysis`.
+    Reads the engine's levelized arrays plus the shared flat planes --
+    one subtraction and two comparisons per node, vectorized with
+    NumPy -- instead of a per-name ``slack()`` call through the method
+    surface.  Emitted order (topological, inputs excluded) and every
+    float comparison are identical to filtering ``network.gates()``
+    serially.
     """
     tolerance = state.options.timing_tolerance
-    arrays = getattr(analysis, "levelized_arrays", None)
-    flat = state.flat() if arrays is not None else None
-    if flat is None or len(flat.order) != len(state.network.nodes):
-        return [
-            name
-            for name in state.network.gates()
-            if state.rail_of(name) < lowest
-            and analysis.slack(name) > tolerance
-        ]
-    order, arrival, required, _ = arrays()
+    flat = state.flat()
+    order, arrival, required, _ = analysis.levelized_arrays()
     mask = (
         (np.asarray(required) - np.asarray(arrival) > tolerance)
         & (flat.rail_plane(state.levels) < lowest)

@@ -118,7 +118,7 @@ def resize_profile(
 
 def get_cpn(
     state: ScalingState,
-    analysis: TimingAnalysis | IncrementalTiming,
+    analysis: IncrementalTiming,
     tcb: frozenset[str],
 ) -> tuple[list[str], list[tuple[str, str]], list[str], list[str]]:
     """The critical-path network feeding the TCB.
@@ -138,26 +138,16 @@ def get_cpn(
     # resulting sequence is identical to the full-order filter.
     cone = network.transitive_fanin(tcb)
     position = network.topo_index()
-    arrays = getattr(analysis, "levelized_arrays", None)
-    if arrays is not None:
-        # Slack via the engine's levelized planes: the same
-        # required[i] - arrival[i] subtraction analysis.slack performs,
-        # without the per-name staleness check and dict chain.
-        _, arrival, required, _ = arrays()
-        flat = state.flat()
-        is_input = flat.is_input
-        nodes = []
-        for name in sorted(cone, key=position.__getitem__):
-            i = position[name]
-            if not is_input[i] and required[i] - arrival[i] <= window:
-                nodes.append(name)
-    else:
-        nodes = [
-            name
-            for name in sorted(cone, key=position.__getitem__)
-            if not network.nodes[name].is_input
-            and analysis.slack(name) <= window
-        ]
+    # Slack via the engine's levelized planes: the same
+    # required[i] - arrival[i] subtraction analysis.slack performs,
+    # without the per-name staleness check and dict chain.
+    _, arrival, required, _ = analysis.levelized_arrays()
+    is_input = state.flat().is_input
+    nodes = []
+    for name in sorted(cone, key=position.__getitem__):
+        i = position[name]
+        if not is_input[i] and required[i] - arrival[i] <= window:
+            nodes.append(name)
     node_set = set(nodes)
     edges = [
         (fanin, name)

@@ -457,8 +457,6 @@ class MoveEngine:
         #: Post-move worst delay of the last :meth:`try_move` that
         #: committed; ``None`` after any other attempt (a reject may
         #: stop the timing repair before the worst delay is known).
-        #: Saves committed-move callers a redundant full STA rebuild in
-        #: non-incremental mode (the transaction already computed it).
         self.last_worst_delay: float | None = None
         #: Measured post-commit total power of the last :meth:`try_move`
         #: that committed under ``require_power_gain`` (the verification

@@ -20,9 +20,8 @@ Both side tables are *observed* collections: every effective mutation
 :class:`~repro.timing.delay.DelayCalculator` cache and to the lazily
 created :class:`~repro.timing.incremental.IncrementalTiming` engine, so
 :meth:`ScalingState.timing` repairs only the affected cone instead of
-rebuilding a full analysis per move.  ``options.incremental=False``
-restores the rebuild-from-scratch behaviour (used by the benchmark
-harness as the baseline and by anyone who wants the oracle in the loop).
+rebuilding a full analysis per move.  :meth:`ScalingState.full_timing`
+is the rebuild-from-scratch oracle the tests compare the engine against.
 """
 
 from __future__ import annotations
@@ -59,11 +58,6 @@ class ScalingOptions:
     ``include_input_nets=False`` likewise excludes primary-input net
     switching from the power figure: that energy is dissipated in the
     upstream drivers.
-
-    ``incremental=True`` runs every timing query of the scaling loops on
-    the dirty-region incremental engine; ``False`` rebuilds a full
-    :class:`~repro.timing.sta.TimingAnalysis` per query (the seed
-    behaviour, kept as the measurable baseline).
     """
 
     lc_kind: str = "pg"
@@ -74,7 +68,6 @@ class ScalingOptions:
     n_vectors: int = 512
     activity_seed: int = 1999
     timing_tolerance: float = 1e-9
-    incremental: bool = True
 
 
 class _LevelTable(dict):
@@ -390,16 +383,12 @@ class ScalingState:
         gates = self.n_gates
         return self.n_low / gates if gates else 0.0
 
-    def timing(self) -> IncrementalTiming | TimingAnalysis:
+    def timing(self) -> IncrementalTiming:
         """The current timing picture (incrementally repaired).
 
-        With ``options.incremental`` (the default) this returns the
-        shared engine after a dirty-region refresh -- O(affected cone)
-        per move instead of O(V+E).  Otherwise a fresh full analysis is
-        built, exactly as the seed implementation did.
+        Returns the shared engine, which repairs only the dirty region
+        on each query -- O(affected cone) per move instead of O(V+E).
         """
-        if not self.options.incremental:
-            return TimingAnalysis(self.calc, self.tspec)
         engine = self._engine
         if engine is None:
             engine = self._engine = IncrementalTiming(
@@ -436,9 +425,7 @@ class ScalingState:
         return flat_of(self)
 
     def power(self) -> PowerBreakdown:
-        loads = None
-        if self.options.incremental:
-            _, _, _, loads = self.timing().levelized_arrays()
+        _, _, _, loads = self.timing().levelized_arrays()
         return estimate_power_calc(
             self.calc, self.activity, clock_mhz=self.options.clock_mhz,
             include_input_nets=self.options.include_input_nets,
@@ -589,20 +576,17 @@ class ScalingState:
         the mutated cone is repaired.  On rollback the caller reverts
         its own mutations (resize back / re-add the edge) and the
         journaled timing values are restored without recomputation.
-        No-ops when ``options.incremental`` is off.
         """
-        if self.options.incremental:
-            engine = self.timing()
-            engine.begin()
+        self.timing().begin()
 
     def commit_move(self) -> None:
         """Keep the candidate move's timing updates."""
-        if self.options.incremental and self._engine is not None:
+        if self._engine is not None:
             self._engine.commit()
 
     def rollback_move(self) -> None:
         """Restore pre-move timing (call after reverting the mutations)."""
-        if self.options.incremental and self._engine is not None:
+        if self._engine is not None:
             self._engine.rollback()
 
     # ------------------------------------------------------------------

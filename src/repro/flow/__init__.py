@@ -5,8 +5,7 @@ The pipeline itself lives behind :mod:`repro.api` (the ``Flow`` /
 campaign-level machinery on top of it.
 
 * :mod:`repro.flow.experiment` -- per-circuit convenience runners
-  (``run_circuit`` / ``run_suite``) plus the deprecated
-  ``prepare_circuit`` shim.
+  (``run_prepared`` / ``run_circuit`` / ``run_suite``).
 * :mod:`repro.flow.tables`     -- Table 1 / Table 2 assembly, paper
   comparison, and EXPERIMENTS.md rendering.
 * :mod:`repro.flow.ablation`   -- parameter sweeps (maxIter, voltage
@@ -27,7 +26,6 @@ from repro.flow.campaign import (
 from repro.flow.experiment import (
     CircuitResult,
     PreparedCircuit,
-    prepare_circuit,
     run_circuit,
     run_prepared,
     run_suite,
@@ -46,7 +44,6 @@ __all__ = [
     "PreparedCircuit",
     "ResultStore",
     "build_jobs",
-    "prepare_circuit",
     "rows_to_results",
     "run_campaign",
     "run_circuit",

@@ -8,13 +8,11 @@ own copy of the mapped netlist, sharing one switching-activity
 measurement, exactly as the paper compares them.
 
 The pipeline itself lives in :mod:`repro.api.flow` now; this module is
-the suite-level convenience layer (:func:`run_circuit`,
-:func:`run_suite`) plus the deprecated :func:`prepare_circuit` shim.
+the suite-level convenience layer (:func:`run_prepared`,
+:func:`run_circuit`, :func:`run_suite`).
 """
 
 from __future__ import annotations
-
-import warnings
 
 from repro.api.artifact import CircuitResult, artifacts_to_results
 from repro.api.config import DEFAULT_SLACK_FACTOR, FlowConfig
@@ -30,7 +28,6 @@ __all__ = [
     "DEFAULT_SLACK_FACTOR",
     "PreparedCircuit",
     "CircuitResult",
-    "prepare_circuit",
     "run_prepared",
     "run_circuit",
     "run_suite",
@@ -53,26 +50,6 @@ def _make_flow(source: str | Network, library: Library,
     )
     flow = Flow(config, library=library, match_table=match_table)
     return flow, (source if isinstance(source, Network) else None)
-
-
-def prepare_circuit(source: str | Network, library: Library,
-                    slack_factor: float = DEFAULT_SLACK_FACTOR,
-                    match_table: MatchTable | None = None,
-                    options: ScalingOptions | None = None) -> PreparedCircuit:
-    """Deprecated: use ``repro.api.Flow(...).prepare()``.
-
-    Generate/optimize/map one circuit and fix its timing constraint.
-    """
-    warnings.warn(
-        "prepare_circuit() is deprecated; use repro.api.Flow: "
-        "Flow(FlowConfig(circuit=..., slack_factor=...), library=library)"
-        ".prepare()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    flow, network = _make_flow(source, library, slack_factor,
-                               match_table, options)
-    return flow.prepare(network)
 
 
 def _run_methods(flow: Flow, prepared: PreparedCircuit,

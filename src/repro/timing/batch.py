@@ -61,30 +61,12 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.netlist.flat import FlatNetwork, csr_take as _csr_take, flat_of
+from repro.netlist.flat import csr_take as _csr_take, flat_of
 from repro.power.estimate import demotion_gain
 from repro.timing.delay import OUTPUT
 
 _UW = 1e-3
 """fF * V^2 * MHz to uW -- the same conversion as repro.power.estimate."""
-
-
-def _flat_timing(static: FlatNetwork, analysis):
-    """``(arrival, required, load)`` as position-aligned float arrays."""
-    arrays = getattr(analysis, "levelized_arrays", None)
-    if arrays is not None:
-        order, arrival, required, load = arrays()
-        if order == static.order:
-            return np.asarray(arrival), np.asarray(required), np.asarray(load)
-    arrival, required, load = (
-        analysis.arrival, analysis.required, analysis.load
-    )
-    order = static.order
-    return (
-        np.asarray([arrival[name] for name in order]),
-        np.asarray([required[name] for name in order]),
-        np.asarray([load[name] for name in order]),
-    )
 
 
 class _NetVectors:
@@ -482,6 +464,8 @@ def check_demotions(
     Bit-identical to calling ``repro.core.dscale.check_demotion`` once
     per candidate against the same analysis: same net change, same
     surviving-shifter delays, same per-edge deadline comparisons.
+    ``analysis`` is the state's
+    :class:`~repro.timing.incremental.IncrementalTiming` engine.
     ``target=None`` checks the classic one-rail step.
     """
     if not candidates:
@@ -501,11 +485,12 @@ def check_demotions(
     ok = [True] * len(candidates)
     if vec_k:
         rails_arr = static.rail_plane(state.levels)
-        arrival, required, load = _flat_timing(static, analysis)
+        _, arrival, required, load = analysis.levelized_arrays()
         cp = np.asarray(vec_pos, dtype=np.intp)
         tg = np.asarray(vec_tgt, dtype=np.intp)
         flags = _check_vec(
-            state, static, rails_arr, arrival, required, load, cp, tg
+            state, static, rails_arr, np.asarray(arrival),
+            np.asarray(required), np.asarray(load), cp, tg,
         )
         for k, flag in zip(vec_k, flags):
             ok[k] = flag

@@ -3,12 +3,12 @@
 :class:`IncrementalTiming` keeps arrival / required / load values in
 flat arrays indexed by cached topological position and repairs them
 lazily after state mutations instead of rebuilding the whole analysis
-(the paper's ``update_timing`` as an incremental operation).  It exposes
-the same query surface as :class:`repro.timing.sta.TimingAnalysis`
-(``arrival`` / ``required`` / ``load`` mappings, ``slack``,
-``worst_delay``, ``critical_path``, ...) so the dual-Vdd passes can use
-either interchangeably; the full analysis remains the equivalence
-oracle the engine is tested against.
+(the paper's ``update_timing`` as an incremental operation).  It is the
+one timing path of the scaling passes.  Its query surface (``arrival`` /
+``required`` / ``load`` mappings, ``slack``, ``worst_delay``,
+``critical_path``, ...) matches :class:`repro.timing.sta.TimingAnalysis`,
+the serial oracle the engine is tested against, so the serial oracles
+(``check_demotion``, ``demotion_gain``) accept either.
 
 Invalidation contract
 ---------------------
@@ -81,8 +81,8 @@ Full builds
 -----------
 The initial build and every :meth:`full_invalidate` run one levelized
 NumPy sweep over the shared :class:`~repro.netlist.flat.FlatNetwork`
-snapshot.  ``build_mode="serial"`` runs the per-node kernels over
-every gate instead: the readable oracle the sweep is tested against.
+snapshot.  :class:`~repro.timing.sta.TimingAnalysis` is the readable
+serial oracle the sweep is tested against.
 """
 
 from __future__ import annotations
@@ -319,23 +319,18 @@ class IncrementalTiming:
     """Incrementally-maintained arrival/required/slack over one network."""
 
     def __init__(self, calculator: DelayCalculator, tspec: float,
-                 flat_source=None, build_mode: str | None = None):
+                 flat_source=None):
         """Build the engine and run one full sweep.
 
         ``flat_source`` is an optional zero-argument callable returning
         the owner's cached :class:`~repro.netlist.flat.FlatNetwork`
         (:meth:`repro.core.state.ScalingState.flat`); without it the
         engine builds its own snapshot per full sweep.
-        ``build_mode="serial"`` runs the per-node oracle loops instead
-        of the flat sweep; both are bit-identical.
         """
-        if build_mode not in (None, "serial"):
-            raise ValueError(f"unknown build mode {build_mode!r}")
         self.calculator = calculator
         self.network: Network = calculator.network
         self.tspec = tspec
         self._flat_source = flat_source
-        self._build_mode = build_mode
         self._journal: _Journal | None = None
         self._build()
 
@@ -357,10 +352,9 @@ class IncrementalTiming:
         self._fanouts_cache: list[tuple[str, ...]] | None = None
         self._reader_pins = network.reader_pins()
         self._is_output = frozenset(network.outputs)
-        n = len(self._order)
-        self._arrival: list[float] = [0.0] * n
-        self._required: list[float] = [math.inf] * n
-        self._load: list[float] = [0.0] * n
+        self._load, self._arrival, self._required = _sweep(
+            self._acquire_flat(), self.calculator, self.tspec
+        )
         self.arrival = _ArrayView(self, self._pos, self._arrival,
                                   forward_only=True)
         self.required = _ArrayView(self, self._pos, self._required,
@@ -373,21 +367,6 @@ class IncrementalTiming:
         self._clean = True
         self._fwd_clean = True
         self._spent = False
-
-        flat = None if self._build_mode == "serial" else self._acquire_flat()
-        if flat is None:
-            calc = self.calculator
-            for i, name in enumerate(self._order):
-                self._load[i] = calc.load(name)
-            for i, name in enumerate(self._order):
-                self._arrival[i] = self._compute_arrival(name)
-            for i in range(n - 1, -1, -1):
-                self._required[i] = self._compute_required(self._order[i])
-            return
-        loads, arrivals, reqs = _sweep(flat, self.calculator, self.tspec)
-        self._load[:] = loads
-        self._arrival[:] = arrivals
-        self._required[:] = reqs
 
     @property
     def _fanouts(self) -> list[tuple[str, ...]]:
@@ -404,16 +383,14 @@ class IncrementalTiming:
             self._fanouts_cache = cache
         return cache
 
-    def _acquire_flat(self) -> FlatNetwork | None:
-        """The shared snapshot for a full sweep, or ``None`` to go serial."""
+    def _acquire_flat(self) -> FlatNetwork:
+        """The shared snapshot for a full sweep (a private one if stale)."""
         source = self._flat_source
         if source is not None:
             flat = source()
-        else:
-            flat = build_flat(self.network, self.calculator)
-        if flat.order is not self._order and flat.order != self._order:
-            return None  # pragma: no cover - stale source
-        return flat
+            if flat.order is self._order or flat.order == self._order:
+                return flat
+        return build_flat(self.network, self.calculator)
 
     def full_invalidate(self) -> None:
         """Rebuild everything (only needed if the topology itself changed)."""

@@ -120,14 +120,6 @@ class TimingAnalysis:
     # Queries
     # ------------------------------------------------------------------
 
-    def arrival_snapshot(self) -> dict[str, float]:
-        """Copy of all arrivals (API parity with the incremental engine)."""
-        return dict(self.arrival)
-
-    def required_snapshot(self) -> dict[str, float]:
-        """Copy of all required times."""
-        return dict(self.required)
-
     def slack(self, name: str) -> float:
         return self.required[name] - self.arrival[name]
 
@@ -155,10 +147,6 @@ class TimingAnalysis:
 
     def meets_timing(self, tolerance: float = 1e-9) -> bool:
         return self.worst_delay <= self.tspec + tolerance
-
-    def exceeds(self, limit: float) -> bool:
-        """Whether ``worst_delay > limit`` (API parity with the engine)."""
-        return self.worst_delay > limit
 
     def critical_path(self) -> list[str]:
         """One worst input-to-output path (node names, PI first)."""

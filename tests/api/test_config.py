@@ -53,8 +53,11 @@ def test_from_dict_rejects_unknown_fields():
 
 
 def test_from_dict_rejects_unknown_option_fields():
-    with pytest.raises(ValueError, match="unknown ScalingOptions field"):
-        FlowConfig.from_dict({"options": {"lc_kind": "pg", "bogus": 1}})
+    # ``incremental`` is a removed field: configs saved by older
+    # versions get the same clean error, not a traceback.
+    for options in ({"lc_kind": "pg", "bogus": 1}, {"incremental": True}):
+        with pytest.raises(ValueError, match="unknown ScalingOptions field"):
+            FlowConfig.from_dict({"options": options})
 
 
 def test_options_dict_coerces_and_rails_normalize():

@@ -2,7 +2,7 @@
 
 The acceptance behaviour the CI workflow relies on: the gate passes on
 an identical re-measurement and demonstrably fails on a synthetic 2x
-slowdown of the incremental paths.
+slowdown of the fast paths.
 """
 
 import copy
@@ -24,22 +24,22 @@ def baseline():
 
 
 def _slowed_down(report, factor=2.0):
-    """The report bench_sta.py would emit if the incremental engine ran
-    ``factor`` times slower (speedup ratios shrink by ``factor``)."""
+    """The report bench_sta.py would emit if the incremental engine and
+    the batched pricing ran ``factor`` times slower (speedup ratios
+    shrink by ``factor``)."""
     slowed = copy.deepcopy(report)
-    for section in ("sta", "dscale", "gscale"):
+    for section, key in (("sta", "incremental_ms_per_move"),
+                         ("pricing", "batch_s")):
         entry = slowed[section]
         entry["speedup"] = entry["speedup"] / factor
-        for key in ("incremental_ms_per_move", "incremental_s"):
-            if key in entry:
-                entry[key] = entry[key] * factor
+        entry[key] = entry[key] * factor
     return slowed
 
 
 def test_committed_baseline_shape(baseline):
     assert baseline["circuit"]
     assert baseline["sta"]["speedup"] > 1.0
-    assert baseline["gscale"]["speedup"] > 1.0
+    assert baseline["pricing"]["speedup"] > 1.0
 
 
 def test_gate_passes_on_identical_report(baseline, capsys):
@@ -49,7 +49,7 @@ def test_gate_passes_on_identical_report(baseline, capsys):
 def test_gate_tolerates_small_noise(baseline):
     noisy = copy.deepcopy(baseline)
     noisy["sta"]["speedup"] *= 0.85      # -15%: inside the 25% band
-    noisy["gscale"]["speedup"] *= 0.90
+    noisy["pricing"]["speedup"] *= 0.90
     assert check(baseline, noisy) == []
 
 
@@ -57,7 +57,7 @@ def test_gate_fails_on_synthetic_2x_slowdown(baseline):
     failures = check(baseline, _slowed_down(baseline, factor=2.0))
     assert len(failures) == 2
     assert any("per-move STA" in f for f in failures)
-    assert any("Gscale" in f for f in failures)
+    assert any("pricing" in f for f in failures)
 
 
 def test_gate_fails_on_circuit_mismatch(baseline):
@@ -69,7 +69,7 @@ def test_gate_fails_on_circuit_mismatch(baseline):
 
 def test_gate_fails_on_missing_metric(baseline):
     broken = copy.deepcopy(baseline)
-    del broken["gscale"]["speedup"]
+    del broken["sta"]["speedup"]
     failures = check(baseline, broken)
     assert any("missing" in f for f in failures)
 

@@ -2,10 +2,10 @@
 
 import pytest
 
+from repro.api import Flow, FlowConfig
 from repro.bench.generators import mixed_datapath, ripple_adder
 from repro.core.cvs import run_cvs
 from repro.core.state import ScalingOptions, ScalingState
-from repro.flow.experiment import prepare_circuit
 
 
 @pytest.fixture(scope="module")
@@ -13,8 +13,9 @@ def prepared(library):
     from repro.mapping.match import MatchTable
 
     network = mixed_datapath(width=8, n_control=6, n_products=14, seed=21)
-    return prepare_circuit(network, library,
-                           match_table=MatchTable(library))
+    return Flow(
+        FlowConfig(), library=library, match_table=MatchTable(library)
+    ).prepare(network)
 
 
 def fresh_state(prepared, library, slack=1.0):
@@ -121,8 +122,9 @@ def test_adder_chain_blocks_cvs(library):
     """Carry chains leave CVS little to harvest (paper: my_adder 11.8%)."""
     from repro.mapping.match import MatchTable
 
-    prepared = prepare_circuit(ripple_adder(width=12), library,
-                               match_table=MatchTable(library))
+    prepared = Flow(
+        FlowConfig(), library=library, match_table=MatchTable(library)
+    ).prepare(ripple_adder(width=12))
     state = ScalingState(prepared.network, library, tspec=prepared.tspec,
                          activity=prepared.activity)
     run_cvs(state)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import Flow, FlowConfig
 from repro.bench.generators import mixed_datapath
 from repro.core.cvs import run_cvs
 from repro.core.dscale import (
@@ -15,7 +16,6 @@ from repro.core.dscale import (
     run_dscale,
 )
 from repro.core.state import ScalingState
-from repro.flow.experiment import prepare_circuit
 from repro.graphalg.antichain import is_antichain
 
 
@@ -24,8 +24,9 @@ def prepared(library):
     from repro.mapping.match import MatchTable
 
     network = mixed_datapath(width=8, n_control=6, n_products=14, seed=33)
-    return prepare_circuit(network, library,
-                           match_table=MatchTable(library))
+    return Flow(
+        FlowConfig(), library=library, match_table=MatchTable(library)
+    ).prepare(network)
 
 
 def fresh_state(prepared, library):
@@ -184,8 +185,9 @@ def test_each_round_selection_is_antichain(library, monkeypatch):
         return result
 
     monkeypatch.setattr(dscale_module, "max_weight_antichain", spy)
-    sec = prepare_circuit(sec_decoder(data_bits=32), library,
-                          match_table=MatchTable(library))
+    sec = Flow(
+        FlowConfig(), library=library, match_table=MatchTable(library)
+    ).prepare(sec_decoder(data_bits=32))
     state = ScalingState(sec.network, library, tspec=sec.tspec,
                          activity=sec.activity)
     run_dscale(state)
@@ -223,8 +225,11 @@ def test_multirail_po_shifter_demotion_respects_tspec():
 
     rails_library = build_compass_library(rails=(5.0, 4.3, 3.6))
     network = mixed_datapath(width=4, n_control=3, n_products=6, seed=0)
-    prep = prepare_circuit(network, rails_library,
-                           match_table=MatchTable(rails_library))
+    prep = Flow(
+        FlowConfig(),
+        library=rails_library,
+        match_table=MatchTable(rails_library),
+    ).prepare(network)
     state = ScalingState(
         prep.network, rails_library, tspec=1.25 * prep.min_delay,
         activity=prep.activity,

@@ -2,11 +2,11 @@
 
 import pytest
 
+from repro.api import Flow, FlowConfig
 from repro.bench.generators import mixed_datapath, ripple_adder
 from repro.core.cvs import run_cvs
 from repro.core.gscale import get_cpn, resize_profile, run_gscale
 from repro.core.state import ScalingState
-from repro.flow.experiment import prepare_circuit
 from repro.graphalg.separator import is_separator
 
 
@@ -15,8 +15,9 @@ def prepared(library):
     from repro.mapping.match import MatchTable
 
     network = mixed_datapath(width=8, n_control=6, n_products=14, seed=55)
-    return prepare_circuit(network, library,
-                           match_table=MatchTable(library))
+    return Flow(
+        FlowConfig(), library=library, match_table=MatchTable(library)
+    ).prepare(network)
 
 
 def fresh_state(prepared, library):
@@ -126,8 +127,9 @@ def test_gscale_on_pure_chain_circuit(library):
     """Adders: sizing can only push the TCB a little; must stay legal."""
     from repro.mapping.match import MatchTable
 
-    prepared = prepare_circuit(ripple_adder(width=10), library,
-                               match_table=MatchTable(library))
+    prepared = Flow(
+        FlowConfig(), library=library, match_table=MatchTable(library)
+    ).prepare(ripple_adder(width=10))
     state = ScalingState(prepared.network, library, tspec=prepared.tspec,
                          activity=prepared.activity)
     result = run_gscale(state)

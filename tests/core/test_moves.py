@@ -17,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.api import Flow, FlowConfig
 from repro.bench.generators import mixed_datapath
 from repro.core.dscale import check_demotion, run_dscale
 from repro.core.gscale import resize_profile
@@ -38,7 +39,6 @@ from repro.core.moves import (
     unregister_cost_model,
 )
 from repro.core.state import ScalingState
-from repro.flow.experiment import prepare_circuit
 from repro.library.compass import build_compass_library
 from repro.mapping.match import MatchTable
 from repro.power.estimate import demotion_gain
@@ -80,9 +80,9 @@ def snapshot(state):
 
 def _multirail_state(rails):
     library = build_compass_library(rails=MULTI_RAILS[rails])
-    prepared = prepare_circuit(
-        mixed_datapath(width=5, n_control=3, n_products=8, seed=29),
-        library, match_table=MatchTable(library))
+    prepared = Flow(
+        FlowConfig(), library=library, match_table=MatchTable(library)
+    ).prepare(mixed_datapath(width=5, n_control=3, n_products=8, seed=29))
     return ScalingState(prepared.network, library,
                         tspec=2.5 * prepared.tspec,
                         activity=prepared.activity)
@@ -546,8 +546,6 @@ def mcnc_3rail():
     """Prepared f51m on three rails: the circuit where both extensions
     demonstrably fire (non-adjacent demotions and a shifter retarget)."""
     library = build_compass_library(rails=(5.0, 4.3, 3.6))
-    from repro.api import Flow, FlowConfig
-
     flow = Flow(FlowConfig(circuit="f51m", rails=(5.0, 4.3, 3.6)),
                 library=library,
                 match_table=MatchTable(library))
@@ -584,9 +582,9 @@ def test_extended_moves_strictly_improve_power_on_mcnc(mcnc_3rail):
 def test_extended_moves_inert_on_two_rails(mcnc_3rail):
     """The flags are N-rail-only: on two rails they change nothing."""
     library = build_compass_library()
-    prepared = prepare_circuit(
-        mixed_datapath(width=6, n_control=4, n_products=10, seed=23),
-        library, match_table=MatchTable(library))
+    prepared = Flow(
+        FlowConfig(), library=library, match_table=MatchTable(library)
+    ).prepare(mixed_datapath(width=6, n_control=4, n_products=10, seed=23))
 
     outcomes = {}
     for label, kwargs in (

@@ -1,9 +1,9 @@
-"""scale_voltage front-door tests."""
+"""``Flow.scale`` front-door tests: enter at the scale stage."""
 
 import pytest
 
-from repro.core.pipeline import METHODS, scale_voltage
-from repro.flow.experiment import prepare_circuit
+from repro.api import BUILTIN_METHODS as METHODS
+from repro.api import Flow, FlowConfig
 
 
 @pytest.fixture(scope="module")
@@ -12,26 +12,31 @@ def prepared(library):
     from repro.mapping.match import MatchTable
 
     network = mixed_datapath(width=6, n_control=5, n_products=12, seed=99)
-    return prepare_circuit(network, library,
-                           match_table=MatchTable(library))
+    flow = Flow(FlowConfig(), library=library, match_table=MatchTable(library))
+    return flow.prepare(network)
+
+
+def _scale(prepared, library, method, activity=None):
+    flow = Flow(FlowConfig(method=method), library=library)
+    state, artifact = flow.scale(
+        prepared.fresh_copy(), prepared.tspec, activity=activity
+    )
+    return state, artifact.report
 
 
 def test_unknown_method_rejected(prepared, library):
     with pytest.raises(ValueError, match="method"):
-        scale_voltage(prepared.fresh_copy(), library, prepared.tspec,
-                      method="magic")
+        _scale(prepared, library, "magic")
 
 
 @pytest.mark.parametrize("method", METHODS)
 def test_report_fields_consistent(prepared, library, method):
-    state, report = scale_voltage(
-        prepared.fresh_copy(), library, prepared.tspec, method=method,
-        activity=prepared.activity,
-    )
+    state, report = _scale(prepared, library, method, prepared.activity)
     assert report.method == method
     assert report.power_after_uw <= report.power_before_uw + 1e-9
     assert report.improvement_pct == pytest.approx(
-        100 * (report.power_before_uw - report.power_after_uw)
+        100
+        * (report.power_before_uw - report.power_after_uw)
         / report.power_before_uw
     )
     assert report.n_low == state.n_low
@@ -45,17 +50,12 @@ def test_method_ordering_on_this_circuit(prepared, library):
     """The paper's ordering: CVS <= Dscale and CVS <= Gscale."""
     improvements = {}
     for method in METHODS:
-        _, report = scale_voltage(
-            prepared.fresh_copy(), library, prepared.tspec, method=method,
-            activity=prepared.activity,
-        )
+        _, report = _scale(prepared, library, method, prepared.activity)
         improvements[method] = report.improvement_pct
     assert improvements["dscale"] >= improvements["cvs"] - 1e-9
     assert improvements["gscale"] >= improvements["cvs"] - 1e-9
 
 
 def test_activity_is_optional(prepared, library):
-    state, report = scale_voltage(
-        prepared.fresh_copy(), library, prepared.tspec, method="cvs",
-    )
+    _, report = _scale(prepared, library, "cvs")
     assert report.power_before_uw > 0

@@ -9,7 +9,10 @@ on an MCNC subset: Table 1 / Table 2 strings plus, per (circuit,
 method), the exact powers, worst delay/slack, converter count, and the
 full low-node / converter-edge assignment.
 
-Two library constructions are checked against the same golden:
+The collection loop is ``collect()`` from that tool, so the check and
+the generator cannot drift apart; one test pins that the tool's output
+reproduces the committed file byte for byte.  Two library constructions
+are checked against the same golden:
 
 * the classic ``build_compass_library()`` (the default dual-Vdd path),
 * the explicit rail API ``build_compass_library(rails=(5.0, 4.3))``.
@@ -20,80 +23,61 @@ be an intentional, reviewed regeneration of the golden file.
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
-from dataclasses import replace
 
 import pytest
 
-from repro.core.pipeline import METHODS, scale_voltage
-from repro.flow.experiment import CircuitResult, prepare_circuit
-from repro.flow.tables import format_table1, format_table2
 from repro.library.compass import build_compass_library
-from repro.mapping.match import MatchTable
 
-GOLDEN_PATH = os.path.join(
-    os.path.dirname(__file__), "..", "golden", "dual_rail_mcnc.json"
+_HERE = os.path.dirname(__file__)
+GOLDEN_PATH = os.path.join(_HERE, "..", "golden", "dual_rail_mcnc.json")
+TOOL_PATH = os.path.join(
+    _HERE, "..", "..", "tools", "make_dual_rail_golden.py"
 )
 
 
+def _load_tool():
+    """The golden tool as a module (``tools/`` is not a package)."""
+    spec = importlib.util.spec_from_file_location("make_dual_rail_golden",
+                                                  TOOL_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+collect = _load_tool().collect
+
+
 @pytest.fixture(scope="module")
-def golden():
+def golden_text():
     with open(GOLDEN_PATH, encoding="utf-8") as handle:
-        return json.load(handle)
+        return handle.read()
 
 
-def _run_subset(library, circuits):
-    """The same collection loop as tools/make_dual_rail_golden.py."""
-    match_table = MatchTable(library)
-    results = []
-    runs = {}
-    for name in circuits:
-        prepared = prepare_circuit(name, library, match_table=match_table)
-        result = CircuitResult(
-            name=prepared.name,
-            gates=sum(1 for n in prepared.network.nodes.values()
-                      if not n.is_input),
-            org_power_uw=0.0,
-            min_delay_ns=prepared.min_delay,
-            tspec_ns=prepared.tspec,
-        )
-        for method in METHODS:
-            state, report = scale_voltage(
-                prepared.fresh_copy(), library, prepared.tspec,
-                method=method, activity=prepared.activity,
-            )
-            # runtime_s is the one legitimately volatile report field;
-            # zeroing it makes the formatted tables bit-reproducible.
-            report = replace(report, runtime_s=0.0)
-            result.reports[method] = report
-            result.org_power_uw = report.power_before_uw
-            timing = state.timing()
-            runs[f"{name}:{method}"] = {
-                "power_before_uw": report.power_before_uw,
-                "power_after_uw": report.power_after_uw,
-                "improvement_pct": report.improvement_pct,
-                "worst_delay_ns": timing.worst_delay,
-                "worst_slack_ns": timing.worst_slack,
-                "n_low": report.n_low,
-                "n_converters": report.n_converters,
-                "n_resized": report.n_resized,
-                "area_increase_ratio": report.area_increase_ratio,
-                "low_nodes": sorted(state.low_nodes()),
-                "lc_edges": sorted(map(list, state.lc_edges)),
-            }
-        results.append(result)
-    return results, runs
+@pytest.fixture(scope="module")
+def golden(golden_text):
+    return json.loads(golden_text)
+
+
+@pytest.fixture(scope="module")
+def classic_run(golden):
+    return collect(golden["circuits"], build_compass_library())
 
 
 @pytest.fixture(scope="module", params=["classic", "rails"])
 def measured(request, golden):
     """Golden subset re-run through one of the two library paths."""
     if request.param == "classic":
-        library = build_compass_library()
-    else:
-        library = build_compass_library(rails=(5.0, 4.3))
-    return _run_subset(library, golden["circuits"])
+        return request.getfixturevalue("classic_run")
+    return collect(golden["circuits"], build_compass_library(rails=(5.0, 4.3)))
+
+
+def test_golden_tool_reproduces_committed_file(golden_text, classic_run):
+    """The tool's output for the classic library is the committed file."""
+    text = json.dumps(classic_run, indent=1, sort_keys=True) + "\n"
+    assert text == golden_text
 
 
 def test_rails_pair_reduces_to_dual_library():
@@ -107,17 +91,15 @@ def test_rails_pair_reduces_to_dual_library():
 
 
 def test_table1_bit_identical_to_seed(golden, measured):
-    results, _ = measured
-    assert format_table1(results) == golden["table1"]
+    assert measured["table1"] == golden["table1"]
 
 
 def test_table2_bit_identical_to_seed(golden, measured):
-    results, _ = measured
-    assert format_table2(results) == golden["table2"]
+    assert measured["table2"] == golden["table2"]
 
 
 def test_per_run_rows_bit_identical_to_seed(golden, measured):
-    _, runs = measured
+    runs = measured["runs"]
     assert set(runs) == set(golden["runs"])
     for key, want in golden["runs"].items():
         got = runs[key]
@@ -130,7 +112,7 @@ def test_per_run_rows_bit_identical_to_seed(golden, measured):
 
 def test_assignments_bit_identical_to_seed(golden, measured):
     """The full per-gate decision, not just its aggregates."""
-    _, runs = measured
+    runs = measured["runs"]
     for key, want in golden["runs"].items():
         assert runs[key]["low_nodes"] == want["low_nodes"], key
         assert runs[key]["lc_edges"] == want["lc_edges"], key

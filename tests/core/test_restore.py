@@ -2,11 +2,11 @@
 
 import pytest
 
+from repro.api import Flow, FlowConfig
 from repro.bench.generators import mixed_datapath
 from repro.core.dscale import run_dscale
 from repro.core.restore import materialize_converters, materialized_timing
 from repro.core.state import ScalingState
-from repro.flow.experiment import prepare_circuit
 from repro.netlist.validate import check_network, networks_equivalent
 
 
@@ -15,8 +15,9 @@ def scaled_state(library):
     from repro.mapping.match import MatchTable
 
     network = mixed_datapath(width=8, n_control=6, n_products=14, seed=77)
-    prepared = prepare_circuit(network, library,
-                               match_table=MatchTable(library))
+    prepared = Flow(
+        FlowConfig(), library=library, match_table=MatchTable(library)
+    ).prepare(network)
     state = ScalingState(prepared.network, library, tspec=prepared.tspec,
                          activity=prepared.activity)
     run_dscale(state)

@@ -18,7 +18,7 @@ import pytest
 
 import repro.flow.campaign as campaign_mod
 from repro.__main__ import main
-from repro.core.pipeline import METHODS
+from repro.api import BUILTIN_METHODS as METHODS
 from repro.flow.campaign import (
     CampaignJob,
     build_jobs,

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.flow.experiment import prepare_circuit, run_circuit, run_suite
+from repro.api import Flow, FlowConfig
+from repro.flow.experiment import run_circuit, run_suite
 from repro.netlist.validate import check_network
 from repro.timing.delay import DelayCalculator
 from repro.timing.sta import TimingAnalysis
@@ -20,7 +21,9 @@ def test_prepare_constraint_semantics(library, match_table):
     the mapped circuit as the timing constraint" -- so the algorithms
     start with zero slack on the remapped critical paths.
     """
-    prepared = prepare_circuit("pm1", library, match_table=match_table)
+    prepared = Flow(
+        FlowConfig(circuit="pm1"), library=library, match_table=match_table
+    ).prepare()
     assert prepared.min_delay <= prepared.tspec \
         <= 1.2 * prepared.min_delay + 1e-9
     check_network(prepared.network, require_mapped=True)
@@ -33,8 +36,9 @@ def test_prepare_constraint_semantics(library, match_table):
 
 def test_prepare_accepts_network_objects(library, match_table,
                                          adder_network):
-    prepared = prepare_circuit(adder_network, library,
-                               match_table=match_table)
+    prepared = Flow(
+        FlowConfig(), library=library, match_table=match_table
+    ).prepare(adder_network)
     assert prepared.name == adder_network.name
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.pipeline import ScalingReport
+from repro.api import ScalingReport
 from repro.flow.experiment import CircuitResult
 from repro.flow.tables import (
     format_table1,

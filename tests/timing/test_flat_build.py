@@ -1,12 +1,13 @@
-"""Vectorized full-build equivalence against the per-node oracle.
+"""Vectorized full-build equivalence against the serial oracle.
 
 The flat-core refactor replaces the incremental engine's from-scratch
 build (and the power walk, and Dscale's slack-set scan) with
 level-by-level sweeps over the shared :class:`FlatNetwork` snapshot.
 These tests pin the contract those sweeps carry: **bit identity** with
-the kept serial kernels -- not approximate equality -- across random
-mutation histories that exercise rail overlays, converter-edge
-fallbacks, and snapshot invalidation by resize.
+the serial kernels (``state.full_timing()`` for timing) -- not
+approximate equality -- across random mutation histories that exercise
+rail overlays, converter-edge fallbacks, and snapshot invalidation by
+resize.
 """
 
 from __future__ import annotations
@@ -84,11 +85,22 @@ def mutate(rng, state, steps):
                     state.lc_edges.add((driver, rng.choice(readers)))
 
 
+def oracle_arrays(state):
+    """``state.full_timing()`` laid out like ``levelized_arrays()``."""
+    oracle = state.full_timing()
+    order = state.network.topological()
+    return (
+        order,
+        [oracle.arrival[name] for name in order],
+        [oracle.required[name] for name in order],
+        [oracle.load[name] for name in order],
+    )
+
+
 def assert_builds_bit_identical(state):
     """The vectorized full build == the serial oracle build, exactly."""
-    oracle = IncrementalTiming(state.calc, state.tspec, build_mode="serial")
     engine = IncrementalTiming(state.calc, state.tspec, flat_source=state.flat)
-    assert engine.levelized_arrays() == oracle.levelized_arrays()
+    assert engine.levelized_arrays() == oracle_arrays(state)
 
 
 class TestFullBuild:
@@ -126,10 +138,7 @@ class TestFullBuild:
         engine = state.timing()
         mutate(random.Random(4), state, steps=6)
         engine.full_invalidate()
-        oracle = IncrementalTiming(
-            state.calc, state.tspec, build_mode="serial"
-        )
-        assert engine.levelized_arrays() == oracle.levelized_arrays()
+        assert engine.levelized_arrays() == oracle_arrays(state)
 
 
 class TestSnapshotCache:

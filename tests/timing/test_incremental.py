@@ -17,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.api import Flow, FlowConfig
 from repro.bench.generators import (
     mixed_datapath,
     pla_control,
@@ -30,7 +31,6 @@ from repro.core.moves import (
     RetargetShifterMove,
 )
 from repro.core.state import ScalingOptions, ScalingState
-from repro.flow.experiment import prepare_circuit
 from repro.library.compass import build_compass_library
 from repro.mapping.match import MatchTable
 from repro.timing.delay import DelayCalculator, OUTPUT
@@ -49,8 +49,9 @@ GENERATORS = {
 
 @pytest.fixture(scope="module", params=sorted(GENERATORS))
 def scaling_state(request, library):
-    prepared = prepare_circuit(GENERATORS[request.param](), library,
-                               match_table=MatchTable(library))
+    prepared = Flow(
+        FlowConfig(), library=library, match_table=MatchTable(library)
+    ).prepare(GENERATORS[request.param]())
     return ScalingState(prepared.network, library, tspec=2.0 * prepared.tspec,
                         activity=prepared.activity)
 
@@ -201,39 +202,81 @@ def test_engine_matches_after_full_scaling_run(library):
     """End-to-end: after run_dscale the engine still equals the oracle."""
     from repro.core.dscale import run_dscale
 
-    prepared = prepare_circuit(
-        mixed_datapath(width=6, n_control=4, n_products=10, seed=23),
-        library, match_table=MatchTable(library))
+    prepared = Flow(
+        FlowConfig(), library=library, match_table=MatchTable(library)
+    ).prepare(mixed_datapath(width=6, n_control=4, n_products=10, seed=23))
     state = ScalingState(prepared.network, library, tspec=prepared.tspec,
                          activity=prepared.activity)
     run_dscale(state)
     assert_equivalent(state)
 
 
-def test_incremental_and_full_modes_agree_end_to_end(library):
-    """The two ScalingOptions modes produce identical scaling results."""
+LOOP_CIRCUITS = {
+    "mixed": lambda: mixed_datapath(width=6, n_control=4, n_products=10,
+                                    seed=31),
+    "pla": lambda: pla_control(n_inputs=12, n_outputs=6, n_products=14,
+                               seed=5),
+}
+
+
+def assert_engine_is_oracle(state):
+    """The engine's levelized arrays and worst delay equal a full
+    rebuild *bitwise* (``==``, no tolerance)."""
+    engine = state.timing()
+    order, arrival, required, load = engine.levelized_arrays()
+    oracle = state.full_timing()
+    assert arrival == [oracle.arrival[name] for name in order]
+    assert required == [oracle.required[name] for name in order]
+    assert load == [oracle.load[name] for name in order]
+    assert engine.worst_delay == oracle.worst_delay
+
+
+@pytest.mark.parametrize("circuit", sorted(LOOP_CIRCUITS))
+@pytest.mark.parametrize("rails", [(5.0, 4.3), (5.0, 4.3, 3.6)],
+                         ids=["2rails", "3rails"])
+def test_engine_equals_oracle_after_every_move(monkeypatch, rails, circuit):
+    """Oracle in the loop: after every applied, committed or rolled-back
+    move of CVS, Dscale and Gscale the engine equals a full rebuild."""
+    from repro.core.cvs import run_cvs
+    from repro.core.dscale import run_dscale
     from repro.core.gscale import run_gscale
+    from repro.core.moves import MoveEngine
 
-    prepared = prepare_circuit(
-        mixed_datapath(width=6, n_control=4, n_products=10, seed=31),
-        library, match_table=MatchTable(library))
+    library = build_compass_library(rails=rails)
+    prepared = Flow(
+        FlowConfig(), library=library, match_table=MatchTable(library)
+    ).prepare(LOOP_CIRCUITS[circuit]())
+    checks = []
 
-    results = {}
-    for incremental in (False, True):
-        state = ScalingState(
-            prepared.fresh_copy(), library, tspec=prepared.tspec,
-            activity=prepared.activity,
-            options=ScalingOptions(incremental=incremental))
-        run_gscale(state)
-        results[incremental] = (
-            sorted(state.low_nodes()),
-            sorted(state.lc_edges),
-            {name: node.cell.name
-             for name, node in state.network.nodes.items()
-             if node.cell is not None},
-            state.power().total,
-        )
-    assert results[False] == results[True]
+    def checked(method):
+        def wrapper(self, *args):
+            method(self, *args)
+            state = self.state if isinstance(self, MoveEngine) else self
+            assert_engine_is_oracle(state)
+            checks.append(method.__name__)
+        return wrapper
+
+    monkeypatch.setattr(MoveEngine, "apply", checked(MoveEngine.apply))
+    for name in ("commit_move", "rollback_move"):
+        monkeypatch.setattr(ScalingState, name,
+                            checked(getattr(ScalingState, name)))
+    runs = {
+        "cvs": run_cvs,
+        "dscale": lambda state: run_dscale(
+            state, non_adjacent=True, retarget_shifters=True),
+        "gscale": run_gscale,
+    }
+    for method, run in runs.items():
+        state = ScalingState(prepared.fresh_copy(), library,
+                             tspec=prepared.tspec,
+                             activity=prepared.activity)
+        before = len(checks)
+        run(state)
+        assert len(checks) > before, method
+        state.validate()
+        assert_engine_is_oracle(state)
+    # Rollbacks occur on 3rails-mixed (12 of them); every case commits.
+    assert {"apply", "commit_move"} <= set(checks)
 
 
 def test_view_reads_refresh_after_mutation(scaling_state):
@@ -301,9 +344,9 @@ _MOVE_KINDS = ("demote", "promote", "assign", "resize", "edge")
 @pytest.fixture(scope="module", params=sorted(MULTI_RAILS))
 def multirail_state(request):
     library = build_compass_library(rails=MULTI_RAILS[request.param])
-    prepared = prepare_circuit(
-        mixed_datapath(width=5, n_control=3, n_products=8, seed=13),
-        library, match_table=MatchTable(library))
+    prepared = Flow(
+        FlowConfig(), library=library, match_table=MatchTable(library)
+    ).prepare(mixed_datapath(width=5, n_control=3, n_products=8, seed=13))
     return ScalingState(prepared.network, library,
                         tspec=2.5 * prepared.tspec,
                         activity=prepared.activity)
@@ -407,9 +450,9 @@ def test_multirail_full_dscale_matches_oracle():
     from repro.core.dscale import run_dscale
 
     library = build_compass_library(rails=(5.0, 4.3, 3.6))
-    prepared = prepare_circuit(
-        mixed_datapath(width=6, n_control=4, n_products=10, seed=23),
-        library, match_table=MatchTable(library))
+    prepared = Flow(
+        FlowConfig(), library=library, match_table=MatchTable(library)
+    ).prepare(mixed_datapath(width=6, n_control=4, n_products=10, seed=23))
     state = ScalingState(prepared.network, library,
                          tspec=1.6 * prepared.tspec,
                          activity=prepared.activity)
@@ -422,8 +465,9 @@ def test_multirail_full_dscale_matches_oracle():
 
 def test_output_boundary_converter_equivalence(library):
     """lc_at_outputs: the (out, OUTPUT) edge flows through the engine."""
-    prepared = prepare_circuit(ripple_adder(width=4), library,
-                               match_table=MatchTable(library))
+    prepared = Flow(
+        FlowConfig(), library=library, match_table=MatchTable(library)
+    ).prepare(ripple_adder(width=4))
     state = ScalingState(
         prepared.network, library, tspec=3.0 * prepared.tspec,
         activity=prepared.activity,

@@ -146,8 +146,3 @@ def test_empty_outputs_worst_delay_zero(library):
     assert analysis.worst_delay == 0.0
     assert analysis.critical_path() == []
 
-
-def test_exceeds_is_worst_delay_above_limit(analysis):
-    worst = analysis.worst_delay
-    assert analysis.exceeds(math.nextafter(worst, -math.inf))
-    assert not analysis.exceeds(worst)

@@ -11,7 +11,9 @@ generalization must keep bit-identical:
   (the full assignment, not just its aggregates).
 
 Floats are stored via ``repr`` (json does the same), so comparisons in
-``tests/core/test_rail_equivalence.py`` are bit-exact.
+``tests/core/test_rail_equivalence.py`` are bit-exact.  That test
+imports :func:`collect`, so the golden and its check share one
+collection loop.
 
 The file is generated from the *pre-refactor* seed implementation and
 must only ever be regenerated for an intentional, understood change of
@@ -26,9 +28,12 @@ import json
 import os
 from dataclasses import replace
 
-from repro.core.pipeline import METHODS, scale_voltage
-from repro.flow.experiment import CircuitResult, prepare_circuit
+from repro.api import BUILTIN_METHODS as METHODS
+from repro.api import Flow, FlowConfig
+from repro.bench.mcnc import MCNC_NAMES
+from repro.flow.experiment import CircuitResult
 from repro.flow.tables import format_table1, format_table2
+from repro.library.cells import Library
 from repro.library.compass import build_compass_library
 from repro.mapping.match import MatchTable
 
@@ -38,32 +43,39 @@ GOLDEN_PATH = os.path.join(
 )
 
 
-def collect(circuits=GOLDEN_CIRCUITS):
-    from repro.bench.mcnc import MCNC_NAMES
+def collect(
+    circuits: tuple[str, ...] = GOLDEN_CIRCUITS,
+    library: Library | None = None,
+) -> dict:
+    """The golden record of ``circuits`` under ``library``.
 
+    ``library`` defaults to the classic dual-Vdd library.
+    """
     circuits = tuple(c for c in circuits if c in MCNC_NAMES)
-    library = build_compass_library()
-    match_table = MatchTable(library)
+    library = library or build_compass_library()
+    flow = Flow(FlowConfig(), library=library, match_table=MatchTable(library))
     results = []
     per_run = {}
     for name in circuits:
-        prepared = prepare_circuit(name, library, match_table=match_table)
+        prepared = flow.replace(circuit=name).prepare()
         result = CircuitResult(
             name=prepared.name,
-            gates=sum(1 for n in prepared.network.nodes.values()
-                      if not n.is_input),
+            gates=sum(
+                1 for n in prepared.network.nodes.values() if not n.is_input
+            ),
             org_power_uw=0.0,
             min_delay_ns=prepared.min_delay,
             tspec_ns=prepared.tspec,
         )
         for method in METHODS:
-            state, report = scale_voltage(
-                prepared.fresh_copy(), library, prepared.tspec,
-                method=method, activity=prepared.activity,
+            state, artifact = flow.replace(method=method).scale(
+                prepared.fresh_copy(),
+                prepared.tspec,
+                activity=prepared.activity,
             )
             # Zero the only volatile field so the formatted tables are
             # reproducible bit for bit across machines and runs.
-            report = replace(report, runtime_s=0.0)
+            report = replace(artifact.report, runtime_s=0.0)
             result.reports[method] = report
             result.org_power_uw = report.power_before_uw
             timing = state.timing()
@@ -94,8 +106,7 @@ def main() -> None:
     path = os.path.abspath(GOLDEN_PATH)
     os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(golden, handle, indent=1, sort_keys=True)
-        handle.write("\n")
+        handle.write(json.dumps(golden, indent=1, sort_keys=True) + "\n")
     print(f"wrote {path} ({len(golden['runs'])} runs)")
 
 

@@ -4,7 +4,7 @@ The paper preprocesses every MCNC circuit with SIS's ``script.rugged``
 before mapping.  This package provides the reduced equivalent used here:
 
 * :mod:`repro.opt.simplify`  -- exact two-level minimization per node
-  (Quine-McCluskey primes + essential/greedy cover).
+  (bit-parallel primes on the truth table + essential/greedy cover).
 * :mod:`repro.opt.sweep`     -- constant propagation, buffer/double-
   inverter collapsing, dangling-node removal.
 * :mod:`repro.opt.eliminate` -- collapse low-value nodes into fanouts.

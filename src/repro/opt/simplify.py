@@ -1,10 +1,13 @@
-"""Exact two-level minimization (Quine-McCluskey).
+"""Exact two-level minimization on integer truth tables.
 
 Node functions in this flow are small (library cells top out at five
 inputs; optimizer nodes are kept under ten), so the exact method is
-affordable and sidesteps espresso's heuristics entirely: prime implicant
-generation by iterated merging, then an essential-prime extraction with a
-greedy completion of the cover.
+affordable and sidesteps espresso's heuristics entirely.  The prime
+implicants come from bitwise algebra on the table's integer ``bits``
+(implicit primes in the style of Coudert & Madre, DAC 1992): one AND
+per set of free variables tests every cube with that free set at once.
+The cover is the essential primes plus a greedy completion, with every
+cube carried as its integer row mask.
 """
 
 from __future__ import annotations
@@ -30,54 +33,50 @@ def _cube_string(n: int, spec: int, value: int) -> str:
     return "".join(chars)
 
 
-def prime_implicants(table: TruthTable) -> list[str]:
-    """All prime implicants of the function, as cube strings.
+def _primes(n: int, bits: int) -> list[tuple[str, int]]:
+    """Sorted ``(cube, row mask)`` pairs of every prime implicant.
 
-    Classic Quine-McCluskey merging, but on integer cubes grouped by
-    (specified-variable mask, ones count): two cubes can only merge when
-    they specify the same variables and their values differ in exactly
-    one bit, so grouping eliminates almost all candidate pairs.
+    ``planes[free]`` has bit r set when the cube whose free variables
+    are the set bits of ``free``, anchored at row r (r is 0 on every
+    free variable), lies inside the on-set.  Freeing one more variable
+    k ANDs the plane with itself shifted down by ``2**k``.  A cube is
+    prime when freeing no further variable keeps it an implicant.
     """
-    n = table.n_inputs
-    full = (1 << n) - 1
-    current = {(full, row) for row in table.minterms()}
-    primes: set[tuple[int, int]] = set()
-    while current:
-        merged: set[tuple[int, int]] = set()
-        used: set[tuple[int, int]] = set()
-        groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        for spec, value in current:
-            key = (spec, bin(value).count("1"))
-            groups.setdefault(key, []).append((spec, value))
-        for (spec, ones), group in groups.items():
-            uppers = groups.get((spec, ones + 1), ())
-            for cube in group:
-                for upper in uppers:
-                    difference = cube[1] ^ upper[1]
-                    if difference & (difference - 1):
-                        continue
-                    merged.add((spec & ~difference, cube[1] & ~difference))
-                    used.add(cube)
-                    used.add(upper)
-        primes.update(current - used)
-        current = merged
-    return sorted(_cube_string(n, spec, value) for spec, value in primes)
+    full = (1 << (1 << n)) - 1
+    low = [full ^ TruthTable.var(n, k).bits for k in range(n)]
+    planes = [bits] * (1 << n)
+    for free in range(1, 1 << n):
+        k = (free & -free).bit_length() - 1
+        plane = planes[free ^ (1 << k)]
+        planes[free] = plane & (plane >> (1 << k)) & low[k]
+    primes = []
+    every = (1 << n) - 1
+    for free, plane in enumerate(planes):
+        for k in range(n):
+            if plane and not free >> k & 1:
+                wider = planes[free | 1 << k]
+                plane &= ~(wider | wider << (1 << k))
+        while plane:
+            anchor = plane & -plane
+            plane ^= anchor
+            row = anchor.bit_length() - 1
+            mask = anchor
+            for k in range(n):
+                if free >> k & 1:
+                    mask |= mask << (1 << k)
+            primes.append((_cube_string(n, every ^ free, row), mask))
+    primes.sort()
+    return primes
 
 
-def _cube_minterms(cube: str) -> list[int]:
-    free = [k for k, ch in enumerate(cube) if ch == "-"]
-    base = 0
-    for k, ch in enumerate(cube):
-        if ch == "1":
-            base |= 1 << k
-    rows = []
-    for choice in range(1 << len(free)):
-        row = base
-        for i, k in enumerate(free):
-            if choice >> i & 1:
-                row |= 1 << k
-        rows.append(row)
-    return rows
+def prime_implicants(table: TruthTable) -> list[str]:
+    """All prime implicants of the function, as sorted cube strings.
+
+    Computed on the integer truth table: for each set of free variables
+    one bitwise AND marks every anchor row whose cube is an implicant,
+    and a cube is kept when no wider cube around it is one too.
+    """
+    return [cube for cube, _ in _primes(table.n_inputs, table.bits)]
 
 
 def _expand_cover(table: TruthTable) -> list[str]:
@@ -85,43 +84,25 @@ def _expand_cover(table: TruthTable) -> list[str]:
 
     Each uncovered minterm is expanded to a prime cube by dropping
     variables while the cube stays inside the on-set; fast and prime,
-    though not guaranteed minimal like the QM path.
+    though not guaranteed minimal like the exact path.
     """
     n = table.n_inputs
     bits = table.bits
     cover: list[str] = []
-    remaining = set(table.minterms())
+    remaining = bits
     while remaining:
-        row = min(remaining)
+        row = (remaining & -remaining).bit_length() - 1
         spec = (1 << n) - 1
-        value = row
+        mask = 1 << row
         for k in range(n):
-            candidate_spec = spec & ~(1 << k)
-            inside = True
-            for covered in _int_cube_minterms(n, candidate_spec,
-                                              value & candidate_spec):
-                if not bits >> covered & 1:
-                    inside = False
-                    break
-            if inside:
-                spec = candidate_spec
-                value &= spec
-        cube = _cube_string(n, spec, value)
-        cover.append(cube)
-        remaining -= set(_int_cube_minterms(n, spec, value))
+            step = 1 << k
+            wider = mask | (mask >> step if row >> k & 1 else mask << step)
+            if not wider & ~bits:
+                spec &= ~(1 << k)
+                mask = wider
+        cover.append(_cube_string(n, spec, row))
+        remaining &= ~mask
     return sorted(cover)
-
-
-def _int_cube_minterms(n: int, spec: int, value: int) -> list[int]:
-    free = [k for k in range(n) if not spec >> k & 1]
-    rows = []
-    for choice in range(1 << len(free)):
-        row = value
-        for i, k in enumerate(free):
-            if choice >> i & 1:
-                row |= 1 << k
-        rows.append(row)
-    return rows
 
 
 def minimize_cubes(table: TruthTable) -> list[str]:
@@ -141,29 +122,26 @@ def minimize_cubes(table: TruthTable) -> list[str]:
     if n > _QM_LIMIT:
         return _expand_cover(table)
 
-    primes = prime_implicants(table)
-    uncovered = set(table.minterms())
-    coverage = {cube: set(_cube_minterms(cube)) & uncovered for cube in primes}
-
-    cover: list[str] = []
-    for minterm in sorted(uncovered):
-        owners = [cube for cube in primes if minterm in coverage[cube]]
-        if len(owners) == 1 and owners[0] not in cover:
-            cover.append(owners[0])
-    covered = set()
-    for cube in cover:
-        covered |= coverage[cube]
-    remaining = uncovered - covered
+    primes = _primes(n, table.bits)
+    once = twice = 0
+    for _, mask in primes:
+        twice |= once & mask
+        once |= mask
+    sole = once & ~twice
+    cover, remaining = [], table.bits
+    for cube, mask in primes:
+        if mask & sole:
+            cover.append(cube)
+            remaining &= ~mask
     while remaining:
-        best = max(
+        best, mask = max(
             primes,
-            key=lambda cube: (len(coverage[cube] & remaining), cube),
+            key=lambda prime: ((prime[1] & remaining).bit_count(), prime[0]),
         )
-        gained = coverage[best] & remaining
-        if not gained:
+        if not mask & remaining:
             raise AssertionError("prime cover failed to make progress")
         cover.append(best)
-        remaining -= gained
+        remaining &= ~mask
     return sorted(cover)
 
 

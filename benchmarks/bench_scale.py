@@ -13,8 +13,10 @@ timing build -- the operation the flat-core refactor vectorizes:
 * ``numpy``: the level-by-level vectorized build over the snapshot's
   NumPy planes (the engine's default);
 
-plus the flat power measurement vs the serial per-node walk, and a
-sampled batched-vs-serial Dscale pricing sweep.  Every vectorized
+plus a sampled batched-vs-serial Dscale pricing sweep, and the flat
+power measurement vs the serial per-node walk on a state with seeded
+demotions and level-converter edges (so every converter term is
+exercised).  Every vectorized
 result is asserted bit-identical to its serial oracle in the same run,
 so the benchmark doubles as an equivalence check; any mismatch exits
 non-zero.
@@ -56,6 +58,7 @@ from repro.mapping.match import MatchTable
 from repro.netlist.flat import build_flat
 from repro.power.activity import probabilistic_activities
 from repro.power.estimate import estimate_power_calc
+from repro.timing.delay import OUTPUT
 from repro.timing.incremental import IncrementalTiming
 from repro.timing.sta import TimingAnalysis
 
@@ -149,6 +152,49 @@ def bench_pricing_sample(state, sample=512, repeat=1):
     }
 
 
+def seed_converters(state, every=4):
+    """Demote every ``every``-th gate and guard its low primary outputs.
+
+    Each demotion splices converter edges onto its higher-rail readers;
+    the low primary outputs get ``(name, OUTPUT)`` converters as well.
+    Timing legality is irrelevant to the power walk.
+    """
+    for name in state.network.gates()[::every]:
+        state.demote(name)
+    for name in state.network.outputs:
+        if state.is_low(name):
+            state.lc_edges.add((name, OUTPUT))
+
+
+def bench_power(label, state, activity, repeat):
+    """Flat vs serial power walk, asserted bit-identical field by field."""
+    power_serial_s, p_serial = time_call(
+        lambda: estimate_power_calc(state.calc, activity), repeat
+    )
+    power_flat_s, p_flat = time_call(
+        lambda: estimate_power_calc(state.calc, activity, flat=state.flat()),
+        repeat,
+    )
+    fields = ("switching", "internal", "converter", "total")
+    for name in fields:
+        if getattr(p_flat, name) != getattr(p_serial, name):
+            raise AssertionError(f"{label}: flat power {name} != serial")
+    if list(p_flat.per_node.items()) != list(p_serial.per_node.items()):
+        raise AssertionError(f"{label}: flat power per_node != serial")
+    if not p_flat.converter > 0.0:
+        raise AssertionError(f"{label}: power row priced no converter")
+    return {
+        "serial_s": power_serial_s,
+        "flat_s": power_flat_s,
+        "speedup": (
+            power_serial_s / power_flat_s if power_flat_s > 0 else None
+        ),
+        "total_uw": p_flat.total,
+        "converter_uw": p_flat.converter,
+        "lc_edges": len(state.lc_edges),
+    }
+
+
 def bench_size(label, spec, library, match_table, slack=1.2):
     gen_s, network = time_call(lambda: load_circuit(spec))
     direct_map(network, match_table)
@@ -202,18 +248,9 @@ def bench_size(label, spec, library, match_table, slack=1.2):
         },
     }
 
-    power_serial_s, p_serial = time_call(
-        lambda: estimate_power_calc(state.calc, activity), repeat
-    )
-    power_flat_s, p_flat = time_call(
-        lambda: estimate_power_calc(state.calc, activity, flat=state.flat()),
-        repeat,
-    )
-    if (p_serial.total, dict(p_serial.per_node)) != (
-        p_flat.total,
-        dict(p_flat.per_node),
-    ):
-        raise AssertionError(f"{label}: flat power != serial power")
+    pricing = bench_pricing_sample(state)
+    seed_converters(state)
+    power = bench_power(label, state, activity, repeat)
 
     return {
         "spec": spec,
@@ -223,15 +260,8 @@ def bench_size(label, spec, library, match_table, slack=1.2):
         "generate_s": gen_s,
         "builds": builds,
         "build_speedup": serial_s / numpy_s,
-        "power": {
-            "serial_s": power_serial_s,
-            "flat_s": power_flat_s,
-            "speedup": (
-                power_serial_s / power_flat_s if power_flat_s > 0 else None
-            ),
-            "total_uw": p_flat.total,
-        },
-        "pricing": bench_pricing_sample(state),
+        "power": power,
+        "pricing": pricing,
         "peak_rss_mb": peak_rss_mb(),
     }
 

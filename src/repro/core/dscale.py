@@ -62,23 +62,6 @@ _WEIGHT_SCALE = 10_000
 """Power gains (uW) are scaled to integers for exact flow arithmetic."""
 
 
-class _RetargetOnly:
-    """Type of the :data:`RETARGET_ONLY` sentinel (see there)."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "RETARGET_ONLY"
-
-
-RETARGET_ONLY = _RetargetOnly()
-"""Sentinel: every demotion depth of a candidate would re-target a
-fanin shifter, so the candidate must route to the transactional
-retarget path.  A unique object compared with ``is`` -- the historical
-``"retarget"`` string collided with the ``tuple | None`` contract and
-would have misrouted a gate literally named ``retarget``."""
-
-
 @dataclass
 class DscaleResult:
     """Outcome of a Dscale run."""
@@ -303,39 +286,6 @@ def _slack_set(
     return [order[i] for i in np.flatnonzero(mask).tolist()]
 
 
-def _best_demotion(
-    state: ScalingState,
-    analysis: TimingAnalysis | IncrementalTiming,
-    engine: MoveEngine,
-    name: str,
-    deepest: int,
-) -> tuple[float, int] | _RetargetOnly | None:
-    """The best (gain, target) over every feasible demotion depth.
-
-    The serial reference the batched round is tested bit-identical
-    against: one check and one pricing per depth, ascending targets,
-    strict improvement.  Targets that would re-target a fanin shifter
-    are outside the closed-form check's model; when every depth is
-    excluded for that reason :data:`RETARGET_ONLY` is returned so the
-    caller can route the candidate to the transactional path.
-    """
-    rail = state.rail_of(name)
-    best: tuple[float, int] | None = None
-    saw_retarget = False
-    for target in range(rail + 1, deepest + 1):
-        if _retargets_fanin_shifter(state, name, target):
-            saw_retarget = True
-            continue
-        if not check_demotion(state, analysis, name, target=target):
-            continue
-        gain = engine.cost_model.demotion_gain(state, name, target=target)
-        if best is None or gain > best[0]:
-            best = (gain, target)
-    if best is None and saw_retarget:
-        return RETARGET_ONLY
-    return best
-
-
 def run_dscale(
     state: ScalingState,
     max_rounds: int = 1000,
@@ -366,8 +316,8 @@ def run_dscale(
 
         # Collect every closed-form (name, target) pair, then price the
         # whole round in two batched sweeps (feasibility + gain) through
-        # the move engine's kernel -- bit-identical to running the
-        # serial _best_demotion per name, N times cheaper per round.
+        # the move engine's kernel -- bit-identical to one serial
+        # check_demotion and demotion_gain per pair.
         regrouping: set[str] = set()
         saw_retarget: set[str] = set()
         depths_of: dict[str, list[int]] = {}
@@ -406,9 +356,9 @@ def run_dscale(
             if name in regrouping:
                 deferred.append(name)
                 continue
-            # The serial selection, verbatim: ascending targets, strict
-            # improvement, retarget-only names routed to the deferred
-            # path (RETARGET_ONLY in the serial reference).
+            # Ascending targets, strict improvement; a name whose every
+            # depth would re-target a fanin shifter is routed to the
+            # deferred path.
             best: tuple[float, int] | None = None
             for target in depths_of[name]:
                 gain = gain_of.get((name, target))
@@ -471,7 +421,6 @@ def run_dscale(
 
 __all__ = [
     "DscaleResult",
-    "RETARGET_ONLY",
     "check_demotion",
     "candidate_order_pairs",
     "cleanup_converters",

@@ -33,8 +33,8 @@ def materialize_converters(state: ScalingState) -> MaterializedDesign:
 
     The virtual model amortizes a single converter across every
     converted reader of a net that targets one destination rail (the
-    Usami [8] per-net restoration scheme
-    :meth:`DelayCalculator.converter_groups` and ``lc_load`` price), so
+    Usami [8] per-net restoration scheme whose per-rail output loads
+    :meth:`DelayCalculator.converter_loads` profiles), so
     the physical netlist gets exactly one shifter node per (driver,
     destination rail) -- characterized at the destination supply --
     feeding all of that group's recorded readers and, for a converted

@@ -31,7 +31,7 @@ from collections.abc import Callable
 
 from repro.core.moves import MoveStats
 from repro.library.cells import Library
-from repro.netlist.flat import FlatNetwork, flat_of
+from repro.netlist.flat import FlatNetwork, current_flat, flat_of
 from repro.netlist.network import Network
 from repro.netlist.validate import check_network
 from repro.power.activity import Activity, random_activities
@@ -273,9 +273,10 @@ class ScalingState:
         self.initial_area = self.calc.total_area()
         self.resized: dict[str, tuple[str, str]] = {}
         self._sizing_delta_cache: float | None = 0.0
-        # Bumped on every cell swap; the batched pricing kernel keys
-        # its static per-cell array cache on it (rails and converter
-        # edges are overlaid per sweep, so only resizes invalidate).
+        # Bumped on every cell swap; the flat snapshot carries the
+        # version it was built or last patched for (rails and
+        # converter edges are overlaid per sweep, so only resizes
+        # move it).
         self.cells_version = 0
         # Per-move-kind counters every MoveEngine over this state
         # accumulates into (one table per run, shared across the
@@ -416,11 +417,13 @@ class ScalingState:
     def flat(self) -> FlatNetwork:
         """The shared CSR snapshot of this state's network.
 
-        Cached on the state and rebuilt when the network identity, its
-        topological revision, or ``cells_version`` changes; rails,
-        converter edges, and timing are overlaid per sweep by the
-        consumers (full-STA builds, batched pricing, power, candidate
-        enumeration).  See :mod:`repro.netlist.flat`.
+        Cached on the state and rebuilt only when the network identity
+        or its topological revision changes: :meth:`resize` patches a
+        current snapshot in place and stamps it with the new
+        ``cells_version``.  Rails, converter edges, and timing are
+        overlaid per sweep by the consumers (full-STA builds, batched
+        pricing, power, candidate enumeration).  See
+        :mod:`repro.netlist.flat`.
         """
         return flat_of(self)
 
@@ -547,8 +550,12 @@ class ScalingState:
         self.resized.setdefault(name, (node.cell.name, cell.name))
         self.resized[name] = (self.resized[name][0], cell.name)
         self._sizing_delta_cache = None
+        flat = current_flat(self)
         self.cells_version += 1
         node.cell = cell
+        if flat is not None:
+            flat.resize(flat.pos[name], self.calc)
+            flat.version = self.cells_version
         # The gate's own stage delay changed, and its new input pin
         # capacitances changed every fanin driver's net load.
         self.calc.invalidate_variant(name)

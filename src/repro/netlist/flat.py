@@ -31,10 +31,13 @@ Lifecycle
 :func:`flat_of` caches the snapshot on the state object and rebuilds
 it when either the network identity, the network's topological
 revision (``order is network.topological()``), or the state's
-``cells_version`` (bumped by every gate resize) changes.  Rail
-assignments, level-shifter edges, and the timing arrays are *not* in
-the snapshot -- they change per move and are overlaid per sweep by the
-consumers.
+``cells_version`` (bumped by every gate resize) no longer matches.  A
+gate resize does not force that rebuild: the state patches a current
+snapshot in place through :meth:`FlatNetwork.resize` and stamps it
+with the new ``cells_version``, so only a topology edit or a snapshot
+that fell behind is rebuilt.  Rail assignments, level-shifter edges,
+and the timing arrays are *not* in the snapshot -- they change per
+move and are overlaid per sweep by the consumers.
 
 Planes are NumPy arrays (NumPy is a required dependency): the
 ``*_ptr`` / ``*_src`` / ``*_reader`` tables and ``by_depth`` batches
@@ -42,7 +45,8 @@ are ``np.intp``, ``is_po`` / ``no_wire`` are bool, the per-rail planes
 are ``(n_rails, rows)`` float matrices, and ``fi_owner`` / ``e_owner``
 / ``e_counts`` are the derived row-owner tables the levelized sweeps
 use.  ``is_input`` stays a plain list and ``pos`` a dict, because the
-per-node Python loops index them one name at a time.
+per-node Python loops index them one name at a time.  ``rate_cache``
+holds the last :meth:`FlatNetwork.rates` vector with its activity.
 """
 
 from __future__ import annotations
@@ -92,6 +96,7 @@ class FlatNetwork:
         "lc_intr", "lc_res", "lc_icap", "lc_ie",
         "po_load", "wire_base", "wire_per",
         "by_depth", "node_idx", "fi_owner", "e_owner", "e_counts",
+        "rate_cache",
     )
 
     def rail_plane(self, levels) -> np.ndarray:
@@ -106,6 +111,59 @@ class FlatNetwork:
             if level:
                 rails[pos[name]] = int(level)
         return rails
+
+    def rates(self, activity) -> np.ndarray:
+        """Per-position ``a01`` rates of ``activity``.
+
+        Cached on the snapshot and keyed by the activity object's
+        identity (activities are frozen per circuit).
+        """
+        cached = self.rate_cache
+        if cached is None or cached[0] is not activity:
+            rate01 = activity.rate01
+            cached = (activity, np.asarray([rate01(n) for n in self.order]))
+            self.rate_cache = cached
+        return cached[1]
+
+    def resize(self, i: int, calc) -> None:
+        """Patch the planes after node ``i``'s cell was swapped.
+
+        Rewrites the gate's own ``drive`` / ``energy`` / ``no_wire``
+        columns and ``fi_intr`` rows, and per fanin driver the
+        ``rp_intr`` rows read by this gate plus the ``e_cap`` of the
+        edge into it (pins summed in ascending order, as
+        :func:`build_flat` does), so the snapshot equals a fresh build
+        bit for bit.  ``calc`` supplies the rail twins.
+        """
+        node = self.network.nodes[self.order[i]]
+        cell = node.cell
+        cells = [
+            cell if r == 0 else calc.rail_variant_of(cell, r)
+            for r in range(self.n_rails)
+        ]
+        self.no_wire[i] = cell.is_level_converter
+        fi_rows = slice(self.fi_ptr[i], self.fi_ptr[i + 1])
+        pins_of: dict[str, list[int]] = {}
+        for pin, fanin in enumerate(node.fanins):
+            pins_of.setdefault(fanin, []).append(pin)
+        for r, variant in enumerate(cells):
+            self.drive[r, i] = variant.drive_res
+            self.energy[r, i] = variant.internal_energy
+            self.fi_intr[r, fi_rows] = [
+                variant.intrinsics[pin] for pin in range(len(node.fanins))
+            ]
+        caps = cell.input_caps
+        for fanin, pins in pins_of.items():
+            d = self.pos[fanin]
+            lo, hi = self.rp_ptr[d], self.rp_ptr[d + 1]
+            rows = lo + np.flatnonzero(self.rp_reader[lo:hi] == i)
+            for r, variant in enumerate(cells):
+                self.rp_intr[r, rows] = [variant.intrinsics[p] for p in pins]
+            cap = 0
+            for pin in pins:
+                cap = cap + caps[pin]
+            lo, hi = self.e_ptr[d], self.e_ptr[d + 1]
+            self.e_cap[lo + np.flatnonzero(self.e_reader[lo:hi] == i)] = cap
 
 
 def build_flat(network, calc, activity=None, version: int = 0) -> FlatNetwork:
@@ -250,32 +308,44 @@ def build_flat(network, calc, activity=None, version: int = 0) -> FlatNetwork:
     flat.fi_owner = np.repeat(node_idx, np.diff(fi_ptr))
     flat.e_owner = np.repeat(node_idx, e_counts)
     flat.e_counts = e_counts
+    flat.rate_cache = None
     return flat
 
 
-def flat_of(state) -> FlatNetwork:
-    """The state's cached snapshot, rebuilt when stale.
+def current_flat(state) -> FlatNetwork | None:
+    """The state's cached snapshot if it is still current, else ``None``.
 
-    Staleness is keyed on network identity, the network's cached
-    topological-order object (a new topology revision produces a new
-    list), and ``cells_version`` (bumped by gate resizes).  The state
-    is duck-typed (``network`` / ``calc`` / ``activity`` /
-    ``cells_version``), matching the batched pricing layer.
+    Current means built (or patched) for the state's network identity,
+    its cached topological-order object (a new topology revision
+    produces a new list), and its ``cells_version``.  The state is
+    duck-typed (``network`` / ``cells_version``), matching the batched
+    pricing layer.
     """
     cached = getattr(state, "_flat_cache", None)
-    version = getattr(state, "cells_version", 0)
     if (
         cached is not None
         and cached.network is state.network
-        and cached.version == version
+        and cached.version == getattr(state, "cells_version", 0)
         and cached.order is state.network.topological()
     ):
+        return cached
+    return None
+
+
+def flat_of(state) -> FlatNetwork:
+    """The state's cached snapshot, rebuilt when not :func:`current_flat`.
+
+    Besides the :func:`current_flat` fields the state supplies ``calc``
+    and ``activity`` for the rebuild.
+    """
+    cached = current_flat(state)
+    if cached is not None:
         return cached
     flat = build_flat(
         state.network,
         state.calc,
         activity=getattr(state, "activity", None),
-        version=version,
+        version=getattr(state, "cells_version", 0),
     )
     try:
         state._flat_cache = flat
@@ -288,5 +358,6 @@ __all__ = [
     "FlatNetwork",
     "build_flat",
     "csr_take",
+    "current_flat",
     "flat_of",
 ]

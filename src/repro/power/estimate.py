@@ -22,10 +22,13 @@ include it.  Pass ``include_input_nets=True`` for chip-level accounting.
 Units: fF * V^2 * MHz = 1e-3 uW, so totals are reported in uW directly.
 
 Given the shared :class:`~repro.netlist.flat.FlatNetwork` snapshot,
-the per-node switching and internal terms are computed as NumPy
-vectors over its planes; the accumulation stays a sequential Python
-loop in topological order, so the totals carry the per-node walk's
-bits exactly.
+the per-node switching, internal and converter terms are NumPy vectors
+over its planes (converter terms only at the drivers that carry
+shifters, from their cached
+:meth:`~repro.timing.delay.DelayCalculator.converter_loads` profiles).
+Each total is accumulated with ``np.cumsum`` in topological order --
+sequential, like the per-node walk's ``+=``, never the pairwise
+``np.sum`` -- so the totals carry the per-node walk's bits exactly.
 """
 
 from __future__ import annotations
@@ -159,62 +162,64 @@ def _estimate_power_flat(calculator, activity, clock_mhz,
     """The eq. (1) sweep over the shared flat snapshot.
 
     Per-node terms replicate the serial association exactly
-    (``a01 * f * load * vdd * vdd * uW`` evaluated left to right), the
-    accumulators run in the same sequential topological order, and the
-    sparse converter terms go through the serial calculator methods
-    verbatim -- so the result is bit-identical to the per-node walk in
-    :func:`estimate_power_calc`.
+    (``a01 * f * load * vdd * vdd * uW`` evaluated left to right, the
+    converter term summed per destination rail in first-seen order),
+    excluded input nets contribute zeros, and each total is a
+    sequential ``np.cumsum`` in topological order -- so the result is
+    bit-identical to the per-node walk in :func:`estimate_power_calc`.
     """
     order = flat.order
-    rails_lib = calculator.library.rails
-    rates = [activity.rate01(name) for name in order]
+    rate_vec = flat.rates(activity)
     if loads is None or len(loads) != flat.n:
         loads = [calculator.load(name) for name in order]
 
     rails = flat.rail_plane(calculator.levels)
-    rate_vec = np.asarray(rates)
-    load_vec = np.asarray(loads)
     vdd = flat.rails_v[rails]
     energy = flat.energy[rails, flat.node_idx]
-    sw_terms = (rate_vec * clock_mhz * load_vec * vdd * vdd * _UW).tolist()
-    in_terms = (rate_vec * clock_mhz * energy * _UW).tolist()
+    sw_terms = rate_vec * clock_mhz * np.asarray(loads) * vdd * vdd * _UW
+    in_terms = rate_vec * clock_mhz * energy * _UW
 
-    switching = 0.0
-    internal = 0.0
-    converter = 0.0
-    per_node: dict[str, float] = {}
-    is_input = flat.is_input
-    converted = calculator.converted_readers
-    for i, name in enumerate(order):
-        if is_input[i] and not include_input_nets:
-            per_node[name] = 0.0
-            continue
-        node_switch = sw_terms[i]
-        node_internal = in_terms[i]
-        switching += node_switch
-        internal += node_internal
-
+    # One shifter per (net, destination rail), each swinging its own
+    # output net at the destination supply; only drivers that carry a
+    # converter edge can have a non-zero term.
+    lc_terms = np.zeros(flat.n)
+    rails_lib = calculator.library.rails
+    pos = flat.pos
+    for driver in {driver for driver, _ in calculator.lc_edges}:
+        i = pos[driver]
+        a01 = float(rate_vec[i])
         lc_power = 0.0
-        if converted(name):
-            a01 = rates[i]
-            for rail in calculator.converter_groups(name):
-                lc_cell = calculator.lc_cell_for(rail)
-                lc_vdd = rails_lib[rail]
-                lc_out_load = calculator.lc_load(name, rail)
-                lc_power += a01 * clock_mhz * (
-                    lc_cell.internal_energy + lc_out_load * lc_vdd * lc_vdd
-                ) * _UW
-        converter += lc_power
-        per_node[name] = node_switch + node_internal + lc_power
+        for rail, lc_out_load in calculator.converter_loads(driver).items():
+            lc_cell = calculator.lc_cell_for(rail)
+            lc_vdd = rails_lib[rail]
+            lc_power += a01 * clock_mhz * (
+                lc_cell.internal_energy + lc_out_load * lc_vdd * lc_vdd
+            ) * _UW
+        lc_terms[i] = lc_power
 
+    if not include_input_nets:
+        excluded = np.asarray(flat.is_input, dtype=bool)
+        sw_terms[excluded] = 0.0
+        in_terms[excluded] = 0.0
+        lc_terms[excluded] = 0.0
+    per_node = sw_terms + in_terms + lc_terms
+
+    switching = _sequential_sum(sw_terms)
+    internal = _sequential_sum(in_terms)
+    converter = _sequential_sum(lc_terms)
     total = switching + internal + converter
     return PowerBreakdown(
         switching=switching,
         internal=internal,
         converter=converter,
         total=total,
-        per_node=per_node,
+        per_node=dict(zip(order, per_node.tolist())),
     )
+
+
+def _sequential_sum(terms: np.ndarray) -> float:
+    """``0.0 + t0 + t1 + ...`` left to right, as a Python ``+=`` loop."""
+    return float(np.cumsum(terms)[-1]) if len(terms) else 0.0
 
 
 def demotion_gain(calculator: DelayCalculator, activity: Activity, name: str,

@@ -11,8 +11,8 @@ them for a whole batch at once.
 
 Two layers make that fast.  The shared
 :class:`~repro.netlist.flat.FlatNetwork` snapshot -- cached on the
-state and invalidated only by cell resizes or topology revisions --
-freezes everything that does not change between moves into flat
+state, patched in place by cell resizes and rebuilt only on topology
+revisions -- freezes everything that does not change between moves into flat
 CSR-style arrays: fanin pin rows, reader pin rows, fanout edge rows
 with pre-summed pin capacitances, and the per-rail twin constants
 (intrinsics, drive resistance, internal energy) of every gate.  (The

@@ -23,8 +23,9 @@ The calculator reads the caller's ``levels`` / ``lc_edges`` collections
 query reflects the current state.
 
 With ``cache=True`` the calculator memoizes per-net loads, per-driver
-converter stage delays, and per-gate cell variants.  Cached entries are
-dropped *per net* through :meth:`DelayCalculator.invalidate_net` /
+converter profiles and stage delays, and per-gate cell variants.
+Cached entries are dropped *per net* through
+:meth:`DelayCalculator.invalidate_net` /
 :meth:`DelayCalculator.invalidate_variant` rather than recomputed per
 query; :class:`repro.core.state.ScalingState` owns the mutations and
 routes every one to the right invalidation, which is what makes cached
@@ -122,6 +123,9 @@ class DelayCalculator:
         self._lc_delay_cache: dict[str, dict[int, float]] | None = (
             {} if cache else None
         )
+        self._profile_cache: dict[str, dict[int, float]] | None = (
+            {} if cache else None
+        )
         self._variant_cache: dict[str, Cell] | None = {} if cache else None
 
     # ------------------------------------------------------------------
@@ -129,10 +133,11 @@ class DelayCalculator:
     # ------------------------------------------------------------------
 
     def invalidate_net(self, name: str) -> None:
-        """Drop cached load and converter delays of the net ``name`` drives."""
+        """Drop every cached entry of the net ``name`` drives."""
         if self._load_cache is not None:
             self._load_cache.pop(name, None)
             self._lc_delay_cache.pop(name, None)
+            self._profile_cache.pop(name, None)
 
     def invalidate_variant(self, name: str) -> None:
         """Drop the cached cell variant of gate ``name``."""
@@ -302,23 +307,44 @@ class DelayCalculator:
             cache[name] = total
         return total
 
-    def lc_load(self, driver: str, rail: int = 0) -> float:
-        """Load on the net driven by ``driver``'s rail-``rail`` shifter.
+    def converter_loads(self, driver: str) -> dict[int, float]:
+        """Output load of each of ``driver``'s shifters, by destination rail.
 
         The Usami [8] / Wang [10] designs integrate the converter at the
         receiving gates (a level-converting receiver), so its output
         drives only the converted pins with no additional interconnect
-        -- the long wire stays on the (low-swing) driver side.
+        -- the long wire stays on the (low-swing) driver side.  Rails
+        appear in first-converted-reader order (fanout order, then the
+        primary output), the order of :meth:`converter_groups`, and
+        each load is summed from ``0.0`` over its converted readers in
+        that same order.  Memoized per driver with ``cache=True`` and
+        dropped by :meth:`invalidate_net`; callers must not mutate the
+        returned dict.
         """
-        total = 0.0
+        cache = self._profile_cache
+        if cache is not None:
+            profile = cache.get(driver)
+            if profile is not None:
+                return profile
+        profile = {}
         for converted in self.converted_readers(driver):
-            if self.converter_rail(driver, converted) != rail:
-                continue
+            rail = self.converter_rail(driver, converted)
             if converted == OUTPUT:
-                total += self.po_load
+                cap = self.po_load
             else:
-                total += self.reader_pin_cap(driver, converted)
-        return total
+                cap = self.reader_pin_cap(driver, converted)
+            profile[rail] = profile.get(rail, 0.0) + cap
+        if cache is not None:
+            cache[driver] = profile
+        return profile
+
+    def lc_load(self, driver: str, rail: int = 0) -> float:
+        """Load on the net driven by ``driver``'s rail-``rail`` shifter.
+
+        One entry of :meth:`converter_loads`; ``0.0`` when ``driver``
+        has no shifter toward ``rail``.
+        """
+        return self.converter_loads(driver).get(rail, 0.0)
 
     # ------------------------------------------------------------------
     # Delays
@@ -465,10 +491,10 @@ class DelayCalculator:
         no existing groups this reduces exactly to
         :meth:`new_converter_delays`.
         """
-        groups = self.converter_groups(name)
+        profile = self.converter_loads(name)
         delays: dict[int, float] = {}
-        for rail in set(groups) | set(change.converter_loads):
-            load = self.lc_load(name, rail) if rail in groups else 0.0
+        for rail in set(profile) | set(change.converter_loads):
+            load = profile.get(rail, 0.0)
             load += change.converter_loads.get(rail, 0.0)
             delays[rail] = self.lc_cell_for(rail).pin_delay(0, load)
         return delays

@@ -10,7 +10,6 @@ from repro.api import Flow, FlowConfig
 from repro.bench.generators import mixed_datapath
 from repro.core.cvs import run_cvs
 from repro.core.dscale import (
-    RETARGET_ONLY,
     candidate_order_pairs,
     check_demotion,
     run_dscale,
@@ -156,14 +155,6 @@ def test_candidate_order_pairs_match_whole_network_oracle(
     pairs = candidate_order_pairs(order_state, candidates)
     assert sorted(pairs) == sorted(_order_pairs_oracle(
         order_state, candidates))
-
-
-def test_retarget_only_is_a_unique_sentinel():
-    """The retarget marker is an identity-compared singleton -- the
-    historical "retarget" string collided with gate names."""
-    assert repr(RETARGET_ONLY) == "RETARGET_ONLY"
-    assert RETARGET_ONLY != "retarget"
-    assert not isinstance(RETARGET_ONLY, (str, tuple))
 
 
 def test_each_round_selection_is_antichain(library, monkeypatch):

@@ -6,12 +6,13 @@ level-by-level sweeps over the shared :class:`FlatNetwork` snapshot.
 These tests pin the contract those sweeps carry: **bit identity** with
 the serial kernels (``state.full_timing()`` for timing) -- not
 approximate equality -- across random mutation histories that exercise
-rail overlays, converter-edge fallbacks, and snapshot invalidation by
-resize.
+rail overlays, converter-edge fallbacks, and snapshots patched in
+place by resize (rolled-back resizes included).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import numpy as np
@@ -22,10 +23,12 @@ from hypothesis import strategies as st
 from repro.api import Flow, FlowConfig
 from repro.bench.generators import mixed_datapath, pla_control
 from repro.core.dscale import _slack_set
-from repro.core.state import ScalingState
+from repro.core.moves import DemoteMove, MoveEngine, PromoteMove, ResizeMove
+from repro.core.state import ScalingOptions, ScalingState
 from repro.mapping.match import MatchTable
-from repro.netlist.flat import build_flat, flat_of
+from repro.netlist.flat import FlatNetwork, build_flat, flat_of
 from repro.power.estimate import estimate_power_calc
+from repro.timing.delay import OUTPUT, DelayCalculator
 from repro.timing.incremental import IncrementalTiming
 
 GENERATORS = {
@@ -44,28 +47,49 @@ RELAXED = settings(
 )
 
 
+THREE_RAILS = (1.8, 1.0, 0.6)
+
+
 @pytest.fixture(scope="module", params=sorted(GENERATORS))
 def prepared(request, library):
     flow = Flow(FlowConfig(), library=library, match_table=MatchTable(library))
     return flow.prepare(GENERATORS[request.param]())
 
 
-def make_state(prepared, library):
+@pytest.fixture(scope="module")
+def three_rail():
+    """A prepared circuit and its 1.8 / 1.0 / 0.6 V library."""
+    flow = Flow(FlowConfig(rails=THREE_RAILS))
+    return flow.prepare(GENERATORS["mixed"]()), flow.library
+
+
+def make_state(prepared, library, options=None):
     return ScalingState(
         prepared.fresh_copy(),
         library,
         tspec=1.5 * prepared.tspec,
         activity=prepared.activity,
+        options=options,
     )
+
+
+def random_resize(rng, state):
+    """A ResizeMove of a random gate to another size of its base."""
+    name = rng.choice(state.network.gates())
+    cell = state.network.nodes[name].cell
+    sizes = state.library.variants(cell.base)
+    others = [size for size in sizes if size.name != cell.name]
+    return ResizeMove(name, rng.choice(others or sizes))
 
 
 def mutate(rng, state, steps):
     """A random demote / resize / converter-edge history."""
     gates = state.network.gates()
+    lowest = state.n_rails - 1
     for _ in range(steps):
         kind = rng.choice(["demote", "promote", "resize", "edge"])
         if kind == "demote":
-            high = [g for g in gates if not state.is_low(g)]
+            high = [g for g in gates if state.rail_of(g) < lowest]
             if high:
                 state.demote(rng.choice(high))
         elif kind == "promote":
@@ -73,9 +97,7 @@ def mutate(rng, state, steps):
             if low:
                 state.promote(rng.choice(low))
         elif kind == "resize":
-            name = rng.choice(gates)
-            cell = state.network.nodes[name].cell
-            state.resize(name, rng.choice(state.library.variants(cell.base)))
+            random_resize(rng, state).apply(state)
         else:
             low = state.low_nodes()
             if low:
@@ -83,6 +105,42 @@ def mutate(rng, state, steps):
                 readers = sorted(state.network.fanouts(driver))
                 if readers:
                     state.lc_edges.add((driver, rng.choice(readers)))
+
+
+def transact(rng, state, steps):
+    """Random moves through ``MoveEngine.try_move``, half forced back.
+
+    A negative worst-delay cap makes the timing check fail, so the
+    move is applied, undone and its timing journal rolled back.
+    """
+    engine = MoveEngine(state)
+    lowest = state.n_rails - 1
+    for _ in range(steps):
+        kind = rng.choice(["demote", "promote", "resize"])
+        if kind == "demote":
+            gates = state.network.gates()
+            high = [g for g in gates if state.rail_of(g) < lowest]
+            if not high:
+                continue
+            move = DemoteMove(rng.choice(high))
+        elif kind == "promote":
+            low = state.low_nodes()
+            if not low:
+                continue
+            move = PromoteMove(rng.choice(low))
+        else:
+            move = random_resize(rng, state)
+        if rng.random() < 0.5:
+            assert not engine.try_move(move, worst_delay_cap=-1.0)
+        else:
+            engine.try_move(move)
+
+
+def history(rng, state, steps):
+    """Direct mutations interleaved with committed and rolled-back moves."""
+    for _ in range(steps):
+        mutate(rng, state, 2)
+        transact(rng, state, 2)
 
 
 def oracle_arrays(state):
@@ -141,8 +199,36 @@ class TestFullBuild:
         assert engine.levelized_arrays() == oracle_arrays(state)
 
 
+def assert_planes_equal(flat, fresh):
+    """Every plane of ``flat`` equals the fresh build's."""
+    skip = {"network", "version", "rate_cache"}
+    for plane in FlatNetwork.__slots__:
+        if plane in skip:
+            continue
+        got, want = getattr(flat, plane), getattr(fresh, plane)
+        if plane == "by_depth":
+            assert len(got) == len(want)
+            assert all(map(np.array_equal, got, want))
+        elif isinstance(want, np.ndarray):
+            assert np.array_equal(got, want), plane
+        else:
+            assert got == want, plane
+
+
+def oracle_calc(state):
+    """An uncached calculator over the state's live tables."""
+    return DelayCalculator(
+        state.network,
+        state.library,
+        levels=state.levels,
+        lc_edges=state.lc_edges,
+        lc_kind=state.options.lc_kind,
+        po_load=state.options.po_load,
+    )
+
+
 class TestSnapshotCache:
-    def test_snapshot_cached_until_resize(self, prepared, library):
+    def test_snapshot_survives_resize(self, prepared, library):
         state = make_state(prepared, library)
         first = state.flat()
         state.demote(state.network.gates()[0])  # rails are overlays
@@ -150,9 +236,39 @@ class TestSnapshotCache:
         name = state.network.gates()[1]
         cell = state.network.nodes[name].cell
         state.resize(name, state.library.variants(cell.base)[-1])
-        rebuilt = state.flat()
-        assert rebuilt is not first
-        assert rebuilt.version == state.cells_version
+        # The library's sizes share pin intrinsics; a size with its own
+        # makes the fi_intr / rp_intr patch observable.
+        cell = state.network.nodes[name].cell
+        slow = dataclasses.replace(
+            cell,
+            name=f"{cell.name}_slow",
+            intrinsics=tuple(t + 0.25 for t in cell.intrinsics),
+        )
+        state.resize(name, slow)
+        assert state.flat() is first
+        assert first.version == state.cells_version
+        fresh = build_flat(state.network, state.calc, activity=state.activity)
+        assert_planes_equal(first, fresh)
+
+    @given(seed=st.integers(0, 2**16))
+    @RELAXED
+    def test_patched_snapshot_equals_fresh_build(
+        self, prepared, library, seed
+    ):
+        state = make_state(prepared, library)
+        first = state.flat()
+        engine = MoveEngine(state)
+        rng = random.Random(seed)
+        for _ in range(4):
+            history(rng, state, 2)
+            move = random_resize(rng, state)
+            assert not engine.try_move(move, worst_delay_cap=-1.0)
+            assert state.flat() is first
+            assert first.version == state.cells_version
+            fresh = build_flat(
+                state.network, state.calc, activity=state.activity
+            )
+            assert_planes_equal(first, fresh)
 
     def test_flat_of_matches_direct_build(self, prepared, library):
         state = make_state(prepared, library)
@@ -164,24 +280,109 @@ class TestSnapshotCache:
         assert np.array_equal(flat.fi_ptr, direct.fi_ptr)
 
 
+def assert_power_bit_exact(state):
+    """``state.power()`` == the serial walk on an uncached calculator."""
+    serial = estimate_power_calc(
+        oracle_calc(state),
+        state.activity,
+        clock_mhz=state.options.clock_mhz,
+        include_input_nets=state.options.include_input_nets,
+    )
+    fast = state.power()
+    assert fast.total == serial.total
+    assert fast.switching == serial.switching
+    assert fast.internal == serial.internal
+    assert fast.converter == serial.converter
+    assert list(fast.per_node.items()) == list(serial.per_node.items())
+    return fast
+
+
+def add_output_edges(rng, state):
+    """Converters on some low primary outputs, ``(name, OUTPUT)``."""
+    for name in state.network.outputs:
+        if state.is_low(name) and rng.random() < 0.5:
+            state.lc_edges.add((name, OUTPUT))
+
+
+def add_stale_edges(state):
+    """Demote converted readers onto their driver's rail.
+
+    The converter edge stays behind (stale) until a cleanup pass, so
+    its shifter is priced toward the next rail up.
+    """
+    stale = 0
+    for driver, reader in sorted(state.lc_edges):
+        if reader == OUTPUT:
+            continue
+        target = state.rail_of(driver)
+        if state.rail_of(reader) < target:
+            state.demote(reader, target=target)
+        stale += (driver, reader) in state.lc_edges
+    return stale
+
+
 class TestFlatPower:
     @given(seed=st.integers(0, 2**16))
     @RELAXED
     def test_flat_power_equals_serial(self, prepared, library, seed):
         state = make_state(prepared, library)
         mutate(random.Random(seed), state, steps=8)
-        serial = estimate_power_calc(
-            state.calc,
-            state.activity,
-            clock_mhz=state.options.clock_mhz,
-            include_input_nets=state.options.include_input_nets,
-        )
-        flat = state.power()
-        assert flat.total == serial.total
-        assert flat.switching == serial.switching
-        assert flat.internal == serial.internal
-        assert flat.converter == serial.converter
-        assert dict(flat.per_node) == dict(serial.per_node)
+        assert_power_bit_exact(state)
+
+    @given(seed=st.integers(0, 2**16))
+    @RELAXED
+    def test_three_rails(self, three_rail, seed):
+        state = make_state(*three_rail)
+        assert state.n_rails == 3
+        history(random.Random(seed), state, 4)
+        assert_power_bit_exact(state)
+
+    @pytest.mark.parametrize("include", [False, True])
+    @given(seed=st.integers(0, 2**16))
+    @RELAXED
+    def test_input_nets(self, prepared, library, include, seed):
+        options = ScalingOptions(include_input_nets=include)
+        state = make_state(prepared, library, options)
+        rng = random.Random(seed)
+        mutate(rng, state, steps=8)
+        # Converters on input nets: no legal state has them, but the
+        # serial walk prices them only when input nets are included.
+        inputs = state.network.inputs
+        for name in inputs:
+            readers = sorted(state.network.fanouts(name))
+            if readers:
+                state.lc_edges.add((name, rng.choice(readers)))
+        power = assert_power_bit_exact(state)
+        assert any(power.per_node[name] for name in inputs) == include
+
+    @given(seed=st.integers(0, 2**16))
+    @RELAXED
+    def test_output_converters(self, prepared, library, seed):
+        options = ScalingOptions(lc_at_outputs=True)
+        state = make_state(prepared, library, options)
+        rng = random.Random(seed)
+        mutate(rng, state, steps=8)
+        nodes = state.network.nodes
+        outputs = [o for o in state.network.outputs if not nodes[o].is_input]
+        for k, name in enumerate(outputs):
+            if not state.is_low(name) and (k == 0 or rng.random() < 0.5):
+                state.demote(name)
+        add_output_edges(rng, state)
+        assert any(reader == OUTPUT for _, reader in state.lc_edges)
+        power = assert_power_bit_exact(state)
+        assert power.converter > 0.0
+
+    @given(seed=st.integers(0, 2**16))
+    @RELAXED
+    def test_stale_converters(self, three_rail, seed):
+        state = make_state(*three_rail)
+        rng = random.Random(seed)
+        for gate in state.network.gates():
+            if rng.random() < 0.3:
+                state.demote(gate)
+        assert add_stale_edges(state), "scenario needs a stale edge"
+        add_output_edges(rng, state)
+        assert_power_bit_exact(state)
 
 
 class TestFlatSlackSet:
@@ -199,3 +400,62 @@ class TestFlatSlackSet:
             if state.rail_of(g) < lowest and analysis.slack(g) > tolerance
         ]
         assert _slack_set(state, analysis, lowest) == expected
+
+
+def reference_profile(state, driver):
+    """Converter output loads of ``driver``, summed in fanout order."""
+    network = state.network
+    converted = [
+        reader
+        for reader in network.fanouts(driver)
+        if (driver, reader) in state.lc_edges
+    ]
+    if driver in network.outputs and (driver, OUTPUT) in state.lc_edges:
+        converted.append(OUTPUT)
+    profile = {}
+    for reader in converted:
+        if reader == OUTPUT:
+            rail, cap = 0, state.options.po_load
+        else:
+            rail = min(state.rail_of(reader), state.rail_of(driver) - 1)
+            node = network.nodes[reader]
+            cap = sum(
+                node.cell.input_caps[pin]
+                for pin, fanin in enumerate(node.fanins)
+                if fanin == driver
+            )
+        rail = max(rail, 0)
+        profile[rail] = profile.get(rail, 0.0) + cap
+    return profile
+
+
+def assert_profiles_track_history(state, seed):
+    """Cached profiles == uncached == the reference, after each step."""
+    state.timing()
+    oracle = oracle_calc(state)
+    rng = random.Random(seed)
+    names = state.network.topological()
+    for _ in range(5):
+        # Warm every profile first, so a missed invalidation by the
+        # next mutations would surface as a stale cached entry.
+        for name in names:
+            state.calc.converter_loads(name)
+        history(rng, state, 1)
+        add_stale_edges(state)
+        for name in names:
+            cached = state.calc.converter_loads(name)
+            want = reference_profile(state, name)
+            assert list(cached.items()) == list(want.items())
+            assert cached == oracle.converter_loads(name)
+
+
+class TestConverterProfiles:
+    @given(seed=st.integers(0, 2**16))
+    @RELAXED
+    def test_two_rails(self, prepared, library, seed):
+        assert_profiles_track_history(make_state(prepared, library), seed)
+
+    @given(seed=st.integers(0, 2**16))
+    @RELAXED
+    def test_three_rails(self, three_rail, seed):
+        assert_profiles_track_history(make_state(*three_rail), seed)

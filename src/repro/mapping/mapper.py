@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 from repro.library.cells import Cell, Library
@@ -48,6 +49,30 @@ class Cut:
     table: TruthTable
 
 
+@lru_cache(maxsize=1024)
+def _rebase(bits: int, positions: tuple[int, ...], m: int) -> int:
+    """A cut table moved onto ``m`` merged leaves.
+
+    Old variable ``k`` becomes merged variable ``positions[k]``.
+    """
+    return compose_bits(
+        len(positions), bits, [_var_pattern(m, p) for p in positions], m
+    )
+
+
+def _cut_bits(
+    function_bits: int, leaves: tuple[str, ...], combo: tuple[Cut, ...]
+) -> int:
+    """A gate's function over ``leaves``, through one fanin-cut combo."""
+    m = len(leaves)
+    index = leaves.index
+    substitutions = [
+        _rebase(cut.table.bits, tuple(map(index, cut.leaves)), m)
+        for cut in combo
+    ]
+    return compose_bits(len(combo), function_bits, substitutions, m)
+
+
 def enumerate_cuts(
     subject: Network, max_leaves: int, per_node: int = DEFAULT_CUTS_PER_NODE
 ) -> dict[str, list[Cut]]:
@@ -55,54 +80,45 @@ def enumerate_cuts(
 
     Each gate keeps its ``per_node`` best non-trivial cuts (fewer leaves
     and shallower leaves first) plus the trivial self-cut that parents
-    merge through.
+    merge through.  Leaf sets are enumerated and ranked before any
+    function is built; only the kept cuts get a table, composed from
+    the first fanin-cut combination (in ``product`` order) that yields
+    their leaves.
     """
     cuts: dict[str, list[Cut]] = {}
     depth: dict[str, int] = {}
+    get_depth = depth.__getitem__
     projection = TruthTable.var(1, 0)
     for name in subject.topological():
         node = subject.nodes[name]
+        fanins = node.fanins
         if node.is_input:
             depth[name] = 0
             cuts[name] = [Cut((name,), projection)]
             continue
-        depth[name] = 1 + max(depth[f] for f in node.fanins)
-        candidates: dict[tuple[str, ...], Cut] = {}
-        n_fanins = len(node.fanins)
-        function_bits = node.function.bits
-        fanin_cut_lists = [cuts[f] for f in node.fanins]
-        for combo in product(*fanin_cut_lists):
-            leaf_set = set()
-            for cut in combo:
-                leaf_set.update(cut.leaves)
-            if len(leaf_set) > max_leaves:
+        depth[name] = 1 + max(map(get_depth, fanins))
+        candidates: dict[frozenset, tuple[Cut, ...]] = {}
+        for combo in product(*(cuts[f] for f in fanins)):
+            merged = frozenset().union(*[cut.leaves for cut in combo])
+            if len(merged) > max_leaves or merged in candidates:
                 continue
-            leaves = tuple(sorted(leaf_set))
-            if leaves in candidates:
-                continue
-            # Rebase each fanin cut onto the merged leaves, then compose.
-            m = len(leaves)
-            position = {leaf: k for k, leaf in enumerate(leaves)}
-            substitutions = [
-                compose_bits(
-                    len(cut.leaves),
-                    cut.table.bits,
-                    [_var_pattern(m, position[leaf]) for leaf in cut.leaves],
-                    m,
-                )
-                for cut in combo
-            ]
-            bits = compose_bits(n_fanins, function_bits, substitutions, m)
-            candidates[leaves] = Cut(leaves, TruthTable(m, bits))
+            candidates[merged] = combo
         ranked = sorted(
-            candidates.values(),
-            key=lambda cut: (
-                len(cut.leaves),
-                sum(depth[leaf] for leaf in cut.leaves),
-                cut.leaves,
-            ),
+            (
+                len(merged),
+                sum(map(get_depth, merged)),
+                tuple(sorted(merged)),
+                merged,
+            )
+            for merged in candidates
         )
-        cuts[name] = ranked[:per_node] + [Cut((name,), projection)]
+        function_bits = node.function.bits
+        kept = []
+        for _, _, leaves, merged in ranked[:per_node]:
+            bits = _cut_bits(function_bits, leaves, candidates[merged])
+            kept.append(Cut(leaves, TruthTable(len(leaves), bits)))
+        kept.append(Cut((name,), projection))
+        cuts[name] = kept
     return cuts
 
 

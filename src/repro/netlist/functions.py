@@ -302,8 +302,16 @@ class TruthTable:
         return None
 
     def depends_on(self, index: int) -> bool:
-        """True if the function actually depends on variable ``index``."""
-        return self.cofactor(index, 0) != self.cofactor(index, 1)
+        """True if the function actually depends on variable ``index``.
+
+        Bit-parallel: each row with ``x[index] = 0`` is compared with its
+        partner row ``2**index`` above it; no cofactor is built.
+        """
+        if not 0 <= index < self.n_inputs:
+            raise ValueError(f"variable index {index} out of range")
+        n = self.n_inputs
+        low_rows = ~_var_pattern(n, index) & _mask(n)
+        return bool(((self.bits >> (1 << index)) ^ self.bits) & low_rows)
 
     def support(self) -> tuple[int, ...]:
         """Indices of variables the function truly depends on."""

@@ -15,7 +15,7 @@ Functionality is preserved exactly.
 
 from __future__ import annotations
 
-from repro.netlist.functions import TruthTable
+from repro.netlist.functions import TruthTable, _var_pattern
 from repro.netlist.network import Network
 from repro.opt.simplify import minimize_cubes
 from repro.opt.sweep import sweep
@@ -23,6 +23,9 @@ from repro.opt.sweep import sweep
 _AND2 = TruthTable.and_(2)
 _OR2 = TruthTable.or_(2)
 _INV = TruthTable.inverter()
+
+_Parity = tuple[tuple[int, ...], bool]
+"""A parity function's ``(support, inverted)``."""
 
 
 class _Builder:
@@ -62,7 +65,7 @@ class _Builder:
         return self._tree("or", _OR2, signals)
 
 
-def _parity_structure(table: TruthTable) -> tuple[tuple[int, ...], bool] | None:
+def _parity_structure(table: TruthTable) -> _Parity | None:
     """Detect (support, inverted) when the function is a pure parity.
 
     XOR chains collapse into wide XOR/XNOR nodes during elimination; a
@@ -73,14 +76,13 @@ def _parity_structure(table: TruthTable) -> tuple[tuple[int, ...], bool] | None:
     support = table.support()
     if len(support) < 2:
         return None
+    n = table.n_inputs
     parity_bits = 0
-    for row in range(1 << table.n_inputs):
-        ones = sum(row >> k & 1 for k in support)
-        if ones & 1:
-            parity_bits |= 1 << row
+    for k in support:
+        parity_bits ^= _var_pattern(n, k)
     if table.bits == parity_bits:
         return support, False
-    if table.bits == parity_bits ^ ((1 << (1 << table.n_inputs)) - 1):
+    if table.bits == parity_bits ^ ((1 << (1 << n)) - 1):
         return support, True
     return None
 
@@ -119,8 +121,9 @@ def decompose_node(network: Network, name: str, builder: _Builder) -> None:
     network.rewire(name, [root], TruthTable.identity())
 
 
-def decompose_network(network: Network, max_inputs: int = 2,
-                      prefix: str = "d_") -> int:
+def decompose_network(
+    network: Network, max_inputs: int = 2, prefix: str = "d_"
+) -> int:
     """Decompose every node wider than ``max_inputs``; returns edit count.
 
     With the default ``max_inputs=2`` the result is a 2-bounded subject

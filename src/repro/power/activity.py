@@ -13,10 +13,12 @@ import random
 from dataclasses import dataclass
 from collections.abc import Mapping
 
+import numpy as np
+
 from repro.netlist.network import Network
 
 _LANES = 64
-"""Vectors packed per simulation word."""
+"""Vectors per draw chunk; the draw order fixes every sampled activity."""
 
 
 @dataclass(frozen=True)
@@ -43,57 +45,56 @@ class Activity:
         return self.toggles[name] / 2.0
 
 
-def random_activities(network: Network, n_vectors: int = 512,
-                      seed: int = 1999,
-                      input_probability: float = 0.5) -> Activity:
+def random_activities(
+    network: Network,
+    n_vectors: int = 512,
+    seed: int = 1999,
+    input_probability: float = 0.5,
+) -> Activity:
     """Monte-Carlo zero-delay activity (the SIS-style random simulation).
 
-    Applies ``n_vectors`` independent random vectors, evaluates the
-    network bit-parallel in 64-vector words, and counts transitions
-    between consecutive vectors.
+    Applies ``n_vectors`` independent random vectors and counts
+    transitions between consecutive vectors.  The draws are taken in
+    64-vector chunks (chunk, then input, then vector), and the network
+    is evaluated once, bit-parallel, on one ``n_vectors``-bit word per
+    net.
     """
     if n_vectors < 2:
         raise ValueError("need at least two vectors to count transitions")
-    rng = random.Random(seed)
-    toggles = {name: 0 for name in network.nodes}
-    ones = {name: 0 for name in network.nodes}
-    previous_bit: dict[str, int] = {}
-
-    remaining = n_vectors
-    first_chunk = True
-    while remaining > 0:
-        width = min(_LANES, remaining)
-        remaining -= width
-        width_mask = (1 << width) - 1
-        input_words = {}
-        for input_name in network.inputs:
-            word = 0
-            for lane in range(width):
-                if rng.random() < input_probability:
-                    word |= 1 << lane
-            input_words[input_name] = word
-        words = network.evaluate_words(input_words, width_mask)
-        for name, word in words.items():
-            ones[name] += bin(word).count("1")
-            transitions = (word ^ (word >> 1)) & (width_mask >> 1)
-            count = bin(transitions).count("1")
-            if not first_chunk:
-                if (word & 1) != previous_bit[name]:
-                    count += 1
-            toggles[name] += count
-            previous_bit[name] = word >> (width - 1) & 1
-        first_chunk = False
-
+    inputs = network.inputs
+    n_inputs = len(inputs)
+    # ``random()`` never returns -1.0: the sentinel only ends the
+    # iterator, and each ``count`` stops it first.
+    draws = iter(random.Random(seed).random, -1.0)
+    chunks = []
+    for start in range(0, n_vectors, _LANES):
+        width = min(_LANES, n_vectors - start)
+        chunk = np.fromiter(draws, float, count=n_inputs * width)
+        chunks.append(chunk.reshape(n_inputs, width) < input_probability)
+    packed = np.packbits(
+        np.concatenate(chunks, axis=1), axis=1, bitorder="little"
+    )
+    input_words = {
+        name: int.from_bytes(row.tobytes(), "little")
+        for name, row in zip(inputs, packed)
+    }
+    mask = (1 << n_vectors) - 1
+    words = network.evaluate_words(input_words, mask)
     cycles = n_vectors - 1
+    toggles = {}
+    probability = {}
+    for name in network.nodes:
+        word = words[name]
+        toggles[name] = ((word ^ word >> 1) & mask >> 1).bit_count() / cycles
+        probability[name] = word.bit_count() / n_vectors
     return Activity(
-        toggles={name: toggles[name] / cycles for name in toggles},
-        probability={name: ones[name] / n_vectors for name in ones},
-        n_vectors=n_vectors,
+        toggles=toggles, probability=probability, n_vectors=n_vectors
     )
 
 
-def probabilistic_activities(network: Network,
-                             input_probability: float = 0.5) -> Activity:
+def probabilistic_activities(
+    network: Network, input_probability: float = 0.5
+) -> Activity:
     """Analytic activity under spatial/temporal independence.
 
     Signal probabilities propagate through each node's truth table

@@ -1,5 +1,7 @@
 """Unit and property tests for truth-table boolean functions."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -166,6 +168,41 @@ class TestStructure:
         table = TruthTable.from_function(2, lambda a, b: a)
         assert table.support() == (0,)
         assert not table.depends_on(1)
+
+    @staticmethod
+    def _cofactor_depends_on(table, index):
+        return table.cofactor(index, 0) != table.cofactor(index, 1)
+
+    def test_depends_on_matches_cofactors_on_all_3_input_functions(self):
+        for table in all_functions(3):
+            expected = tuple(
+                k for k in range(3) if self._cofactor_depends_on(table, k)
+            )
+            assert table.support() == expected
+            for k in range(3):
+                assert table.depends_on(k) == (k in expected)
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_depends_on_matches_cofactors_on_random_wide_functions(self, n):
+        rng = random.Random(n)
+        patterns = [random_table(n, rng) for _ in range(40)]
+        # Sparse and degenerate functions exercise the non-support path.
+        patterns += [
+            TruthTable(n, table.bits & TruthTable.var(n, k).bits)
+            for k, table in enumerate(patterns[:n])
+        ]
+        patterns += [TruthTable.var(n, k) for k in range(n)]
+        for table in patterns:
+            for k in range(n):
+                assert table.depends_on(k) == self._cofactor_depends_on(
+                    table, k
+                )
+
+    def test_depends_on_index_range(self):
+        with pytest.raises(ValueError):
+            TruthTable.xor(2).depends_on(2)
+        with pytest.raises(ValueError):
+            TruthTable.xor(2).depends_on(-1)
 
     def test_cofactor_removes_dependence(self):
         table = TruthTable.xor(3)

@@ -1,11 +1,12 @@
 """Decomposition tests (SOP trees and parity awareness)."""
 
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.netlist.functions import TruthTable, random_table
+from repro.netlist.functions import TruthTable, all_functions, random_table
 from repro.netlist.network import Network
 from repro.netlist.validate import networks_equivalent
 from repro.opt.decompose import _parity_structure, decompose_network
@@ -62,6 +63,33 @@ def test_parity_detection_with_dead_variable():
 def test_parity_detection_rejects_non_parity():
     assert _parity_structure(TruthTable.majority()) is None
     assert _parity_structure(TruthTable.and_(3)) is None
+
+
+def _row_loop_parity(table):
+    """The per-row popcount parity detector, kept as the oracle."""
+    support = table.support()
+    if len(support) < 2:
+        return None
+    parity_bits = 0
+    for row in range(1 << table.n_inputs):
+        if sum(row >> k & 1 for k in support) & 1:
+            parity_bits |= 1 << row
+    if table.bits == parity_bits:
+        return support, False
+    if table.bits == parity_bits ^ ((1 << (1 << table.n_inputs)) - 1):
+        return support, True
+    return None
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_parity_detection_matches_row_loop_on_every_function(n):
+    found = 0
+    for table in all_functions(n):
+        expected = _row_loop_parity(table)
+        assert _parity_structure(table) == expected
+        found += expected is not None
+    # Every XOR/XNOR over a support of at least two variables.
+    assert found == 2 * sum(math.comb(n, k) for k in range(2, n + 1))
 
 
 def test_wide_xor_becomes_xor_tree():

@@ -1,11 +1,18 @@
 """Switching-activity extraction tests."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.bench.mcnc import load_circuit
 from repro.netlist.functions import TruthTable
 from repro.netlist.network import Network
-from repro.power.activity import probabilistic_activities, random_activities
+from repro.power.activity import (
+    Activity,
+    probabilistic_activities,
+    random_activities,
+)
 
 
 def chain_network(depth=3):
@@ -119,3 +126,79 @@ def test_toggles_bounded_by_one_per_cycle(depth, seed):
     activity = random_activities(net, n_vectors=128, seed=seed)
     for name, value in activity.toggles.items():
         assert 0.0 <= value <= 1.0
+
+
+def _chunked_activities(
+    network, n_vectors=512, seed=1999, input_probability=0.5
+):
+    """The 64-lane chunk-by-chunk simulation, kept as the oracle."""
+    rng = random.Random(seed)
+    toggles = {name: 0 for name in network.nodes}
+    ones = {name: 0 for name in network.nodes}
+    previous_bit = {}
+    remaining = n_vectors
+    first_chunk = True
+    while remaining > 0:
+        width = min(64, remaining)
+        remaining -= width
+        width_mask = (1 << width) - 1
+        input_words = {}
+        for input_name in network.inputs:
+            word = 0
+            for lane in range(width):
+                if rng.random() < input_probability:
+                    word |= 1 << lane
+            input_words[input_name] = word
+        words = network.evaluate_words(input_words, width_mask)
+        for name, word in words.items():
+            ones[name] += bin(word).count("1")
+            transitions = (word ^ (word >> 1)) & (width_mask >> 1)
+            count = bin(transitions).count("1")
+            if not first_chunk and (word & 1) != previous_bit[name]:
+                count += 1
+            toggles[name] += count
+            previous_bit[name] = word >> (width - 1) & 1
+        first_chunk = False
+    cycles = n_vectors - 1
+    return Activity(
+        toggles={name: toggles[name] / cycles for name in toggles},
+        probability={name: ones[name] / n_vectors for name in ones},
+        n_vectors=n_vectors,
+    )
+
+
+@pytest.fixture(
+    scope="module", params=["C432", "gen:layered:width=8:depth=8:seed=3"]
+)
+def circuit_network(request):
+    return load_circuit(request.param)
+
+
+@pytest.mark.parametrize("n_vectors", [2, 63, 64, 65, 100, 512, 513])
+def test_one_word_simulation_equals_chunked(circuit_network, n_vectors):
+    got = random_activities(circuit_network, n_vectors=n_vectors, seed=23)
+    expected = _chunked_activities(circuit_network, n_vectors, seed=23)
+    assert got == expected
+    assert list(got.toggles) == list(circuit_network.nodes)
+    assert list(got.probability) == list(circuit_network.nodes)
+
+
+@pytest.mark.parametrize("input_probability", [0.0, 0.3, 1.0])
+def test_biased_inputs_equal_chunked(control_network, input_probability):
+    got = random_activities(
+        control_network, 130, seed=4, input_probability=input_probability
+    )
+    expected = _chunked_activities(
+        control_network, 130, seed=4, input_probability=input_probability
+    )
+    assert got == expected
+
+
+def test_network_without_inputs():
+    net = Network("const")
+    net.add_node("one", [], TruthTable.const(0, True))
+    net.set_output("one")
+    got = random_activities(net, n_vectors=70)
+    assert got == _chunked_activities(net, 70)
+    assert got.probability["one"] == 1.0
+    assert got.toggles["one"] == 0.0

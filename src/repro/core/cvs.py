@@ -42,7 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.core.moves import DemoteMove, MoveEngine, demoted_arrival
+from repro.core.moves import DemoteMove, MoveEngine, demotion_deadline
 from repro.core.state import ScalingState
 from repro.timing.delay import OUTPUT
 
@@ -55,35 +55,6 @@ class CvsResult:
     tcb: frozenset[str] = frozenset()
 
 
-def _hypothetical_low_check(
-    state: ScalingState,
-    name: str,
-    target: int,
-    arrival: dict[str, float],
-    required: dict[str, float],
-) -> bool:
-    """Would dropping ``name`` to rail ``target`` still meet timing?
-
-    Exact given the snapshot arrivals: the demotion changes only this
-    gate's stage delay (its load may change at the primary-output
-    boundary when a converter replaces the external load) and appends
-    the converter's delay on the output edge.
-    """
-    network = state.network
-    calc = state.calc
-    change = calc.demotion_net_change(name, state.options.lc_at_outputs)
-    out_arrival = demoted_arrival(
-        state, name, target, arrival, change.load_after
-    )
-
-    tolerance = state.options.timing_tolerance
-    deadline = required[name]
-    if name in network.outputs and (name, OUTPUT) in change.new_edges:
-        po_extra = calc.new_converter_delays(change)[0]
-        deadline = min(deadline, state.tspec - po_extra)
-    return out_arrival <= deadline + tolerance
-
-
 def _cvs_pass(
     state: ScalingState, target: int, engine: MoveEngine
 ) -> tuple[list[str], frozenset[str]]:
@@ -94,6 +65,7 @@ def _cvs_pass(
     reader_pins = network.reader_pins()
     outputs = frozenset(network.outputs)
     tspec = state.tspec
+    tolerance = state.options.timing_tolerance
 
     # Pass-start snapshots.  The timing engine already satisfies the
     # required-time fixed point
@@ -137,7 +109,13 @@ def _cvs_pass(
             continue  # some reader above the boundary: not eligible
         if name not in outputs and not network.fanouts(name):
             continue  # dangling node: nothing downstream to protect
-        if _hypothetical_low_check(state, name, target, arrival, required):
+        # Would dropping the gate to rail ``target`` still meet timing?
+        # Exact given the snapshot arrivals: only its own stage delay
+        # (and, at the boundary, its load and output shifter) changes.
+        out_arrival, deadline = demotion_deadline(
+            state, name, target, arrival, required
+        )
+        if out_arrival <= deadline + tolerance:
             engine.apply(DemoteMove(name))
             demoted.append(name)
             stale.update(node.fanins)

@@ -133,6 +133,8 @@ def check_demotion(
     """
     network = state.network
     calc = state.calc
+    if network.nodes[name].is_input:
+        raise ValueError("primary inputs cannot be demoted")
     if target is None:
         target = state.rail_of(name) + 1
     tolerance = state.options.timing_tolerance

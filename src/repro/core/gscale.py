@@ -24,10 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.cvs import CvsResult, run_cvs
-from repro.core.moves import MoveEngine, ResizeMove, demoted_arrival
+from repro.core.moves import MoveEngine, ResizeMove, demotion_deadline
 from repro.core.state import ScalingState
 from repro.graphalg.separator import min_weight_separator
-from repro.timing.delay import OUTPUT
 from repro.timing.incremental import IncrementalTiming
 from repro.timing.sta import TimingAnalysis
 
@@ -60,18 +59,13 @@ def demotion_shortfall(
 
     Positive for TCB members; their CVS check failed by this margin.
     """
-    network = state.network
-    calc = state.calc
-    target = state.rail_of(name) + 1
-    change = calc.demotion_net_change(name, state.options.lc_at_outputs)
-
-    out_arrival = demoted_arrival(
-        state, name, target, analysis.arrival, change.load_after
+    out_arrival, deadline = demotion_deadline(
+        state,
+        name,
+        state.rail_of(name) + 1,
+        analysis.arrival,
+        analysis.required,
     )
-    deadline = analysis.required[name]
-    if name in network.outputs and (name, OUTPUT) in change.new_edges:
-        po_extra = calc.new_converter_delays(change)[0]
-        deadline = min(deadline, state.tspec - po_extra)
     return out_arrival - deadline
 
 

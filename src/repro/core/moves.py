@@ -624,6 +624,31 @@ def demoted_arrival(
     return out_arrival
 
 
+def demotion_deadline(
+    state, name: str, target: int, arrival, required
+) -> tuple[float, float]:
+    """``(out_arrival, deadline)`` of dropping ``name`` one rail now.
+
+    The CVS / Gscale closed-form check: the :func:`demoted_arrival` of
+    the gate at ``target`` (its current rail plus one) against its own
+    required time, tightened at a primary output by the delay of the
+    boundary shifter the demotion would splice in.  Callers compare the
+    pair themselves (CVS's feasibility, Gscale's shortfall).
+    """
+    calc = state.calc
+    change = calc.demotion_net_change(
+        name, state.options.lc_at_outputs, target
+    )
+    out_arrival = demoted_arrival(
+        state, name, target, arrival, change.load_after
+    )
+    deadline = required[name]
+    if name in state.network.outputs and (name, OUTPUT) in change.new_edges:
+        po_extra = calc.new_converter_delays(change)[0]
+        deadline = min(deadline, state.tspec - po_extra)
+    return out_arrival, deadline
+
+
 __all__ = [
     "BUILTIN_COST_MODELS",
     "MOVE_KINDS",
@@ -639,6 +664,7 @@ __all__ = [
     "ResizeMove",
     "RetargetShifterMove",
     "demoted_arrival",
+    "demotion_deadline",
     "get_cost_model",
     "list_cost_models",
     "register_cost_model",

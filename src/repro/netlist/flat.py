@@ -37,7 +37,8 @@ snapshot in place through :meth:`FlatNetwork.resize` and stamps it
 with the new ``cells_version``, so only a topology edit or a snapshot
 that fell behind is rebuilt.  Rail assignments, level-shifter edges,
 and the timing arrays are *not* in the snapshot -- they change per
-move and are overlaid per sweep by the consumers.
+move and are overlaid per sweep by the consumers
+(:meth:`FlatNetwork.rail_plane`, :meth:`FlatNetwork.lc_edge_keys`).
 
 Planes are NumPy arrays (NumPy is a required dependency): the
 ``*_ptr`` / ``*_src`` / ``*_reader`` tables and ``by_depth`` batches
@@ -80,6 +81,19 @@ def csr_take(ptr, sel):
     return rows, owner, counts
 
 
+def find_keys(keys, query):
+    """``(idx, hit)``: where each ``query`` key sits in sorted ``keys``.
+
+    ``hit`` marks the keys present; ``idx`` indexes ``keys`` where
+    ``hit`` holds.  A binary search, which allocates no lookup table.
+    """
+    idx = np.searchsorted(keys, query)
+    if not len(keys):
+        return idx, np.zeros(len(query), dtype=bool)
+    np.minimum(idx, len(keys) - 1, out=idx)
+    return idx, keys[idx] == query
+
+
 class FlatNetwork:
     """Flat planes over everything only a resize can change.
 
@@ -111,6 +125,30 @@ class FlatNetwork:
             if level:
                 rails[pos[name]] = int(level)
         return rails
+
+    def lc_edge_keys(self, lc_edges) -> tuple[np.ndarray, np.ndarray]:
+        """``(keys, po_lc)``: the level-shifter edges of ``lc_edges``.
+
+        ``keys`` are the sorted ``pos[driver] * n + pos[reader]`` keys
+        of the shifters on fanout edges (look rows up with
+        :func:`find_keys`); ``po_lc`` masks the drivers whose primary
+        output carries a shifter (the ``OUTPUT`` reader sentinel, the
+        one reader that is not a node).  Converter edges change per
+        move, so consumers derive them per call, O(|lc_edges|).
+        """
+        pos = self.pos
+        n = self.n
+        po_lc = np.zeros(n, dtype=bool)
+        keys = []
+        for driver, reader in lc_edges:
+            r = pos.get(reader)
+            if r is None:
+                po_lc[pos[driver]] = True
+            else:
+                keys.append(pos[driver] * n + r)
+        keys = np.asarray(keys, dtype=np.intp)
+        keys.sort()
+        return keys, po_lc
 
     def rates(self, activity) -> np.ndarray:
         """Per-position ``a01`` rates of ``activity``.
@@ -359,5 +397,6 @@ __all__ = [
     "build_flat",
     "csr_take",
     "current_flat",
+    "find_keys",
     "flat_of",
 ]

@@ -81,8 +81,12 @@ Full builds
 -----------
 The initial build and every :meth:`full_invalidate` run one levelized
 NumPy sweep over the shared :class:`~repro.netlist.flat.FlatNetwork`
-snapshot.  :class:`~repro.timing.sta.TimingAnalysis` is the readable
-serial oracle the sweep is tested against.
+snapshot, level-shifter edges included: the sweep derives the sorted
+converter-edge keys from ``lc_edges``
+(:meth:`~repro.netlist.flat.FlatNetwork.lc_edge_keys`) and adds each
+edge's shifter delay to its arrival and required rows, so no node
+leaves the vector path.  :class:`~repro.timing.sta.TimingAnalysis` is
+the readable serial oracle the sweep is tested against.
 """
 
 from __future__ import annotations
@@ -93,7 +97,7 @@ from collections.abc import Iterator, Mapping
 
 import numpy as np
 
-from repro.netlist.flat import FlatNetwork, build_flat, csr_take
+from repro.netlist.flat import FlatNetwork, build_flat, csr_take, find_keys
 from repro.netlist.network import Network
 from repro.timing.delay import DelayCalculator, OUTPUT
 from repro.timing.sta import trace_critical_path
@@ -109,8 +113,13 @@ class _ArrayView(Mapping):
 
     __slots__ = ("_engine", "_pos", "_data", "_forward_only")
 
-    def __init__(self, engine: "IncrementalTiming", pos: dict[str, int],
-                 data: list[float], forward_only: bool):
+    def __init__(
+        self,
+        engine: "IncrementalTiming",
+        pos: dict[str, int],
+        data: list[float],
+        forward_only: bool,
+    ):
         self._engine = engine
         self._pos = pos
         self._data = data
@@ -147,97 +156,33 @@ class _Journal:
 
 
 # ---------------------------------------------------------------------
-# Full-sweep kernels over the shared flat snapshot
+# The full sweep over the shared flat snapshot
 # ---------------------------------------------------------------------
 #
-# The initial build (and every post-topology rebuild) used to run the
-# per-node serial kernels over every gate through the method-call
-# surface of DelayCalculator.  The levelized sweep below computes the
-# same three arrays from the FlatNetwork planes with segmented
-# reductions per depth level, bit-identically to the serial kernels:
+# The levelized sweep computes the three arrays from the FlatNetwork
+# planes with segmented reductions per depth level, bit-identically to
+# the serial TimingAnalysis:
 #
 # * loads accumulate the pre-summed edge caps in the same
 #   ``network.fanouts`` row order the serial ``calc.load`` iterates,
 #   then the PO load, then the wire cap -- the exact serial sequence;
+#   a driver of level-shifter edges takes its load from ``calc.load``;
 # * arrivals/requireds replicate the serial associations
-#   (``arr + (intr + drive*load)`` and ``req - (intr + drive*load)``),
+#   (``(arr + lc) + (intr + drive*load)`` and
+#   ``(req - (intr + drive*load)) - lc``, with ``lc`` the shifter delay
+#   of a converter edge and ``0.0`` elsewhere, which keeps the bits),
 #   and the cross-pin max / cross-reader min reductions are order-free
-#   over IEEE doubles;
-# * nodes the flat planes do not model exactly -- drivers or readers of
-#   level-shifter edges -- fall back to the per-node kernels below,
-#   which *are* the serial arithmetic restated over the flat arrays.
-
-
-def _lc_fallback_sets(flat, lc_edges):
-    """Positions needing the serial kernels: ``(loads+required, arrival)``.
-
-    A shifter on a driver's output edge changes its net load and its
-    required equation; a shifter on a node's fanin edge changes its
-    arrival equation.
-    """
-    pos = flat.pos
-    drivers: set[int] = set()
-    readers: set[int] = set()
-    for driver, reader in lc_edges:
-        drivers.add(pos[driver])
-        if reader != OUTPUT:
-            readers.add(pos[reader])
-    return drivers, readers
-
-
-def _serial_arrival_flat(flat, calc, rails, arrivals, loads, i):
-    """The serial arrival kernel restated over the flat planes."""
-    order = flat.order
-    name = order[i]
-    lc_edges = calc.lc_edges
-    rail = rails[i]
-    intr = flat.fi_intr[rail]
-    stage = flat.drive[rail][i] * loads[i]
-    fi_ptr = flat.fi_ptr
-    fi_src = flat.fi_src
-    worst = 0.0
-    for r in range(fi_ptr[i], fi_ptr[i + 1]):
-        fp = fi_src[r]
-        at_pin = arrivals[fp]
-        fanin = order[fp]
-        if (fanin, name) in lc_edges:
-            at_pin += calc.lc_delay(fanin, name)
-        at_pin += intr[r] + stage
-        if at_pin > worst:
-            worst = at_pin
-    return worst
-
-
-def _serial_required_flat(flat, calc, rails, reqs, loads, i, tspec):
-    """The serial required kernel restated over the flat planes."""
-    order = flat.order
-    name = order[i]
-    lc_edges = calc.lc_edges
-    rp_ptr = flat.rp_ptr
-    rp_reader = flat.rp_reader
-    rp_intr = flat.rp_intr
-    drive = flat.drive
-    required = math.inf
-    if flat.is_po[i]:
-        required = tspec - calc.edge_extra_delay(name, OUTPUT)
-    for r in range(rp_ptr[i], rp_ptr[i + 1]):
-        j = rp_reader[r]
-        jr = rails[j]
-        term = reqs[j] - (rp_intr[jr][r] + drive[jr][j] * loads[j])
-        if (name, order[j]) in lc_edges:
-            term -= calc.lc_delay(name, order[j])
-        if term < required:
-            required = term
-    return required
+#   over IEEE doubles.
 
 
 def _sweep(a: FlatNetwork, calc, tspec: float):
     """Levelized vectorized full build: ``(loads, arrivals, reqs)``."""
     n = a.n
     order = a.order
+    pos = a.pos
     lc_edges = calc.lc_edges
     rails = a.rail_plane(calc.levels)
-    lc_drivers, lc_readers = _lc_fallback_sets(a, lc_edges)
+    keys, po_lc = a.lc_edge_keys(lc_edges)
 
     # Loads: np.add.at applies strictly in row order == fanouts order,
     # then the PO load, then the wire cap -- the serial sequence.
@@ -247,79 +192,70 @@ def _sweep(a: FlatNetwork, calc, tspec: float):
     connections = a.e_counts + a.is_po
     wired = (connections > 0) & ~a.no_wire
     loads[wired] += a.wire_base + a.wire_per * connections[wired]
-    for i in lc_drivers:
-        loads[i] = calc.load(order[i])
+    for driver in {driver for driver, _ in lc_edges}:
+        loads[pos[driver]] = calc.load(driver)
+
+    # Shifter delay per converter edge (0.0 elsewhere), in key order.
+    key_delay = np.zeros(len(keys))
+    for j, key in enumerate(keys.tolist()):
+        driver, reader = divmod(key, n)
+        key_delay[j] = calc.lc_delay(order[driver], order[reader])
+    po_delay = np.zeros(n)
+    for i in np.flatnonzero(po_lc).tolist():
+        po_delay[i] = calc.lc_delay(order[i], OUTPUT)
 
     stage = a.drive[rails, a.node_idx] * loads
     fi_rows = np.arange(len(a.fi_src), dtype=np.intp)
     pin_term = a.fi_intr[rails[a.fi_owner], fi_rows] + stage[a.fi_owner]
+    fi_lc = _edge_delays(keys, key_delay, a.fi_src * n + a.fi_owner)
     arrivals = np.zeros(n)
     for members in a.by_depth[1:]:
-        clean = members
-        defer = ()
-        if lc_readers:
-            hit = [i for i in members.tolist() if i in lc_readers]
-            if hit:
-                defer = hit
-                keep = np.isin(members, hit, invert=True)
-                clean = members[keep]
-        if len(clean):
-            rows, _, counts = csr_take(a.fi_ptr, clean)
-            vals = arrivals[a.fi_src[rows]] + pin_term[rows]
-            worst = np.zeros(len(clean))
-            nz = counts > 0
-            if nz.any():
-                cnz = counts[nz]
-                offs = np.zeros(len(cnz), dtype=np.intp)
-                np.cumsum(cnz[:-1], out=offs[1:])
-                worst[nz] = np.maximum(np.maximum.reduceat(vals, offs), 0.0)
-            arrivals[clean] = worst
-        for i in defer:
-            arrivals[i] = _serial_arrival_flat(
-                a, calc, rails, arrivals, loads, i
-            )
+        rows, _, counts = csr_take(a.fi_ptr, members)
+        vals = (arrivals[a.fi_src[rows]] + fi_lc[rows]) + pin_term[rows]
+        worst = np.zeros(len(members))
+        nz = counts > 0
+        if nz.any():
+            cnz = counts[nz]
+            offs = np.zeros(len(cnz), dtype=np.intp)
+            np.cumsum(cnz[:-1], out=offs[1:])
+            worst[nz] = np.maximum(np.maximum.reduceat(vals, offs), 0.0)
+        arrivals[members] = worst
 
     rp_rows = np.arange(len(a.rp_reader), dtype=np.intp)
-    reader_term = (
-        a.rp_intr[rails[a.rp_reader], rp_rows] + stage[a.rp_reader]
-    )
-    seeds = np.where(a.is_po, tspec, math.inf)
+    reader_term = a.rp_intr[rails[a.rp_reader], rp_rows] + stage[a.rp_reader]
+    rp_owner = np.repeat(a.node_idx, np.diff(a.rp_ptr))
+    rp_lc = _edge_delays(keys, key_delay, rp_owner * n + a.rp_reader)
+    seeds = np.where(a.is_po, tspec - po_delay, math.inf)
     reqs = np.full(n, math.inf)
     for members in reversed(a.by_depth):
-        clean = members
-        defer = ()
-        if lc_drivers:
-            hit = [i for i in members.tolist() if i in lc_drivers]
-            if hit:
-                defer = hit
-                keep = np.isin(members, hit, invert=True)
-                clean = members[keep]
-        if len(clean):
-            rows, _, counts = csr_take(a.rp_ptr, clean)
-            vals = reqs[a.rp_reader[rows]] - reader_term[rows]
-            res = seeds[clean].copy()
-            nz = counts > 0
-            if nz.any():
-                cnz = counts[nz]
-                offs = np.zeros(len(cnz), dtype=np.intp)
-                np.cumsum(cnz[:-1], out=offs[1:])
-                res[nz] = np.minimum(
-                    np.minimum.reduceat(vals, offs), res[nz]
-                )
-            reqs[clean] = res
-        for i in defer:
-            reqs[i] = _serial_required_flat(
-                a, calc, rails, reqs, loads, i, tspec
-            )
+        rows, _, counts = csr_take(a.rp_ptr, members)
+        vals = (reqs[a.rp_reader[rows]] - reader_term[rows]) - rp_lc[rows]
+        res = seeds[members]
+        nz = counts > 0
+        if nz.any():
+            cnz = counts[nz]
+            offs = np.zeros(len(cnz), dtype=np.intp)
+            np.cumsum(cnz[:-1], out=offs[1:])
+            res[nz] = np.minimum(np.minimum.reduceat(vals, offs), res[nz])
+        reqs[members] = res
 
     return loads.tolist(), arrivals.tolist(), reqs.tolist()
+
+
+def _edge_delays(keys, key_delay, query):
+    """Per-row shifter delay: ``key_delay`` on converter edges, else 0."""
+    idx, hit = find_keys(keys, query)
+    out = np.zeros(len(query))
+    out[hit] = key_delay[idx[hit]]
+    return out
 
 
 class IncrementalTiming:
     """Incrementally-maintained arrival/required/slack over one network."""
 
-    def __init__(self, calculator: DelayCalculator, tspec: float,
-                 flat_source=None):
+    def __init__(
+        self, calculator: DelayCalculator, tspec: float, flat_source=None
+    ):
         """Build the engine and run one full sweep.
 
         ``flat_source`` is an optional zero-argument callable returning
@@ -355,12 +291,13 @@ class IncrementalTiming:
         self._load, self._arrival, self._required = _sweep(
             self._acquire_flat(), self.calculator, self.tspec
         )
-        self.arrival = _ArrayView(self, self._pos, self._arrival,
-                                  forward_only=True)
-        self.required = _ArrayView(self, self._pos, self._required,
-                                   forward_only=False)
-        self.load = _ArrayView(self, self._pos, self._load,
-                               forward_only=True)
+        self.arrival = _ArrayView(
+            self, self._pos, self._arrival, forward_only=True
+        )
+        self.required = _ArrayView(
+            self, self._pos, self._required, forward_only=False
+        )
+        self.load = _ArrayView(self, self._pos, self._load, forward_only=True)
         self._dirty_nets: set[str] = set()
         self._fwd_seeds: set[str] = set()
         self._bwd_seeds: set[str] = set()
@@ -460,8 +397,7 @@ class IncrementalTiming:
             cell = variant(reader)
             # Same float association as the oracle: req - pin_delay,
             # then - extra.
-            term = reqs[j] - (cell.intrinsics[pin]
-                              + cell.drive_res * loads[j])
+            term = reqs[j] - (cell.intrinsics[pin] + cell.drive_res * loads[j])
             if (name, reader) in lc_edges:
                 term -= calc.lc_delay(name, reader)
             if term < required:

@@ -11,6 +11,7 @@ end-to-end tests pin the capabilities' value on real MCNC circuits.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -38,11 +39,12 @@ from repro.core.moves import (
     registered_cost_models,
     unregister_cost_model,
 )
-from repro.core.state import ScalingState
+from repro.core.state import ScalingOptions, ScalingState
 from repro.library.compass import build_compass_library
 from repro.mapping.match import MatchTable
 from repro.power.estimate import demotion_gain
 from repro.timing import batch as timing_batch
+from repro.timing.delay import OUTPUT
 from repro.timing.incremental import IncrementalTiming
 
 MULTI_RAILS = {
@@ -78,14 +80,17 @@ def snapshot(state):
     )
 
 
-def _multirail_state(rails):
-    library = build_compass_library(rails=MULTI_RAILS[rails])
+def _prepared_state(library, options=None):
     prepared = Flow(
         FlowConfig(), library=library, match_table=MatchTable(library)
     ).prepare(mixed_datapath(width=5, n_control=3, n_products=8, seed=29))
     return ScalingState(prepared.network, library,
                         tspec=2.5 * prepared.tspec,
-                        activity=prepared.activity)
+                        activity=prepared.activity, options=options)
+
+
+def _multirail_state(rails):
+    return _prepared_state(build_compass_library(rails=MULTI_RAILS[rails]))
 
 
 @pytest.fixture(scope="module", params=sorted(MULTI_RAILS))
@@ -410,10 +415,11 @@ def test_batched_pricing_bit_identical_to_serial(
             move.undo(state)
 
 
-def test_lc_edge_candidates_take_the_fallback_bit_identically(monkeypatch):
-    """Candidates on spliced converter edges leave the vector kernels,
-    in both the check and the gain sweep, and the fallback answers
-    exactly what the serial check_demotion / demotion_gain do."""
+def test_lc_edge_candidates_stay_in_the_vector_kernels(monkeypatch):
+    """Candidates on spliced converter edges are priced by the vector
+    kernels -- nothing is routed to a serial fallback, in either the
+    check or the gain sweep -- and still answer exactly what the serial
+    check_demotion / demotion_gain do."""
     state = _multirail_state("3rails")
     split = timing_batch._split_candidates
     routed = []
@@ -436,7 +442,75 @@ def test_lc_edge_candidates_take_the_fallback_bit_identically(monkeypatch):
     ]
     serial = _serial_pricing(state, analysis, candidates)
     assert _batched_pricing(state, analysis, candidates) == serial
-    assert len(routed) == 2 and min(routed) > 0, routed
+    assert routed == [0, 0]
+
+
+DENSE_RAILS = {2: (5.0, 4.3), 3: MULTI_RAILS["3rails"],
+               4: MULTI_RAILS["4rails"]}
+
+
+def _skewed_shifter_library(rails):
+    """A library whose shifter input cap differs per destination rail.
+
+    Every built-in shifter twin keeps the high-rail pin cap, which hides
+    the order in which a net's shifter pins join its load; a size -1
+    variant with its own cap becomes each rail's shifter instead.
+    """
+    library = build_compass_library(rails=rails)
+    for rail, vdd in enumerate(library.rails[:-1]):
+        cell = library.level_converter("pg", vdd)
+        library.add(dataclasses.replace(
+            cell, name=f"{cell.name}_skew", size=-1,
+            input_caps=(cell.input_caps[0] * (1.0 + (rail + 1) / 7),)))
+    return library
+
+
+@pytest.mark.parametrize("lc_at_outputs", [False, True])
+@pytest.mark.parametrize("n_rails", sorted(DENSE_RAILS))
+def test_converter_dense_states_match_serial(n_rails, lc_at_outputs):
+    """On converter-dense states -- kept shifters on output, input and
+    PO edges, some stale after their reader dropped -- the batched check
+    and gain equal the serial loops for every (gate, target) pair, and
+    a fresh full sweep equals the serial oracle, all bitwise."""
+    options = ScalingOptions(lc_at_outputs=lc_at_outputs)
+    for seed in range(10):
+        rng = random.Random(seed)
+        state = _prepared_state(
+            _skewed_shifter_library(DENSE_RAILS[n_rails]), options)
+        lowest = state.n_rails - 1
+        # In random order: a driver demoted after its readers keeps
+        # direct readers beside its shifters (a deeper demotion adds new
+        # groups to kept ones), one demoted before them leaves stale
+        # shifters whose current rail differs from the retargeted one.
+        gates = state.network.gates()
+        for name in rng.sample(gates, k=len(gates) * 2 // 5):
+            state.demote(name, target=rng.randint(1, lowest))
+        for kind in rng.choices(_KINDS, k=8):
+            move = _random_move(rng, state, kind)
+            if move is not None:
+                move.apply(state)
+        assert any(reader != OUTPUT for _, reader in state.lc_edges)
+
+        # Zero slack on the critical path (and a little above it), so
+        # the feasibility flags turn on every shifter delay.
+        candidates = [
+            (name, target)
+            for name in state.network.gates()
+            for target in range(state.rail_of(name) + 1, lowest + 1)
+        ]
+        worst = state.full_timing().worst_delay
+        for tspec in (worst, 1.02 * worst, 1.05 * worst):
+            state.tspec = tspec
+            fresh = IncrementalTiming(state.calc, tspec,
+                                      flat_source=state.flat)
+            serial = _serial_pricing(state, fresh, candidates)
+            assert _batched_pricing(state, fresh, candidates) == serial
+
+            oracle = state.full_timing()
+            order, arrival, required, load = fresh.levelized_arrays()
+            assert load == [oracle.load[name] for name in order]
+            assert arrival == [oracle.arrival[name] for name in order]
+            assert required == [oracle.required[name] for name in order]
 
 
 def test_batched_pricing_validation_matches_serial(multirail_state):
@@ -456,6 +530,14 @@ def test_batched_pricing_validation_matches_serial(multirail_state):
         n for n, node in state.network.nodes.items() if node.is_input)
     with pytest.raises(ValueError, match="primary inputs"):
         timing_batch.demotion_gains(state, [(primary_input, None)])
+    with pytest.raises(ValueError, match="primary inputs"):
+        check_demotion(state, analysis, primary_input)
+    with pytest.raises(ValueError, match="primary inputs"):
+        timing_batch.check_demotions(state, analysis, [(primary_input, None)])
+    # Candidates validate in order: the first bad one names the error.
+    with pytest.raises(ValueError, match="already at the lowest rail"):
+        timing_batch.demotion_gains(
+            state, [(name, state.n_rails), (primary_input, None)])
 
 
 def test_price_moves_mixed_kinds_match_price(multirail_state):

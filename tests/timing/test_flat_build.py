@@ -6,7 +6,7 @@ level-by-level sweeps over the shared :class:`FlatNetwork` snapshot.
 These tests pin the contract those sweeps carry: **bit identity** with
 the serial kernels (``state.full_timing()`` for timing) -- not
 approximate equality -- across random mutation histories that exercise
-rail overlays, converter-edge fallbacks, and snapshots patched in
+rail overlays, level-shifter edges, and snapshots patched in
 place by resize (rolled-back resizes included).
 """
 
@@ -173,9 +173,9 @@ class TestFullBuild:
         assert_builds_bit_identical(state)
 
     def test_converter_fallback_paths_match_oracle(self, prepared, library):
-        # Force converters onto every low driver's fanout: lc drivers
-        # take the loads+required fallback kernels, their readers the
-        # arrival fallback, and the rest stays vectorized.
+        # Force converters onto every low driver's fanout: the sweep
+        # prices each converter edge's shifter delay on its arrival and
+        # required rows, and its drivers take their loads from calc.load.
         state = make_state(prepared, library)
         rng = random.Random(7)
         for gate in state.network.gates():
@@ -185,7 +185,7 @@ class TestFullBuild:
             for reader in sorted(state.network.fanouts(driver)):
                 if not state.is_low(reader):
                     state.lc_edges.add((driver, reader))
-        assert state.lc_edges, "scenario must exercise the lc fallback"
+        assert state.lc_edges, "scenario must exercise converter edges"
         assert_builds_bit_identical(state)
 
     def test_invalidate_rebuild_matches_oracle(self, prepared, library):

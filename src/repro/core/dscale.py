@@ -73,52 +73,6 @@ class DscaleResult:
     retargeted: int = 0
 
 
-def _has_regrouping_edge(state: ScalingState, name: str) -> bool:
-    """True when a demotion of ``name`` would re-target an existing shifter.
-
-    An existing converter edge whose reader sits at or below the
-    driver's rail (a stale edge awaiting cleanup) changes destination
-    rail when the driver drops further; the exact per-candidate check
-    below does not model that, so such gates wait for the cleanup pass
-    -- or, with ``retarget_shifters``, for a transactional
-    :class:`RetargetShifterMove`.  Impossible with two rails: a
-    demotable gate is at rail 0 and a valid state gives it no converter
-    edges at all.
-    """
-    rail = state.rail_of(name)
-    for reader in state.lc_edges.readers_of(name):
-        reader_rail = 0 if reader == OUTPUT else state.rail_of(reader)
-        if reader_rail >= rail:
-            return True
-    return False
-
-
-def _retargets_fanin_shifter(
-    state: ScalingState, name: str, target: int
-) -> bool:
-    """True when demoting ``name`` to ``target`` re-targets a fanin shifter.
-
-    A shifter on edge ``fanin -> name`` lifts toward
-    ``min(rail_of(name), rail_of(fanin) - 1)``; dropping the *reader*
-    deep enough moves that destination down a rail, slowing the input
-    edge (a lower-swing shifter is a slower shifter).  The closed-form
-    candidate check prices input-edge converters at their current
-    destination, so such demotions must go through the transactionally
-    verified retarget path instead of the antichain batch.  Impossible
-    with two rails: the only destination is rail 0.
-    """
-    rail = state.rail_of(name)
-    for fanin in state.network.nodes[name].fanins:
-        if (fanin, name) not in state.lc_edges:
-            continue
-        driver_cap = state.rail_of(fanin) - 1
-        current = min(rail, driver_cap)
-        post = min(target, driver_cap)
-        if max(current, 0) != max(post, 0):
-            return True
-    return False
-
-
 def check_demotion(
     state: ScalingState,
     analysis: TimingAnalysis | IncrementalTiming,
@@ -190,50 +144,34 @@ def candidate_order_pairs(
 
     Reachability runs through intermediate non-candidate nodes (two
     candidates on one path are comparable even when every node between
-    them is not a candidate), but only the candidates' combined fan-out
-    cone can ever carry a candidate bit: a node outside
-    ``transitive_fanout(candidates)`` reaches no candidate, so its mask
-    is provably zero and propagating it is wasted work.  Bitset
-    propagation therefore walks just the cone in reverse topological
-    order (sorted by cached position) -- identical pairs to a
-    whole-network sweep, near-linear in the cone instead of the
-    network; the reduction keeps the flow network sparse while chains
-    through intermediate candidates preserve comparability.
+    them is not a candidate).  Dscale never edits the network, so it
+    reads the snapshot's fixed :meth:`~repro.netlist.flat.FlatNetwork.reach`
+    table: per candidate, the reachable candidates are one AND with the
+    candidates' position mask, and only the *covers* among them (no
+    candidate in between) are emitted.  Popping the lowest remaining
+    position and then clearing everything it reaches does exactly that:
+    a candidate reached through an earlier cover sits at a later
+    position, so it is cleared before it can be popped.  Pairs come out
+    per candidate in ascending position -- the reduction keeps the flow
+    network sparse while chains through intermediate candidates
+    preserve comparability.
     """
-    network = state.network
-    index = {name: k for k, name in enumerate(candidates)}
-    position = network.topo_index()
-    cone = network.transitive_fanout(candidates)
-    reach: dict[str, int] = {}
-    for name in sorted(cone, key=position.__getitem__, reverse=True):
-        mask = 0
-        for reader in network.fanouts(name):
-            # Every reader of a cone node is itself in the cone, so its
-            # mask is already final.
-            mask |= reach[reader]
-            bit = index.get(reader)
-            if bit is not None:
-                mask |= 1 << bit
-        reach[name] = mask
-
+    flat = state.flat()
+    reach = flat.reach()
+    pos = flat.pos
+    order = flat.order
+    mask = 0
+    for name in candidates:
+        mask |= 1 << pos[name]
     pairs: list[tuple[str, str]] = []
     for name in candidates:
-        below = reach[name]
-        if not below:
-            continue
-        # Remove transitive pairs: anything reachable through another
-        # candidate that is itself below this node.
-        via = 0
-        remaining = below
+        remaining = reach[pos[name]] & mask
         while remaining:
             low_bit = remaining & -remaining
-            via |= reach[candidates[low_bit.bit_length() - 1]]
+            j = low_bit.bit_length() - 1
+            pairs.append((name, order[j]))
+            remaining &= ~reach[j]
             remaining ^= low_bit
-        covering = below & ~via
-        while covering:
-            low_bit = covering & -covering
-            pairs.append((name, candidates[low_bit.bit_length() - 1]))
-            covering ^= low_bit
     return pairs
 
 
@@ -288,6 +226,66 @@ def _slack_set(
     return [order[i] for i in np.flatnonzero(mask).tolist()]
 
 
+def _round_filter(
+    state: ScalingState,
+    slack_set: list[str],
+    lowest: int,
+    allow_deep: bool,
+) -> tuple[set[str], set[str], dict[str, list[int]]]:
+    """Route the slack set: ``(regrouping, saw_retarget, depths_of)``.
+
+    Two kinds of gate cannot be priced by the closed-form check, and
+    both are read off one pass over the converter-edge keys:
+
+    * a driver *regroups* when one of its shifters has a reader at or
+      below the driver's rail (a stale edge awaiting cleanup; a
+      primary-output shifter counts as reader rail 0).  Dropping the
+      driver further changes that shifter's destination rail, so the
+      gate waits for the cleanup pass -- or, with
+      ``retarget_shifters``, for a transactional
+      :class:`RetargetShifterMove`;
+    * a reader ``m`` *re-targets* a fanin shifter when the shifter on
+      ``f -> m`` lifts toward ``max(min(rail_of(m), rail_of(f) - 1),
+      0)`` and a demotion to ``t`` moves that destination.  For every
+      ``t > rail_of(m)`` that happens exactly when ``rail_of(f) - 1 >
+      rail_of(m)``, so such a gate has no priceable depth (a
+      lower-swing shifter is a slower one, and the check prices input
+      shifters at their current destination).
+
+    Every other gate gets the adjacent step, or every deeper rail down
+    to ``lowest`` when ``allow_deep``.  Neither kind exists with two
+    rails: a demotable gate is at rail 0 and carries no shifters.
+    """
+    flat = state.flat()
+    rails = flat.rail_plane(state.levels)
+    keys, po_lc = flat.lc_edge_keys(state.lc_edges)
+    driver, reader = np.divmod(keys, flat.n)
+    regroups = po_lc & (rails == 0)
+    regroups[driver[rails[reader] >= rails[driver]]] = True
+    retargets = np.zeros(flat.n, dtype=bool)
+    retargets[reader[rails[driver] - 1 > rails[reader]]] = True
+
+    idx = [flat.pos[name] for name in slack_set]
+    regrouping: set[str] = set()
+    saw_retarget: set[str] = set()
+    depths_of: dict[str, list[int]] = {}
+    for name, rail, regroup, retarget in zip(
+        slack_set,
+        rails[idx].tolist(),
+        regroups[idx].tolist(),
+        retargets[idx].tolist(),
+    ):
+        if regroup:
+            regrouping.add(name)
+        elif retarget:
+            saw_retarget.add(name)
+            depths_of[name] = []
+        else:
+            deepest = lowest if allow_deep else rail + 1
+            depths_of[name] = list(range(rail + 1, deepest + 1))
+    return regrouping, saw_retarget, depths_of
+
+
 def run_dscale(
     state: ScalingState,
     max_rounds: int = 1000,
@@ -320,22 +318,9 @@ def run_dscale(
         # whole round in two batched sweeps (feasibility + gain) through
         # the move engine's kernel -- bit-identical to one serial
         # check_demotion and demotion_gain per pair.
-        regrouping: set[str] = set()
-        saw_retarget: set[str] = set()
-        depths_of: dict[str, list[int]] = {}
-        for name in slack_set:
-            if _has_regrouping_edge(state, name):
-                regrouping.add(name)
-                continue
-            rail = state.rail_of(name)
-            deepest = lowest if allow_deep else rail + 1
-            depths: list[int] = []
-            for target in range(rail + 1, deepest + 1):
-                if _retargets_fanin_shifter(state, name, target):
-                    saw_retarget.add(name)
-                    continue
-                depths.append(target)
-            depths_of[name] = depths
+        regrouping, saw_retarget, depths_of = _round_filter(
+            state, slack_set, lowest, allow_deep
+        )
 
         flat = [
             (name, target)

@@ -76,27 +76,33 @@ class _LevelTable(dict):
     The notify callback receives ``(name, old_rail, new_rail)``; values
     are kept as written (bools from legacy callers, ints from the
     rail-aware paths) and normalized to rail indices only for the
-    change comparison.
+    change comparison.  ``version`` counts the reported changes, so
+    overlays derived from the table can be memoized until it moves.
     """
 
-    __slots__ = ("_notify",)
+    __slots__ = ("_notify", "version")
 
     def __init__(self, notify: Callable[[str, int, int], None]):
         super().__init__()
         self._notify = notify
+        self.version = 0
+
+    def _changed(self, key, old: int, new: int) -> None:
+        self.version += 1
+        self._notify(key, old, new)
 
     def __setitem__(self, key, value):
         old = int(dict.get(self, key, 0) or 0)
         new = int(value or 0)
         dict.__setitem__(self, key, value)
         if new != old:
-            self._notify(key, old, new)
+            self._changed(key, old, new)
 
     def __delitem__(self, key):
         old = int(dict.get(self, key, 0) or 0)
         dict.__delitem__(self, key)
         if old:
-            self._notify(key, old, 0)
+            self._changed(key, old, 0)
 
     def update(self, *args, **kwargs):
         for key, value in dict(*args, **kwargs).items():
@@ -130,7 +136,7 @@ class _LevelTable(dict):
         ]
         dict.clear(self)
         for key, old in assigned:
-            self._notify(key, old, 0)
+            self._changed(key, old, 0)
 
     def __ior__(self, other):
         self.update(other)
@@ -138,14 +144,22 @@ class _LevelTable(dict):
 
 
 class _ConverterSet(set):
-    """``lc_edges`` set that reports changes and indexes edges by driver."""
+    """``lc_edges`` set that reports changes and indexes edges by driver.
 
-    __slots__ = ("_notify", "_by_driver")
+    ``version`` counts the reported changes, as on :class:`_LevelTable`.
+    """
+
+    __slots__ = ("_notify", "_by_driver", "version")
 
     def __init__(self, notify: Callable[[tuple[str, str]], None]):
         super().__init__()
         self._notify = notify
         self._by_driver: dict[str, set[str]] = {}
+        self.version = 0
+
+    def _changed(self, edge) -> None:
+        self.version += 1
+        self._notify(edge)
 
     def readers_of(self, driver: str) -> tuple[str, ...]:
         """Current converter readers of ``driver`` (O(fanout) snapshot)."""
@@ -155,7 +169,7 @@ class _ConverterSet(set):
         if edge not in self:
             set.add(self, edge)
             self._by_driver.setdefault(edge[0], set()).add(edge[1])
-            self._notify(edge)
+            self._changed(edge)
 
     def discard(self, edge):
         if edge in self:
@@ -164,7 +178,7 @@ class _ConverterSet(set):
             readers.discard(edge[1])
             if not readers:
                 del self._by_driver[edge[0]]
-            self._notify(edge)
+            self._changed(edge)
 
     def remove(self, edge):
         if edge not in self:
@@ -208,7 +222,7 @@ class _ConverterSet(set):
         set.clear(self)
         self._by_driver.clear()
         for edge in edges:
-            self._notify(edge)
+            self._changed(edge)
 
     def __ior__(self, other):
         self.update(other)
@@ -275,8 +289,8 @@ class ScalingState:
         self._sizing_delta_cache: float | None = 0.0
         # Bumped on every cell swap; the flat snapshot carries the
         # version it was built or last patched for (rails and
-        # converter edges are overlaid per sweep, so only resizes
-        # move it).
+        # converter edges are overlays versioned by their own tables,
+        # so only resizes move it).
         self.cells_version = 0
         # Per-move-kind counters every MoveEngine over this state
         # accumulates into (one table per run, shared across the
@@ -362,11 +376,6 @@ class ScalingState:
             histogram[self.rail_of(name)] += 1
         return histogram
 
-    @property
-    def high_fanout_counts(self) -> dict[str, int]:
-        """Readers-still-at-Vhigh counts (the classic ``t=1`` table)."""
-        return self._below_counts[1]
-
     def fanout_counts_below(self, target: int) -> dict[str, int]:
         """Per-driver count of readers assigned shallower than ``target``."""
         return self._below_counts[target]
@@ -421,8 +430,9 @@ class ScalingState:
         or its topological revision changes: :meth:`resize` patches a
         current snapshot in place and stamps it with the new
         ``cells_version``.  Rails, converter edges, and timing are
-        overlaid per sweep by the consumers (full-STA builds, batched
-        pricing, power, candidate enumeration).  See
+        overlaid by the consumers (full-STA builds, batched pricing,
+        power, candidate enumeration) through overlays memoized per
+        assignment version.  See
         :mod:`repro.netlist.flat`.
         """
         return flat_of(self)

@@ -15,7 +15,16 @@ reduced to minimality by a reverse (sink-to-source) maximum flow on the
 Dinic kernel of :mod:`repro.graphalg.maxflow` (the paper's reference
 solves it by augmenting paths; any maximum flow leaves the same unique
 minimal residual cut, so the antichain does not depend on the choice),
-and the optimal antichain is read off that cut.  Total weight of the
+and the optimal antichain is read off that cut.
+
+The seeded flow already merges chains along the given pairs: each
+element's weight enters from the source and leaves to the sink, and one
+greedy walk over the pairs routes ``min(leaving u, entering v)`` of it
+across each pair arc instead.  Every split arc still carries exactly
+its weight, so the flow is feasible, and the network -- nodes, arcs,
+capacities, lower bounds -- is the one an unseeded solver builds, so
+the minimal cut and the antichain are too.  The walk does the work of
+the first Dinic phase without a search.  Total weight of the
 antichain equals the minimum flow value, which the implementation
 asserts -- strong duality doubles as a built-in self-check.
 """
@@ -63,24 +72,34 @@ def max_weight_antichain(
         if weights[element] < 0:
             raise ValueError(f"negative weight on element {element!r}")
 
-    # --- the lower-bound network, seeded with a feasible flow ----------
-    # Element k splits into in-node 2 + 2k and out-node 3 + 2k.  One
-    # chain per element, source -> in -> out -> sink, carries w; each arc
-    # has capacity INFINITY, so its forward residual is INFINITY - w and
-    # its reverse may shed the flow w -- except the split arc, whose
-    # lower bound w leaves it f - l = 0 to shed.
-    graph = ResidualGraph(2 + 2 * len(element_list))
-    total = 0
-    for k, v in enumerate(element_list):
-        weight = weights[v]
-        graph.add_arc(_SOURCE, 2 + 2 * k, INFINITY - weight, weight)
-        graph.add_arc(2 + 2 * k, 3 + 2 * k, INFINITY - weight)
-        graph.add_arc(3 + 2 * k, _SINK, INFINITY - weight, weight)
-        total += weight
+    # --- a feasible flow, with chains merged along the pairs -----------
+    # Every element starts as its own chain, source -> v -> sink with
+    # its weight; a pair arc u -> v joins u's chain into v's for as much
+    # as u still sends to the sink and v still takes from the source.
+    start = [weights[v] for v in element_list]
+    end = list(start)
+    pair_flows: list[tuple[int, int, int]] = []
     for u, v in order_pairs:
         ku, kv = index.get(u), index.get(v)
         if ku is not None and kv is not None and ku != kv:
-            graph.add_arc(3 + 2 * ku, 2 + 2 * kv, INFINITY)
+            flow = min(end[ku], start[kv])
+            end[ku] -= flow
+            start[kv] -= flow
+            pair_flows.append((ku, kv, flow))
+
+    # --- the lower-bound network, seeded with that flow -----------------
+    # Element k splits into in-node 2 + 2k and out-node 3 + 2k.  Every
+    # arc has capacity INFINITY, so its forward residual is INFINITY - f
+    # and its reverse may shed the flow f -- except the split arc, whose
+    # lower bound w leaves it f - l = 0 to shed.
+    graph = ResidualGraph(2 + 2 * len(element_list))
+    for k, v in enumerate(element_list):
+        graph.add_arc(_SOURCE, 2 + 2 * k, INFINITY - start[k], start[k])
+        graph.add_arc(2 + 2 * k, 3 + 2 * k, INFINITY - weights[v])
+        graph.add_arc(3 + 2 * k, _SINK, INFINITY - end[k], end[k])
+    for ku, kv, flow in pair_flows:
+        graph.add_arc(3 + 2 * ku, 2 + 2 * kv, INFINITY - flow, flow)
+    total = sum(start)
 
     # --- minimize the flow: max residual flow from sink back to source -
     reduction, reachable = graph.max_flow(_SINK, _SOURCE)

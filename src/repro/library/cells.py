@@ -117,13 +117,6 @@ class Library:
     def n_rails(self) -> int:
         return len(self._rails)
 
-    def rail_index(self, vdd: float) -> int:
-        """The rail index of a supply voltage (KeyError when absent)."""
-        try:
-            return self._rails.index(vdd)
-        except ValueError:
-            raise KeyError(f"no rail at {vdd} V in {self._rails}") from None
-
     def add(self, cell: Cell) -> Cell:
         if cell.name in self.cells:
             raise ValueError(f"duplicate cell {cell.name!r}")

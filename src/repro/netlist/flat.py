@@ -37,8 +37,14 @@ snapshot in place through :meth:`FlatNetwork.resize` and stamps it
 with the new ``cells_version``, so only a topology edit or a snapshot
 that fell behind is rebuilt.  Rail assignments, level-shifter edges,
 and the timing arrays are *not* in the snapshot -- they change per
-move and are overlaid per sweep by the consumers
-(:meth:`FlatNetwork.rail_plane`, :meth:`FlatNetwork.lc_edge_keys`).
+move.  Consumers overlay them through :meth:`FlatNetwork.rail_plane`
+and :meth:`FlatNetwork.lc_edge_keys`, which memoize one read-only
+overlay per assignment version: the state's observed collections
+count their effective changes, so a Dscale round that prices, checks
+and re-times one assignment builds each overlay once, and a move only
+bumps a counter.  :meth:`FlatNetwork.reach` is built lazily once per
+snapshot; a resize keeps it, because only a topology edit (a new
+snapshot) changes reachability.
 
 Planes are NumPy arrays (NumPy is a required dependency): the
 ``*_ptr`` / ``*_src`` / ``*_reader`` tables and ``by_depth`` batches
@@ -110,20 +116,28 @@ class FlatNetwork:
         "lc_intr", "lc_res", "lc_icap", "lc_ie",
         "po_load", "wire_base", "wire_per",
         "by_depth", "node_idx", "fi_owner", "e_owner", "e_counts",
-        "rate_cache",
+        "rate_cache", "reach_cache", "rail_memo", "lc_memo",
     )
 
     def rail_plane(self, levels) -> np.ndarray:
         """Per-position rail indices of ``levels`` (0 = high supply).
 
-        Rails change per move, so every sweep overlays them on the
-        snapshot through this plane.
+        Read-only.  A ``levels`` table with a ``version`` counter (the
+        state's observed dict) is memoized until that counter moves; a
+        plain dict is overlaid on every call.
         """
+        version = getattr(levels, "version", None)
+        memo = self.rail_memo
+        if memo is not None and memo[0] is levels and memo[1] == version:
+            return memo[2]
         rails = np.zeros(self.n, dtype=np.intp)
         pos = self.pos
         for name, level in levels.items():
             if level:
                 rails[pos[name]] = int(level)
+        rails.flags.writeable = False
+        if version is not None:
+            self.rail_memo = (levels, version, rails)
         return rails
 
     def lc_edge_keys(self, lc_edges) -> tuple[np.ndarray, np.ndarray]:
@@ -133,9 +147,13 @@ class FlatNetwork:
         of the shifters on fanout edges (look rows up with
         :func:`find_keys`); ``po_lc`` masks the drivers whose primary
         output carries a shifter (the ``OUTPUT`` reader sentinel, the
-        one reader that is not a node).  Converter edges change per
-        move, so consumers derive them per call, O(|lc_edges|).
+        one reader that is not a node).  Both are read-only and
+        memoized per ``lc_edges`` version like :meth:`rail_plane`.
         """
+        version = getattr(lc_edges, "version", None)
+        memo = self.lc_memo
+        if memo is not None and memo[0] is lc_edges and memo[1] == version:
+            return memo[2]
         pos = self.pos
         n = self.n
         po_lc = np.zeros(n, dtype=bool)
@@ -148,7 +166,35 @@ class FlatNetwork:
                 keys.append(pos[driver] * n + r)
         keys = np.asarray(keys, dtype=np.intp)
         keys.sort()
-        return keys, po_lc
+        keys.flags.writeable = False
+        po_lc.flags.writeable = False
+        overlay = (keys, po_lc)
+        if version is not None:
+            self.lc_memo = (lc_edges, version, overlay)
+        return overlay
+
+    def reach(self) -> list[int]:
+        """Strict reachability bitsets by topological position.
+
+        Bit ``j`` of ``reach()[i]`` is set when position ``j`` is
+        reachable from ``i`` through one or more fanout edges.  Built
+        on first use by one reverse-topological OR pass over the edge
+        rows and kept for the snapshot's lifetime (``n * n / 8``
+        bytes).
+        """
+        reach = self.reach_cache
+        if reach is None:
+            reach = [0] * self.n
+            e_ptr = self.e_ptr.tolist()
+            e_reader = self.e_reader.tolist()
+            for i in range(self.n - 1, -1, -1):
+                mask = 0
+                lo, hi = e_ptr[i], e_ptr[i + 1]
+                for r in e_reader[lo:hi]:
+                    mask |= reach[r] | 1 << r
+                reach[i] = mask
+            self.reach_cache = reach
+        return reach
 
     def rates(self, activity) -> np.ndarray:
         """Per-position ``a01`` rates of ``activity``.
@@ -347,6 +393,9 @@ def build_flat(network, calc, activity=None, version: int = 0) -> FlatNetwork:
     flat.e_owner = np.repeat(node_idx, e_counts)
     flat.e_counts = e_counts
     flat.rate_cache = None
+    flat.reach_cache = None
+    flat.rail_memo = None
+    flat.lc_memo = None
     return flat
 
 

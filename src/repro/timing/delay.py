@@ -67,11 +67,6 @@ class DemotionNetChange:
     def needs_converter(self) -> bool:
         return bool(self.converter_loads)
 
-    @property
-    def converter_load(self) -> float | None:
-        """The classic dual-Vdd single-group load (rail-0 shifter)."""
-        return self.converter_loads.get(0)
-
 
 class DelayCalculator:
     """Pin delays, net loads, and converter delays for one network.
@@ -214,12 +209,6 @@ class DelayCalculator:
             self._twin_cache[key] = twin
         return twin
 
-    def low_variant_of(self, cell: Cell) -> Cell:
-        """The rail-1 (classic Vlow) twin of a high-rail cell."""
-        if self.library.vdd_low is None:
-            raise ValueError("library has no low-voltage cells")
-        return self.rail_variant_of(cell, 1)
-
     # ------------------------------------------------------------------
     # Net loads
     # ------------------------------------------------------------------
@@ -356,13 +345,6 @@ class DelayCalculator:
         if load is None:
             load = self.load(name)
         return cell.pin_delay(pin, load)
-
-    def stage_delay(self, name: str, load: float | None = None) -> float:
-        """Worst pin-to-output delay of gate ``name`` at its load."""
-        cell = self.variant(name)
-        if load is None:
-            load = self.load(name)
-        return cell.max_delay(load)
 
     def lc_delay(self, driver: str, reader: str = "") -> float:
         """Stage delay of the shifter serving ``driver -> reader``.

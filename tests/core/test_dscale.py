@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.dscale as dscale_module
 from repro.api import Flow, FlowConfig
-from repro.bench.generators import mixed_datapath
+from repro.bench.generators import layered_network, mixed_datapath, sec_decoder
 from repro.core.cvs import run_cvs
 from repro.core.dscale import (
     candidate_order_pairs,
@@ -18,19 +19,32 @@ from repro.core.state import ScalingState
 from repro.graphalg.antichain import is_antichain
 
 
-@pytest.fixture(scope="module")
-def prepared(library):
-    from repro.mapping.match import MatchTable
-
-    network = mixed_datapath(width=8, n_control=6, n_products=14, seed=33)
+def _prepare(library, match_table, network):
     return Flow(
-        FlowConfig(), library=library, match_table=MatchTable(library)
+        FlowConfig(), library=library, match_table=match_table
     ).prepare(network)
 
 
+@pytest.fixture(scope="module")
+def prepared(library, match_table):
+    network = mixed_datapath(width=8, n_control=6, n_products=14, seed=33)
+    return _prepare(library, match_table, network)
+
+
+@pytest.fixture(scope="module")
+def sec_prepared(library, match_table):
+    """The XOR-dominated SEC decoder, where CVS stalls early and Dscale
+    demonstrably finds interior candidates."""
+    return _prepare(library, match_table, sec_decoder(data_bits=32))
+
+
 def fresh_state(prepared, library):
-    return ScalingState(prepared.fresh_copy(), library,
-                        tspec=prepared.tspec, activity=prepared.activity)
+    return ScalingState(
+        prepared.fresh_copy(),
+        library,
+        tspec=prepared.tspec,
+        activity=prepared.activity,
+    )
 
 
 def test_dscale_at_least_as_good_as_cvs(prepared, library):
@@ -75,7 +89,8 @@ def test_check_demotion_agrees_with_timing(prepared, library):
     run_cvs(state)
     analysis = state.timing()
     approved = [
-        name for name in state.network.gates()
+        name
+        for name in state.network.gates()
         if not state.is_low(name)
         and analysis.slack(name) > 0
         and check_demotion(state, analysis, name)
@@ -114,13 +129,16 @@ def test_candidate_order_pairs_capture_paths(prepared, library):
         return seen
 
     for u in candidates:
-        expected = {v for v in candidates if v != u and
-                    v in fanout_closure[u]}
+        closure = fanout_closure[u]
+        expected = {v for v in candidates if v != u and v in closure}
         assert reachable(u) == expected
 
 
 def _order_pairs_oracle(state, candidates):
-    """Whole-network reachability + set-based transitive reduction."""
+    """Whole-network reachability + set-based transitive reduction.
+
+    Per candidate, the covers come out in candidate order.
+    """
     network = state.network
     below = {}
     for name in candidates:
@@ -131,42 +149,78 @@ def _order_pairs_oracle(state, candidates):
         via = set()
         for mid in below[name]:
             via |= below[mid]
-        for v in below[name] - via:
-            pairs.append((name, v))
+        for v in candidates:
+            if v in below[name] and v not in via:
+                pairs.append((name, v))
     return pairs
 
 
+ORDER_CIRCUITS = (
+    lambda: mixed_datapath(width=8, n_control=6, n_products=14, seed=33),
+    lambda: layered_network(width=10, depth=12, seed=5),
+    lambda: sec_decoder(data_bits=16),
+)
+
+
 @pytest.fixture(scope="module")
-def order_state(prepared, library):
-    """A read-only state for the order-pair property tests."""
-    return fresh_state(prepared, library)
+def order_states(library, match_table):
+    """Read-only states for the order-pair property tests."""
+    return [
+        fresh_state(_prepare(library, match_table, make()), library)
+        for make in ORDER_CIRCUITS
+    ]
 
 
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
-def test_candidate_order_pairs_match_whole_network_oracle(
-        order_state, seed):
-    """The cone-bounded bitset propagation emits exactly the pairs a
-    whole-network reachability sweep would, for random candidate sets."""
+def test_candidate_order_pairs_match_whole_network_oracle(order_states, seed):
+    """The reach-table reduction emits exactly the oracle's pairs: the
+    same list for topologically ordered candidates (Dscale's case), the
+    same set for shuffled ones."""
     rng = random.Random(seed)
-    gates = order_state.network.gates()
-    count = rng.randrange(1, min(len(gates), 24) + 1)
-    candidates = rng.sample(gates, count)
-    pairs = candidate_order_pairs(order_state, candidates)
-    assert sorted(pairs) == sorted(_order_pairs_oracle(
-        order_state, candidates))
+    for state in order_states:
+        gates = state.network.gates()
+        position = state.network.topo_index()
+        count = rng.randrange(1, min(len(gates), 24) + 1)
+        candidates = sorted(rng.sample(gates, count), key=position.__getitem__)
+        pairs = candidate_order_pairs(state, candidates)
+        assert pairs == _order_pairs_oracle(state, candidates)
+        rng.shuffle(candidates)
+        pairs = candidate_order_pairs(state, candidates)
+        oracle = _order_pairs_oracle(state, candidates)
+        assert sorted(pairs) == sorted(oracle)
 
 
-def test_each_round_selection_is_antichain(library, monkeypatch):
-    """Spy on the MWIS call: every selected LowSet is path-independent.
+def test_reach_is_the_strict_transitive_fanout(order_states):
+    for state in order_states:
+        network = state.network
+        flat = state.flat()
+        reach = flat.reach()
+        for name, i in flat.pos.items():
+            below = {flat.order[j] for j in range(flat.n) if reach[i] >> j & 1}
+            assert below == network.transitive_fanout([name]) - {name}
 
-    Uses the XOR-dominated SEC-decoder family, where CVS stalls early
-    and Dscale demonstrably finds interior candidates.
-    """
-    import repro.core.dscale as dscale_module
-    from repro.bench.generators import sec_decoder
-    from repro.mapping.match import MatchTable
 
+def test_every_round_order_pairs_equal_the_oracle(
+    sec_prepared, library, monkeypatch
+):
+    """On a real Dscale run, every round's pair list is the oracle's."""
+    rounds = []
+    original = dscale_module.candidate_order_pairs
+
+    def spy(state, candidates):
+        pairs = original(state, candidates)
+        rounds.append(len(candidates))
+        assert pairs == _order_pairs_oracle(state, candidates)
+        return pairs
+
+    monkeypatch.setattr(dscale_module, "candidate_order_pairs", spy)
+    run_dscale(fresh_state(sec_prepared, library))
+    assert len(rounds) > 1 and max(rounds) > 1
+
+
+def test_each_round_selection_is_antichain(sec_prepared, library, monkeypatch):
+    """Spy on the MWIS call: every selected LowSet is path-independent."""
     recorded = []
     original = dscale_module.max_weight_antichain
 
@@ -176,12 +230,7 @@ def test_each_round_selection_is_antichain(library, monkeypatch):
         return result
 
     monkeypatch.setattr(dscale_module, "max_weight_antichain", spy)
-    sec = Flow(
-        FlowConfig(), library=library, match_table=MatchTable(library)
-    ).prepare(sec_decoder(data_bits=32))
-    state = ScalingState(sec.network, library, tspec=sec.tspec,
-                         activity=sec.activity)
-    run_dscale(state)
+    run_dscale(fresh_state(sec_prepared, library))
     assert recorded, "Dscale never reached MWIS selection"
     for pairs, chosen in recorded:
         assert is_antichain(pairs, chosen)
@@ -216,19 +265,16 @@ def test_multirail_po_shifter_demotion_respects_tspec():
 
     rails_library = build_compass_library(rails=(5.0, 4.3, 3.6))
     network = mixed_datapath(width=4, n_control=3, n_products=6, seed=0)
-    prep = Flow(
-        FlowConfig(),
-        library=rails_library,
-        match_table=MatchTable(rails_library),
-    ).prepare(network)
+    prep = _prepare(rails_library, MatchTable(rails_library), network)
     state = ScalingState(
-        prep.network, rails_library, tspec=1.25 * prep.min_delay,
+        prep.network,
+        rails_library,
+        tspec=1.25 * prep.min_delay,
         activity=prep.activity,
         options=ScalingOptions(lc_at_outputs=True),
     )
     run_dscale(state)  # validates internally; must not raise
     engine = state.timing()
     oracle = state.full_timing()
-    assert engine.worst_delay == pytest.approx(oracle.worst_delay,
-                                               abs=1e-9)
+    assert engine.worst_delay == pytest.approx(oracle.worst_delay, abs=1e-9)
     assert oracle.meets_timing(state.options.timing_tolerance)

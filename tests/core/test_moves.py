@@ -14,13 +14,14 @@ from __future__ import annotations
 import dataclasses
 import random
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.api import Flow, FlowConfig
 from repro.bench.generators import mixed_datapath
-from repro.core.dscale import check_demotion, run_dscale
+from repro.core.dscale import _round_filter, check_demotion, run_dscale
 from repro.core.gscale import resize_profile
 from repro.core.moves import (
     BUILTIN_COST_MODELS,
@@ -465,6 +466,29 @@ def _skewed_shifter_library(rails):
     return library
 
 
+def _converter_dense_state(n_rails, lc_at_outputs, seed):
+    """A state with kept shifters on output, input and PO edges, some
+    stale after their reader dropped."""
+    rng = random.Random(seed)
+    state = _prepared_state(
+        _skewed_shifter_library(DENSE_RAILS[n_rails]),
+        ScalingOptions(lc_at_outputs=lc_at_outputs))
+    lowest = state.n_rails - 1
+    # In random order: a driver demoted after its readers keeps direct
+    # readers beside its shifters (a deeper demotion adds new groups to
+    # kept ones), one demoted before them leaves stale shifters whose
+    # current rail differs from the retargeted one.
+    gates = state.network.gates()
+    for name in rng.sample(gates, k=len(gates) * 2 // 5):
+        state.demote(name, target=rng.randint(1, lowest))
+    for kind in rng.choices(_KINDS, k=8):
+        move = _random_move(rng, state, kind)
+        if move is not None:
+            move.apply(state)
+    assert any(reader != OUTPUT for _, reader in state.lc_edges)
+    return state
+
+
 @pytest.mark.parametrize("lc_at_outputs", [False, True])
 @pytest.mark.parametrize("n_rails", sorted(DENSE_RAILS))
 def test_converter_dense_states_match_serial(n_rails, lc_at_outputs):
@@ -472,24 +496,9 @@ def test_converter_dense_states_match_serial(n_rails, lc_at_outputs):
     PO edges, some stale after their reader dropped -- the batched check
     and gain equal the serial loops for every (gate, target) pair, and
     a fresh full sweep equals the serial oracle, all bitwise."""
-    options = ScalingOptions(lc_at_outputs=lc_at_outputs)
     for seed in range(10):
-        rng = random.Random(seed)
-        state = _prepared_state(
-            _skewed_shifter_library(DENSE_RAILS[n_rails]), options)
+        state = _converter_dense_state(n_rails, lc_at_outputs, seed)
         lowest = state.n_rails - 1
-        # In random order: a driver demoted after its readers keeps
-        # direct readers beside its shifters (a deeper demotion adds new
-        # groups to kept ones), one demoted before them leaves stale
-        # shifters whose current rail differs from the retargeted one.
-        gates = state.network.gates()
-        for name in rng.sample(gates, k=len(gates) * 2 // 5):
-            state.demote(name, target=rng.randint(1, lowest))
-        for kind in rng.choices(_KINDS, k=8):
-            move = _random_move(rng, state, kind)
-            if move is not None:
-                move.apply(state)
-        assert any(reader != OUTPUT for _, reader in state.lc_edges)
 
         # Zero slack on the critical path (and a little above it), so
         # the feasibility flags turn on every shifter delay.
@@ -511,6 +520,128 @@ def test_converter_dense_states_match_serial(n_rails, lc_at_outputs):
             assert load == [oracle.load[name] for name in order]
             assert arrival == [oracle.arrival[name] for name in order]
             assert required == [oracle.required[name] for name in order]
+
+
+def _has_regrouping_edge(state, name):
+    """Per-name oracle: a demotion of ``name`` re-targets one of its
+    own shifters (a reader at or below its rail; a PO reads rail 0)."""
+    rail = state.rail_of(name)
+    for reader in state.lc_edges.readers_of(name):
+        reader_rail = 0 if reader == OUTPUT else state.rail_of(reader)
+        if reader_rail >= rail:
+            return True
+    return False
+
+
+def _retargets_fanin_shifter(state, name, target):
+    """Per-name oracle: demoting ``name`` to ``target`` moves the
+    destination ``max(min(rail, rail_of(fanin) - 1), 0)`` of a shifter
+    on one of its input edges."""
+    rail = state.rail_of(name)
+    for fanin in state.network.nodes[name].fanins:
+        if (fanin, name) not in state.lc_edges:
+            continue
+        driver_cap = state.rail_of(fanin) - 1
+        current = min(rail, driver_cap)
+        post = min(target, driver_cap)
+        if max(current, 0) != max(post, 0):
+            return True
+    return False
+
+
+def _round_filter_oracle(state, slack_set, lowest, allow_deep):
+    """The per-name loop Dscale's round filter replaces."""
+    regrouping, saw_retarget, depths_of = set(), set(), {}
+    for name in slack_set:
+        if _has_regrouping_edge(state, name):
+            regrouping.add(name)
+            continue
+        rail = state.rail_of(name)
+        deepest = lowest if allow_deep else rail + 1
+        depths = []
+        for target in range(rail + 1, deepest + 1):
+            if _retargets_fanin_shifter(state, name, target):
+                saw_retarget.add(name)
+                continue
+            depths.append(target)
+        depths_of[name] = depths
+    return regrouping, saw_retarget, depths_of
+
+
+@pytest.mark.parametrize("lc_at_outputs", [False, True])
+@pytest.mark.parametrize("n_rails", sorted(DENSE_RAILS))
+def test_round_filter_matches_per_name_oracle(n_rails, lc_at_outputs):
+    """Dscale's one-pass round filter routes every gate as the per-name
+    loop over its shifters does: regrouping, re-targeting and depths."""
+    routed = set()
+    for seed in range(4):
+        state = _converter_dense_state(n_rails, lc_at_outputs, seed)
+        lowest = state.n_rails - 1
+        slack_set = [
+            name for name in state.network.gates()
+            if state.rail_of(name) < lowest
+        ]
+        for allow_deep in (False, True):
+            got = _round_filter(state, slack_set, lowest, allow_deep)
+            assert got == _round_filter_oracle(
+                state, slack_set, lowest, allow_deep)
+            routed |= {kind for kind, names in zip("RT", got) if names}
+    assert routed == (set() if n_rails == 2 else {"R", "T"})
+
+
+def _assert_overlays_fresh(state):
+    """The memoized overlays equal a fresh computation, are read-only,
+    and a second query without a change returns the memo itself."""
+    flat = state.flat()
+    rails = flat.rail_plane(state.levels)
+    assert rails is flat.rail_plane(state.levels)
+    assert np.array_equal(rails, flat.rail_plane(dict(state.levels)))
+    memo = flat.lc_edge_keys(state.lc_edges)
+    assert memo is flat.lc_edge_keys(state.lc_edges)
+    fresh = flat.lc_edge_keys(set(state.lc_edges))
+    assert all(map(np.array_equal, memo, fresh))
+    for array in (rails, *memo):
+        with pytest.raises(ValueError):
+            array[...] = 0
+
+
+@pytest.mark.parametrize("n_rails", sorted(DENSE_RAILS))
+def test_memoized_overlays_follow_every_mutation(n_rails):
+    state = _converter_dense_state(n_rails, True, seed=1)
+    engine = MoveEngine(state)
+    lowest = state.n_rails - 1
+    _assert_overlays_fresh(state)
+    gates = state.network.gates()
+    name = next(g for g in gates if state.rail_of(g) < lowest)
+    state.demote(name)
+    _assert_overlays_fresh(state)
+    state.promote(name)
+    _assert_overlays_fresh(state)
+    driver, reader = next(
+        (g, r)
+        for g in gates
+        if state.rail_of(g) > 0
+        for r in sorted(state.network.fanouts(g))
+        if (g, r) not in state.lc_edges
+    )
+    edge = (driver, reader)
+    state.lc_edges.add(edge)
+    _assert_overlays_fresh(state)
+    state.lc_edges.discard(edge)
+    _assert_overlays_fresh(state)
+    committed = False
+    for name in gates:
+        if state.rail_of(name) < lowest:
+            version = state.levels.version
+            committed = engine.try_move(DemoteMove(name))
+            _assert_overlays_fresh(state)
+            if committed:
+                assert state.levels.version > version
+                break
+    assert committed
+    name = next(g for g in gates if state.rail_of(g) < lowest)
+    assert not engine.try_move(DemoteMove(name), worst_delay_cap=-1.0)
+    _assert_overlays_fresh(state)
 
 
 def test_batched_pricing_validation_matches_serial(multirail_state):

@@ -16,6 +16,7 @@ from repro.graphalg.antichain import (
     is_antichain,
     max_weight_antichain,
 )
+from repro.graphalg.maxflow import INFINITY, ResidualGraph
 
 
 def test_empty_poset():
@@ -122,3 +123,57 @@ def test_matches_brute_force_on_random_dags(seed):
     assert is_antichain(pairs, chain)
     assert weight == sum(weights[e] for e in chain)
     assert weight == brute_force_antichain(elements, pairs, weights)
+
+
+def _unseeded_antichain(elements, order_pairs, weights):
+    """The solver without the pair-merged seed: one chain per element.
+
+    The same lower-bound network, started from the flow that sends each
+    weight straight from source to sink.
+    """
+    element_list = list(dict.fromkeys(elements))
+    index = {v: k for k, v in enumerate(element_list)}
+    graph = ResidualGraph(2 + 2 * len(element_list))
+    total = 0
+    for k, v in enumerate(element_list):
+        weight = weights[v]
+        graph.add_arc(0, 2 + 2 * k, INFINITY - weight, weight)
+        graph.add_arc(2 + 2 * k, 3 + 2 * k, INFINITY - weight)
+        graph.add_arc(3 + 2 * k, 1, INFINITY - weight, weight)
+        total += weight
+    for u, v in order_pairs:
+        ku, kv = index.get(u), index.get(v)
+        if ku is not None and kv is not None and ku != kv:
+            graph.add_arc(3 + 2 * ku, 2 + 2 * kv, INFINITY)
+    reduction, reachable = graph.max_flow(1, 0)
+    antichain = [
+        v
+        for k, v in enumerate(element_list)
+        if weights[v] > 0 and reachable[3 + 2 * k] and not reachable[2 + 2 * k]
+    ]
+    assert sum(weights[v] for v in antichain) == total - reduction
+    return antichain, total - reduction
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_seeded_flow_picks_the_unseeded_antichain(seed):
+    """Seeding the pair merges changes the flow, never the cut: on
+    random posets with deliberately tied weights -- where another
+    minimum cut would pick another antichain -- the list is the same."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 24)
+    elements = list(range(n))
+    rng.shuffle(elements)
+    density = rng.choice((0.1, 0.25, 0.5))
+    pairs = [
+        (elements[i], elements[j])
+        for i in range(n)
+        for j in range(i + 1, n)
+        if rng.random() < density
+    ]
+    rng.shuffle(pairs)
+    palette = rng.choice(((1,), (0, 2), (1, 2, 3), (5, 5, 10)))
+    weights = {e: rng.choice(palette) for e in elements}
+    got = max_weight_antichain(elements, pairs, weights)
+    assert got == _unseeded_antichain(elements, pairs, weights)

@@ -201,7 +201,14 @@ class TestFullBuild:
 
 def assert_planes_equal(flat, fresh):
     """Every plane of ``flat`` equals the fresh build's."""
-    skip = {"network", "version", "rate_cache"}
+    skip = {
+        "network",
+        "version",
+        "rate_cache",
+        "reach_cache",
+        "rail_memo",
+        "lc_memo",
+    }
     for plane in FlatNetwork.__slots__:
         if plane in skip:
             continue
@@ -213,6 +220,7 @@ def assert_planes_equal(flat, fresh):
             assert np.array_equal(got, want), plane
         else:
             assert got == want, plane
+    assert flat.reach() == fresh.reach()
 
 
 def oracle_calc(state):

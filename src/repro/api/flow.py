@@ -42,7 +42,7 @@ from repro.mapping.match import MatchTable
 from repro.netlist.network import Network
 from repro.power.activity import Activity, random_activities
 from repro.timing.delay import DelayCalculator
-from repro.timing.sta import TimingAnalysis
+from repro.timing.incremental import IncrementalTiming
 
 STAGES = ("optimize", "map", "constrain", "scale", "restore", "measure")
 """Stage execution order.  ``prepare()`` runs the first three;
@@ -128,7 +128,7 @@ def constrain_stage(ctx: FlowContext) -> None:
     for _ in range(4):
         budget = ctx.config.slack_factor * min_delay
         recover_area(ctx.network, ctx.library, budget, po_load=options.po_load)
-        achieved = TimingAnalysis(
+        achieved = IncrementalTiming(
             DelayCalculator(ctx.network, ctx.library, po_load=options.po_load),
             budget,
         ).worst_delay

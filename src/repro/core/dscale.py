@@ -56,7 +56,6 @@ from repro.core.state import ScalingState
 from repro.graphalg.antichain import max_weight_antichain
 from repro.timing.delay import OUTPUT
 from repro.timing.incremental import IncrementalTiming
-from repro.timing.sta import TimingAnalysis
 
 _WEIGHT_SCALE = 10_000
 """Power gains (uW) are scaled to integers for exact flow arithmetic."""
@@ -75,7 +74,7 @@ class DscaleResult:
 
 def check_demotion(
     state: ScalingState,
-    analysis: TimingAnalysis | IncrementalTiming,
+    analysis: IncrementalTiming,
     name: str,
     target: int | None = None,
 ) -> bool:

@@ -28,7 +28,6 @@ from repro.core.moves import MoveEngine, ResizeMove, demotion_deadline
 from repro.core.state import ScalingState
 from repro.graphalg.separator import min_weight_separator
 from repro.timing.incremental import IncrementalTiming
-from repro.timing.sta import TimingAnalysis
 
 _WEIGHT_SCALE = 1000
 _UNRESIZABLE = 10**9
@@ -52,7 +51,7 @@ class GscaleResult:
 
 def demotion_shortfall(
     state: ScalingState,
-    analysis: TimingAnalysis | IncrementalTiming,
+    analysis: IncrementalTiming,
     name: str,
 ) -> float:
     """How much earlier ``name``'s inputs must arrive to allow demotion.
@@ -71,7 +70,7 @@ def demotion_shortfall(
 
 def resize_profile(
     state: ScalingState,
-    analysis: TimingAnalysis | IncrementalTiming,
+    analysis: IncrementalTiming,
     name: str,
 ) -> tuple[float, float, float] | None:
     """(area penalty, net timing gain, worst driver penalty) of an upsize.

@@ -41,7 +41,7 @@ from repro.power.estimate import (
     estimate_power_calc,
 )
 from repro.timing.delay import DEFAULT_PO_LOAD, DelayCalculator, OUTPUT
-from repro.timing.incremental import IncrementalTiming
+from repro.timing.incremental import IncrementalTiming, swap_cell
 from repro.timing.sta import TimingAnalysis
 
 
@@ -367,15 +367,6 @@ class ScalingState:
     def low_nodes(self) -> list[str]:
         return [name for name, rail in self.levels.items() if rail]
 
-    def rail_histogram(self) -> dict[int, int]:
-        """Gate count per rail index (rail 0 included)."""
-        histogram = dict.fromkeys(range(self.n_rails), 0)
-        for name, node in self.network.nodes.items():
-            if node.is_input:
-                continue
-            histogram[self.rail_of(name)] += 1
-        return histogram
-
     def fanout_counts_below(self, target: int) -> dict[str, int]:
         """Per-driver count of readers assigned shallower than ``target``."""
         return self._below_counts[target]
@@ -562,20 +553,10 @@ class ScalingState:
         self._sizing_delta_cache = None
         flat = current_flat(self)
         self.cells_version += 1
-        node.cell = cell
+        swap_cell(self.calc, self._engine, name, cell)
         if flat is not None:
             flat.resize(flat.pos[name], self.calc)
             flat.version = self.cells_version
-        # The gate's own stage delay changed, and its new input pin
-        # capacitances changed every fanin driver's net load.
-        self.calc.invalidate_variant(name)
-        engine = self._engine
-        if engine is not None:
-            engine.note_variant_changed(name)
-        for fanin in set(node.fanins):
-            self.calc.invalidate_net(fanin)
-            if engine is not None:
-                engine.note_net_changed(fanin)
 
     @property
     def n_resized(self) -> int:

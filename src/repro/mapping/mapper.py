@@ -8,11 +8,22 @@ downsized in reverse topological order under exact required-time
 bookkeeping, trading the slack for area -- the same area-delay trade-off
 the SIS mapper performs when given the loosened constraint.
 
-The area-recovery sweep is provably safe without re-running timing after
-every accept: required times are computed against already-final
-downstream choices, and arrivals taken from the pre-recovery analysis
-are upper bounds because downsizing only ever *removes* input
-capacitance from upstream nets.
+Both sizing loops run on one
+:class:`~repro.timing.incremental.IncrementalTiming` engine per call,
+over a caching :class:`~repro.timing.delay.DelayCalculator`, and report
+every cell swap through :func:`~repro.timing.incremental.swap_cell`.
+``speed_up_sizing`` tries each upsize inside an engine transaction and
+rolls a rejected one back, so a trial costs its own cone, not a full
+analysis.
+
+The area-recovery sweep is provably safe without re-timing after every
+accept.  Required times are computed against already-final downstream
+choices, from calculator loads that ``swap_cell`` keeps exact (it drops
+every fanin net of a swapped gate).  Arrivals are copied from the engine
+at the start of each pass and are upper bounds for the rest of it,
+because downsizing only ever *removes* input capacitance from upstream
+nets.  An accepted downsize therefore only notes the engine; the engine
+repairs the dirty cones once, when the next pass copies its arrivals.
 """
 
 from __future__ import annotations
@@ -28,7 +39,7 @@ from repro.netlist.network import Network
 from repro.mapping.match import MatchTable
 from repro.mapping.subject import to_subject_graph
 from repro.timing.delay import DelayCalculator, DEFAULT_PO_LOAD
-from repro.timing.sta import TimingAnalysis
+from repro.timing.incremental import IncrementalTiming, swap_cell
 
 EST_LOAD = 21.0
 """Nominal load (fF) assumed while covering: ~2 average pins + wire."""
@@ -234,12 +245,12 @@ def speed_up_sizing(
     ``map -n1 -AFG`` and makes the "minimum delay" that anchors the 20%
     relaxation honest.  Returns the final worst delay.
     """
-    calculator = DelayCalculator(mapped, library, po_load=po_load)
-    best = TimingAnalysis(calculator, 0.0).worst_delay
+    calculator = DelayCalculator(mapped, library, po_load=po_load, cache=True)
+    engine = IncrementalTiming(calculator, 0.0)
+    best = engine.worst_delay
     for _ in range(max_passes):
         improved = False
-        analysis = TimingAnalysis(calculator, 0.0)
-        for name in analysis.critical_path():
+        for name in engine.critical_path():
             node = mapped.nodes[name]
             if node.is_input:
                 continue
@@ -247,13 +258,16 @@ def speed_up_sizing(
             if bigger is None:
                 continue
             original = node.cell
-            node.cell = bigger
-            candidate = TimingAnalysis(calculator, 0.0).worst_delay
+            engine.begin()
+            swap_cell(calculator, engine, name, bigger)
+            candidate = engine.worst_delay
             if candidate < best - 1e-12:
+                engine.commit()
                 best = candidate
                 improved = True
             else:
-                node.cell = original
+                swap_cell(calculator, engine, name, original)
+                engine.rollback()
         if not improved:
             break
     return best
@@ -275,17 +289,18 @@ def recover_area(
     constraint's slack the way the paper's area-delay-trade-off remap
     does.  Raises if the input mapping already misses ``tspec``.
     """
-    calculator = DelayCalculator(mapped, library, po_load=po_load)
-    analysis = TimingAnalysis(calculator, tspec)
-    if not analysis.meets_timing():
+    calculator = DelayCalculator(mapped, library, po_load=po_load, cache=True)
+    engine = IncrementalTiming(calculator, tspec)
+    if not engine.meets_timing():
         raise ValueError(
             f"mapping misses tspec before recovery: "
-            f"{analysis.worst_delay:.3f} > {tspec:.3f} ns"
+            f"{engine.worst_delay:.3f} > {tspec:.3f} ns"
         )
 
     resized = 0
     while True:
         resized_this_pass = 0
+        arrival = engine.arrival_snapshot()
         required: dict[str, float] = {}
         for name in reversed(mapped.topological()):
             node = mapped.nodes[name]
@@ -310,21 +325,20 @@ def recover_area(
                 if candidate.size >= node.cell.size:
                     break
                 at = max(
-                    analysis.arrival[fanin] + candidate.pin_delay(pin, load)
+                    arrival[fanin] + candidate.pin_delay(pin, load)
                     for pin, fanin in enumerate(node.fanins)
                 )
                 if at <= req:
-                    node.cell = candidate
+                    swap_cell(calculator, engine, name, candidate)
                     resized_this_pass += 1
                     break
         resized += resized_this_pass
         if not resized_this_pass:
             break
-        analysis = TimingAnalysis(calculator, tspec)
 
-    if not analysis.meets_timing():
+    if not engine.meets_timing():
         raise AssertionError(
-            f"area recovery broke timing: {analysis.worst_delay:.3f} > "
+            f"area recovery broke timing: {engine.worst_delay:.3f} > "
             f"{tspec:.3f} ns"
         )
     return resized

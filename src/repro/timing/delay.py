@@ -63,10 +63,6 @@ class DemotionNetChange:
         self.converter_loads = converter_loads
         self.new_edges = new_edges
 
-    @property
-    def needs_converter(self) -> bool:
-        return bool(self.converter_loads)
-
 
 class DelayCalculator:
     """Pin delays, net loads, and converter delays for one network.

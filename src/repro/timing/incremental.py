@@ -38,6 +38,12 @@ layer's non-adjacent :class:`~repro.core.moves.DemoteMove` and
 :class:`~repro.core.moves.RetargetShifterMove` exact inside a what-if
 transaction (oracle-tested in ``tests/core/test_moves.py``).
 
+A cell swap (resize) is both at once, and :func:`swap_cell` is the one
+place that says so: it rebinds the gate and reports its own variant
+plus every distinct fanin net, to the calculator caches and to the
+engine.  :meth:`repro.core.state.ScalingState.resize` and the mapper's
+sizing loops both call it.
+
 From those seed sets :meth:`refresh` propagates arrival changes forward
 and required changes backward in topological order through the affected
 cone only, stopping early at every node whose recomputed value is
@@ -248,6 +254,30 @@ def _edge_delays(keys, key_delay, query):
     out = np.zeros(len(query))
     out[hit] = key_delay[idx[hit]]
     return out
+
+
+def swap_cell(
+    calc: DelayCalculator,
+    engine: IncrementalTiming | None,
+    name: str,
+    cell,
+) -> None:
+    """Bind ``cell`` to gate ``name`` and report the swap.
+
+    The gate's own stage delay changed, and its new input pin
+    capacitances changed every fanin driver's net load.  Both the
+    calculator caches and the engine seeds (when there is an engine)
+    are dirtied for exactly that.
+    """
+    node = calc.network.nodes[name]
+    node.cell = cell
+    calc.invalidate_variant(name)
+    if engine is not None:
+        engine.note_variant_changed(name)
+    for fanin in dict.fromkeys(node.fanins):
+        calc.invalidate_net(fanin)
+        if engine is not None:
+            engine.note_net_changed(fanin)
 
 
 class IncrementalTiming:
@@ -699,4 +729,4 @@ class IncrementalTiming:
         ]
 
 
-__all__ = ["IncrementalTiming"]
+__all__ = ["IncrementalTiming", "swap_cell"]

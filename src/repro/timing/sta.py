@@ -1,14 +1,17 @@
-"""Static timing analysis: arrival / required / slack / critical paths.
+"""The serial timing oracle: arrival / required / slack / critical paths.
 
-``TimingAnalysis`` snapshots the timing of a mapped network under the
+``TimingAnalysis`` recomputes the timing of a mapped network under the
 *current* voltage levels and converter placement of a
-:class:`~repro.timing.delay.DelayCalculator` in one full sweep.  The
-dual-Vdd hot loops now run on
-:class:`repro.timing.incremental.IncrementalTiming`, which repairs only
-the affected cone after each move; this full rebuild remains the ground
-truth the incremental engine is equivalence-tested against (see
-``tests/timing/test_incremental.py``) and the right tool for one-shot
-analyses outside an optimization loop.
+:class:`~repro.timing.delay.DelayCalculator` in one plain sweep per
+direction, written for reading rather than speed.  It is the oracle,
+not a production path: every production caller -- the mapper's sizing
+loops, the constrain stage's budget check and the scaling passes --
+runs on :class:`repro.timing.incremental.IncrementalTiming`, which is
+tested bit for bit against this class (``tests/timing/``,
+``tests/mapping/test_mapper.py``).  The only other users are
+:meth:`repro.core.state.ScalingState.full_timing` (the oracle on an
+uncached calculator) and the materialization check in
+:mod:`repro.core.restore`.
 """
 
 from __future__ import annotations
@@ -91,7 +94,8 @@ class TimingAnalysis:
             load = self.load[name]
             worst = 0.0
             for pin, fanin in enumerate(node.fanins):
-                at_pin = self.arrival[fanin] + calc.edge_extra_delay(fanin, name)
+                extra = calc.edge_extra_delay(fanin, name)
+                at_pin = self.arrival[fanin] + extra
                 worst = max(worst, at_pin + cell.pin_delay(pin, load))
             self.arrival[name] = worst
 

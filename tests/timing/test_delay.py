@@ -133,7 +133,7 @@ def test_demotion_net_change_no_converter_when_readers_low(calc):
     for reader in network.fanouts(name):
         levels[reader] = True
     change = calculator.demotion_net_change(name, lc_at_outputs=False)
-    assert not change.needs_converter
+    assert not change.converter_loads
     assert change.new_edges == []
     assert change.load_after == pytest.approx(calculator.load(name))
 

@@ -323,6 +323,71 @@ def test_standalone_engine_tracks_manual_notes(mapped_adder, library):
     assert engine.worst_delay == pytest.approx(oracle.worst_delay, abs=1e-9)
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("rails", [(5.0, 4.3), (5.0, 4.3, 3.6)],
+                         ids=["2rails", "3rails"])
+@pytest.mark.parametrize("circuit", ["mixed", "pla"])
+def test_swap_cell_rule_keeps_engine_equal_to_oracle(circuit, rails, seed):
+    """The shared swap rule alone keeps a cached calculator and an engine
+    exact: random resizes, plain and inside committed or rolled-back
+    transactions, over fixed random rails and converter edges, with no
+    ScalingState in between.  Checked bitwise after every step."""
+    from repro.mapping.mapper import map_network
+    from repro.opt.script import rugged
+    from repro.timing.incremental import swap_cell
+
+    library = build_compass_library(rails=rails)
+    network = GENERATORS[circuit]()
+    rugged(network)
+    mapped = map_network(network, library, match_table=MatchTable(library))
+    rng = random.Random(seed)
+    gates = mapped.gates()
+    levels = {
+        name: rng.randrange(len(rails)) for name in gates if rng.random() < 0.4
+    }
+    lc_edges = {
+        (driver, reader)
+        for driver in levels
+        for reader in mapped.fanouts(driver)
+        if levels.get(reader, 0) < levels[driver]
+    }
+    calc = DelayCalculator(mapped, library, levels=levels, lc_edges=lc_edges,
+                           cache=True)
+    tspec = 50.0
+    engine = IncrementalTiming(calc, tspec)
+
+    def assert_bitwise():
+        oracle = TimingAnalysis(
+            DelayCalculator(mapped, library, levels=levels,
+                            lc_edges=lc_edges), tspec)
+        for name in mapped.nodes:
+            assert engine.arrival[name] == oracle.arrival[name], name
+            assert engine.load[name] == oracle.load[name], name
+            assert engine.required[name] == oracle.required[name], name
+
+    for _ in range(40):
+        name = rng.choice(gates)
+        original = mapped.nodes[name].cell
+        others = [cell for cell in library.variants(original.base)
+                  if cell is not original]
+        if not others:
+            continue
+        cell = rng.choice(others)
+        mode = rng.choice(("plain", "commit", "rollback"))
+        if mode == "plain":
+            swap_cell(calc, engine, name, cell)
+        else:
+            engine.begin()
+            swap_cell(calc, engine, name, cell)
+            engine.worst_delay  # repair inside the transaction
+            if mode == "commit":
+                engine.commit()
+            else:
+                swap_cell(calc, engine, name, original)
+                engine.rollback()
+        assert_bitwise()
+
+
 # ---------------------------------------------------------------------
 # Multi-rail (3 and 4 rails) oracle properties.  Hypothesis drives
 # random rail assignments and mutation sequences over the shared state;
@@ -458,8 +523,8 @@ def test_multirail_full_dscale_matches_oracle():
                          activity=prepared.activity)
     run_dscale(state)
     assert_equivalent(state)
-    histogram = state.rail_histogram()
-    assert histogram[2] > 0  # the third rail is genuinely exercised
+    # The third rail is genuinely exercised.
+    assert any(state.rail_of(name) == 2 for name in state.network.gates())
     assert state.power().total > 0
 
 

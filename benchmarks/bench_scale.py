@@ -163,7 +163,7 @@ def seed_converters(state, every=4):
         state.demote(name)
     for name in state.network.outputs:
         if state.is_low(name):
-            state.lc_edges.add((name, OUTPUT))
+            state.add_converter((name, OUTPUT))
 
 
 def bench_power(label, state, activity, repeat):

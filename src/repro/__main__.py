@@ -210,8 +210,6 @@ def _print_method_inventory() -> None:
             flags.append("resizes gates")
         if method.prices_moves:
             flags.append("prices moves")
-        if method.batch_pricing:
-            flags.append("batch pricing")
         detail = f" [{', '.join(flags)}]" if flags else ""
         description = method.description or "(no description)"
         print(f"  {method.name:>10}{detail}: {description}")

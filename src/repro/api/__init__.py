@@ -32,11 +32,7 @@ from repro.api.artifact import (
     flow_job_id,
 )
 from repro.api.cache import (
-    EVICTION_POLICIES,
     CacheStats,
-    EvictionPolicy,
-    FIFOPolicy,
-    LRUPolicy,
     PreparedCache,
 )
 from repro.api.config import (
@@ -86,20 +82,16 @@ __all__ = [
     "DEFAULT_SLACK_FACTOR",
     "DEFAULT_VDD_LOW",
     "EVENT_KINDS",
-    "EVICTION_POLICIES",
     "JOB_STATES",
     "SCHEMA_VERSION",
     "STAGES",
     "CacheStats",
     "CostModel",
-    "EvictionPolicy",
-    "FIFOPolicy",
     "Flow",
     "FlowConfig",
     "FlowContext",
     "JobRequest",
     "JobStatus",
-    "LRUPolicy",
     "MoveStats",
     "CircuitResult",
     "PreparedCache",

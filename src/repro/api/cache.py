@@ -11,7 +11,7 @@ config fields, so they are worth keeping hot across runs:
 
 Historically every consumer grew its own ad-hoc dict (the campaign
 workers' module-level caches, every script's locals).  They collapse
-into :class:`PreparedCache`: one keyed, eviction-pluggable,
+into :class:`PreparedCache`: one keyed, LRU-evicting,
 hit/miss-counted cache that :meth:`Flow.prepare()
 <repro.api.flow.Flow.prepare>` consults when constructed with
 ``cache=``, the campaign workers share per process, and the serving
@@ -30,8 +30,8 @@ cache smaller than one circuit could never serve it).
 The batch campaign keeps its historical memory profile by constructing
 the cache with ``retain_prepared=False``: every group is dispatched
 once per campaign, so the runner evicts each prepared circuit as soon
-as its group is done.  The daemon flips retention on and lets the LRU
-policy decide instead.
+as its group is done.  The daemon flips retention on and lets LRU
+eviction decide instead.
 """
 
 from __future__ import annotations
@@ -92,69 +92,6 @@ class CacheStats:
         self.bytes += int(other.get("bytes", 0))
 
 
-class EvictionPolicy:
-    """Order-keeping strategy deciding which cached entry dies first.
-
-    The cache calls :meth:`record` on every insert *and* every hit,
-    :meth:`forget` when an entry leaves, and :meth:`victim` when it
-    must shed one.  Subclass and pass an instance (or register a name
-    in :data:`EVICTION_POLICIES`) to plug in a different strategy.
-    """
-
-    name = "base"
-
-    def __init__(self) -> None:
-        self._order: OrderedDict[Any, None] = OrderedDict()
-
-    def record(self, key: Any) -> None:
-        raise NotImplementedError
-
-    def forget(self, key: Any) -> None:
-        self._order.pop(key, None)
-
-    def victim(self) -> Any:
-        """The key to evict next (the oldest under this policy)."""
-        return next(iter(self._order))
-
-
-class LRUPolicy(EvictionPolicy):
-    """Least-recently-used: a hit refreshes an entry's lease."""
-
-    name = "lru"
-
-    def record(self, key: Any) -> None:
-        self._order.pop(key, None)
-        self._order[key] = None
-
-
-class FIFOPolicy(EvictionPolicy):
-    """Insertion order only: hits do not refresh an entry's lease."""
-
-    name = "fifo"
-
-    def record(self, key: Any) -> None:
-        if key not in self._order:
-            self._order[key] = None
-
-
-EVICTION_POLICIES: dict[str, type[EvictionPolicy]] = {
-    "lru": LRUPolicy,
-    "fifo": FIFOPolicy,
-}
-
-
-def _make_policy(policy: str | EvictionPolicy) -> EvictionPolicy:
-    if isinstance(policy, EvictionPolicy):
-        return policy
-    try:
-        return EVICTION_POLICIES[policy]()
-    except KeyError:
-        raise ValueError(
-            f"unknown eviction policy {policy!r}; registered policies: "
-            f"{sorted(EVICTION_POLICIES)}"
-        ) from None
-
-
 def _estimate_bytes(value: Any) -> int:
     """A deterministic size estimate: the pickled representation.
 
@@ -179,9 +116,8 @@ class PreparedCache:
     """Keyed cache of built libraries and prepared circuits.
 
     ``max_bytes`` caps the estimated memory of *retained prepared
-    circuits* (``None`` = unbounded); ``policy`` picks the eviction
-    order (``"lru"`` default, ``"fifo"``, or an
-    :class:`EvictionPolicy` instance); ``retain_prepared=False``
+    circuits* (``None`` = unbounded), shedding the least recently used
+    first; ``retain_prepared=False``
     disables cross-call retention of prepared circuits entirely -- the
     consumer evicts explicitly (the batch campaign's one-shot groups).
 
@@ -190,14 +126,13 @@ class PreparedCache:
     """
 
     max_bytes: int | None = None
-    policy: str | EvictionPolicy = "lru"
     retain_prepared: bool = True
     stats: CacheStats = field(default_factory=CacheStats)
 
     def __post_init__(self) -> None:
-        self._policy = _make_policy(self.policy)
         self._libraries: dict[tuple[float, ...], tuple[Any, Any]] = {}
-        self._prepared: dict[Any, _Entry] = {}
+        # Least recently used first.
+        self._prepared: OrderedDict[Any, _Entry] = OrderedDict()
 
     # -- libraries ---------------------------------------------------
 
@@ -261,7 +196,7 @@ class PreparedCache:
         entry = self._prepared.get(key)
         if entry is not None:
             self.stats.hits += 1
-            self._policy.record(key)
+            self._prepared.move_to_end(key)
             return entry.value
         self.stats.misses += 1
         value = build()
@@ -271,7 +206,6 @@ class PreparedCache:
         self._prepared[key] = entry
         self.stats.entries = len(self._prepared)
         self.stats.bytes += entry.size
-        self._policy.record(key)
         self._shed(protect=key)
         return value
 
@@ -284,7 +218,6 @@ class PreparedCache:
         entry = self._prepared.pop(key, None)
         if entry is None:
             return False
-        self._policy.forget(key)
         self.stats.bytes -= entry.size
         self.stats.entries = len(self._prepared)
         if count_eviction:
@@ -298,10 +231,10 @@ class PreparedCache:
         if self.max_bytes is None:
             return
         while self.stats.bytes > self.max_bytes and len(self._prepared) > 1:
-            key = self._policy.victim()
+            key = next(iter(self._prepared))
             if key == protect:
-                # Re-record moves it behind the other candidates.
-                self._policy.record(key)
+                # Moves it behind the other candidates.
+                self._prepared.move_to_end(key)
                 continue
             self._pop(key, count_eviction=True)
 
@@ -318,10 +251,6 @@ class PreparedCache:
 
 
 __all__ = [
-    "EVICTION_POLICIES",
     "CacheStats",
-    "EvictionPolicy",
-    "FIFOPolicy",
-    "LRUPolicy",
     "PreparedCache",
 ]

@@ -16,8 +16,9 @@ Once registered, a method is reachable from every front door by name:
 (load the registering module with ``--plugin``), and campaign jobs.
 
 A method's ``run`` callable receives the live
-:class:`~repro.core.state.ScalingState` (mutate it: demote gates, add
-converter edges, resize cells) and the run's
+:class:`~repro.core.state.ScalingState` (mutate it through its writers:
+``demote`` / ``promote``, ``set_rail``, ``add_converter`` /
+``drop_converter``, ``resize``) and the run's
 :class:`~repro.api.config.FlowConfig` (read knobs like ``max_iter`` /
 ``area_budget``).  Capability flags let the flow reject configurations
 a method cannot honor -- ``multi_rail=False`` methods only accept
@@ -50,11 +51,7 @@ class ScalingMethod:
     that the method consults ``config.cost_model`` to weigh candidate
     moves; the flow rejects a non-default cost model on methods that do
     not (their results could not depend on it, so labeling rows with it
-    would fabricate a comparison).  ``batch_pricing`` declares that the
-    method prices candidates through the move engine's batched sweeps
-    (``check_moves`` / ``price_moves`` / ``profile_resizes``), which
-    run vectorized with NumPy -- results are bit-identical to the serial
-    loops, the flag only advertises where the batching buys throughput.
+    would fabricate a comparison).
     """
 
     name: str
@@ -62,7 +59,6 @@ class ScalingMethod:
     multi_rail: bool = True
     resizes_gates: bool = False
     prices_moves: bool = False
-    batch_pricing: bool = False
     description: str = ""
 
 
@@ -156,7 +152,6 @@ register_method(
         "dscale",
         _run_dscale,
         prices_moves=True,
-        batch_pricing=True,
         description="MWIS-based demotion of all positive-slack gates "
         "with interior level converters",
     )
@@ -166,7 +161,6 @@ register_method(
         "gscale",
         _run_gscale,
         resizes_gates=True,
-        batch_pricing=True,
         description="separator-guided gate resizing to open slack, "
         "then CVS-style demotion under an area budget",
     )

@@ -216,10 +216,11 @@ def _slack_set(
     """
     tolerance = state.options.timing_tolerance
     flat = state.flat()
+    rails, _, _ = state.assignment_overlays()
     order, arrival, required, _ = analysis.levelized_arrays()
     mask = (
         (np.asarray(required) - np.asarray(arrival) > tolerance)
-        & (flat.rail_plane(state.levels) < lowest)
+        & (rails < lowest)
         & ~np.asarray(flat.is_input)
     )
     return [order[i] for i in np.flatnonzero(mask).tolist()]
@@ -256,8 +257,7 @@ def _round_filter(
     rails: a demotable gate is at rail 0 and carries no shifters.
     """
     flat = state.flat()
-    rails = flat.rail_plane(state.levels)
-    keys, po_lc = flat.lc_edge_keys(state.lc_edges)
+    rails, keys, po_lc = state.assignment_overlays()
     driver, reader = np.divmod(keys, flat.n)
     regroups = po_lc & (rails == 0)
     regroups[driver[rails[reader] >= rails[driver]]] = True

@@ -173,7 +173,7 @@ def run_gscale(
     # paper's Gscale column is never below its CVS column), restore this
     # snapshot at the end.
     snapshot_levels = dict(state.levels)
-    snapshot_lc_edges = set(state.lc_edges)
+    snapshot_lc_edges = dict.fromkeys(state.lc_edges)
     snapshot_cells = {
         name: node.cell
         for name, node in state.network.nodes.items()
@@ -187,9 +187,8 @@ def run_gscale(
 
         weights: dict[str, int] = {}
         profiles: dict[str, tuple[float, float, float]] = {}
-        # One batched pricing sweep over the whole CPN (bit-identical
-        # to the serial resize_profile per name, vectorized).
-        for name, profile in zip(nodes, engine.profile_resizes(nodes)):
+        for name in nodes:
+            profile = resize_profile(state, analysis, name)
             if profile is None or profile[1] <= 0:
                 weights[name] = _UNRESIZABLE
                 continue
@@ -256,10 +255,15 @@ def run_gscale(
             break
 
     if state.power().total > snapshot_power:
-        state.levels.clear()
-        state.levels.update(snapshot_levels)
-        state.lc_edges.clear()
-        state.lc_edges.update(snapshot_lc_edges)
+        for name in list(state.levels):
+            state.set_rail(name, snapshot_levels.get(name, 0))
+        for name, rail in snapshot_levels.items():
+            state.set_rail(name, rail)
+        for edge in list(state.lc_edges):
+            if edge not in snapshot_lc_edges:
+                state.drop_converter(edge)
+        for edge in snapshot_lc_edges:
+            state.add_converter(edge)
         for name, cell in snapshot_cells.items():
             if state.network.nodes[name].cell is not cell:
                 state.resize(name, cell)

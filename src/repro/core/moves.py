@@ -99,8 +99,9 @@ class MoveStats:
 class Move:
     """One reversible mutation of a :class:`ScalingState`.
 
-    ``apply`` performs the mutation through the state's observed
-    collections (so every timing invalidation routes automatically) and
+    ``apply`` performs the mutation through the state's writers
+    (``set_rail`` / ``add_converter`` / ``drop_converter`` /
+    ``resize``, so every timing invalidation routes automatically) and
     records whatever ``undo`` needs to revert it exactly.  ``price``
     asks a :class:`CostModel` for the move's power gain in uW (positive
     = saves power); moves whose selection is not gain-driven return 0.
@@ -141,8 +142,8 @@ class DemoteMove(Move):
 
     def undo(self, state) -> None:
         for edge in self._new_edges:
-            state.lc_edges.discard(edge)
-        state.levels[self.name] = self._old_rail
+            state.drop_converter(edge)
+        state.set_rail(self.name, self._old_rail)
 
     def price(self, state, model: "CostModel") -> float:
         return model.demotion_gain(state, self.name, target=self.target)
@@ -177,13 +178,14 @@ class PromoteMove(Move):
         self._old_rail = state.rail_of(self.name)
         self._old_edges = tuple(
             (self.name, reader)
-            for reader in state.lc_edges.readers_of(self.name)
+            for reader in state.converter_readers(self.name)
         )
         state.promote(self.name)
 
     def undo(self, state) -> None:
-        state.levels[self.name] = self._old_rail
-        state.lc_edges.update(self._old_edges)
+        state.set_rail(self.name, self._old_rail)
+        for edge in self._old_edges:
+            state.add_converter(edge)
 
 
 class ResizeMove(Move):
@@ -218,10 +220,10 @@ class DropConverterMove(Move):
         self.edge = edge
 
     def apply(self, state) -> None:
-        state.lc_edges.discard(self.edge)
+        state.drop_converter(self.edge)
 
     def undo(self, state) -> None:
-        state.lc_edges.add(self.edge)
+        state.add_converter(self.edge)
 
 
 # -- cost models -------------------------------------------------------
@@ -322,8 +324,27 @@ class PlacementAwareCostModel(PaperCostModel):
         self, state, name: str, target: int | None = None
     ) -> float:
         gain = super().demotion_gain(state, name, target=target)
-        calc = state.calc
-        change = calc.demotion_net_change(
+        return self._less_wire(state, name, target, gain)
+
+    def demotion_gains(
+        self, state, candidates: list[tuple[str, int | None]]
+    ) -> list[float]:
+        """Batched paper gains, each less its wire surcharge."""
+        gains = batch.demotion_gains(state, candidates)
+        return [
+            self._less_wire(state, name, target, gain)
+            for (name, target), gain in zip(candidates, gains)
+        ]
+
+    def _less_wire(
+        self, state, name: str, target: int | None, gain: float
+    ) -> float:
+        """``gain`` less the wire energy of the new shifters' outputs.
+
+        One subtraction per destination rail, in ascending rail order,
+        so the serial and batched gains share every float operation.
+        """
+        change = state.calc.demotion_net_change(
             name, state.options.lc_at_outputs, target=target
         )
         if not change.new_edges:
@@ -341,41 +362,6 @@ class PlacementAwareCostModel(PaperCostModel):
             vdd = rails[rail]
             gain -= a01 * clock_mhz * wire_cap * vdd * vdd * 1e-3
         return gain
-
-    def demotion_gains(
-        self, state, candidates: list[tuple[str, int | None]]
-    ) -> list[float]:
-        """Batched paper gains plus the per-candidate wire surcharge.
-
-        The surcharge replicates :meth:`demotion_gain`'s serial loop
-        exactly (same rail order, same float association), applied on
-        top of the vectorized paper arithmetic.
-        """
-        gains = batch.demotion_gains(state, candidates)
-        calc = state.calc
-        clock_mhz = state.options.clock_mhz
-        wire = state.library.wire_model
-        rails = state.rails
-        for k, (name, target) in enumerate(candidates):
-            change = calc.demotion_net_change(
-                name, state.options.lc_at_outputs, target=target
-            )
-            if not change.new_edges:
-                continue
-            readers_per_rail: dict[int, int] = {}
-            for _driver, reader in change.new_edges:
-                rail = 0 if reader == OUTPUT else state.rail_of(reader)
-                readers_per_rail[rail] = readers_per_rail.get(rail, 0) + 1
-            a01 = state.activity.rate01(name)
-            gain = gains[k]
-            for rail in sorted(readers_per_rail):
-                wire_cap = self.wire_factor * wire.cap(
-                    readers_per_rail[rail]
-                )
-                vdd = rails[rail]
-                gain -= a01 * clock_mhz * wire_cap * vdd * vdd * 1e-3
-            gains[k] = gain
-        return gains
 
 
 BUILTIN_COST_MODELS = ("paper", "placement")
@@ -517,16 +503,6 @@ class MoveEngine:
         if analysis is None:
             analysis = self.state.timing()
         return batch.check_demotions(self.state, analysis, candidates)
-
-    def profile_resizes(
-        self, names: list[str]
-    ) -> list[tuple[float, float, float] | None]:
-        """Batched one-step upsize profiles (Gscale's pricing sweep).
-
-        Bit-identical to ``repro.core.gscale.resize_profile`` per name;
-        ``None`` where no larger variant exists.
-        """
-        return batch.resize_profiles(self.state, names)
 
     def apply(self, move: Move) -> None:
         """Apply unconditionally (the caller already verified it)."""

@@ -1,33 +1,39 @@
 """Shared mutable state for the multi-Vdd scaling algorithms.
 
-A :class:`ScalingState` owns the mapped network plus the two side tables
-every algorithm reads and writes: per-gate rail assignments and the set
-of edges carrying level converters.  The timing calculator and the power
-estimator both observe these tables live, so a demotion is visible to
+A :class:`ScalingState` owns the mapped network plus the *assignment*
+every algorithm reads and writes: the rail of each gate and the set of
+edges carrying level converters.  The timing calculator and the power
+estimator both read the assignment live, so a demotion is visible to
 the next query immediately -- no network surgery happens until
 :func:`repro.core.restore.materialize_converters` exports the result.
 
-``levels`` maps node name to *rail index* (0 = the high supply,
-:attr:`repro.library.cells.Library.rails`).  The classic dual-Vdd code
-wrote booleans into the table; that still works unchanged because
-``True == 1``, and with a two-rail library every code path below reduces
-bit-identically to the dual-Vdd original (enforced by
-``tests/core/test_rail_equivalence.py``).
+Rails are indexed: 0 is the high supply
+(:attr:`repro.library.cells.Library.rails`).  With a two-rail library
+every code path below reduces bit-identically to the dual-Vdd original
+(enforced by ``tests/core/test_rail_equivalence.py``).
 
-Both side tables are *observed* collections: every effective mutation
-(``demote`` / ``promote`` / direct ``levels[...] =`` / ``lc_edges.add``
-/ ``clear`` / ...) is reported to the shared
-:class:`~repro.timing.delay.DelayCalculator` cache and to the lazily
-created :class:`~repro.timing.incremental.IncrementalTiming` engine, so
-:meth:`ScalingState.timing` repairs only the affected cone instead of
-rebuilding a full analysis per move.  :meth:`ScalingState.full_timing`
-is the rebuild-from-scratch oracle the tests compare the engine against.
+The state is the only writer of the assignment.  Every write goes
+through :meth:`ScalingState.set_rail`, :meth:`ScalingState.add_converter`
+or :meth:`ScalingState.drop_converter` (``demote`` / ``promote`` and
+the moves' undo paths call them), and each effective write bumps
+:attr:`ScalingState.assignment_version` and reports the change to the
+shared :class:`~repro.timing.delay.DelayCalculator` cache and to the
+lazily created :class:`~repro.timing.incremental.IncrementalTiming`
+engine, so :meth:`ScalingState.timing` repairs only the affected cone
+instead of rebuilding a full analysis per move.  ``levels`` (the
+demoted gates and their rails; a gate on rail 0 has no entry) and
+``lc_edges`` are live read-only views: writing through them raises,
+so no write can skip the invalidation.  :meth:`ScalingState.full_timing`
+is the rebuild-from-scratch oracle the tests compare the engine
+against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Callable
+from types import MappingProxyType
+
+import numpy as np
 
 from repro.core.moves import MoveStats
 from repro.library.cells import Library
@@ -40,7 +46,7 @@ from repro.power.estimate import (
     PowerBreakdown,
     estimate_power_calc,
 )
-from repro.timing.delay import DEFAULT_PO_LOAD, DelayCalculator, OUTPUT
+from repro.timing.delay import DEFAULT_PO_LOAD, OUTPUT, DelayCalculator
 from repro.timing.incremental import IncrementalTiming, swap_cell
 from repro.timing.sta import TimingAnalysis
 
@@ -70,183 +76,17 @@ class ScalingOptions:
     timing_tolerance: float = 1e-9
 
 
-class _LevelTable(dict):
-    """``levels`` dict that reports every effective rail change.
-
-    The notify callback receives ``(name, old_rail, new_rail)``; values
-    are kept as written (bools from legacy callers, ints from the
-    rail-aware paths) and normalized to rail indices only for the
-    change comparison.  ``version`` counts the reported changes, so
-    overlays derived from the table can be memoized until it moves.
-    """
-
-    __slots__ = ("_notify", "version")
-
-    def __init__(self, notify: Callable[[str, int, int], None]):
-        super().__init__()
-        self._notify = notify
-        self.version = 0
-
-    def _changed(self, key, old: int, new: int) -> None:
-        self.version += 1
-        self._notify(key, old, new)
-
-    def __setitem__(self, key, value):
-        old = int(dict.get(self, key, 0) or 0)
-        new = int(value or 0)
-        dict.__setitem__(self, key, value)
-        if new != old:
-            self._changed(key, old, new)
-
-    def __delitem__(self, key):
-        old = int(dict.get(self, key, 0) or 0)
-        dict.__delitem__(self, key)
-        if old:
-            self._changed(key, old, 0)
-
-    def update(self, *args, **kwargs):
-        for key, value in dict(*args, **kwargs).items():
-            self[key] = value
-
-    def setdefault(self, key, default=None):
-        if key not in self:
-            self[key] = default
-        return dict.get(self, key)
-
-    def pop(self, key, *default):
-        if key in self:
-            value = dict.get(self, key)
-            del self[key]
-            return value
-        if default:
-            return default[0]
-        raise KeyError(key)
-
-    def popitem(self):
-        if not self:
-            raise KeyError("popitem(): dictionary is empty")
-        key = next(reversed(self))
-        return key, self.pop(key)
-
-    def clear(self):
-        assigned = [
-            (key, int(value or 0))
-            for key, value in self.items()
-            if value
-        ]
-        dict.clear(self)
-        for key, old in assigned:
-            self._changed(key, old, 0)
-
-    def __ior__(self, other):
-        self.update(other)
-        return self
-
-
-class _ConverterSet(set):
-    """``lc_edges`` set that reports changes and indexes edges by driver.
-
-    ``version`` counts the reported changes, as on :class:`_LevelTable`.
-    """
-
-    __slots__ = ("_notify", "_by_driver", "version")
-
-    def __init__(self, notify: Callable[[tuple[str, str]], None]):
-        super().__init__()
-        self._notify = notify
-        self._by_driver: dict[str, set[str]] = {}
-        self.version = 0
-
-    def _changed(self, edge) -> None:
-        self.version += 1
-        self._notify(edge)
-
-    def readers_of(self, driver: str) -> tuple[str, ...]:
-        """Current converter readers of ``driver`` (O(fanout) snapshot)."""
-        return tuple(self._by_driver.get(driver, ()))
-
-    def add(self, edge):
-        if edge not in self:
-            set.add(self, edge)
-            self._by_driver.setdefault(edge[0], set()).add(edge[1])
-            self._changed(edge)
-
-    def discard(self, edge):
-        if edge in self:
-            set.discard(self, edge)
-            readers = self._by_driver[edge[0]]
-            readers.discard(edge[1])
-            if not readers:
-                del self._by_driver[edge[0]]
-            self._changed(edge)
-
-    def remove(self, edge):
-        if edge not in self:
-            raise KeyError(edge)
-        self.discard(edge)
-
-    def pop(self):
-        if not self:
-            raise KeyError("pop from an empty converter set")
-        edge = next(iter(self))
-        self.discard(edge)
-        return edge
-
-    def update(self, *iterables):
-        for iterable in iterables:
-            for edge in iterable:
-                self.add(edge)
-
-    def difference_update(self, *iterables):
-        for iterable in iterables:
-            for edge in list(iterable):
-                self.discard(edge)
-
-    def intersection_update(self, *iterables):
-        keep = set(self)
-        for iterable in iterables:
-            keep &= set(iterable)
-        for edge in list(self):
-            if edge not in keep:
-                self.discard(edge)
-
-    def symmetric_difference_update(self, other):
-        for edge in list(other):
-            if edge in self:
-                self.discard(edge)
-            else:
-                self.add(edge)
-
-    def clear(self):
-        edges = list(self)
-        set.clear(self)
-        self._by_driver.clear()
-        for edge in edges:
-            self._changed(edge)
-
-    def __ior__(self, other):
-        self.update(other)
-        return self
-
-    def __isub__(self, other):
-        self.difference_update(other)
-        return self
-
-    def __iand__(self, other):
-        self.intersection_update(other)
-        return self
-
-    def __ixor__(self, other):
-        self.symmetric_difference_update(other)
-        return self
-
-
 class ScalingState:
     """Mapped network + rail assignments + converter placement."""
 
-    def __init__(self, network: Network, library: Library, tspec: float,
-                 activity: Activity | None = None,
-                 options: ScalingOptions | None = None):
+    def __init__(
+        self,
+        network: Network,
+        library: Library,
+        tspec: float,
+        activity: Activity | None = None,
+        options: ScalingOptions | None = None,
+    ):
         if library.vdd_low is None:
             raise ValueError("library must be enriched with low-Vdd cells")
         check_network(network, require_mapped=True)
@@ -263,18 +103,28 @@ class ScalingState:
         # pass toward rail ``t`` reads it for O(1) cluster-eligibility
         # checks instead of scanning every reader per visit; with two
         # rails the single ``t=1`` table is the classic high-fanout
-        # count.  Maintained by _on_level_changed.
+        # count.  Maintained by set_rail.
         self._below_counts: dict[int, dict[str, int]] = {
             t: {name: len(network.fanouts(name)) for name in network.nodes}
             for t in range(1, library.n_rails)
         }
-        self.levels: dict[str, int] = _LevelTable(self._on_level_changed)
-        self.lc_edges: set[tuple[str, str]] = _ConverterSet(
-            self._on_lc_edge_changed
-        )
+        # The assignment: the rail of every demoted gate, and the
+        # converter edges (a dict used as an insertion-ordered set).
+        self._levels: dict[str, int] = {}
+        self._lc_edges: dict[tuple[str, str], None] = {}
+        self.levels = MappingProxyType(self._levels)
+        self.lc_edges = self._lc_edges.keys()
+        # Bumped on every effective assignment write; keys the overlay
+        # memo of assignment_overlays.
+        self.assignment_version = 0
+        self._overlay_memo = None
         self.calc = DelayCalculator(
-            network, library, levels=self.levels, lc_edges=self.lc_edges,
-            lc_kind=self.options.lc_kind, po_load=self.options.po_load,
+            network,
+            library,
+            levels=self._levels,
+            lc_edges=self._lc_edges,
+            lc_kind=self.options.lc_kind,
+            po_load=self.options.po_load,
             cache=True,
         )
         if activity is None:
@@ -289,8 +139,8 @@ class ScalingState:
         self._sizing_delta_cache: float | None = 0.0
         # Bumped on every cell swap; the flat snapshot carries the
         # version it was built or last patched for (rails and
-        # converter edges are overlays versioned by their own tables,
-        # so only resizes move it).
+        # converter edges are overlays keyed by assignment_version, so
+        # only resizes move it).
         self.cells_version = 0
         # Per-move-kind counters every MoveEngine over this state
         # accumulates into (one table per run, shared across the
@@ -299,13 +149,30 @@ class ScalingState:
         self.move_stats = MoveStats()
 
     # ------------------------------------------------------------------
-    # Mutation observers
+    # Assignment writers
     # ------------------------------------------------------------------
 
-    def _on_level_changed(self, name: str, old: int, new: int) -> None:
-        """A gate's rail changed: its cell variant is stale."""
-        lo, hi = (old, new) if old < new else (new, old)
-        delta = -1 if new > old else 1
+    def set_rail(self, name: str, rail: int) -> None:
+        """Assign gate ``name`` to ``rail`` (0 = the high supply).
+
+        A gate's cell variant follows its rail.  Beyond two rails a
+        reader's rail also picks the destination of the shifters
+        serving it, so the change can regroup converters on this gate's
+        own net and on any fanin net that converts into it.  (With two
+        rails every shifter targets rail 0 and none of that can move.)
+        """
+        rail = int(rail)
+        levels = self._levels
+        old = levels.get(name, 0)
+        if rail == old:
+            return
+        if rail:
+            levels[name] = rail
+        else:
+            del levels[name]
+        self.assignment_version += 1
+        lo, hi = (old, rail) if old < rail else (rail, old)
+        delta = -1 if rail > old else 1
         fanins = set(self.network.nodes[name].fanins)
         for t in range(lo + 1, hi + 1):
             counts = self._below_counts.get(t)
@@ -313,35 +180,35 @@ class ScalingState:
                 continue
             for fanin in fanins:
                 counts[fanin] += delta
-        calc = getattr(self, "calc", None)
-        if calc is not None:
-            calc.invalidate_variant(name)
+        calc = self.calc
         engine = self._engine
+        calc.invalidate_variant(name)
         if engine is not None:
             engine.note_variant_changed(name)
         if self._multi_rail:
-            # Beyond two rails a reader's rail picks the *destination*
-            # of the shifters serving it, so a rail change can regroup
-            # converters on this gate's own net and on any fanin net
-            # that converts into it.  (With two rails every shifter
-            # targets rail 0 and none of this can move.)
-            if calc is not None:
-                calc.invalidate_net(name)
-            if engine is not None:
-                engine.note_net_changed(name)
-            for fanin in fanins:
-                if (fanin, name) in self.lc_edges:
-                    if calc is not None:
-                        calc.invalidate_net(fanin)
-                    if engine is not None:
-                        engine.note_net_changed(fanin)
+            nets = [name]
+            nets.extend(f for f in fanins if (f, name) in self._lc_edges)
+            for net in nets:
+                calc.invalidate_net(net)
+                if engine is not None:
+                    engine.note_net_changed(net)
 
-    def _on_lc_edge_changed(self, edge: tuple[str, str]) -> None:
+    def add_converter(self, edge: tuple[str, str]) -> None:
+        """Put a level converter on ``edge`` (``(driver, reader)``)."""
+        if edge not in self._lc_edges:
+            self._lc_edges[edge] = None
+            self._converter_changed(edge[0])
+
+    def drop_converter(self, edge: tuple[str, str]) -> None:
+        """Remove the level converter on ``edge``, if there is one."""
+        if edge in self._lc_edges:
+            del self._lc_edges[edge]
+            self._converter_changed(edge[0])
+
+    def _converter_changed(self, driver: str) -> None:
         """A converter edge (dis)appeared: the driver's net changed."""
-        driver = edge[0]
-        calc = getattr(self, "calc", None)
-        if calc is not None:
-            calc.invalidate_net(driver)
+        self.assignment_version += 1
+        self.calc.invalidate_net(driver)
         if self._engine is not None:
             self._engine.note_net_changed(driver)
 
@@ -359,13 +226,27 @@ class ScalingState:
 
     def rail_of(self, name: str) -> int:
         """The rail index ``name`` is assigned to (0 = high supply)."""
-        return int(self.levels.get(name, 0) or 0)
+        return self._levels.get(name, 0)
 
     def is_low(self, name: str) -> bool:
-        return self.rail_of(name) > 0
+        return name in self._levels
 
     def low_nodes(self) -> list[str]:
-        return [name for name, rail in self.levels.items() if rail]
+        return list(self._levels)
+
+    def converter_readers(self, driver: str) -> tuple[str, ...]:
+        """Readers of ``driver`` behind a converter, in fanout order.
+
+        A converter guarding ``driver``'s primary output is reported as
+        the ``OUTPUT`` reader, last.  O(fanout).
+        """
+        edges = self._lc_edges
+        readers = [
+            r for r in self.network.fanouts(driver) if (driver, r) in edges
+        ]
+        if (driver, OUTPUT) in edges:
+            readers.append(OUTPUT)
+        return tuple(readers)
 
     def fanout_counts_below(self, target: int) -> dict[str, int]:
         """Per-driver count of readers assigned shallower than ``target``."""
@@ -373,7 +254,7 @@ class ScalingState:
 
     @property
     def n_low(self) -> int:
-        return sum(1 for rail in self.levels.values() if rail)
+        return len(self._levels)
 
     @property
     def n_gates(self) -> int:
@@ -403,13 +284,16 @@ class ScalingState:
     def full_timing(self) -> TimingAnalysis:
         """A rebuild-from-scratch analysis on an uncached calculator.
 
-        This is the equivalence oracle: it shares the live ``levels`` /
-        ``lc_edges`` tables but none of the caches, so it cannot be
-        polluted by a missed invalidation.
+        This is the equivalence oracle: it reads the live assignment
+        but shares none of the caches, so it cannot be polluted by a
+        missed invalidation.
         """
         oracle_calc = DelayCalculator(
-            self.network, self.library, levels=self.levels,
-            lc_edges=self.lc_edges, lc_kind=self.options.lc_kind,
+            self.network,
+            self.library,
+            levels=self._levels,
+            lc_edges=self._lc_edges,
+            lc_kind=self.options.lc_kind,
             po_load=self.options.po_load,
         )
         return TimingAnalysis(oracle_calc, self.tspec)
@@ -422,18 +306,39 @@ class ScalingState:
         current snapshot in place and stamps it with the new
         ``cells_version``.  Rails, converter edges, and timing are
         overlaid by the consumers (full-STA builds, batched pricing,
-        power, candidate enumeration) through overlays memoized per
-        assignment version.  See
-        :mod:`repro.netlist.flat`.
+        power, candidate enumeration); see
+        :meth:`assignment_overlays` and :mod:`repro.netlist.flat`.
         """
         return flat_of(self)
+
+    def assignment_overlays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(rails, keys, po_lc)``: the assignment over :meth:`flat`.
+
+        ``rails`` is :meth:`FlatNetwork.rail_plane` and ``(keys,
+        po_lc)`` is :meth:`FlatNetwork.lc_edge_keys` of the current
+        assignment.  Memoized per (snapshot, ``assignment_version``),
+        so a Dscale round that filters, checks and prices one
+        assignment builds the overlays once.  The arrays are read-only.
+        """
+        flat = self.flat()
+        version = self.assignment_version
+        memo = self._overlay_memo
+        if memo is not None and memo[0] is flat and memo[1] == version:
+            return memo[2]
+        keys, po_lc = flat.lc_edge_keys(self._lc_edges)
+        overlays = (flat.rail_plane(self._levels), keys, po_lc)
+        self._overlay_memo = (flat, version, overlays)
+        return overlays
 
     def power(self) -> PowerBreakdown:
         _, _, _, loads = self.timing().levelized_arrays()
         return estimate_power_calc(
-            self.calc, self.activity, clock_mhz=self.options.clock_mhz,
+            self.calc,
+            self.activity,
+            clock_mhz=self.options.clock_mhz,
             include_input_nets=self.options.include_input_nets,
-            flat=self.flat(), loads=loads,
+            flat=self.flat(),
+            loads=loads,
         )
 
     def area(self) -> float:
@@ -462,8 +367,10 @@ class ScalingState:
             delta = 0.0
             for old_name, new_name in self.resized.values():
                 if old_name != new_name:
-                    delta += (self.library.cell(new_name).area
-                              - self.library.cell(old_name).area)
+                    delta += (
+                        self.library.cell(new_name).area
+                        - self.library.cell(old_name).area
+                    )
             self._sizing_delta_cache = delta
         return self._sizing_delta_cache
 
@@ -477,8 +384,9 @@ class ScalingState:
     # Moves
     # ------------------------------------------------------------------
 
-    def new_lc_edges_for(self, name: str,
-                         target: int | None = None) -> list[tuple[str, str]]:
+    def new_lc_edges_for(
+        self, name: str, target: int | None = None
+    ) -> list[tuple[str, str]]:
         """Converter edges a demotion of ``name`` to ``target`` would add.
 
         ``target=None`` prices the classic one-rail step; a deeper
@@ -488,27 +396,31 @@ class ScalingState:
         if target is None:
             target = self.rail_of(name) + 1
         edges = []
+        lc_edges = self._lc_edges
         for reader in self.network.fanouts(name):
-            if (self.rail_of(reader) < target
-                    and (name, reader) not in self.lc_edges):
+            if (
+                self.rail_of(reader) < target
+                and (name, reader) not in lc_edges
+            ):
                 edges.append((name, reader))
         if (
             self.options.lc_at_outputs
             and name in self.network.outputs
-            and (name, OUTPUT) not in self.lc_edges
+            and (name, OUTPUT) not in lc_edges
         ):
             edges.append((name, OUTPUT))
         return edges
 
-    def demote(self, name: str,
-               target: int | None = None) -> list[tuple[str, str]]:
+    def demote(
+        self, name: str, target: int | None = None
+    ) -> list[tuple[str, str]]:
         """Drop ``name`` to a lower rail and splice the required converters.
 
         ``target=None`` drops one rail (the classic move); an explicit
         deeper ``target`` performs a non-adjacent demotion in a single
-        mutation -- one level-table write, one batch of new converter
-        edges -- so the timing engine repairs the cone once, not once
-        per intermediate rail.
+        mutation -- one rail write, one batch of new converter edges --
+        so the timing engine repairs the cone once, not once per
+        intermediate rail.
         """
         node = self.network.nodes[name]
         if node.is_input:
@@ -524,8 +436,9 @@ class ScalingState:
                 f"current rail {rail}"
             )
         edges = self.new_lc_edges_for(name, target)
-        self.levels[name] = target
-        self.lc_edges.update(edges)
+        self.set_rail(name, target)
+        for edge in edges:
+            self.add_converter(edge)
         return edges
 
     def promote(self, name: str) -> None:
@@ -534,11 +447,11 @@ class ScalingState:
         if rail == 0:
             raise ValueError(f"{name!r} is already at the high rail")
         new_rail = rail - 1
-        self.levels[name] = new_rail
-        for reader in self.lc_edges.readers_of(name):
+        self.set_rail(name, new_rail)
+        for reader in self.converter_readers(name):
             reader_rail = 0 if reader == OUTPUT else self.rail_of(reader)
             if reader_rail >= new_rail:
-                self.lc_edges.discard((name, reader))
+                self.drop_converter((name, reader))
 
     def resize(self, name: str, cell) -> None:
         """Swap a gate's bound cell (same base, other size)."""
@@ -601,25 +514,25 @@ class ScalingState:
         meet ``tspec``.
         """
         network = self.network
-        for name, value in self.levels.items():
-            rail = int(value or 0)
-            if not rail:
-                continue
+        lc_edges = self._lc_edges
+        for name, rail in self._levels.items():
             for reader in network.fanouts(name):
-                if (self.rail_of(reader) < rail
-                        and (name, reader) not in self.lc_edges):
+                if (
+                    self.rail_of(reader) < rail
+                    and (name, reader) not in lc_edges
+                ):
                     raise AssertionError(
                         f"unconverted low->high edge {name!r} -> {reader!r}"
                     )
             if (
                 self.options.lc_at_outputs
                 and name in network.outputs
-                and (name, OUTPUT) not in self.lc_edges
+                and (name, OUTPUT) not in lc_edges
             ):
                 raise AssertionError(
                     f"unconverted low primary output {name!r}"
                 )
-        for driver, reader in self.lc_edges:
+        for driver, _ in lc_edges:
             if not self.is_low(driver):
                 raise AssertionError(
                     f"converter on edge from high driver {driver!r}"

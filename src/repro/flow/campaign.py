@@ -378,7 +378,6 @@ def worker_cache() -> PreparedCache:
 def configure_worker_cache(
     max_bytes: int | None = None,
     retain_prepared: bool = False,
-    policy: str = "lru",
 ) -> PreparedCache:
     """Replace this process's shared cache with a reconfigured one.
 
@@ -389,7 +388,6 @@ def configure_worker_cache(
     global _WORKER_CACHE
     _WORKER_CACHE = PreparedCache(
         max_bytes=max_bytes,
-        policy=policy,
         retain_prepared=retain_prepared,
     )
     return _WORKER_CACHE

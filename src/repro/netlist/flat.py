@@ -38,11 +38,12 @@ with the new ``cells_version``, so only a topology edit or a snapshot
 that fell behind is rebuilt.  Rail assignments, level-shifter edges,
 and the timing arrays are *not* in the snapshot -- they change per
 move.  Consumers overlay them through :meth:`FlatNetwork.rail_plane`
-and :meth:`FlatNetwork.lc_edge_keys`, which memoize one read-only
-overlay per assignment version: the state's observed collections
-count their effective changes, so a Dscale round that prices, checks
-and re-times one assignment builds each overlay once, and a move only
-bumps a counter.  :meth:`FlatNetwork.reach` is built lazily once per
+and :meth:`FlatNetwork.lc_edge_keys`, plain read-only functions of the
+assignment they are given.  The state memoizes the pair per
+assignment version
+(:meth:`~repro.core.state.ScalingState.assignment_overlays`), so a
+Dscale round that filters, checks and prices one assignment builds
+each overlay once.  :meth:`FlatNetwork.reach` is built lazily once per
 snapshot; a resize keeps it, because only a topology edit (a new
 snapshot) changes reachability.
 
@@ -116,28 +117,21 @@ class FlatNetwork:
         "lc_intr", "lc_res", "lc_icap", "lc_ie",
         "po_load", "wire_base", "wire_per",
         "by_depth", "node_idx", "fi_owner", "e_owner", "e_counts",
-        "rate_cache", "reach_cache", "rail_memo", "lc_memo",
+        "rate_cache", "reach_cache",
     )
 
     def rail_plane(self, levels) -> np.ndarray:
         """Per-position rail indices of ``levels`` (0 = high supply).
 
-        Read-only.  A ``levels`` table with a ``version`` counter (the
-        state's observed dict) is memoized until that counter moves; a
-        plain dict is overlaid on every call.
+        Read-only, so a caller may memoize it (see
+        :meth:`repro.core.state.ScalingState.assignment_overlays`).
         """
-        version = getattr(levels, "version", None)
-        memo = self.rail_memo
-        if memo is not None and memo[0] is levels and memo[1] == version:
-            return memo[2]
         rails = np.zeros(self.n, dtype=np.intp)
         pos = self.pos
         for name, level in levels.items():
             if level:
                 rails[pos[name]] = int(level)
         rails.flags.writeable = False
-        if version is not None:
-            self.rail_memo = (levels, version, rails)
         return rails
 
     def lc_edge_keys(self, lc_edges) -> tuple[np.ndarray, np.ndarray]:
@@ -147,13 +141,9 @@ class FlatNetwork:
         of the shifters on fanout edges (look rows up with
         :func:`find_keys`); ``po_lc`` masks the drivers whose primary
         output carries a shifter (the ``OUTPUT`` reader sentinel, the
-        one reader that is not a node).  Both are read-only and
-        memoized per ``lc_edges`` version like :meth:`rail_plane`.
+        one reader that is not a node).  Both are read-only, like
+        :meth:`rail_plane`.
         """
-        version = getattr(lc_edges, "version", None)
-        memo = self.lc_memo
-        if memo is not None and memo[0] is lc_edges and memo[1] == version:
-            return memo[2]
         pos = self.pos
         n = self.n
         po_lc = np.zeros(n, dtype=bool)
@@ -168,10 +158,7 @@ class FlatNetwork:
         keys.sort()
         keys.flags.writeable = False
         po_lc.flags.writeable = False
-        overlay = (keys, po_lc)
-        if version is not None:
-            self.lc_memo = (lc_edges, version, overlay)
-        return overlay
+        return keys, po_lc
 
     def reach(self) -> list[int]:
         """Strict reachability bitsets by topological position.
@@ -394,8 +381,6 @@ def build_flat(network, calc, activity=None, version: int = 0) -> FlatNetwork:
     flat.e_counts = e_counts
     flat.rate_cache = None
     flat.reach_cache = None
-    flat.rail_memo = None
-    flat.lc_memo = None
     return flat
 
 

@@ -1,13 +1,12 @@
 """Batched closed-form pricing over the levelized timing arrays.
 
-One Dscale round asks the same three questions for every candidate in
+One Dscale round asks the same two questions for every candidate in
 the slack set: is the demotion feasible right now (the closed-form
-antichain check), what does it save (the eq. (1) gain), and -- for
-Gscale -- what does a one-step upsize cost.  The serial loops answer
-them one gate at a time through the method-call surface of
-:class:`~repro.timing.delay.DelayCalculator`, re-deriving the reader
-pin capacitances and rail assignments per query; this module answers
-them for a whole batch at once.
+antichain check), and what does it save (the eq. (1) gain).  The
+serial loops answer them one gate at a time through the method-call
+surface of :class:`~repro.timing.delay.DelayCalculator`, re-deriving
+the reader pin capacitances and rail assignments per query; this
+module answers them for a whole batch at once.
 
 The shared :class:`~repro.netlist.flat.FlatNetwork` snapshot -- cached
 on the state, patched in place by cell resizes and rebuilt only on
@@ -15,10 +14,10 @@ topology revisions -- freezes everything that does not change between
 moves into flat CSR-style arrays: fanin pin rows, reader pin rows,
 fanout edge rows with pre-summed pin capacitances, and the per-rail
 twin constants (intrinsics, drive resistance, internal energy) of
-every gate.  Each call overlays what does change: the rail plane, the
-sorted keys of the level-shifter edges
-(:meth:`~repro.netlist.flat.FlatNetwork.lc_edge_keys`, derived from
-``lc_edges`` per call), and the timing arrays of
+every gate.  Each call overlays what does change: the rail plane and
+the sorted keys of the level-shifter edges (the state's
+``assignment_overlays``, memoized per assignment version), and the
+timing arrays of
 :class:`~repro.timing.incremental.IncrementalTiming`.  The
 per-candidate arithmetic is then elementwise NumPy math plus segmented
 reductions, for every candidate: an edge row that already carries a
@@ -49,7 +48,7 @@ against the serial loops, converter-dense states included.
 
 This module sits in the timing layer: it imports nothing from
 ``repro.core`` and duck-types the state (``calc`` / ``network`` /
-``levels`` / ``lc_edges`` / ``options`` / ``tspec`` / ``activity`` /
+``assignment_overlays`` / ``options`` / ``tspec`` / ``activity`` /
 ``rails``) so the move engine above can delegate to it without an
 import cycle.
 """
@@ -191,7 +190,7 @@ def _split_candidates(state, static, candidates):
     pos = static.pos
     is_input = static.is_input
     n_rails = static.n_rails
-    level_of = state.levels.get
+    level_of = state.calc.levels.get
     cp: list[int] = []
     tg: list[int] = []
     rails: list[int] = []
@@ -252,8 +251,7 @@ def check_demotions(
     tolerance = options.timing_tolerance
     n = static.n
     order = static.order
-    rails_arr = static.rail_plane(state.levels)
-    keys, po_lc = static.lc_edge_keys(state.lc_edges)
+    rails_arr, keys, po_lc = state.assignment_overlays()
     net = _net_vectors(
         static, rails_arr, cp, tg, keys, po_lc, options.lc_at_outputs
     )
@@ -343,8 +341,7 @@ def demotion_gains(
     static = flat_of(state)
     cp, tg, rails, names, _ = _split_candidates(state, static, candidates)
     options = state.options
-    keys, po_lc = static.lc_edge_keys(state.lc_edges)
-    rails_arr = static.rail_plane(state.levels)
+    rails_arr, keys, po_lc = state.assignment_overlays()
     net = _net_vectors(
         static, rails_arr, cp, tg, keys, po_lc, options.lc_at_outputs
     )
@@ -377,78 +374,7 @@ def demotion_gains(
     return gains.tolist()
 
 
-# ---------------------------------------------------------------------
-# Resize profiles (Gscale's upsize pricing, batched)
-# ---------------------------------------------------------------------
-
-
-def resize_profiles(
-    state, names: Sequence[str]
-) -> list[tuple[float, float, float] | None]:
-    """One-step upsize profile per gate, batched.
-
-    Bit-identical to ``repro.core.gscale.resize_profile`` per name:
-    ``(area penalty, net timing gain, worst driver penalty)`` with the
-    own-stage improvement vectorized (``max_delay`` is affine in the
-    load) and ``None`` where no larger variant exists.
-    """
-    if not names:
-        return []
-    calc = state.calc
-    network = state.network
-    library = state.library
-
-    results: list[tuple[float, float, float] | None] = [None] * len(names)
-    idx: list[int] = []
-    intr_cur: list[float] = []
-    res_cur: list[float] = []
-    intr_up: list[float] = []
-    res_up: list[float] = []
-    loads: list[float] = []
-    penalties: list[float] = []
-    areas: list[float] = []
-    for k, name in enumerate(names):
-        node = network.nodes[name]
-        candidate = None
-        for variant in library.variants(node.cell.base):
-            if variant.size == node.cell.size + 1:
-                candidate = variant
-                break
-        if candidate is None:
-            continue
-        current = calc.variant(name)
-        upsized = calc.rail_variant_of(candidate, state.rail_of(name))
-        driver_penalty = 0.0
-        for pin, fanin in enumerate(node.fanins):
-            driver = network.nodes[fanin]
-            if driver.is_input:
-                continue  # inputs are ideal drivers in this model
-            delta_cap = candidate.input_caps[pin] - node.cell.input_caps[pin]
-            penalty = calc.variant(fanin).drive_res * delta_cap
-            driver_penalty = max(driver_penalty, penalty)
-        idx.append(k)
-        intr_cur.append(max(current.intrinsics))
-        res_cur.append(current.drive_res)
-        intr_up.append(max(upsized.intrinsics))
-        res_up.append(upsized.drive_res)
-        loads.append(calc.load(name))
-        penalties.append(driver_penalty)
-        areas.append(candidate.area - node.cell.area)
-
-    if not idx:
-        return results
-    load_arr = np.asarray(loads)
-    own_gain = (np.asarray(intr_cur) + np.asarray(res_cur) * load_arr) - (
-        np.asarray(intr_up) + np.asarray(res_up) * load_arr
-    )
-    net_gains = (own_gain - np.asarray(penalties)).tolist()
-    for j, k in enumerate(idx):
-        results[k] = (areas[j], net_gains[j], penalties[j])
-    return results
-
-
 __all__ = [
     "check_demotions",
     "demotion_gains",
-    "resize_profiles",
 ]

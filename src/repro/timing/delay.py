@@ -19,8 +19,10 @@ per-net restoration scheme.  With two rails every group lands on rail 0
 and the arithmetic reduces term for term to the dual-Vdd original.
 
 The calculator reads the caller's ``levels`` / ``lc_edges`` collections
-*live* -- the scaling algorithms mutate those as they decide, and every
-query reflects the current state.
+*live* -- for a :class:`repro.core.state.ScalingState` these are the
+state's private assignment dicts, which only its writers
+(``set_rail`` / ``add_converter`` / ``drop_converter``) change -- and
+every query reflects the current assignment.
 
 With ``cache=True`` the calculator memoizes per-net loads, per-driver
 converter profiles and stage delays, and per-gate cell variants.
@@ -76,7 +78,7 @@ class DelayCalculator:
     levels:
         Mapping from node name to rail index (``0`` / missing = the high
         rail; booleans from the dual-Vdd era still work).  The mapping
-        is read live; callers mutate it as their algorithms decide.
+        is read live, never written.
     lc_edges:
         Collection of ``(driver, reader)`` pairs carrying a level
         converter, with ``reader == OUTPUT`` for a converter guarding a

@@ -1,12 +1,10 @@
-"""PreparedCache tests: keying, byte-capped eviction, policies,
-counters, library pinning."""
+"""PreparedCache tests: keying, byte-capped LRU eviction, counters,
+library pinning."""
 
 import pytest
 
 from repro.api.cache import (
-    EVICTION_POLICIES,
     CacheStats,
-    EvictionPolicy,
     PreparedCache,
     _estimate_bytes,
 )
@@ -72,26 +70,16 @@ def test_byte_cap_evicts_oldest_first():
     assert rebuilt == [1]
 
 
-def test_lru_hit_refreshes_but_fifo_does_not():
+def test_lru_hit_refreshes_an_entry():
     size = _estimate_bytes(payload(1000))
     a, b, c = (make_config(circuit=x) for x in ("a", "b", "c"))
 
-    lru = PreparedCache(max_bytes=2 * size, policy="lru")
+    lru = PreparedCache(max_bytes=2 * size)
     lru.prepared(a, lambda: payload(1000))
     lru.prepared(b, lambda: payload(1000))
     lru.prepared(a, pytest.fail)  # refresh a's lease
     lru.prepared(c, lambda: payload(1000))  # overflows: b dies, a lives
     assert lru.prepared(a, pytest.fail) == payload(1000)
-
-    fifo = PreparedCache(max_bytes=2 * size, policy="fifo")
-    fifo.prepared(a, lambda: payload(1000))
-    fifo.prepared(b, lambda: payload(1000))
-    fifo.prepared(a, pytest.fail)  # a hit does not refresh under FIFO
-    fifo.prepared(c, lambda: payload(1000))  # overflows: a dies anyway
-    assert fifo.prepared(b, pytest.fail) == payload(1000)
-    rebuilt = []
-    fifo.prepared(a, lambda: rebuilt.append(1) or payload(1000))
-    assert rebuilt == [1]
 
 
 def test_single_oversized_entry_survives_the_cap():
@@ -111,21 +99,6 @@ def test_explicit_evict_is_not_counted_as_pressure():
     assert cache.stats.evictions == 0
     assert cache.stats.bytes == 0
     assert len(cache) == 0
-
-
-def test_unknown_policy_is_rejected():
-    with pytest.raises(ValueError, match="unknown eviction policy"):
-        PreparedCache(policy="belady")
-
-
-def test_policy_instance_and_registry_round_trip():
-    class NoisyLRU(EVICTION_POLICIES["lru"]):
-        name = "noisy-lru"
-
-    cache = PreparedCache(policy=NoisyLRU())
-    assert isinstance(cache._policy, EvictionPolicy)
-    cache.prepared(make_config(), lambda: payload(8))
-    assert len(cache) == 1
 
 
 def test_library_is_built_once_and_pinned():

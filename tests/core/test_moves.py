@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 from repro.api import Flow, FlowConfig
 from repro.bench.generators import mixed_datapath
 from repro.core.dscale import _round_filter, check_demotion, run_dscale
-from repro.core.gscale import resize_profile
 from repro.core.moves import (
     BUILTIN_COST_MODELS,
     CostModel,
@@ -70,11 +69,8 @@ def assert_equivalent(state, tolerance=1e-9):
 
 
 def snapshot(state):
-    # Zero-rail entries are semantically absent (rail_of treats a
-    # missing key as rail 0; promote leaves them behind by design).
     return (
-        {name: int(rail or 0) for name, rail in state.levels.items()
-         if int(rail or 0)},
+        dict(state.levels),
         set(state.lc_edges),
         {name: node.cell for name, node in state.network.nodes.items()
          if node.cell is not None},
@@ -311,7 +307,7 @@ def _random_move(rng, state, kind):
         # kept groups re-target, the case the move exists for.
         cands = [g for g in gates
                  if state.rail_of(g) < lowest
-                 and state.lc_edges.readers_of(g)]
+                 and state.converter_readers(g)]
         return RetargetShifterMove(rng.choice(cands)) if cands else None
     if state.lc_edges:
         return DropConverterMove(rng.choice(sorted(state.lc_edges)))
@@ -526,7 +522,7 @@ def _has_regrouping_edge(state, name):
     """Per-name oracle: a demotion of ``name`` re-targets one of its
     own shifters (a reader at or below its rail; a PO reads rail 0)."""
     rail = state.rail_of(name)
-    for reader in state.lc_edges.readers_of(name):
+    for reader in state.converter_readers(name):
         reader_rail = 0 if reader == OUTPUT else state.rail_of(reader)
         if reader_rail >= rail:
             return True
@@ -590,17 +586,17 @@ def test_round_filter_matches_per_name_oracle(n_rails, lc_at_outputs):
 
 
 def _assert_overlays_fresh(state):
-    """The memoized overlays equal a fresh computation, are read-only,
-    and a second query without a change returns the memo itself."""
+    """The state's memoized overlays equal a fresh computation, are
+    read-only, and a second query without a write returns the memo."""
     flat = state.flat()
-    rails = flat.rail_plane(state.levels)
-    assert rails is flat.rail_plane(state.levels)
-    assert np.array_equal(rails, flat.rail_plane(dict(state.levels)))
-    memo = flat.lc_edge_keys(state.lc_edges)
-    assert memo is flat.lc_edge_keys(state.lc_edges)
-    fresh = flat.lc_edge_keys(set(state.lc_edges))
+    memo = state.assignment_overlays()
+    assert memo is state.assignment_overlays()
+    fresh = (
+        flat.rail_plane(dict(state.levels)),
+        *flat.lc_edge_keys(set(state.lc_edges)),
+    )
     assert all(map(np.array_equal, memo, fresh))
-    for array in (rails, *memo):
+    for array in memo:
         with pytest.raises(ValueError):
             array[...] = 0
 
@@ -625,18 +621,18 @@ def test_memoized_overlays_follow_every_mutation(n_rails):
         if (g, r) not in state.lc_edges
     )
     edge = (driver, reader)
-    state.lc_edges.add(edge)
+    state.add_converter(edge)
     _assert_overlays_fresh(state)
-    state.lc_edges.discard(edge)
+    state.drop_converter(edge)
     _assert_overlays_fresh(state)
     committed = False
     for name in gates:
         if state.rail_of(name) < lowest:
-            version = state.levels.version
+            version = state.assignment_version
             committed = engine.try_move(DemoteMove(name))
             _assert_overlays_fresh(state)
             if committed:
-                assert state.levels.version > version
+                assert state.assignment_version > version
                 break
     assert committed
     name = next(g for g in gates if state.rail_of(g) < lowest)
@@ -691,16 +687,6 @@ def test_check_moves_rejects_non_demote(multirail_state):
     name = multirail_state.network.gates()[0]
     with pytest.raises(ValueError, match="transactionally"):
         engine.check_moves([PromoteMove(name)])
-
-
-def test_profile_resizes_match_serial(multirail_state):
-    state = multirail_state
-    engine = MoveEngine(state)
-    analysis = state.timing()
-    names = state.network.gates()
-    profiles = engine.profile_resizes(names)
-    for name, profile in zip(names, profiles):
-        assert profile == resize_profile(state, analysis, name), name
 
 
 def test_last_power_tracks_power_gated_commits(multirail_state):

@@ -104,7 +104,7 @@ def mutate(rng, state, steps):
                 driver = rng.choice(low)
                 readers = sorted(state.network.fanouts(driver))
                 if readers:
-                    state.lc_edges.add((driver, rng.choice(readers)))
+                    state.add_converter((driver, rng.choice(readers)))
 
 
 def transact(rng, state, steps):
@@ -184,7 +184,7 @@ class TestFullBuild:
         for driver in state.low_nodes():
             for reader in sorted(state.network.fanouts(driver)):
                 if not state.is_low(reader):
-                    state.lc_edges.add((driver, reader))
+                    state.add_converter((driver, reader))
         assert state.lc_edges, "scenario must exercise converter edges"
         assert_builds_bit_identical(state)
 
@@ -206,8 +206,6 @@ def assert_planes_equal(flat, fresh):
         "version",
         "rate_cache",
         "reach_cache",
-        "rail_memo",
-        "lc_memo",
     }
     for plane in FlatNetwork.__slots__:
         if plane in skip:
@@ -309,7 +307,7 @@ def add_output_edges(rng, state):
     """Converters on some low primary outputs, ``(name, OUTPUT)``."""
     for name in state.network.outputs:
         if state.is_low(name) and rng.random() < 0.5:
-            state.lc_edges.add((name, OUTPUT))
+            state.add_converter((name, OUTPUT))
 
 
 def add_stale_edges(state):
@@ -359,7 +357,7 @@ class TestFlatPower:
         for name in inputs:
             readers = sorted(state.network.fanouts(name))
             if readers:
-                state.lc_edges.add((name, rng.choice(readers)))
+                state.add_converter((name, rng.choice(readers)))
         power = assert_power_bit_exact(state)
         assert any(power.per_node[name] for name in inputs) == include
 

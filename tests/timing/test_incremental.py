@@ -99,7 +99,7 @@ def random_move(rng, state):
     elif kind == "edge":
         # Toggle a converter on a random low->high edge (or drop one).
         if state.lc_edges and rng.random() < 0.5:
-            state.lc_edges.discard(rng.choice(sorted(state.lc_edges)))
+            state.drop_converter(rng.choice(sorted(state.lc_edges)))
         else:
             low = state.low_nodes()
             if not low:
@@ -108,11 +108,11 @@ def random_move(rng, state):
             readers = sorted(state.network.fanouts(driver))
             if not readers:
                 return "noop"
-            state.lc_edges.add((driver, rng.choice(readers)))
+            state.add_converter((driver, rng.choice(readers)))
     else:
-        # Direct side-table writes must invalidate through the observers.
+        # Direct rail writes must invalidate through set_rail.
         name = rng.choice(gates)
-        state.levels[name] = not state.is_low(name)
+        state.set_rail(name, not state.is_low(name))
     return kind
 
 
@@ -432,16 +432,16 @@ def multirail_move(rng, state, kind):
             return
         state.promote(rng.choice(cands))
     elif kind == "assign":
-        # Direct rail-index writes must reach the engine via the
-        # observer, including multi-step jumps (0 -> 3, 2 -> 1, ...).
-        state.levels[rng.choice(gates)] = rng.randrange(state.n_rails)
+        # Direct rail-index writes must reach the engine via
+        # set_rail, including multi-step jumps (0 -> 3, 2 -> 1, ...).
+        state.set_rail(rng.choice(gates), rng.randrange(state.n_rails))
     elif kind == "resize":
         name = rng.choice(gates)
         cell = state.network.nodes[name].cell
         state.resize(name, rng.choice(state.library.variants(cell.base)))
     else:
         if state.lc_edges and rng.random() < 0.5:
-            state.lc_edges.discard(rng.choice(sorted(state.lc_edges)))
+            state.drop_converter(rng.choice(sorted(state.lc_edges)))
         else:
             drivers = [g for g in gates
                        if state.rail_of(g) > 0 and state.network.fanouts(g)]
@@ -449,7 +449,7 @@ def multirail_move(rng, state, kind):
                 return
             driver = rng.choice(drivers)
             readers = sorted(state.network.fanouts(driver))
-            state.lc_edges.add((driver, rng.choice(readers)))
+            state.add_converter((driver, rng.choice(readers)))
 
 
 @settings(max_examples=20, deadline=None,
@@ -494,11 +494,14 @@ def test_multirail_rollback_restores_exact_values(multirail_state, seed,
         if state.network.nodes[name].cell is not cell:
             state.resize(name, cell)
     for name in list(state.levels):
-        state.levels[name] = levels_before.get(name, 0)
+        state.set_rail(name, levels_before.get(name, 0))
+    for name, rail in levels_before.items():
+        state.set_rail(name, rail)
     for edge in list(state.lc_edges):
         if edge not in edges_before:
-            state.lc_edges.discard(edge)
-    state.lc_edges.update(edges_before)
+            state.drop_converter(edge)
+    for edge in edges_before:
+        state.add_converter(edge)
     # ... then restore the timing arrays from the journal.
     state.rollback_move()
 
@@ -573,7 +576,7 @@ def _probe_move(rng, state, kind):
     if kind == "retarget":
         cands = [g for g in gates
                  if state.rail_of(g) < lowest
-                 and state.lc_edges.readers_of(g)]
+                 and state.converter_readers(g)]
         return RetargetShifterMove(rng.choice(cands)) if cands else None
     if kind == "resize":
         name = rng.choice(gates)

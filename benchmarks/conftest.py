@@ -21,7 +21,7 @@ import pytest
 from repro.api import BUILTIN_METHODS as METHODS
 from repro.api import Flow, FlowConfig
 from repro.bench.mcnc import MCNC_NAMES
-from repro.flow.campaign import CampaignJob, make_row, rows_to_results
+from repro.flow.campaign import make_row, rows_to_results
 from repro.flow.experiment import run_prepared
 from repro.flow.store import ResultStore
 from repro.library.compass import build_compass_library
@@ -76,7 +76,7 @@ def record_report(campaign_store, prepared_cache):
     """Append one (circuit, method) report as a campaign store row."""
 
     def record(name, method, report, runtime_s=0.0):
-        job = CampaignJob(circuit=name, method=method)
+        job = FlowConfig(circuit=name, method=method)
         if job.job_id in campaign_store.completed_ids():
             return
         campaign_store.append(
@@ -102,7 +102,7 @@ def results_cache(library, prepared_cache, campaign_store, record_report):
         done = campaign_store.completed_ids()
         missing = tuple(
             m for m in METHODS
-            if CampaignJob(circuit=name, method=m).job_id not in done
+            if FlowConfig(circuit=name, method=m).job_id not in done
         )
         if missing:
             result = run_prepared(prepared_cache(name), library,

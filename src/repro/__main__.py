@@ -206,8 +206,6 @@ def _print_method_inventory() -> None:
         flags = []
         if method.multi_rail:
             flags.append("multi-rail")
-        if method.resizes_gates:
-            flags.append("resizes gates")
         if method.prices_moves:
             flags.append("prices moves")
         detail = f" [{', '.join(flags)}]" if flags else ""

@@ -99,6 +99,21 @@ class FlowConfig:
         rail alone for the classic dual-Vdd flow."""
         return self.rails if self.rails else (self.vdd_low,)
 
+    @property
+    def job_id(self) -> str:
+        """The run's store id: :func:`~repro.api.artifact.flow_job_id`
+        of the six grid fields (the knobs and options are not in it)."""
+        from repro.api.artifact import flow_job_id  # artifact imports us
+
+        return flow_job_id(
+            self.circuit,
+            self.method,
+            self.vdd_low,
+            self.slack_factor,
+            self.rails,
+            self.cost_model,
+        )
+
     def build_library(self):
         """Characterize the COMPASS-class library this config asks for."""
         from repro.library.compass import build_compass_library

@@ -57,7 +57,6 @@ class ScalingMethod:
     name: str
     run: Callable[..., Any]
     multi_rail: bool = True
-    resizes_gates: bool = False
     prices_moves: bool = False
     description: str = ""
 
@@ -160,7 +159,6 @@ register_method(
     ScalingMethod(
         "gscale",
         _run_gscale,
-        resizes_gates=True,
         description="separator-guided gate resizing to open slack, "
         "then CVS-style demotion under an area budget",
     )

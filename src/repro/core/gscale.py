@@ -81,12 +81,7 @@ def resize_profile(
     land on a shared path in the worst case).
     """
     node = state.network.nodes[name]
-    bigger = state.library.variants(node.cell.base)
-    candidate = None
-    for variant in bigger:
-        if variant.size == node.cell.size + 1:
-            candidate = variant
-            break
+    candidate = state.library.next_size_up(node.cell)
     if candidate is None:
         return None
 
@@ -216,11 +211,7 @@ def run_gscale(
             if name not in profiles:
                 continue
             node = state.network.nodes[name]
-            bigger = None
-            for variant in state.library.variants(node.cell.base):
-                if variant.size == node.cell.size + 1:
-                    bigger = variant
-                    break
+            bigger = state.library.next_size_up(node.cell)
             if bigger is None:
                 continue
             growth = bigger.area - node.cell.area

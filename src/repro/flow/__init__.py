@@ -10,15 +10,14 @@ campaign-level machinery on top of it.
   comparison, and EXPERIMENTS.md rendering.
 * :mod:`repro.flow.ablation`   -- parameter sweeps (maxIter, voltage
   pair, area budget, converter cost) beyond the paper's tables.
-* :mod:`repro.flow.campaign`   -- parallel fan-out of the sweep across
-  worker processes (and machines, via ``--shard K/N``) with per-worker
-  library/circuit caches.
+* :mod:`repro.flow.campaign`   -- parallel fan-out of the sweep (a list
+  of ``FlowConfig`` jobs) across worker processes (and machines, via
+  ``--shard K/N``) with per-worker library/circuit caches.
 * :mod:`repro.flow.store`      -- the append-only JSONL result store
   campaigns stream into (and resume from / merge after sharding).
 """
 
 from repro.flow.campaign import (
-    CampaignJob,
     build_jobs,
     rows_to_results,
     run_campaign,
@@ -39,7 +38,6 @@ from repro.flow.tables import (
 )
 
 __all__ = [
-    "CampaignJob",
     "CircuitResult",
     "PreparedCircuit",
     "ResultStore",

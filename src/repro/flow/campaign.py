@@ -5,19 +5,22 @@ The paper's evaluation is embarrassingly parallel -- 39 circuits x
 serial suite runner recomputes everything on any failure.  This module
 turns the sweep into a fault-tolerant campaign:
 
-* a **job** is one (circuit, method, rails-or-vdd_low, slack_factor)
-  cell with a deterministic ``job_id`` (``--rails`` opens the N-rail
-  MSV grid dimension); a job is a serialized
-  :class:`~repro.api.config.FlowConfig` plus scheduling metadata, and
-  the workers execute it through :class:`~repro.api.flow.Flow`;
+* a **job** is one :class:`~repro.api.config.FlowConfig`: one
+  (circuit, method, rails-or-vdd_low, slack_factor, cost model) cell
+  with a deterministic ``job_id`` (``--rails`` opens the N-rail MSV
+  grid dimension), executed by the workers through
+  :class:`~repro.api.flow.Flow`;
 * :func:`shard_jobs` splits one campaign across machines
   (``--shard K/N``): jobs partition deterministically by group, each
   shard resumes independently against its own store, and
   ``repro store compact SHARD1 SHARD2 ... --out MERGED`` folds the
   shard stores back together;
-* jobs are grouped by (circuit, rail key, slack_factor) so the
-  expensive optimize/map/constrain preparation runs once per group and
-  is shared by all three methods (and cached per worker across groups);
+* jobs are grouped by the prepared-circuit key
+  (:meth:`PreparedCache.prepared_key
+  <repro.api.cache.PreparedCache.prepared_key>`: circuit, rail key,
+  slack factor, options) so the expensive optimize/map/constrain
+  preparation runs once per group and is shared by all three methods
+  (and cached per worker across groups);
 * each worker process shares one
   :class:`~repro.api.cache.PreparedCache` holding the COMPASS library /
   match table per rail key and every :class:`PreparedCircuit` it
@@ -56,7 +59,6 @@ from repro.api.artifact import (
     RunArtifact,
     ScalingReport,
     artifacts_to_results,
-    flow_job_id,
 )
 from repro.api.config import (
     DEFAULT_SLACK_FACTOR,
@@ -70,7 +72,6 @@ from repro.api.registry import (
     is_registered,
     registered_names,
 )
-from repro.core.gscale import DEFAULT_AREA_BUDGET, DEFAULT_MAX_ITER
 from repro.flow.store import ResultStore
 
 SWEEP_VDD_LOWS = (4.6, 4.3, 4.0, 3.7, 3.3)
@@ -83,10 +84,6 @@ SWEEP_SLACKS = (1.1, 1.2, 1.4)
 RailSet = tuple[float, ...]
 """An ordered multi-rail supply set, highest first (``()`` = classic
 dual-Vdd with the job's ``vdd_low``)."""
-
-GroupKey = tuple[str, RailSet, float]
-"""(circuit, rail key, slack_factor): jobs sharing one prepared circuit.
-The rail key is ``rails`` for an MSV job and ``(vdd_low,)`` otherwise."""
 
 
 class JobTimeout(Exception):
@@ -166,80 +163,6 @@ def job_deadline(seconds: float | None, strict: bool = False):
         signal.signal(signal.SIGALRM, previous)
 
 
-@dataclass(frozen=True)
-class CampaignJob:
-    """One cell of the sweep: circuit x method x rails x slack x cost model.
-
-    ``rails=()`` is the classic dual-Vdd job at ``(5 V, vdd_low)``; a
-    non-empty ``rails`` tuple (ordered, highest first) runs the N-rail
-    flow, and ``vdd_low`` then mirrors ``rails[1]`` for aggregation.
-    ``cost_model`` names a registered move-pricing model (the default
-    ``paper`` keeps historical job ids unchanged).
-    """
-
-    circuit: str
-    method: str
-    vdd_low: float = DEFAULT_VDD_LOW
-    slack_factor: float = DEFAULT_SLACK_FACTOR
-    rails: RailSet = ()
-    cost_model: str = DEFAULT_COST_MODEL
-
-    @property
-    def job_id(self) -> str:
-        return flow_job_id(
-            self.circuit,
-            self.method,
-            self.vdd_low,
-            self.slack_factor,
-            self.rails,
-            self.cost_model,
-        )
-
-    @property
-    def rail_key(self) -> RailSet:
-        """What the worker library cache keys on."""
-        return self.rails if self.rails else (self.vdd_low,)
-
-    @property
-    def group_key(self) -> GroupKey:
-        return (self.circuit, self.rail_key, self.slack_factor)
-
-    @classmethod
-    def from_config(cls, config: FlowConfig) -> CampaignJob:
-        """The scheduling identity of one :class:`FlowConfig` (the
-        daemon's submission path: wire configs become campaign jobs)."""
-        return cls(
-            circuit=config.circuit,
-            method=config.method,
-            vdd_low=config.vdd_low,
-            slack_factor=config.slack_factor,
-            rails=config.rails,
-            cost_model=config.cost_model,
-        )
-
-    def config(
-        self,
-        max_iter: int = DEFAULT_MAX_ITER,
-        area_budget: float = DEFAULT_AREA_BUDGET,
-    ) -> FlowConfig:
-        """This job as a declarative :class:`FlowConfig`.
-
-        The workers drive :class:`~repro.api.flow.Flow` with exactly
-        this config, so a campaign job *is* a serialized FlowConfig
-        plus scheduling metadata.
-        """
-        return FlowConfig(
-            circuit=self.circuit,
-            method=self.method,
-            vdd_low=self.vdd_low,
-            rails=self.rails,
-            slack_factor=self.slack_factor,
-            max_iter=max_iter,
-            area_budget=area_budget,
-            cost_model=self.cost_model,
-        )
-
-
 def build_jobs(
     circuits: Sequence[str],
     methods: Sequence[str] = METHODS,
@@ -247,7 +170,7 @@ def build_jobs(
     slack_factors: Sequence[float] = (DEFAULT_SLACK_FACTOR,),
     rails_sets: Sequence[RailSet] = (),
     cost_models: Sequence[str] = (DEFAULT_COST_MODEL,),
-) -> list[CampaignJob]:
+) -> list[FlowConfig]:
     """The full cross product, in deterministic order.
 
     ``rails_sets`` opens the MSV grid dimension: when given, each rail
@@ -287,8 +210,12 @@ def build_jobs(
                 )
             normalized.append(rails)
         return [
-            CampaignJob(
-                circuit=c, method=m, vdd_low=r[1], slack_factor=s, rails=r,
+            FlowConfig(
+                circuit=c,
+                method=m,
+                vdd_low=r[1],
+                slack_factor=s,
+                rails=r,
                 cost_model=cm,
             )
             for c, r, s, m in itertools.product(
@@ -297,8 +224,9 @@ def build_jobs(
             for cm in method_models[m]
         ]
     return [
-        CampaignJob(circuit=c, method=m, vdd_low=v, slack_factor=s,
-                    cost_model=cm)
+        FlowConfig(
+            circuit=c, method=m, vdd_low=v, slack_factor=s, cost_model=cm
+        )
         for c, v, s, m in itertools.product(
             circuits, vdd_lows, slack_factors, methods
         )
@@ -307,18 +235,20 @@ def build_jobs(
 
 
 def group_jobs(
-    jobs: Iterable[CampaignJob],
-) -> list[tuple[GroupKey, list[CampaignJob]]]:
-    """Group jobs by shared prepared circuit, preserving job order."""
-    grouped: dict[GroupKey, list[CampaignJob]] = {}
+    jobs: Iterable[FlowConfig],
+) -> list[tuple[tuple, list[FlowConfig]]]:
+    """Group jobs by shared prepared circuit (the
+    :meth:`~repro.api.cache.PreparedCache.prepared_key`), preserving
+    job order."""
+    grouped: dict[tuple, list[FlowConfig]] = {}
     for job in jobs:
-        grouped.setdefault(job.group_key, []).append(job)
+        grouped.setdefault(PreparedCache.prepared_key(job), []).append(job)
     return list(grouped.items())
 
 
 def shard_jobs(
-    jobs: Sequence[CampaignJob], index: int, count: int
-) -> list[CampaignJob]:
+    jobs: Sequence[FlowConfig], index: int, count: int
+) -> list[FlowConfig]:
     """Deterministically partition ``jobs`` and keep shard ``index``.
 
     ``index`` is 1-based (the CLI's ``--shard 2/4`` keeps shard 2 of
@@ -327,10 +257,10 @@ def shard_jobs(
     shard into their own store and ``repro store compact`` the stores
     together afterwards.
 
-    The partition unit is the *group* (circuit, rail key, slack
-    factor), not the raw job id, so the methods sharing one prepared
-    circuit always land on the same shard and no machine recomputes
-    another's optimize/map/constrain prefix.  Groups are dealt
+    The partition unit is the *group* (the prepared-circuit key of
+    :func:`group_jobs`), not the raw job id, so the methods sharing one
+    prepared circuit always land on the same shard and no machine
+    recomputes another's optimize/map/constrain prefix.  Groups are dealt
     round-robin in job-list order, which balances shard sizes to
     within one group; ``build_jobs`` emits a deterministic order, so
     every machine invoked with the same grid arguments computes the
@@ -345,10 +275,10 @@ def shard_jobs(
         )
     if count == 1:
         return list(jobs)
-    group_shard: dict[GroupKey, int] = {}
+    group_shard: dict[tuple, int] = {}
     keep = []
     for job in jobs:
-        key = job.group_key
+        key = PreparedCache.prepared_key(job)
         if key not in group_shard:
             group_shard[key] = len(group_shard) % count
         if group_shard[key] == index - 1:
@@ -359,10 +289,10 @@ def shard_jobs(
 # ---------------------------------------------------------------------
 # Worker side.  Each worker process shares one
 # :class:`repro.api.cache.PreparedCache`, so a library is characterized
-# once per rail key and a circuit is prepared once per (circuit, rail
-# key, slack_factor) -- for the default sweep that amortizes the whole
-# pipeline prefix across all three methods.  The batch campaign runs
-# with ``retain_prepared=False`` (every group is dispatched once, so
+# once per rail key and a circuit is prepared once per prepared-circuit
+# key -- for the default sweep that amortizes the whole pipeline prefix
+# across all three methods.  The batch campaign runs with
+# ``retain_prepared=False`` (every group is dispatched once, so
 # cross-group retention is pure memory growth); the serving daemon
 # reconfigures the cache with retention on and a byte cap.
 # ---------------------------------------------------------------------
@@ -393,44 +323,13 @@ def configure_worker_cache(
     return _WORKER_CACHE
 
 
-def _group_config(
-    circuit: str, rail_key: RailSet, slack_factor: float
-) -> FlowConfig:
-    """The canonical config of one preparation group.
-
-    Carries the full rail information (not just an injected library) so
-    the cache key distinguishes an MSV preparation from a dual-Vdd one.
-    """
-    if len(rail_key) > 1:
-        return FlowConfig(
-            circuit=circuit,
-            vdd_low=rail_key[1],
-            rails=rail_key,
-            slack_factor=slack_factor,
-        )
-    return FlowConfig(
-        circuit=circuit, vdd_low=rail_key[0], slack_factor=slack_factor
-    )
-
-
-def _get_library(rail_key: RailSet):
-    return _WORKER_CACHE.library(rail_key)
-
-
-def _get_prepared(
-    circuit: str, rail_key: RailSet, slack_factor: float
-) -> PreparedCircuit:
-    config = _group_config(circuit, rail_key, slack_factor)
-    return Flow(config, cache=_WORKER_CACHE).prepare()
-
-
 def clear_worker_caches() -> None:
     """Drop the per-process library / prepared-circuit caches."""
     _WORKER_CACHE.clear()
 
 
 def make_row(
-    job: CampaignJob,
+    job: FlowConfig,
     prepared: PreparedCircuit,
     report: ScalingReport,
     runtime_s: float,
@@ -455,7 +354,7 @@ def make_row(
 
 
 def make_failed_row(
-    job: CampaignJob,
+    job: FlowConfig,
     exc: BaseException,
     runtime_s: float,
     attempt: int = 1,
@@ -477,22 +376,23 @@ def make_failed_row(
 
 
 def iter_group_rows(
-    group: Sequence[CampaignJob],
-    max_iter: int = 10,
-    area_budget: float = 0.10,
+    group: Sequence[FlowConfig],
     timeout_s: float | None = None,
     strict_timeouts: bool = False,
     attempts: dict[str, int] | None = None,
     faults: Any = None,
     on_phase: Callable[[str], None] | None = None,
-    on_start: Callable[[CampaignJob], None] | None = None,
-) -> Iterator[tuple[CampaignJob, dict[str, Any]]]:
+    on_start: Callable[[FlowConfig], None] | None = None,
+) -> Iterator[tuple[FlowConfig, dict[str, Any]]]:
     """Yield ``(job, row)`` for every job of one preparation group.
 
     This is the execution core shared by the serial runner and the
-    supervised workers.  A failing job -- including a preparation
-    failure, which dooms the whole group -- yields failed rows; it
-    never raises, so one bad circuit cannot take the campaign down.
+    supervised workers: the group's first config prepares the circuit
+    through the worker cache, then every job runs as its own
+    :class:`~repro.api.flow.Flow` on that prepared circuit.  A failing
+    job -- including a preparation failure, which dooms the whole
+    group -- yields failed rows; it never raises, so one bad circuit
+    cannot take the campaign down.
     ``timeout_s`` budgets wall clock per *phase*: the group's shared
     preparation gets one budget of its own, then every job's scaling
     run gets another, so a group's worst case is
@@ -518,10 +418,9 @@ def iter_group_rows(
     started = time.perf_counter()
     try:
         with job_deadline(timeout_s, strict=strict_timeouts):
-            library, match_table = _get_library(first.rail_key)
-            prepared = _get_prepared(
-                first.circuit, first.rail_key, first.slack_factor
-            )
+            flow = Flow(first, cache=_WORKER_CACHE)
+            prepared = flow.prepare()
+            library, match_table = flow.library, flow.match_table
     except Exception as exc:  # JobTimeout included
         elapsed = time.perf_counter() - started
         for job in group:
@@ -542,15 +441,8 @@ def iter_group_rows(
     # rail key, is the one with real cross-group reuse).  A retaining
     # cache (the daemon's) keeps it and lets its eviction policy decide.
     if not _WORKER_CACHE.retain_prepared:
-        _WORKER_CACHE.evict_prepared(
-            _group_config(first.circuit, first.rail_key, first.slack_factor)
-        )
+        _WORKER_CACHE.evict_prepared(first)
 
-    base = Flow(
-        first.config(max_iter=max_iter, area_budget=area_budget),
-        library=library,
-        match_table=match_table,
-    )
     for job in group:
         attempt = attempts.get(job.job_id, 1)
         notify_start(job)
@@ -561,8 +453,8 @@ def iter_group_rows(
             with job_deadline(timeout_s, strict=strict_timeouts):
                 if faults is not None:
                     faults.check_raise(job.job_id, attempt)
-                artifact = base.replace(
-                    method=job.method, cost_model=job.cost_model
+                artifact = Flow(
+                    job, library=library, match_table=match_table
                 ).run(prepared=prepared)
         except Exception as exc:  # JobTimeout included
             yield (
@@ -582,49 +474,18 @@ def iter_group_rows(
         yield job, artifact.to_row()
 
 
-def run_job_group(
-    group: Sequence[CampaignJob],
-    max_iter: int = 10,
-    area_budget: float = 0.10,
-    timeout_s: float | None = None,
-) -> list[dict[str, Any]]:
-    """Run every job of one group; the list form of
-    :func:`iter_group_rows` (see there for the failure semantics)."""
-    return [
-        row
-        for _job, row in iter_group_rows(
-            group,
-            max_iter=max_iter,
-            area_budget=area_budget,
-            timeout_s=timeout_s,
-        )
-    ]
-
-
 def _import_plugins(plugins: Sequence[str]) -> None:
     """Import plugin modules so their ``register_method`` calls run.
 
     Worker processes do not inherit the parent's registry under the
     ``spawn``/``forkserver`` start methods, so the plugin list rides
-    along in every pool payload and is (idempotently -- imports are
-    cached per process) re-imported before the group runs.
+    along in every worker's settings and is (idempotently -- imports
+    are cached per process) re-imported when the worker starts.
     """
     import importlib
 
     for module in plugins:
         importlib.import_module(module)
-
-
-def _pool_worker(payload: tuple) -> list[dict[str, Any]]:
-    """Top-level pool entry point (must be picklable)."""
-    group, max_iter, area_budget, timeout_s, plugins = payload
-    _import_plugins(plugins)
-    return run_job_group(
-        group,
-        max_iter=max_iter,
-        area_budget=area_budget,
-        timeout_s=timeout_s,
-    )
 
 
 # ---------------------------------------------------------------------
@@ -653,14 +514,71 @@ class CampaignSummary:
     def completed(self) -> int:
         return self.ok + self.failed + self.poisoned
 
+    @classmethod
+    def begin(
+        cls,
+        jobs: Sequence[FlowConfig],
+        store: ResultStore,
+        resume: bool,
+        retry_failed: bool,
+        say: Callable[[str], None],
+    ) -> tuple[CampaignSummary, list[FlowConfig]]:
+        """The resume prelude: an empty summary and the pending jobs.
+
+        With ``resume`` the job ids the store already completed are
+        skipped (poisoned ones too, unless ``retry_failed``); otherwise
+        an existing store file is truncated.
+        """
+        if resume:
+            done = store.completed_ids(include_poisoned=not retry_failed)
+        else:
+            done = set()
+            if os.path.exists(store.path):
+                os.remove(store.path)
+        pending = [job for job in jobs if job.job_id not in done]
+        summary = cls(
+            total_jobs=len(jobs),
+            skipped=len(jobs) - len(pending),
+            ok=0,
+            failed=0,
+            elapsed_s=0.0,
+        )
+        if summary.skipped:
+            say(f"resume: skipping {summary.skipped} completed job(s)")
+        return summary, pending
+
+    def tally(
+        self,
+        row: dict[str, Any],
+        say: Callable[[str], None],
+        replayed: bool = False,
+    ) -> None:
+        """Count one finished row and report its progress line."""
+        attempt = int(row.get("attempt", 1))
+        self.retries += max(0, attempt - 1)
+        note = f" (attempt {attempt})" if attempt > 1 else ""
+        if replayed:
+            note += " (replayed)"
+        if row["status"] == "ok":
+            self.ok += 1
+            say(
+                f"ok     {row['job_id']}  "
+                f"{row['report']['improvement_pct']:6.2f}%  "
+                f"[{row['runtime_s']:.2f}s]{note}"
+            )
+        elif row["status"] == "poisoned":
+            self.poisoned += 1
+            say(f"POISONED {row['job_id']}  {row['error']}{note}")
+        else:
+            self.failed += 1
+            say(f"FAILED {row['job_id']}  {row['error']}{note}")
+
 
 def run_campaign(
-    jobs: Sequence[CampaignJob],
+    jobs: Sequence[FlowConfig],
     store: ResultStore,
     n_jobs: int = 1,
     resume: bool = False,
-    max_iter: int = 10,
-    area_budget: float = 0.10,
     timeout_s: float | None = None,
     plugins: Sequence[str] = (),
     progress: Callable[[str], None] | None = None,
@@ -713,24 +631,10 @@ def run_campaign(
             "hang faults need timeout_s: without a budget the parent "
             "watchdog is disarmed and the hang never ends"
         )
-    if resume:
-        done = store.completed_ids(include_poisoned=not retry_failed)
-    else:
-        done = set()
-        if os.path.exists(store.path):
-            os.remove(store.path)
-
-    pending = [job for job in jobs if job.job_id not in done]
-    groups = group_jobs(pending)
-    summary = CampaignSummary(
-        total_jobs=len(jobs),
-        skipped=len(jobs) - len(pending),
-        ok=0,
-        failed=0,
-        elapsed_s=0.0,
+    summary, pending = CampaignSummary.begin(
+        jobs, store, resume, retry_failed, say
     )
-    if summary.skipped:
-        say(f"resume: skipping {summary.skipped} completed job(s)")
+    groups = group_jobs(pending)
 
     def record(row: dict[str, Any]) -> None:
         attempt = int(row.get("attempt", 1))
@@ -743,21 +647,7 @@ def run_campaign(
             store.append_damaged(row, damage)
         else:
             store.append(row)
-        summary.retries += max(0, attempt - 1)
-        note = f" (attempt {attempt})" if attempt > 1 else ""
-        if row["status"] == "ok":
-            summary.ok += 1
-            say(
-                f"ok     {row['job_id']}  "
-                f"{row['report']['improvement_pct']:6.2f}%  "
-                f"[{row['runtime_s']:.2f}s]{note}"
-            )
-        elif row["status"] == "poisoned":
-            summary.poisoned += 1
-            say(f"POISONED {row['job_id']}  {row['error']}{note}")
-        else:
-            summary.failed += 1
-            say(f"FAILED {row['job_id']}  {row['error']}{note}")
+        summary.tally(row, say)
 
     _import_plugins(plugins)
     started = time.perf_counter()
@@ -766,8 +656,6 @@ def run_campaign(
             for _key, group in groups:
                 for _job, row in iter_group_rows(
                     group,
-                    max_iter=max_iter,
-                    area_budget=area_budget,
                     timeout_s=timeout_s,
                     strict_timeouts=strict_timeouts,
                     faults=faults,
@@ -779,8 +667,6 @@ def run_campaign(
             supervisor = Supervisor(
                 groups=[group for _key, group in groups],
                 n_workers=n_jobs,
-                max_iter=max_iter,
-                area_budget=area_budget,
                 timeout_s=timeout_s,
                 plugins=tuple(plugins),
                 strict_timeouts=strict_timeouts,
@@ -884,7 +770,6 @@ __all__ = [
     "DEFAULT_VDD_LOW",
     "SWEEP_VDD_LOWS",
     "SWEEP_SLACKS",
-    "CampaignJob",
     "CampaignSummary",
     "JobTimeout",
     "TimeoutUnsupportedError",
@@ -894,7 +779,6 @@ __all__ = [
     "group_jobs",
     "shard_jobs",
     "iter_group_rows",
-    "run_job_group",
     "run_campaign",
     "make_row",
     "make_failed_row",

@@ -7,7 +7,11 @@ objects the parent owns outright:
 
 * each worker gets its **own task queue** and is assigned exactly one
   group at a time, so a dying worker can never take undispatched work
-  down with it;
+  down with it; a group is a tuple of
+  :class:`~repro.api.config.FlowConfig` jobs sharing one prepared
+  circuit, and every job carries its own knobs (``max_iter``,
+  ``area_budget``, options), so a worker's settings are only the pool's
+  timeout, plugins, fault plan and cache profile;
 * workers report over one shared result queue -- ``phase`` (starting
   the group's shared preparation), ``start`` (starting one job),
   ``row`` (a finished row), ``done`` (group complete) -- which doubles
@@ -41,9 +45,9 @@ from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.api.cache import CacheStats
+from repro.api.cache import CacheStats, PreparedCache
+from repro.api.config import FlowConfig
 from repro.flow.campaign import (
-    CampaignJob,
     JobTimeout,
     _import_plugins,
     configure_worker_cache,
@@ -84,7 +88,7 @@ class Task:
     count); ``ready_at`` is the monotonic time backoff releases it.
     """
 
-    group: tuple[CampaignJob, ...]
+    group: tuple[FlowConfig, ...]
     attempts: dict[str, int] = field(default_factory=dict)
     ready_at: float = 0.0
 
@@ -97,6 +101,8 @@ def _worker_main(
 ) -> None:
     """Worker loop: run assigned groups until the ``None`` sentinel.
 
+    ``settings`` is ``(timeout_s, plugins, strict_timeouts, faults,
+    cache_bytes, retain_cache)``; a task is ``(group, attempts)``.
     Messages: ``("phase", id, label)``, ``("start", id, job_id)``,
     ``("row", id, row)``, ``("done", id, cache_stats)``.
 
@@ -108,8 +114,6 @@ def _worker_main(
     aggregate hit rates across the pool.
     """
     (
-        max_iter,
-        area_budget,
         timeout_s,
         plugins,
         strict,
@@ -129,8 +133,6 @@ def _worker_main(
         group, attempts = task
         for _job, row in iter_group_rows(
             group,
-            max_iter=max_iter,
-            area_budget=area_budget,
             timeout_s=timeout_s,
             strict_timeouts=strict,
             attempts=attempts,
@@ -184,10 +186,8 @@ class Supervisor:
 
     def __init__(
         self,
-        groups: Sequence[Sequence[CampaignJob]],
+        groups: Sequence[Sequence[FlowConfig]],
         n_workers: int,
-        max_iter: int = 10,
-        area_budget: float = 0.10,
         timeout_s: float | None = None,
         plugins: tuple[str, ...] = (),
         strict_timeouts: bool = False,
@@ -212,8 +212,6 @@ class Supervisor:
         if retain_cache is None:
             retain_cache = keep_alive
         self.settings = (
-            max_iter,
-            area_budget,
             timeout_s,
             tuple(plugins),
             strict_timeouts,
@@ -248,12 +246,14 @@ class Supervisor:
         self._lock = threading.Lock()
         self._stopped = False
         self._worker_stats: dict[int, dict[str, Any]] = {}
+        # Set once run() has forked its initial pool (or failed to).
+        self.spawned = threading.Event()
 
     # -- lifecycle ---------------------------------------------------
 
     def submit(
         self,
-        group: Sequence[CampaignJob],
+        group: Sequence[FlowConfig],
         attempts: dict[str, int] | None = None,
     ) -> None:
         """Enqueue one job group (thread-safe; keep-alive mode).
@@ -309,6 +309,7 @@ class Supervisor:
             )
             for _ in range(n_spawn):
                 self.workers.append(self._spawn())
+            self.spawned.set()
             while True:
                 if self._idle() and (not self.keep_alive or self._stopped):
                     break
@@ -316,6 +317,7 @@ class Supervisor:
                 yield from self._drain(POLL_INTERVAL_S)
                 yield from self._check_workers()
         finally:
+            self.spawned.set()  # never leave a waiter hanging on a failure
             self._shutdown()
 
     def _spawn(self) -> _WorkerState:
@@ -365,18 +367,17 @@ class Supervisor:
 
         A task whose preparation group the worker has already executed
         hits that worker's retained prepared-circuit cache, so among
-        the ready tasks one with a seen group key wins; otherwise it is
-        plain FIFO stealing.  (Batch workers never see a group twice,
-        so the preference is inert there.)  Caller holds the lock.
+        the ready tasks one whose prepared-circuit key the worker has
+        seen wins; otherwise it is plain FIFO stealing.  (Batch workers
+        never see a group twice, so the preference is inert there.)
+        Caller holds the lock.
         """
+        seen = worker.seen_groups if worker is not None else set()
         fallback = None
         for i, task in enumerate(self.pending):
             if task.ready_at > now:
                 continue
-            if (
-                worker is not None
-                and task.group[0].group_key in worker.seen_groups
-            ):
+            if seen and PreparedCache.prepared_key(task.group[0]) in seen:
                 return self.pending.pop(i)
             if fallback is None:
                 fallback = i
@@ -397,7 +398,7 @@ class Supervisor:
             worker.started = []
             worker.rowed = set()
             worker.deadline = self._budget(now)
-            worker.seen_groups.add(task.group[0].group_key)
+            worker.seen_groups.add(PreparedCache.prepared_key(task.group[0]))
             worker.task_queue.put((task.group, task.attempts))
 
     def _backoff_delay(self, job_id: str, attempt: int) -> float:

@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import http.client
 import json
-import os
 import time
 import urllib.parse
 from collections.abc import Callable, Iterator, Sequence
 from typing import Any
 
+from repro.api.config import FlowConfig
 from repro.api.jobs import JobRequest, JobStatus, ProgressEvent
-from repro.flow.campaign import CampaignJob, CampaignSummary
+from repro.flow.campaign import CampaignSummary
 from repro.flow.store import ResultStore
 
 DEFAULT_TIMEOUT_S = 600.0
@@ -137,7 +137,7 @@ def shutdown_daemon(
 
 def run_remote_campaign(
     url: str,
-    jobs: Sequence[CampaignJob],
+    jobs: Sequence[FlowConfig],
     store: ResultStore,
     resume: bool = False,
     retry_failed: bool = False,
@@ -153,67 +153,27 @@ def run_remote_campaign(
     local run of the same grid would report.  ``fresh`` forces the
     daemon to recompute jobs it holds cached results for.
 
-    The daemon executes under *its* ``max_iter`` / ``area_budget`` /
-    timeout knobs (see ``/v1/health``); a client cannot vary them per
-    request, which is what keeps every store row for a job id
+    The configs are submitted as they are.  The daemon accepts only
+    configs at the defaults outside the job id and runs under *its*
+    timeout, which is what keeps every store row for a job id
     bit-identical no matter which client asked for it.
     """
     say = progress or (lambda _msg: None)
-    health = get_health(url, timeout_s=timeout_s)  # fail fast offline
-    if resume:
-        done = store.completed_ids(include_poisoned=not retry_failed)
-    else:
-        done = set()
-        if os.path.exists(store.path):
-            os.remove(store.path)
-    pending = [job for job in jobs if job.job_id not in done]
-    summary = CampaignSummary(
-        total_jobs=len(jobs),
-        skipped=len(jobs) - len(pending),
-        ok=0,
-        failed=0,
-        elapsed_s=0.0,
+    get_health(url, timeout_s=timeout_s)  # fail fast offline
+    summary, pending = CampaignSummary.begin(
+        jobs, store, resume, retry_failed, say
     )
-    if summary.skipped:
-        say(f"resume: skipping {summary.skipped} completed job(s)")
     if not pending:
         return summary
 
-    request = JobRequest(
-        configs=tuple(
-            job.config(
-                max_iter=int(health["max_iter"]),
-                area_budget=float(health["area_budget"]),
-            )
-            for job in pending
-        ),
-        fresh=fresh,
-    )
+    request = JobRequest(configs=tuple(pending), fresh=fresh)
     started = time.perf_counter()
     with store:
         for event in submit_stream(url, request, timeout_s=timeout_s):
             if event.event != "row":
                 continue
-            row = event.row
-            store.append(row)
-            attempt = int(row.get("attempt", 1))
-            summary.retries += max(0, attempt - 1)
-            note = f" (attempt {attempt})" if attempt > 1 else ""
-            if event.replayed:
-                note += " (replayed)"
-            if row["status"] == "ok":
-                summary.ok += 1
-                say(
-                    f"ok     {row['job_id']}  "
-                    f"{row['report']['improvement_pct']:6.2f}%  "
-                    f"[{row['runtime_s']:.2f}s]{note}"
-                )
-            elif row["status"] == "poisoned":
-                summary.poisoned += 1
-                say(f"POISONED {row['job_id']}  {row['error']}{note}")
-            else:
-                summary.failed += 1
-                say(f"FAILED {row['job_id']}  {row['error']}{note}")
+            store.append(event.row)
+            summary.tally(event.row, say, replayed=event.replayed)
     summary.elapsed_s = time.perf_counter() - started
     return summary
 

@@ -56,8 +56,7 @@ from repro.api.jobs import (
     ProgressEvent,
     new_request_id,
 )
-from repro.core.gscale import DEFAULT_AREA_BUDGET, DEFAULT_MAX_ITER
-from repro.flow.campaign import CampaignJob, group_jobs
+from repro.flow.campaign import group_jobs
 from repro.flow.store import ResultStore
 from repro.flow.supervise import Supervisor
 
@@ -73,11 +72,11 @@ class BadRequest(ValueError):
 class DaemonSettings:
     """Everything one daemon run is configured by.
 
-    ``max_iter`` / ``area_budget`` / ``timeout_s`` are the pool's fixed
-    execution knobs: a submitted config must agree with them (the
-    daemon rejects mismatches rather than silently running a job under
-    different knobs than the client asked for).  ``port=0`` binds an
-    ephemeral port (the bound one is on :attr:`Daemon.port`).
+    ``timeout_s`` is the pool's fixed per-job budget.  Submitted
+    configs carry their own knobs, but the daemon only accepts configs
+    whose fields outside the job id sit at their defaults, so every
+    row the store keeps for a job id is the same run.  ``port=0`` binds
+    an ephemeral port (the bound one is on :attr:`Daemon.port`).
     """
 
     host: str = "127.0.0.1"
@@ -85,8 +84,6 @@ class DaemonSettings:
     n_workers: int = 2
     cache_bytes: int | None = DEFAULT_CACHE_MB * (1 << 20)
     store_path: str = "serve_results.jsonl"
-    max_iter: int = DEFAULT_MAX_ITER
-    area_budget: float = DEFAULT_AREA_BUDGET
     timeout_s: float | None = None
     plugins: tuple[str, ...] = ()
 
@@ -154,8 +151,6 @@ class Daemon:
         self.supervisor = Supervisor(
             groups=[],
             n_workers=settings.n_workers,
-            max_iter=settings.max_iter,
-            area_budget=settings.area_budget,
             timeout_s=settings.timeout_s,
             plugins=settings.plugins,
             say=self.log,
@@ -166,6 +161,10 @@ class Daemon:
             target=self._engine_main, name="repro-serve-engine", daemon=True
         )
         self._engine.start()
+        # Listen only once the pool is forked: a worker forked after an
+        # accept() inherits that connection and holds it open past the
+        # daemon's close, so its client would never see the stream end.
+        await asyncio.to_thread(self.supervisor.spawned.wait)
         self._server = await asyncio.start_server(
             self._handle_conn, settings.host, settings.port
         )
@@ -277,16 +276,15 @@ class Daemon:
     def _admit(self, request: JobRequest) -> _RequestState:
         """Validate a submission, wire up its subscriptions, and hand
         runnable groups to the supervisor.  Loop thread only."""
-        jobs: list[CampaignJob] = []
+        jobs = request.configs
         seen: set[str] = set()
-        for config in request.configs:
-            job = self._validate(config)
+        for job in jobs:
+            self._validate(job)
             if job.job_id in seen:
                 raise BadRequest(
                     f"duplicate job in request: {job.job_id}"
                 )
             seen.add(job.job_id)
-            jobs.append(job)
         request_id = request.request_id or new_request_id()
         if request_id in self._requests:
             raise BadRequest(f"request id already in use: {request_id}")
@@ -298,7 +296,7 @@ class Daemon:
             remaining={job.job_id for job in jobs},
         )
         self._requests[request_id] = state
-        to_run: list[CampaignJob] = []
+        to_run: list[FlowConfig] = []
         for job in jobs:
             row = (
                 None if request.fresh else self._results.get(job.job_id)
@@ -315,21 +313,23 @@ class Daemon:
             self.supervisor.submit(group)
         return state
 
-    def _validate(self, config: FlowConfig) -> CampaignJob:
-        job = CampaignJob.from_config(config)
-        expected = job.config(
-            max_iter=self.settings.max_iter,
-            area_budget=self.settings.area_budget,
+    def _validate(self, config: FlowConfig) -> None:
+        """Accept only configs at the defaults outside the job id, so
+        a job id names exactly one run (and one cached result)."""
+        expected = FlowConfig(
+            circuit=config.circuit,
+            method=config.method,
+            vdd_low=config.vdd_low,
+            slack_factor=config.slack_factor,
+            rails=config.rails,
+            cost_model=config.cost_model,
         )
         if config != expected:
             raise BadRequest(
-                f"config for {job.job_id} does not match this daemon's "
-                f"execution settings (max_iter="
-                f"{self.settings.max_iter}, area_budget="
-                f"{self.settings.area_budget}, default options); "
-                f"submitted: {config.to_dict()}"
+                f"config for {config.job_id} does not match this daemon's "
+                f"execution settings (every field outside the job id at "
+                f"its default); submitted: {config.to_dict()}"
             )
-        return job
 
     # -- HTTP front end ----------------------------------------------
 
@@ -471,8 +471,6 @@ class Daemon:
             "status": "ok",
             "uptime_s": time.monotonic() - self._started_at,
             "workers": self.settings.n_workers,
-            "max_iter": self.settings.max_iter,
-            "area_budget": self.settings.area_budget,
             "timeout_s": self.settings.timeout_s,
             "queued_groups": queued,
             "inflight_jobs": len(self._inflight),

@@ -11,7 +11,6 @@ from repro.api import (
     artifacts_to_results,
     flow_job_id,
 )
-from repro.flow.campaign import CampaignJob
 
 
 def _report(method="gscale", **overrides):
@@ -36,11 +35,12 @@ def _artifact(**overrides):
 
 def test_job_id_matches_campaign_job_format():
     artifact = _artifact()
-    job = CampaignJob("C432", "gscale", 4.3, 1.2)
+    job = FlowConfig(circuit="C432", method="gscale", vdd_low=4.3,
+                     slack_factor=1.2)
     assert artifact.job_id == job.job_id == "C432:gscale:v4.3:s1.2"
     msv = _artifact(rails=(5.0, 4.3, 3.6))
-    msv_job = CampaignJob("C432", "gscale", 4.3, 1.2,
-                          rails=(5.0, 4.3, 3.6))
+    msv_job = FlowConfig(circuit="C432", method="gscale", vdd_low=4.3,
+                         slack_factor=1.2, rails=(5.0, 4.3, 3.6))
     assert msv.job_id == msv_job.job_id == "C432:gscale:r5-4.3-3.6:s1.2"
     assert flow_job_id("x", "cvs", 4.0, 1.1) == "x:cvs:v4:s1.1"
 
@@ -158,7 +158,7 @@ def test_flow_artifact_row_is_store_compatible(library):
     from repro.flow.campaign import make_row
 
     row = artifact.to_row()
-    reference = make_row(CampaignJob("z4ml", "cvs"), prepared,
+    reference = make_row(FlowConfig(circuit="z4ml", method="cvs"), prepared,
                          artifact.report, artifact.runtime_s)
     from repro.flow.store import normalize_row
 

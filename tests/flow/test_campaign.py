@@ -19,13 +19,15 @@ import pytest
 import repro.flow.campaign as campaign_mod
 from repro.__main__ import main
 from repro.api import BUILTIN_METHODS as METHODS
+from repro.api import FlowConfig
+from repro.api.cache import PreparedCache
 from repro.flow.campaign import (
-    CampaignJob,
+    CampaignSummary,
     build_jobs,
     group_jobs,
+    iter_group_rows,
     rows_to_results,
     run_campaign,
-    run_job_group,
     sweep_points,
     sweep_rail_sets,
 )
@@ -53,7 +55,7 @@ def test_build_jobs_cross_product():
     # Deterministic order: all methods of one group are adjacent, so a
     # group shares one prepared circuit.
     assert [j.method for j in jobs[:3]] == list(METHODS)
-    assert len({j.group_key for j in jobs[:3]}) == 1
+    assert len({PreparedCache.prepared_key(j) for j in jobs[:3]}) == 1
 
 
 def test_build_jobs_rejects_unknown_method():
@@ -62,9 +64,11 @@ def test_build_jobs_rejects_unknown_method():
 
 
 def test_job_id_is_deterministic():
-    job = CampaignJob("C432", "gscale", 4.3, 1.2)
+    job = FlowConfig(circuit="C432", method="gscale", vdd_low=4.3,
+                     slack_factor=1.2)
     assert job.job_id == "C432:gscale:v4.3:s1.2"
-    assert CampaignJob("C432", "gscale", 4.3, 1.2).job_id == job.job_id
+    assert FlowConfig(circuit="C432", method="gscale", vdd_low=4.3,
+                      slack_factor=1.2).job_id == job.job_id
 
 
 def test_group_jobs_preserves_order():
@@ -164,6 +168,25 @@ def test_failed_rows_are_retried_on_resume(tmp_path):
     assert set(results[0].reports) == set(METHODS)
 
 
+def test_summary_tally_counts_rows_and_formats_progress_lines():
+    summary = CampaignSummary(total_jobs=3, skipped=0, ok=0, failed=0,
+                              elapsed_s=0.0)
+    lines = []
+    summary.tally({"job_id": "a", "status": "ok", "runtime_s": 1.5,
+                   "report": {"improvement_pct": 12.5}}, lines.append)
+    summary.tally({"job_id": "b", "status": "failed", "error": "boom",
+                   "attempt": 2}, lines.append, replayed=True)
+    summary.tally({"job_id": "c", "status": "poisoned", "error": "dead",
+                   "attempt": 3}, lines.append)
+    assert lines == [
+        "ok     a   12.50%  [1.50s]",
+        "FAILED b  boom (attempt 2) (replayed)",
+        "POISONED c  dead (attempt 3)",
+    ]
+    assert (summary.ok, summary.failed, summary.poisoned) == (1, 1, 1)
+    assert summary.retries == 3
+
+
 # -- fault isolation --------------------------------------------------
 
 def test_raising_job_yields_failed_row_not_abort(tmp_path):
@@ -193,15 +216,18 @@ def test_raising_job_yields_failed_row_not_abort(tmp_path):
 
 
 def test_unknown_circuit_fails_whole_group_gracefully(tmp_path):
-    jobs = [CampaignJob("no_such_circuit", m) for m in METHODS]
-    rows = run_job_group(jobs)
+    jobs = [FlowConfig(circuit="no_such_circuit", method=m)
+            for m in METHODS]
+    rows = [row for _job, row in iter_group_rows(jobs)]
     assert len(rows) == 3
     assert all(r["status"] == "failed" for r in rows)
     assert all("no_such_circuit" in r["error"] for r in rows)
 
 
 def test_parallel_worker_failure_is_isolated(tmp_path):
-    jobs = build_jobs(["z4ml"]) + [CampaignJob("no_such_circuit", "cvs")]
+    jobs = build_jobs(["z4ml"]) + [
+        FlowConfig(circuit="no_such_circuit", method="cvs")
+    ]
     store = ResultStore(tmp_path / "s.jsonl")
     summary = run_campaign(jobs, store, n_jobs=2)
     assert summary.ok == 3
@@ -382,7 +408,7 @@ def test_rails_jobs_have_rail_aware_ids():
         f"z4ml:{m}:r5-4.3-3.6:s1.2" for m in METHODS
     ]
     assert all(j.vdd_low == 4.3 for j in jobs)  # mirrors rails[1]
-    assert len({j.group_key for j in jobs}) == 1
+    assert len({PreparedCache.prepared_key(j) for j in jobs}) == 1
 
 
 def test_build_jobs_rejects_short_rail_set():
@@ -549,8 +575,42 @@ def test_shard_jobs_keeps_groups_whole():
         shard = shard_jobs(jobs, k, 3)
         groups = {}
         for job in shard:
-            groups.setdefault(job.group_key, []).append(job)
+            groups.setdefault(PreparedCache.prepared_key(job), []).append(job)
         assert all(len(members) == 3 for members in groups.values())
+
+
+def _old_group_key(job):
+    """The partition key campaigns used before grouping moved onto the
+    prepared-circuit key: (circuit, rail key, slack factor)."""
+    return (job.circuit, job.rail_key, job.slack_factor)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        dict(vdd_lows=[4.6, 4.3], slack_factors=[1.1, 1.2]),
+        dict(rails_sets=[RAILS3, (5.0, 4.0)], slack_factors=[1.1, 1.2]),
+    ],
+    ids=["dual", "rails"],
+)
+def test_grouping_matches_the_circuit_rail_slack_partition(grid):
+    from repro.flow.campaign import shard_jobs
+
+    jobs = build_jobs(["z4ml", "x2", "C432"],
+                      cost_models=("paper", "placement"), **grid)
+    expected = {}
+    for job in jobs:
+        expected.setdefault(_old_group_key(job), []).append(job.job_id)
+    assert [[j.job_id for j in group] for _key, group in group_jobs(jobs)] \
+        == list(expected.values())
+
+    count = 4
+    shard_of = {key: i % count for i, key in enumerate(expected)}
+    for index in range(1, count + 1):
+        assert [j.job_id for j in shard_jobs(jobs, index, count)] == [
+            j.job_id for j in jobs
+            if shard_of[_old_group_key(j)] == index - 1
+        ]
 
 
 def test_shard_jobs_validates_bounds():
@@ -628,34 +688,6 @@ def test_campaign_cli_rejects_bad_shard(tmp_path, capsys):
     assert "shard" in capsys.readouterr().err
 
 
-def test_pool_worker_imports_plugins_for_custom_methods(tmp_path,
-                                                        monkeypatch):
-    """Pool payloads carry the plugin list, so a spawn-started worker
-    (fresh interpreter, builtin-only registry) can still resolve
-    registry-injected methods.  Simulated in-process with a plugin
-    module that has never been imported here."""
-    from repro.api.registry import is_registered, unregister_method
-    from repro.flow.campaign import _pool_worker
-
-    plugin = tmp_path / "worker_plugin_mod.py"
-    plugin.write_text(
-        "from repro.api import ScalingMethod, register_method\n"
-        "register_method(ScalingMethod(\n"
-        "    'worker_plugin_method', lambda state, config: None))\n"
-    )
-    monkeypatch.syspath_prepend(str(tmp_path))
-    assert not is_registered("worker_plugin_method")
-
-    job = CampaignJob("z4ml", "worker_plugin_method")
-    payload = ([job], 10, 0.10, None, ("worker_plugin_mod",))
-    try:
-        (row,) = _pool_worker(payload)
-        assert row["status"] == "ok"
-        assert row["method"] == "worker_plugin_method"
-    finally:
-        unregister_method("worker_plugin_method")
-
-
 def test_run_campaign_imports_plugins_in_process(tmp_path, monkeypatch):
     from repro.api.registry import is_registered, unregister_method
 
@@ -669,7 +701,7 @@ def test_run_campaign_imports_plugins_in_process(tmp_path, monkeypatch):
     assert not is_registered("campaign_plugin_method")
 
     store = ResultStore(tmp_path / "s.jsonl")
-    jobs = [CampaignJob("z4ml", "campaign_plugin_method")]
+    jobs = [FlowConfig(circuit="z4ml", method="campaign_plugin_method")]
     try:
         summary = run_campaign(jobs, store,
                                plugins=("campaign_plugin_mod",))
@@ -690,7 +722,8 @@ def test_build_jobs_cost_model_dimension():
     assert jobs[0].job_id == "z4ml:dscale:v4.3:s1.2"
     assert jobs[1].job_id == "z4ml:dscale:v4.3:s1.2:cplacement"
     # Both land in the same preparation group (one prepared circuit).
-    assert jobs[0].group_key == jobs[1].group_key
+    assert PreparedCache.prepared_key(jobs[0]) == \
+        PreparedCache.prepared_key(jobs[1])
 
 
 def test_build_jobs_rejects_unknown_cost_model():

@@ -144,15 +144,13 @@ def test_work_stealing_matches_static_shards(tmp_path, batch):
 def test_mismatched_execution_knobs_are_rejected(tmp_path, batch):
     jobs, _batch_rows = batch
     with BackgroundDaemon(settings(tmp_path)) as bg:
-        wrong = JobRequest(configs=(jobs[0].config(max_iter=999),))
+        wrong = JobRequest(configs=(jobs[0].replace(max_iter=999),))
         with pytest.raises(ServeError) as excinfo:
             list(submit_stream(bg.url, wrong))
         assert excinfo.value.status == 400
         assert "does not match this daemon's" in excinfo.value.message
 
-        duplicate = JobRequest(
-            configs=(jobs[0].config(), jobs[0].config())
-        )
+        duplicate = JobRequest(configs=(jobs[0], jobs[0]))
         with pytest.raises(ServeError) as excinfo:
             list(submit_stream(bg.url, duplicate))
         assert excinfo.value.status == 400
@@ -162,9 +160,7 @@ def test_mismatched_execution_knobs_are_rejected(tmp_path, batch):
 def test_status_endpoint_tracks_a_request(tmp_path, batch):
     jobs, _batch_rows = batch
     with BackgroundDaemon(settings(tmp_path)) as bg:
-        request = JobRequest(
-            configs=tuple(job.config() for job in jobs)
-        )
+        request = JobRequest(configs=tuple(jobs))
         events = list(submit_stream(bg.url, request))
         assert events[0].event == "accepted"
         assert [e.event for e in events[1:-1]] == ["row"] * len(jobs)
@@ -180,12 +176,20 @@ def test_status_endpoint_tracks_a_request(tmp_path, batch):
         assert excinfo.value.status == 404
 
 
+def test_pool_is_forked_before_the_daemon_listens(tmp_path):
+    """A worker forked after the daemon accepted a connection would
+    inherit that socket and keep it open after the daemon closes it,
+    so the client would wait for the end of its stream until timeout.
+    """
+    with BackgroundDaemon(settings(tmp_path)) as bg:
+        assert len(bg.daemon.supervisor.workers) == 2
+
+
 def test_health_reports_the_pool_and_caches(tmp_path):
     with BackgroundDaemon(settings(tmp_path)) as bg:
         health = get_health(bg.url)
         assert health["status"] == "ok"
         assert health["workers"] == 2
-        assert health["max_iter"] == 10
         assert health["rows_served"] == 0
         assert set(health["worker_cache"]) >= {"hits", "misses", "bytes"}
 

@@ -13,14 +13,21 @@ the suite):
 * ``pricing``: throughput of one Dscale candidate sweep (feasibility
   check + gain pricing over the slack set) through the serial
   per-candidate calls vs the batched ``MoveEngine.check_moves`` /
-  ``price_moves`` kernels, asserting the results are bit-identical.
+  ``price_moves`` kernels, asserting the results are bit-identical;
+* ``retarget``: a three-rail Dscale with non-adjacent demotions and
+  shifter retargets on a ``gen:layered`` circuit, where most tries are
+  timing rejects retried round after round.  Reports the tries, the
+  timing rejects, the rejects proved by replaying the last reject's
+  path certificate, and the seconds with the replay on and bypassed;
+  asserts that the engine equals the oracle and that every decision
+  equals the replay-bypassed run's.
 
 Run::
 
     PYTHONPATH=src python benchmarks/bench_sta.py [--circuit C7552]
         [--out bench_sta.json] [--quick]
 
-``--quick`` picks a small circuit and trims the move count so the CI
+``--quick`` picks small circuits and trims the move count so the CI
 smoke check stays under a minute.  Exit status is non-zero when the
 engine ever disagrees with the oracle, making this an equivalence smoke
 test as well as a benchmark.
@@ -32,19 +39,24 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
 
+from repro.api import Flow, FlowConfig
 from repro.core.cvs import run_cvs
 from repro.core.dscale import check_demotion, run_dscale
 from repro.core.gscale import run_gscale
 from repro.core.moves import DemoteMove, MoveEngine
 from repro.core.state import ScalingState
-from repro.api import Flow, FlowConfig
 from repro.library.compass import build_compass_library
 from repro.mapping.match import MatchTable
+from repro.timing.incremental import IncrementalTiming
 from repro.timing.sta import TimingAnalysis
 
 DEFAULT_CIRCUIT = "C7552"
 QUICK_CIRCUIT = "C432"
+RETARGET_CIRCUIT = "gen:layered:width=20:depth=15:seed=1"
+QUICK_RETARGET_CIRCUIT = "gen:layered:width=10:depth=10:seed=1"
+RETARGET_RAILS = (1.8, 1.0, 0.6)
 
 
 def time_call(fn, repeat=1):
@@ -57,14 +69,22 @@ def time_call(fn, repeat=1):
     return best, result
 
 
+def fresh_state(prepared, library):
+    return ScalingState(
+        prepared.fresh_copy(),
+        library,
+        tspec=prepared.tspec,
+        activity=prepared.activity,
+    )
+
+
 def bench_sta_updates(prepared, library, n_moves):
     """Per-move update cost: full rebuild vs incremental refresh."""
-    state = ScalingState(prepared.fresh_copy(), library,
-                         tspec=prepared.tspec, activity=prepared.activity)
+    state = fresh_state(prepared, library)
     run_cvs(state)
     engine = state.timing()
-    victims = [g for g in state.network.gates()
-               if not state.is_low(g)][:n_moves]
+    victims = [g for g in state.network.gates() if not state.is_low(g)]
+    victims = victims[:n_moves]
 
     full_total = 0.0
     incr_total = 0.0
@@ -73,12 +93,14 @@ def bench_sta_updates(prepared, library, n_moves):
         elapsed, _ = time_call(lambda: engine.refresh())
         incr_total += elapsed
         elapsed, full = time_call(
-            lambda: TimingAnalysis(state.calc, state.tspec))
+            lambda: TimingAnalysis(state.calc, state.tspec)
+        )
         full_total += elapsed
         if abs(full.worst_delay - engine.worst_delay) > 1e-9:
             raise AssertionError(
                 f"incremental/full mismatch after demote({victim!r}): "
-                f"{engine.worst_delay} vs {full.worst_delay}")
+                f"{engine.worst_delay} vs {full.worst_delay}"
+            )
         state.promote(victim)
         engine.refresh()
     moves = max(1, len(victims))
@@ -99,22 +121,28 @@ def bench_pricing(prepared, library, repeat=5):
     first (and largest) Dscale round prices.  Both paths must return
     bit-identical feasibility flags and gains.
     """
-    state = ScalingState(prepared.fresh_copy(), library,
-                         tspec=prepared.tspec, activity=prepared.activity)
+    state = fresh_state(prepared, library)
     engine = MoveEngine(state)
     analysis = state.timing()
     lowest = state.n_rails - 1
-    candidates = [(gate, None) for gate in state.network.gates()
-                  if analysis.slack(gate) > 0
-                  and state.rail_of(gate) < lowest]
+    candidates = [
+        (gate, None)
+        for gate in state.network.gates()
+        if analysis.slack(gate) > 0 and state.rail_of(gate) < lowest
+    ]
     moves = [DemoteMove(gate, target=target) for gate, target in candidates]
     model = engine.cost_model
 
     def serial():
-        feasible = [check_demotion(state, analysis, gate, target)
-                    for gate, target in candidates]
-        gains = [model.demotion_gain(state, gate, target=target)
-                 for (gate, target), ok in zip(candidates, feasible) if ok]
+        feasible = [
+            check_demotion(state, analysis, gate, target)
+            for gate, target in candidates
+        ]
+        gains = [
+            model.demotion_gain(state, gate, target=target)
+            for (gate, target), ok in zip(candidates, feasible)
+            if ok
+        ]
         return feasible, gains
 
     def batched():
@@ -126,7 +154,8 @@ def bench_pricing(prepared, library, repeat=5):
     batch_s, batch_result = time_call(batched, repeat)
     if serial_result != batch_result:
         raise AssertionError(
-            "pricing: batched results differ from the serial loop")
+            "pricing: batched results differ from the serial loop"
+        )
     n = len(candidates)
     return {
         "candidates": n,
@@ -144,12 +173,15 @@ def assert_engine_is_oracle(state, label):
     engine = state.timing()
     order, arrival, required, load = engine.levelized_arrays()
     oracle = state.full_timing()
-    if (arrival != [oracle.arrival[name] for name in order]
-            or required != [oracle.required[name] for name in order]
-            or load != [oracle.load[name] for name in order]
-            or engine.worst_delay != oracle.worst_delay):
+    if (
+        arrival != [oracle.arrival[name] for name in order]
+        or required != [oracle.required[name] for name in order]
+        or load != [oracle.load[name] for name in order]
+        or engine.worst_delay != oracle.worst_delay
+    ):
         raise AssertionError(
-            f"{label}: engine differs from the full-rebuild oracle")
+            f"{label}: engine differs from the full-rebuild oracle"
+        )
 
 
 def bench_end_to_end(prepared, library, runner, label):
@@ -161,9 +193,7 @@ def bench_end_to_end(prepared, library, runner, label):
     """
     best = float("inf")
     for _ in range(2):  # best-of-2 damps scheduler noise
-        state = ScalingState(prepared.fresh_copy(), library,
-                             tspec=prepared.tspec,
-                             activity=prepared.activity)
+        state = fresh_state(prepared, library)
         elapsed, _ = time_call(lambda: runner(state))
         best = min(best, elapsed)
         state.validate()
@@ -174,27 +204,146 @@ def bench_end_to_end(prepared, library, runner, label):
     }
 
 
+@contextmanager
+def patched(owner, name, value):
+    """Temporarily replace ``owner.name`` with ``value``."""
+    saved = getattr(owner, name)
+    setattr(owner, name, value)
+    try:
+        yield
+    finally:
+        setattr(owner, name, saved)
+
+
+def bench_retarget(circuit, repeat):
+    """Three-rail Dscale with retargets, replay on vs bypassed.
+
+    The seconds are best-of-``repeat`` unobserved runs each way.  One
+    more run each way logs every ``try_move`` as ``(kind, key, ok)``;
+    the two logs and final states must be equal, because a replayed
+    reject is a proof the full timing check would reach too.  A reject
+    is a timing reject when the try measured no power (Dscale passes
+    its power baseline in).
+    """
+    library = build_compass_library(rails=RETARGET_RAILS)
+    prepared = Flow(
+        FlowConfig(circuit=circuit, rails=RETARGET_RAILS),
+        library=library,
+        match_table=MatchTable(library),
+    ).prepare()
+
+    def run():
+        state = fresh_state(prepared, library)
+        run_dscale(state, non_adjacent=True, retarget_shifters=True)
+        return state
+
+    def observed():
+        counts = {"powers": 0, "replayed": 0}
+        log = []
+        try_move = MoveEngine.try_move
+        replay_exceeds = IncrementalTiming.replay_exceeds
+        power = ScalingState.power
+
+        def logged_try(self, move, *args, **kwargs):
+            powers = counts["powers"]
+            ok = try_move(self, move, *args, **kwargs)
+            log.append((move.kind, move.key, ok, counts["powers"] > powers))
+            return ok
+
+        def counted_replay(self, path, limit):
+            proved = replay_exceeds(self, path, limit)
+            counts["replayed"] += proved
+            return proved
+
+        def counted_power(self):
+            counts["powers"] += 1
+            return power(self)
+
+        with (
+            patched(MoveEngine, "try_move", logged_try),
+            patched(IncrementalTiming, "replay_exceeds", counted_replay),
+            patched(ScalingState, "power", counted_power),
+        ):
+            state = run()
+        state.validate()
+        assert_engine_is_oracle(state, "retarget")
+        cells = {
+            name: node.cell
+            for name, node in state.network.nodes.items()
+            if node.cell is not None
+        }
+        outcome = (
+            [entry[:3] for entry in log],
+            dict(state.levels),
+            set(state.lc_edges),
+            cells,
+            state.move_stats.as_dict(),
+        )
+        timing_rejects = sum(
+            1 for _, _, ok, measured in log if not ok and not measured
+        )
+        return outcome, len(log), timing_rejects, counts["replayed"]
+
+    replay_s, _ = time_call(run, repeat)
+    shipped, tries, timing_rejects, replayed = observed()
+    with patched(
+        IncrementalTiming, "replay_exceeds", lambda self, path, limit: False
+    ):
+        bypassed_s, _ = time_call(run, repeat)
+        bypassed, _, _, _ = observed()
+    if shipped != bypassed:
+        raise AssertionError(
+            "retarget: decisions differ with the replay bypassed"
+        )
+    return {
+        "circuit": circuit,
+        "rails": list(RETARGET_RAILS),
+        "tries": tries,
+        "timing_rejects": timing_rejects,
+        "replayed_rejects": replayed,
+        "replay_s": replay_s,
+        "bypassed_s": bypassed_s,
+        "speedup": bypassed_s / replay_s if replay_s > 0 else None,
+    }
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--circuit", default=None,
-                        help="benchmark circuit name (see repro.bench.mcnc)")
-    parser.add_argument("--moves", type=int, default=60,
-                        help="demotions to time in the per-move benchmark")
-    parser.add_argument("--out", default=None,
-                        help="write the JSON report here (default: stdout)")
-    parser.add_argument("--quick", action="store_true",
-                        help="small circuit + fewer moves (CI smoke check)")
+    parser.add_argument(
+        "--circuit",
+        default=None,
+        help="benchmark circuit name (see repro.bench.mcnc)",
+    )
+    parser.add_argument(
+        "--moves",
+        type=int,
+        default=60,
+        help="demotions to time in the per-move benchmark",
+    )
+    parser.add_argument(
+        "--out",
+        default=None,
+        help="write the JSON report here (default: stdout)",
+    )
+    parser.add_argument(
+        "--quick",
+        action="store_true",
+        help="small circuit + fewer moves (CI smoke check)",
+    )
     args = parser.parse_args(argv)
 
-    circuit = args.circuit or (QUICK_CIRCUIT if args.quick
-                               else DEFAULT_CIRCUIT)
+    circuit = args.circuit or (
+        QUICK_CIRCUIT if args.quick else DEFAULT_CIRCUIT
+    )
     moves = min(args.moves, 20) if args.quick else args.moves
 
     library = build_compass_library()
-    prepared = Flow(FlowConfig(circuit=circuit), library=library,
-                    match_table=MatchTable(library)).prepare()
-    gates = sum(1 for n in prepared.network.nodes.values()
-                if not n.is_input)
+    prepared = Flow(
+        FlowConfig(circuit=circuit),
+        library=library,
+        match_table=MatchTable(library),
+    ).prepare()
+    gates = sum(1 for n in prepared.network.nodes.values() if not n.is_input)
 
     report = {
         "circuit": circuit,
@@ -204,6 +353,10 @@ def main(argv=None):
         "pricing": bench_pricing(prepared, library),
         "dscale": bench_end_to_end(prepared, library, run_dscale, "dscale"),
         "gscale": bench_end_to_end(prepared, library, run_gscale, "gscale"),
+        "retarget": bench_retarget(
+            QUICK_RETARGET_CIRCUIT if args.quick else RETARGET_CIRCUIT,
+            repeat=1 if args.quick else 3,
+        ),
     }
 
     payload = json.dumps(report, indent=2)

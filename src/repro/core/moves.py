@@ -108,6 +108,10 @@ class Move:
     """
 
     kind = "move"
+    #: Identifies the move across retries for :meth:`MoveEngine.try_move`'s
+    #: certificate memo (``None``: no memo).  It affects only how often
+    #: a replay fires, never a decision.
+    key: tuple | None = None
 
     def apply(self, state) -> None:
         raise NotImplementedError
@@ -133,6 +137,7 @@ class DemoteMove(Move):
     def __init__(self, name: str, target: int | None = None):
         self.name = name
         self.target = target
+        self.key = (self.kind, name, target)
         self._old_rail: int = 0
         self._new_edges: tuple[tuple[str, str], ...] = ()
 
@@ -171,6 +176,7 @@ class PromoteMove(Move):
 
     def __init__(self, name: str):
         self.name = name
+        self.key = (self.kind, name)
         self._old_rail: int = 0
         self._old_edges: tuple[tuple[str, str], ...] = ()
 
@@ -196,6 +202,7 @@ class ResizeMove(Move):
     def __init__(self, name: str, cell):
         self.name = name
         self.cell = cell
+        self.key = (self.kind, name, cell)
         self._old_cell = None
 
     def apply(self, state) -> None:
@@ -218,6 +225,7 @@ class DropConverterMove(Move):
 
     def __init__(self, edge: tuple[str, str]):
         self.edge = edge
+        self.key = (self.kind, edge)
 
     def apply(self, state) -> None:
         state.drop_converter(self.edge)
@@ -431,9 +439,10 @@ register_cost_model(PlacementAwareCostModel())
 class MoveEngine:
     """Executes moves on one state, transactionally or not.
 
-    The engine owns no state of its own beyond the resolved cost model:
-    counters accumulate into ``state.move_stats``, so CVS running
-    inside Dscale or Gscale reports into the same table.
+    Counters accumulate into ``state.move_stats``, so CVS running
+    inside Dscale or Gscale reports into the same table.  Beyond the
+    resolved cost model the engine keeps only the last timing reject's
+    path certificate per :attr:`Move.key`, for the life of the engine.
     """
 
     def __init__(self, state, cost_model: str | CostModel | None = None):
@@ -450,6 +459,7 @@ class MoveEngine:
         #: attempt.  Callers chaining power-gated moves read this
         #: instead of re-estimating the whole network per commit.
         self.last_power: float | None = None
+        self._paths: dict[tuple, tuple | None] = {}
 
     def price(self, move: Move) -> float:
         """The move's power gain (uW) under the engine's cost model."""
@@ -528,8 +538,11 @@ class MoveEngine:
         redundant O(network) estimations).  The timing check is one
         :meth:`~repro.timing.incremental.IncrementalTiming.exceeds`
         query, which may reject before re-timing the whole forward
-        cone.  A rejected move is undone and the journaled timing
-        values are restored without recomputation.  Resets
+        cone.  Before it, the path that proved the same move's last
+        timing reject (:attr:`Move.key`) is replayed; a replay above
+        the limit is a proof and rejects with no re-timing at all.  A
+        rejected move is undone and the journaled timing values are
+        restored without recomputation.  Resets
         :attr:`last_worst_delay` and :attr:`last_power` on entry.
         Returns whether the move was committed.
         """
@@ -545,7 +558,14 @@ class MoveEngine:
             limit = check.tspec + state.options.timing_tolerance
             if worst_delay_cap is not None and worst_delay_cap < limit:
                 limit = worst_delay_cap
-            ok = not check.exceeds(limit)
+            key = move.key
+            path = self._paths.get(key)
+            if path is not None and check.replay_exceeds(path, limit):
+                ok = False
+            else:
+                ok = not check.exceeds(limit)
+                if key is not None:
+                    self._paths[key] = None if ok else check.last_path
             if ok and require_power_gain:
                 measured = state.power().total
                 ok = measured < power_before

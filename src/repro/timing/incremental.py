@@ -83,6 +83,20 @@ its forward cone.  No margin or tolerance enters the proof.  The
 arrays are then half repaired, so every query raises
 ``RuntimeError`` until :meth:`rollback`.
 
+Replayed certificates
+---------------------
+A yes of :meth:`exceeds` inside a transaction also leaves its proof in
+:attr:`last_path`: a PI-to-PO ``(node, pin)`` path whose every stage
+reproduces the post-move arrivals bit-exactly.  :meth:`replay_exceeds`
+re-adds that path's stages after a later move's writes and before any
+repair, from the last path node positioned before every pending
+forward seed (its arrival is final), with the live delays and the same
+association.  Each stage is again a term of its node's arrival maximum,
+so a replayed sum above ``limit`` is a proof as well.
+:class:`~repro.core.moves.MoveEngine` keeps one path per move and
+replays it before asking :meth:`exceeds`, so a move rejected round
+after round is re-rejected without re-timing its cone.
+
 Full builds
 -----------
 The initial build and every :meth:`full_invalidate` run one levelized
@@ -298,6 +312,9 @@ class IncrementalTiming:
         self.tspec = tspec
         self._flat_source = flat_source
         self._journal: _Journal | None = None
+        #: The PI-to-PO ``(node, pin)`` path behind the last yes of
+        #: :meth:`exceeds` inside a transaction, or ``None``.
+        self.last_path: tuple | None = None
         self._build()
 
     # ------------------------------------------------------------------
@@ -482,13 +499,14 @@ class IncrementalTiming:
                 i = heapq.heappop(heap)
                 scheduled.discard(i)
                 new = self._compute_arrival(self._order[i])
-                if (
-                    i > above
-                    and new > required[i] + margin
-                    and self._path_bound(i, new) > limit
-                ):
-                    self._spent = True
-                    return True
+                if i > above and new > required[i] + margin:
+                    steps = []
+                    if self._path_bound(i, new, steps) > limit:
+                        self._spent = True
+                        chain = self._back_chain(self._order[i], new)
+                        if chain is not None:
+                            self.last_path = (*chain, *steps)
+                        return True
                 if new != arrival[i]:
                     if journal is not None and i not in journal.arrival:
                         journal.arrival[i] = arrival[i]
@@ -501,7 +519,7 @@ class IncrementalTiming:
         self._fwd_clean = True
         return False
 
-    def _path_bound(self, i: int, at: float) -> float:
+    def _path_bound(self, i: int, at: float, steps: list) -> float:
         """A lower bound on ``worst_delay`` through position ``i``.
 
         ``at`` is the node's final arrival.  The walk follows the reader
@@ -510,7 +528,8 @@ class IncrementalTiming:
         association, then the output converter.  Every step is a term
         of the reader's arrival maximum, so the result never exceeds
         the repaired ``worst_delay``.  ``-inf`` when the walk reaches a
-        node with no reader and no output.
+        node with no reader and no output.  Each ``(reader, pin)`` step
+        taken is appended to ``steps``.
         """
         calc = self.calculator
         order = self._order
@@ -537,15 +556,75 @@ class IncrementalTiming:
                     term -= lc
                 if term < best:
                     best = term
-                    step = (j, lc, stage)
+                    step = (j, pin, lc, stage)
             if step is None:
                 if name in is_output:
                     return at + calc.edge_extra_delay(name, OUTPUT)
                 return -math.inf
-            i, lc, stage = step
+            i, pin, lc, stage = step
+            steps.append((order[i], pin))
             if lc is not None:
                 at += lc
             at += stage
+
+    def _back_chain(self, name: str, at: float) -> list | None:
+        """``(node, pin)`` argmax steps from ``name`` back to an input.
+
+        The input comes first, with pin ``-1``.  ``at`` is the arrival
+        of ``name``; ``None`` when some arrival is not reproduced
+        bit-exactly by any pin term of the stored arrays.
+        """
+        calc = self.calculator
+        nodes = self.network.nodes
+        pos = self._pos
+        arrival = self._arrival
+        lc_edges = calc.lc_edges
+        chain = []
+        while not nodes[name].is_input:
+            cell = calc.variant(name)
+            stage_load = self._load[pos[name]]
+            for pin, fanin in enumerate(nodes[name].fanins):
+                term = arrival[pos[fanin]]
+                if (fanin, name) in lc_edges:
+                    term += calc.lc_delay(fanin, name)
+                term += cell.intrinsics[pin] + cell.drive_res * stage_load
+                if term == at:
+                    break
+            else:
+                return None
+            chain.append((name, pin))
+            name, at = fanin, arrival[pos[fanin]]
+        chain.append((name, -1))
+        chain.reverse()
+        return chain
+
+    def replay_exceeds(self, path: tuple, limit: float) -> bool:
+        """Whether a recorded :attr:`last_path` proves ``worst_delay > limit``.
+
+        Call after a move's writes and before any repair (see the module
+        docstring).  ``True`` is a proof; ``False`` proves nothing.
+        ``path`` must come from this engine's topology.
+        """
+        if self._spent:
+            raise RuntimeError(_SPENT)
+        pos = self._pos
+        first = min(map(pos.__getitem__, self._fwd_seeds), default=len(pos))
+        start = 0
+        for k in range(1, len(path)):
+            if pos[path[k][0]] >= first:
+                break
+            start = k
+        calc = self.calculator
+        lc_edges = calc.lc_edges
+        fanin = path[start][0]
+        at = self._arrival[pos[fanin]]
+        for name, pin in path[start + 1 :]:
+            if (fanin, name) in lc_edges:
+                at += calc.lc_delay(fanin, name)
+            cell = calc.variant(name)
+            at += cell.intrinsics[pin] + cell.drive_res * calc.load(name)
+            fanin = name
+        return at + calc.edge_extra_delay(fanin, OUTPUT) > limit
 
     def refresh(self) -> "IncrementalTiming":
         """Repair every stale value; no-op when nothing is dirty.
@@ -709,10 +788,23 @@ class IncrementalTiming:
         Inside a transaction the forward repair stops at the first path
         certificate (see the module docstring); the engine is then
         rollback-only and every query raises until :meth:`rollback`.
+        A yes inside a transaction leaves the proving PI-to-PO path in
+        :attr:`last_path` for :meth:`replay_exceeds` (``None`` when no
+        path reproduces the arrivals bit-exactly).
         """
+        self.last_path = None
         if self._journal is not None and self._ensure_forward(limit):
             return True
-        return self.worst_delay > limit
+        worst = self.worst_delay
+        if worst > limit and self._journal is not None:
+            arrival = self._arrival
+            pos = self._pos
+            for out in self.network.outputs:
+                at = arrival[pos[out]]
+                if at + self.calculator.edge_extra_delay(out, OUTPUT) == worst:
+                    self.last_path = self._back_chain(out, at)
+                    break
+        return worst > limit
 
     def critical_path(self) -> list[str]:
         """One worst input-to-output path (node names, PI first)."""

@@ -640,6 +640,99 @@ def test_memoized_overlays_follow_every_mutation(n_rails):
     _assert_overlays_fresh(state)
 
 
+# -- replayed reject certificates --------------------------------------
+
+
+def assert_engine_is_oracle(state):
+    """The engine's arrays and worst delay equal the oracle's bitwise."""
+    engine = state.timing()
+    order, arrival, required, load = engine.levelized_arrays()
+    oracle = state.full_timing()
+    assert load == [oracle.load[name] for name in order]
+    assert arrival == [oracle.arrival[name] for name in order]
+    assert required == [oracle.required[name] for name in order]
+    assert engine.worst_delay == oracle.worst_delay
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(n_rails=st.sampled_from([3, 4]),
+       seed=st.integers(0, 2**32 - 1),
+       kinds=st.lists(st.sampled_from(("demote", "deep", "retarget",
+                                       "resize", "drop")),
+                      min_size=8, max_size=24))
+def test_replayed_rejects_are_sound(n_rails, seed, kinds):
+    """A stored certificate that replays "exceeds" is confirmed by the
+    full ``exceeds`` and by the oracle on the same post-move state, and
+    after the replayed reject's rollback engine == oracle bitwise.
+
+    Rejected moves are retried (fresh instances, same key) under a
+    fresh random cap around the current worst delay, interleaved with
+    committed moves that shift the circuit under the stored paths.
+    Before every timing check, every path recorded so far -- not only
+    the tried move's own -- must replay to at most the exact post-move
+    worst delay.
+    """
+    rng = random.Random(seed)
+    state = _converter_dense_state(n_rails, rng.random() < 0.5, seed)
+    timing = state.timing()
+    replay = timing.replay_exceeds
+    exceeds = timing.exceeds
+    paths = []
+    proofs = []
+
+    def assert_lower_bounds():
+        worst = state.full_timing().worst_delay
+        assert not any(replay(path, worst) for path in paths)
+        return worst
+
+    def checked_replay(path, limit):
+        worst = assert_lower_bounds()
+        proved = replay(path, limit)
+        if proved:
+            assert worst > limit
+            fresh = IncrementalTiming(state.calc, timing.tspec)
+            assert fresh.exceeds(limit)
+            proofs.append(path)
+        return proved
+
+    def recorded_exceeds(limit):
+        assert_lower_bounds()
+        answer = exceeds(limit)
+        if timing.last_path is not None:
+            paths.append(timing.last_path)
+        return answer
+
+    timing.replay_exceeds = checked_replay
+    timing.exceeds = recorded_exceeds
+    engine = MoveEngine(state)
+    rejected = []
+    lowest = state.n_rails - 1
+    for kind in kinds:
+        move = None
+        if rejected and rng.random() < 0.7:
+            old = rng.choice(rejected)
+            if isinstance(old, ResizeMove):
+                move = ResizeMove(old.name, old.cell)
+            elif isinstance(old, DropConverterMove):
+                if old.edge in state.lc_edges:
+                    move = DropConverterMove(old.edge)
+            elif state.rail_of(old.name) < (old.target or lowest):
+                move = type(old)(old.name, old.target)
+        else:
+            move = _random_move(rng, state, kind)
+        if move is None:
+            continue
+        worst = state.full_timing().worst_delay
+        proved = len(proofs)
+        ok = engine.try_move(move,
+                             worst_delay_cap=worst * rng.uniform(0.98, 1.01))
+        if not ok:
+            rejected.append(move)
+        assert not (ok and len(proofs) > proved)
+        assert_engine_is_oracle(state)
+
+
 def test_batched_pricing_validation_matches_serial(multirail_state):
     """The batch kernels raise the serial loops' ValueErrors verbatim."""
     state = multirail_state

@@ -651,7 +651,7 @@ def test_path_bound_is_a_tight_lower_bound(multirail_state, seed, setup):
     engine = state.timing()
     _, arrival, _, _ = engine.levelized_arrays()
     worst = state.full_timing().worst_delay
-    bounds = [engine._path_bound(i, at) for i, at in enumerate(arrival)]
+    bounds = [engine._path_bound(i, at, []) for i, at in enumerate(arrival)]
     assert max(bounds) <= worst
     assert max(bounds) == pytest.approx(worst, rel=1e-12)
 

@@ -224,9 +224,7 @@ def bench_size(label, spec, library, match_table, slack=1.2):
     serial_s, oracle = time_call(
         lambda: TimingAnalysis(state.calc, tspec), repeat
     )
-    flat_s, _ = time_call(
-        lambda: build_flat(network, state.calc, activity=activity), repeat
-    )
+    flat_s, _ = time_call(lambda: build_flat(network, state.calc), repeat)
     numpy_s, engine_numpy = time_call(
         lambda: IncrementalTiming(state.calc, tspec, flat_source=state.flat),
         repeat,

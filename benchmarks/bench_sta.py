@@ -14,6 +14,8 @@ the suite):
   check + gain pricing over the slack set) through the serial
   per-candidate calls vs the batched ``MoveEngine.check_moves`` /
   ``price_moves`` kernels, asserting the results are bit-identical;
+  the speedup is the median ratio of interleaved serial/batched rounds
+  after a warm-up;
 * ``retarget``: a three-rail Dscale with non-adjacent demotions and
   shifter retargets on a ``gen:layered`` circuit, where most tries are
   timing rejects retried round after round.  Reports the tries, the
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 import time
 from contextlib import contextmanager
@@ -113,13 +116,19 @@ def bench_sta_updates(prepared, library, n_moves):
     }
 
 
-def bench_pricing(prepared, library, repeat=5):
+def bench_pricing(prepared, library, rounds=31):
     """Serial vs batched pricing of one Dscale candidate sweep.
 
     The workload is the pre-CVS slack set -- every gate with positive
     slack that can still move down a rail, i.e. the candidate list the
     first (and largest) Dscale round prices.  Both paths must return
     bit-identical feasibility flags and gains.
+
+    After one warm-up call of each path, ``rounds`` rounds each time
+    one serial then one batched sweep back to back.  The reported
+    seconds are the per-path medians and ``speedup`` is the median of
+    the per-round ratios, so a burst of machine noise lands on a few
+    rounds of both paths instead of on one path's best-of.
     """
     state = fresh_state(prepared, library)
     engine = MoveEngine(state)
@@ -150,12 +159,18 @@ def bench_pricing(prepared, library, repeat=5):
         picked = [move for move, ok in zip(moves, feasible) if ok]
         return feasible, engine.price_moves(picked)
 
-    serial_s, serial_result = time_call(serial, repeat)
-    batch_s, batch_result = time_call(batched, repeat)
-    if serial_result != batch_result:
+    serial_result = serial()
+    if batched() != serial_result:
         raise AssertionError(
             "pricing: batched results differ from the serial loop"
         )
+    serial_times = []
+    batch_times = []
+    for _ in range(rounds):
+        serial_times.append(time_call(serial)[0])
+        batch_times.append(time_call(batched)[0])
+    serial_s = statistics.median(serial_times)
+    batch_s = statistics.median(batch_times)
     n = len(candidates)
     return {
         "candidates": n,
@@ -164,7 +179,9 @@ def bench_pricing(prepared, library, repeat=5):
         "batch_s": batch_s,
         "serial_moves_per_s": n / serial_s if serial_s > 0 else None,
         "batch_moves_per_s": n / batch_s if batch_s > 0 else None,
-        "speedup": serial_s / batch_s if batch_s > 0 else None,
+        "speedup": statistics.median(
+            s / b for s, b in zip(serial_times, batch_times)
+        ),
     }
 
 

@@ -19,9 +19,9 @@ import os
 import pytest
 
 from repro.api import BUILTIN_METHODS as METHODS
-from repro.api import Flow, FlowConfig
+from repro.api import Flow, FlowConfig, RunArtifact
 from repro.bench.mcnc import MCNC_NAMES
-from repro.flow.campaign import make_row, rows_to_results
+from repro.flow.campaign import rows_to_results
 from repro.flow.experiment import run_prepared
 from repro.flow.store import ResultStore
 from repro.library.compass import build_compass_library
@@ -79,9 +79,24 @@ def record_report(campaign_store, prepared_cache):
         job = FlowConfig(circuit=name, method=method)
         if job.job_id in campaign_store.completed_ids():
             return
-        campaign_store.append(
-            make_row(job, prepared_cache(name), report, runtime_s)
+        prepared = prepared_cache(name)
+        nodes = prepared.network.nodes.values()
+        artifact = RunArtifact(
+            circuit=job.circuit,
+            method=job.method,
+            vdd_low=job.vdd_low,
+            slack_factor=job.slack_factor,
+            rails=job.rails,
+            cost_model=job.cost_model,
+            status="ok",
+            gates=sum(1 for n in nodes if not n.is_input),
+            org_power_uw=report.power_before_uw,
+            min_delay_ns=prepared.min_delay,
+            tspec_ns=prepared.tspec,
+            report=report,
+            runtime_s=runtime_s,
         )
+        campaign_store.append(artifact.to_row())
 
     return record
 

@@ -35,9 +35,10 @@ from types import MappingProxyType
 
 import numpy as np
 
+import repro.netlist.flat
 from repro.core.moves import MoveStats
 from repro.library.cells import Library
-from repro.netlist.flat import FlatNetwork, current_flat, flat_of
+from repro.netlist.flat import FlatNetwork
 from repro.netlist.network import Network
 from repro.netlist.validate import check_network
 from repro.power.activity import Activity, random_activities
@@ -95,7 +96,7 @@ class ScalingState:
         self.tspec = tspec
         self.options = options or ScalingOptions()
         self._engine: IncrementalTiming | None = None
-        self._flat_cache = None
+        self._flat_cache: FlatNetwork | None = None
         self._multi_rail = library.n_rails > 2
         # Per-driver count of fanout readers above each demotion
         # boundary: ``_below_counts[t][name]`` is the number of readers
@@ -304,12 +305,36 @@ class ScalingState:
         Cached on the state and rebuilt only when the network identity
         or its topological revision changes: :meth:`resize` patches a
         current snapshot in place and stamps it with the new
-        ``cells_version``.  Rails, converter edges, and timing are
-        overlaid by the consumers (full-STA builds, batched pricing,
-        power, candidate enumeration); see
+        ``cells_version``.  Rails, converter edges, activity rates and
+        timing are overlaid by the consumers (full-STA builds, batched
+        pricing, power, candidate enumeration); see
         :meth:`assignment_overlays` and :mod:`repro.netlist.flat`.
         """
-        return flat_of(self)
+        flat = self._cached_flat()
+        if flat is None:
+            # Looked up on the module per call, so a wrapper installed
+            # there (perfbench's ``netlist.flat`` span) sees every build.
+            flat = self._flat_cache = repro.netlist.flat.build_flat(
+                self.network, self.calc, version=self.cells_version
+            )
+        return flat
+
+    def _cached_flat(self) -> FlatNetwork | None:
+        """The cached snapshot if it is still current, else ``None``.
+
+        Current means built (or patched) for this network object, its
+        cached topological-order list (a topology edit makes a new
+        one) and the current ``cells_version``.
+        """
+        flat = self._flat_cache
+        if (
+            flat is not None
+            and flat.network is self.network
+            and flat.version == self.cells_version
+            and flat.order is self.network.topological()
+        ):
+            return flat
+        return None
 
     def assignment_overlays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(rails, keys, po_lc)``: the assignment over :meth:`flat`.
@@ -464,7 +489,7 @@ class ScalingState:
         self.resized.setdefault(name, (node.cell.name, cell.name))
         self.resized[name] = (self.resized[name][0], cell.name)
         self._sizing_delta_cache = None
-        flat = current_flat(self)
+        flat = self._cached_flat()
         self.cells_version += 1
         swap_cell(self.calc, self._engine, name, cell)
         if flat is not None:

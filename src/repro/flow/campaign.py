@@ -57,7 +57,6 @@ from repro.api.artifact import (
     DEFAULT_COST_MODEL,
     CircuitResult,
     RunArtifact,
-    ScalingReport,
     artifacts_to_results,
 )
 from repro.api.config import (
@@ -66,7 +65,7 @@ from repro.api.config import (
     FlowConfig,
 )
 from repro.api.cache import PreparedCache
-from repro.api.flow import Flow, PreparedCircuit
+from repro.api.flow import Flow
 from repro.api.registry import (
     BUILTIN_METHODS as METHODS,
     is_registered,
@@ -326,31 +325,6 @@ def configure_worker_cache(
 def clear_worker_caches() -> None:
     """Drop the per-process library / prepared-circuit caches."""
     _WORKER_CACHE.clear()
-
-
-def make_row(
-    job: FlowConfig,
-    prepared: PreparedCircuit,
-    report: ScalingReport,
-    runtime_s: float,
-) -> dict[str, Any]:
-    """One ok-row of the store, from a finished scaling run."""
-    gates = sum(1 for n in prepared.network.nodes.values() if not n.is_input)
-    return RunArtifact(
-        circuit=job.circuit,
-        method=job.method,
-        vdd_low=job.vdd_low,
-        slack_factor=job.slack_factor,
-        rails=job.rails,
-        cost_model=job.cost_model,
-        status="ok",
-        gates=gates,
-        org_power_uw=report.power_before_uw,
-        min_delay_ns=prepared.min_delay,
-        tspec_ns=prepared.tspec,
-        report=report,
-        runtime_s=runtime_s,
-    ).to_row()
 
 
 def make_failed_row(
@@ -780,7 +754,6 @@ __all__ = [
     "shard_jobs",
     "iter_group_rows",
     "run_campaign",
-    "make_row",
     "make_failed_row",
     "row_cost_model",
     "row_rails",

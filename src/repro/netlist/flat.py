@@ -28,16 +28,16 @@ vectorized forward/backward sweeps.
 
 Lifecycle
 ---------
-:func:`flat_of` caches the snapshot on the state object and rebuilds
-it when either the network identity, the network's topological
-revision (``order is network.topological()``), or the state's
-``cells_version`` (bumped by every gate resize) no longer matches.  A
-gate resize does not force that rebuild: the state patches a current
-snapshot in place through :meth:`FlatNetwork.resize` and stamps it
-with the new ``cells_version``, so only a topology edit or a snapshot
-that fell behind is rebuilt.  Rail assignments, level-shifter edges,
-and the timing arrays are *not* in the snapshot -- they change per
-move.  Consumers overlay them through :meth:`FlatNetwork.rail_plane`
+:meth:`repro.core.state.ScalingState.flat` owns the cached snapshot
+and rebuilds it when either the network identity, the network's
+topological revision (``order is network.topological()``), or the
+state's ``cells_version`` (bumped by every gate resize) no longer
+matches.  A gate resize does not force that rebuild: the state patches
+a current snapshot in place through :meth:`FlatNetwork.resize` and
+stamps it with the new ``cells_version``, so only a topology edit or a
+snapshot that fell behind is rebuilt.  Rail assignments, level-shifter
+edges, and the timing arrays are *not* in the snapshot -- they change
+per move.  Consumers overlay them through :meth:`FlatNetwork.rail_plane`
 and :meth:`FlatNetwork.lc_edge_keys`, plain read-only functions of the
 assignment they are given.  The state memoizes the pair per
 assignment version
@@ -45,7 +45,9 @@ assignment version
 Dscale round that filters, checks and prices one assignment builds
 each overlay once.  :meth:`FlatNetwork.reach` is built lazily once per
 snapshot; a resize keeps it, because only a topology edit (a new
-snapshot) changes reachability.
+snapshot) changes reachability.  :meth:`FlatNetwork.rates` is the one
+per-position activity-rate plane, built on first use and memoized for
+the last activity it was asked for.
 
 Planes are NumPy arrays (NumPy is a required dependency): the
 ``*_ptr`` / ``*_src`` / ``*_reader`` tables and ``by_depth`` batches
@@ -109,7 +111,7 @@ class FlatNetwork:
 
     __slots__ = (
         "network", "version", "order", "pos", "n", "n_rails",
-        "is_input", "is_po", "no_wire", "a01", "rails_v",
+        "is_input", "is_po", "no_wire", "rails_v",
         "fi_ptr", "fi_src", "fi_intr",
         "rp_ptr", "rp_reader", "rp_intr",
         "e_ptr", "e_reader", "e_cap",
@@ -184,10 +186,12 @@ class FlatNetwork:
         return reach
 
     def rates(self, activity) -> np.ndarray:
-        """Per-position ``a01`` rates of ``activity``.
+        """Per-position rising-transition rates of ``activity``.
 
-        Cached on the snapshot and keyed by the activity object's
-        identity (activities are frozen per circuit).
+        The snapshot's only activity plane: the power sweep and the
+        batched gain pricing both read it.  Cached on the snapshot and
+        keyed by the activity object's identity (activities are frozen
+        per circuit).
         """
         cached = self.rate_cache
         if cached is None or cached[0] is not activity:
@@ -237,14 +241,14 @@ class FlatNetwork:
             self.e_cap[lo + np.flatnonzero(self.e_reader[lo:hi] == i)] = cap
 
 
-def build_flat(network, calc, activity=None, version: int = 0) -> FlatNetwork:
+def build_flat(network, calc, version: int = 0) -> FlatNetwork:
     """Build the flat snapshot of a mapped ``network``.
 
     ``calc`` is the state's :class:`~repro.timing.delay.DelayCalculator`
     (duck-typed: ``rail_variant_of`` / ``lc_cell_for`` / ``po_load`` /
-    ``n_rails`` / ``library``); ``activity`` fills the ``a01`` plane
-    (zeros when ``None``).  Row emission replicates the serial query
-    order exactly -- see the module docstring.
+    ``n_rails`` / ``library``); ``version`` stamps the cells version
+    the snapshot is built for.  Row emission replicates the serial
+    query order exactly -- see the module docstring.
     """
     nodes = network.nodes
     order = network.topological()
@@ -253,12 +257,10 @@ def build_flat(network, calc, activity=None, version: int = 0) -> FlatNetwork:
     n_rails = calc.n_rails
     twin = calc.rail_variant_of
     outputs = network.outputs
-    rate01 = activity.rate01 if activity is not None else None
 
     variants: list[tuple | None] = [None] * n
     drive = [[0.0] * n for _ in range(n_rails)]
     energy = [[0.0] * n for _ in range(n_rails)]
-    a01 = [0.0] * n
     is_input = [False] * n
     is_po = [False] * n
     no_wire = [False] * n
@@ -269,8 +271,6 @@ def build_flat(network, calc, activity=None, version: int = 0) -> FlatNetwork:
     fi_intr: list[list[float]] = [[] for _ in range(n_rails)]
     for i, name in enumerate(order):
         node = nodes[name]
-        if rate01 is not None:
-            a01[i] = rate01(name)
         is_input[i] = node.is_input
         is_po[i] = name in outputs
         if not node.is_input:
@@ -354,7 +354,6 @@ def build_flat(network, calc, activity=None, version: int = 0) -> FlatNetwork:
     flat.is_input = is_input
     flat.is_po = np.asarray(is_po, dtype=bool)
     flat.no_wire = np.asarray(no_wire, dtype=bool)
-    flat.a01 = np.asarray(a01)
     flat.rails_v = np.asarray(calc.library.rails)
     flat.fi_ptr = fi_ptr
     flat.fi_src = np.asarray(fi_src, dtype=intp)
@@ -384,53 +383,9 @@ def build_flat(network, calc, activity=None, version: int = 0) -> FlatNetwork:
     return flat
 
 
-def current_flat(state) -> FlatNetwork | None:
-    """The state's cached snapshot if it is still current, else ``None``.
-
-    Current means built (or patched) for the state's network identity,
-    its cached topological-order object (a new topology revision
-    produces a new list), and its ``cells_version``.  The state is
-    duck-typed (``network`` / ``cells_version``), matching the batched
-    pricing layer.
-    """
-    cached = getattr(state, "_flat_cache", None)
-    if (
-        cached is not None
-        and cached.network is state.network
-        and cached.version == getattr(state, "cells_version", 0)
-        and cached.order is state.network.topological()
-    ):
-        return cached
-    return None
-
-
-def flat_of(state) -> FlatNetwork:
-    """The state's cached snapshot, rebuilt when not :func:`current_flat`.
-
-    Besides the :func:`current_flat` fields the state supplies ``calc``
-    and ``activity`` for the rebuild.
-    """
-    cached = current_flat(state)
-    if cached is not None:
-        return cached
-    flat = build_flat(
-        state.network,
-        state.calc,
-        activity=getattr(state, "activity", None),
-        version=getattr(state, "cells_version", 0),
-    )
-    try:
-        state._flat_cache = flat
-    except AttributeError:  # pragma: no cover - read-only duck states
-        pass
-    return flat
-
-
 __all__ = [
     "FlatNetwork",
     "build_flat",
     "csr_take",
-    "current_flat",
     "find_keys",
-    "flat_of",
 ]

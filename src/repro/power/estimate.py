@@ -132,18 +132,16 @@ def estimate_power_calc(calculator: DelayCalculator, activity: Activity,
         switching += node_switch
         internal += node_internal
 
+        # One shifter per (net, destination rail); each swings its own
+        # output net at the destination supply.  A dual-Vdd state has
+        # at most one group, on rail 0.
         lc_power = 0.0
-        if calculator.converted_readers(name):
-            # One shifter per (net, destination rail); each swings its
-            # own output net at the destination supply.  A dual-Vdd
-            # state has exactly one group, on rail 0.
-            for rail in calculator.converter_groups(name):
-                lc_cell = calculator.lc_cell_for(rail)
-                lc_vdd = rails[rail]
-                lc_out_load = calculator.lc_load(name, rail)
-                lc_power += a01 * clock_mhz * (
-                    lc_cell.internal_energy + lc_out_load * lc_vdd * lc_vdd
-                ) * _UW
+        for rail, lc_out_load in calculator.converter_loads(name).items():
+            lc_cell = calculator.lc_cell_for(rail)
+            lc_vdd = rails[rail]
+            lc_power += a01 * clock_mhz * (
+                lc_cell.internal_energy + lc_out_load * lc_vdd * lc_vdd
+            ) * _UW
         converter += lc_power
         per_node[name] = node_switch + node_internal + lc_power
 

@@ -47,10 +47,9 @@ The hypothesis suites in ``tests/core/test_moves.py`` pin the kernels
 against the serial loops, converter-dense states included.
 
 This module sits in the timing layer: it imports nothing from
-``repro.core`` and duck-types the state (``calc`` / ``network`` /
-``assignment_overlays`` / ``options`` / ``tspec`` / ``activity`` /
-``rails``) so the move engine above can delegate to it without an
-import cycle.
+``repro.core`` and duck-types the state (``calc`` / ``flat`` /
+``assignment_overlays`` / ``options`` / ``tspec`` / ``activity``) so
+the move engine above can delegate to it without an import cycle.
 """
 
 from __future__ import annotations
@@ -59,7 +58,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.netlist.flat import csr_take, find_keys, flat_of
+from repro.netlist.flat import csr_take, find_keys
 
 _UW = 1e-3
 """fF * V^2 * MHz to uW -- the same conversion as repro.power.estimate."""
@@ -244,7 +243,7 @@ def check_demotions(
     """
     if not candidates:
         return []
-    static = flat_of(state)
+    static = state.flat()
     cp, tg, rails, names, _ = _split_candidates(state, static, candidates)
     calc = state.calc
     options = state.options
@@ -265,8 +264,8 @@ def check_demotions(
     # post_demotion_converter_delays prices them.
     profile = np.zeros((len(cp), static.n_rails))
     for j in np.flatnonzero(net.has_kept).tolist():
-        for rail, lc_load in calc.converter_loads(names[j]).items():
-            profile[j, rail] = lc_load
+        for rail, out_load in calc.converter_loads(names[j]).items():
+            profile[j, rail] = out_load
     delay_mat = static.lc_intr + static.lc_res * (profile + net.loads_mat)
 
     # Post-demotion output arrival: (arrival + shifter) + (intr +
@@ -338,16 +337,16 @@ def demotion_gains(
     """
     if not candidates:
         return []
-    static = flat_of(state)
+    static = state.flat()
     cp, tg, rails, names, _ = _split_candidates(state, static, candidates)
     options = state.options
     rails_arr, keys, po_lc = state.assignment_overlays()
     net = _net_vectors(
         static, rails_arr, cp, tg, keys, po_lc, options.lc_at_outputs
     )
-    calc_load = state.calc.load
-    load_before = np.asarray([calc_load(name) for name in names])
-    rate = static.a01[cp] * options.clock_mhz
+    load_of = state.calc.load
+    load_before = np.asarray([load_of(name) for name in names])
+    rate = static.rates(state.activity)[cp] * options.clock_mhz
     rails_v = static.rails_v
     vdd_before = rails_v[rails]
     vdd_after = rails_v[tg]

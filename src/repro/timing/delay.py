@@ -12,11 +12,14 @@ driver's net.
 Rails are indexed: ``0`` is the high supply, larger indices are lower
 voltages (:attr:`repro.library.cells.Library.rails`).  The ``levels``
 table maps node name to rail index; the classic dual-Vdd code wrote
-booleans there, which still works because ``True == 1``.  Converted
-readers of one driver are grouped by destination rail -- one shifter per
-(net, destination rail), the N-rail generalization of the Usami [8]
-per-net restoration scheme.  With two rails every group lands on rail 0
-and the arithmetic reduces term for term to the dual-Vdd original.
+booleans there, which still works because ``bool`` is an ``int``.
+Converted readers of one driver are grouped by destination rail -- one
+shifter per (net, destination rail), the N-rail generalization of the
+Usami [8] per-net restoration scheme.  That grouping is defined once, by
+:meth:`DelayCalculator.converter_loads`; net loads, shifter delays,
+converter area and power all read its per-net profile.  With two rails
+every group lands on rail 0 and the arithmetic reduces term for term to
+the dual-Vdd original.
 
 The calculator reads the caller's ``levels`` / ``lc_edges`` collections
 *live* -- for a :class:`repro.core.state.ScalingState` these are the
@@ -147,7 +150,7 @@ class DelayCalculator:
 
     def rail_of(self, name: str) -> int:
         """The rail index ``name`` is assigned to (0 = high supply)."""
-        return int(self.levels.get(name, 0) or 0)
+        return self.levels.get(name, 0)
 
     def is_low(self, name: str) -> bool:
         return self.rail_of(name) > 0
@@ -225,68 +228,43 @@ class DelayCalculator:
             if fanin == driver
         )
 
-    def converted_readers(self, name: str) -> list[str]:
-        """Readers of ``name`` reached through its level shifters.
-
-        One converter per *(net, destination rail)* (the Usami [8]
-        restoration scheme, generalized): a single shifter on a low
-        driver's output feeds every converted reader of one destination
-        rail, so its cost is amortized across them.
-        """
-        readers = [
-            reader
-            for reader in self.network.fanouts(name)
-            if (name, reader) in self.lc_edges
-        ]
-        if name in self.network.outputs and (name, OUTPUT) in self.lc_edges:
-            readers.append(OUTPUT)
-        return readers
-
-    def converter_groups(self, name: str) -> dict[int, list[str]]:
-        """Converted readers of ``name`` grouped by destination rail.
-
-        Groups appear in first-converted-reader order (fanout order,
-        then the primary output), so iteration -- and therefore float
-        accumulation order -- is deterministic.
-        """
-        groups: dict[int, list[str]] = {}
-        for reader in self.converted_readers(name):
-            groups.setdefault(self.converter_rail(name, reader),
-                              []).append(reader)
-        return groups
-
     def load(self, name: str) -> float:
-        """Total capacitance (fF) on the net driven by ``name``."""
+        """Total capacitance (fF) on the net driven by ``name``.
+
+        Direct readers contribute their pins; a net that carries a
+        converter adds one shifter input pin per destination rail of
+        its :meth:`converter_loads` profile, in profile order.
+        """
         cache = self._load_cache
         if cache is not None:
             cached = cache.get(name)
             if cached is not None:
                 return cached
+        lc_edges = self.lc_edges
         total = 0.0
         connections = 0
-        converted_rails: list[int] = []
+        converted = False
         for reader in self.network.fanouts(name):
-            if (name, reader) in self.lc_edges:
-                rail = self.converter_rail(name, reader)
-                if rail not in converted_rails:
-                    converted_rails.append(rail)
+            if (name, reader) in lc_edges:
+                converted = True
             else:
                 connections += 1
                 total += self.reader_pin_cap(name, reader)
         if name in self.network.outputs:
-            if (name, OUTPUT) in self.lc_edges:
-                if 0 not in converted_rails:
-                    converted_rails.append(0)
+            if (name, OUTPUT) in lc_edges:
+                converted = True
             else:
                 connections += 1
                 total += self.po_load
-        for rail in converted_rails:
-            connections += 1
-            total += self.lc_cell_for(rail).input_caps[0]
+        if converted:
+            for rail in self.converter_loads(name):
+                connections += 1
+                total += self.lc_cell_for(rail).input_caps[0]
         # A level-converting receiver's output stays inside the
         # receiving gates (Usami [8] / Wang [10]), so a materialized
         # converter node's net carries no interconnect estimate --
-        # exactly what lc_load() prices for the virtual converter.
+        # exactly what converter_loads() prices for the virtual
+        # converter.
         cell = self.network.nodes[name].cell
         if cell is None or not cell.is_level_converter:
             total += self.library.wire_model.cap(connections)
@@ -297,41 +275,38 @@ class DelayCalculator:
     def converter_loads(self, driver: str) -> dict[int, float]:
         """Output load of each of ``driver``'s shifters, by destination rail.
 
-        The Usami [8] / Wang [10] designs integrate the converter at the
-        receiving gates (a level-converting receiver), so its output
-        drives only the converted pins with no additional interconnect
-        -- the long wire stays on the (low-swing) driver side.  Rails
-        appear in first-converted-reader order (fanout order, then the
-        primary output), the order of :meth:`converter_groups`, and
-        each load is summed from ``0.0`` over its converted readers in
-        that same order.  Memoized per driver with ``cache=True`` and
-        dropped by :meth:`invalidate_net`; callers must not mutate the
-        returned dict.
+        The one place converted readers are grouped: one converter per
+        *(net, destination rail)* (the Usami [8] restoration scheme,
+        generalized), so a single shifter on a low driver's output
+        feeds every converted reader of one destination rail and its
+        cost is amortized across them.  The Usami [8] / Wang [10]
+        designs integrate the converter at the receiving gates (a
+        level-converting receiver), so its output drives only the
+        converted pins with no additional interconnect -- the long
+        wire stays on the (low-swing) driver side.  Rails appear in
+        first-converted-reader order (fanout order, then the primary
+        output), and each load is summed from ``0.0`` over its
+        converted readers in that same order.  Memoized per driver with
+        ``cache=True`` and dropped by :meth:`invalidate_net`; callers
+        must not mutate the returned dict.
         """
         cache = self._profile_cache
         if cache is not None:
             profile = cache.get(driver)
             if profile is not None:
                 return profile
+        lc_edges = self.lc_edges
         profile = {}
-        for converted in self.converted_readers(driver):
-            rail = self.converter_rail(driver, converted)
-            if converted == OUTPUT:
-                cap = self.po_load
-            else:
-                cap = self.reader_pin_cap(driver, converted)
-            profile[rail] = profile.get(rail, 0.0) + cap
+        for reader in self.network.fanouts(driver):
+            if (driver, reader) in lc_edges:
+                rail = self.converter_rail(driver, reader)
+                cap = self.reader_pin_cap(driver, reader)
+                profile[rail] = profile.get(rail, 0.0) + cap
+        if driver in self.network.outputs and (driver, OUTPUT) in lc_edges:
+            profile[0] = profile.get(0, 0.0) + self.po_load
         if cache is not None:
             cache[driver] = profile
         return profile
-
-    def lc_load(self, driver: str, rail: int = 0) -> float:
-        """Load on the net driven by ``driver``'s rail-``rail`` shifter.
-
-        One entry of :meth:`converter_loads`; ``0.0`` when ``driver``
-        has no shifter toward ``rail``.
-        """
-        return self.converter_loads(driver).get(rail, 0.0)
 
     # ------------------------------------------------------------------
     # Delays
@@ -359,7 +334,7 @@ class DelayCalculator:
                 if cached is not None:
                     return cached
         delay = self.lc_cell_for(rail).pin_delay(
-            0, self.lc_load(driver, rail)
+            0, self.converter_loads(driver).get(rail, 0.0)
         )
         if cache is not None:
             cache.setdefault(driver, {})[rail] = delay
@@ -491,12 +466,9 @@ class DelayCalculator:
             if node.cell is not None
         )
         group_counts: dict[int, int] = {}
-        seen: set[tuple[str, int]] = set()
-        for driver, reader in self.lc_edges:
-            group = (driver, self.converter_rail(driver, reader))
-            if group not in seen:
-                seen.add(group)
-                group_counts[group[1]] = group_counts.get(group[1], 0) + 1
+        for driver in {driver for driver, _ in self.lc_edges}:
+            for rail in self.converter_loads(driver):
+                group_counts[rail] = group_counts.get(rail, 0) + 1
         for rail in sorted(group_counts):
             area += self.lc_cell_for(rail).area * group_counts[rail]
         return area

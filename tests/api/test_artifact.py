@@ -152,14 +152,12 @@ def test_artifacts_to_results_skips_failures_and_refreshes_scalars():
 
 def test_flow_artifact_row_is_store_compatible(library):
     """A Flow-produced artifact serializes to exactly the worker row."""
-    flow = Flow(FlowConfig(circuit="z4ml", method="cvs"), library=library)
-    prepared = flow.prepare()
-    artifact = flow.run(prepared=prepared)
-    from repro.flow.campaign import make_row
-
-    row = artifact.to_row()
-    reference = make_row(FlowConfig(circuit="z4ml", method="cvs"), prepared,
-                         artifact.report, artifact.runtime_s)
+    from repro.flow.campaign import iter_group_rows
     from repro.flow.store import normalize_row
 
+    config = FlowConfig(circuit="z4ml", method="cvs")
+    flow = Flow(config, library=library)
+    row = flow.run(prepared=flow.prepare()).to_row()
+    ((job, reference),) = iter_group_rows([config])
+    assert job is config
     assert normalize_row(row) == normalize_row(reference)

@@ -15,8 +15,8 @@ from repro.core.dscale import (
     check_demotion,
     run_dscale,
 )
+from antichain_oracle import is_antichain
 from repro.core.state import ScalingState
-from repro.graphalg.antichain import is_antichain
 
 
 def _prepare(library, match_table, network):

@@ -104,7 +104,7 @@ def test_one_converter_serves_all_high_readers(calc):
     # Converter net carries every reader pin and nothing else (the
     # converter abuts its receivers; no extra interconnect).
     expected = sum(calculator.reader_pin_cap(name, r) for r in readers)
-    assert calculator.lc_load(name) == pytest.approx(expected)
+    assert calculator.converter_loads(name)[0] == pytest.approx(expected)
 
 
 def test_lc_delay_positive_and_load_dependent(calc):

@@ -26,7 +26,7 @@ from repro.core.dscale import _slack_set
 from repro.core.moves import DemoteMove, MoveEngine, PromoteMove, ResizeMove
 from repro.core.state import ScalingOptions, ScalingState
 from repro.mapping.match import MatchTable
-from repro.netlist.flat import FlatNetwork, build_flat, flat_of
+from repro.netlist.flat import FlatNetwork, build_flat
 from repro.power.estimate import estimate_power_calc
 from repro.timing.delay import OUTPUT, DelayCalculator
 from repro.timing.incremental import IncrementalTiming
@@ -253,7 +253,7 @@ class TestSnapshotCache:
         state.resize(name, slow)
         assert state.flat() is first
         assert first.version == state.cells_version
-        fresh = build_flat(state.network, state.calc, activity=state.activity)
+        fresh = build_flat(state.network, state.calc)
         assert_planes_equal(first, fresh)
 
     @given(seed=st.integers(0, 2**16))
@@ -271,15 +271,13 @@ class TestSnapshotCache:
             assert not engine.try_move(move, worst_delay_cap=-1.0)
             assert state.flat() is first
             assert first.version == state.cells_version
-            fresh = build_flat(
-                state.network, state.calc, activity=state.activity
-            )
+            fresh = build_flat(state.network, state.calc)
             assert_planes_equal(first, fresh)
 
     def test_flat_of_matches_direct_build(self, prepared, library):
         state = make_state(prepared, library)
-        flat = flat_of(state)
-        direct = build_flat(state.network, state.calc, activity=state.activity)
+        flat = state.flat()
+        direct = build_flat(state.network, state.calc)
         assert flat.order is state.network.topological()
         assert np.array_equal(flat.drive, direct.drive)
         assert np.array_equal(flat.energy, direct.energy)
@@ -465,3 +463,156 @@ class TestConverterProfiles:
     @RELAXED
     def test_three_rails(self, three_rail, seed):
         assert_profiles_track_history(make_state(*three_rail), seed)
+
+
+def reference_groups(calc, name):
+    """Converted readers of ``name`` grouped by ``converter_rail``.
+
+    The grouping the calculator once derived separately for net loads,
+    shifter delays, area and power: fanout order, then the primary
+    output, each reader under its shifter's destination rail.
+    """
+    network = calc.network
+    readers = [r for r in network.fanouts(name) if (name, r) in calc.lc_edges]
+    if name in network.outputs and (name, OUTPUT) in calc.lc_edges:
+        readers.append(OUTPUT)
+    groups = {}
+    for reader in readers:
+        rail = calc.converter_rail(name, reader)
+        groups.setdefault(rail, []).append(reader)
+    return groups
+
+
+def reference_group_load(calc, name, rail):
+    """Output load of ``name``'s rail-``rail`` shifter, from its group."""
+    load = 0.0
+    for reader in reference_groups(calc, name).get(rail, ()):
+        if reader == OUTPUT:
+            load += calc.po_load
+        else:
+            load += calc.reader_pin_cap(name, reader)
+    return load
+
+
+def reference_load(calc, name):
+    """Direct pins, then one shifter input pin per group, plus wire."""
+    network = calc.network
+    total = 0.0
+    connections = 0
+    for reader in network.fanouts(name):
+        if (name, reader) not in calc.lc_edges:
+            connections += 1
+            total += calc.reader_pin_cap(name, reader)
+    if name in network.outputs and (name, OUTPUT) not in calc.lc_edges:
+        connections += 1
+        total += calc.po_load
+    for rail in reference_groups(calc, name):
+        connections += 1
+        total += calc.lc_cell_for(rail).input_caps[0]
+    cell = network.nodes[name].cell
+    if cell is None or not cell.is_level_converter:
+        total += calc.library.wire_model.cap(connections)
+    return total
+
+
+def reference_area(calc):
+    """Cell area plus one shifter per distinct (driver, rail) group."""
+    area = sum(
+        node.cell.area
+        for node in calc.network.nodes.values()
+        if node.cell is not None
+    )
+    counts = {}
+    for driver in {driver for driver, _ in calc.lc_edges}:
+        for rail in reference_groups(calc, driver):
+            counts[rail] = counts.get(rail, 0) + 1
+    for rail in sorted(counts):
+        area += calc.lc_cell_for(rail).area * counts[rail]
+    return area
+
+
+def reference_power(state, calc):
+    """The serial eq. (1) walk with shifters priced per group."""
+    clock = state.options.clock_mhz
+    rails = state.library.rails
+    uw = 1e-3
+    switching = internal = converter = 0.0
+    per_node = {}
+    for name in state.network.topological():
+        node = state.network.nodes[name]
+        if node.is_input:
+            per_node[name] = 0.0
+            continue
+        a01 = state.activity.rate01(name)
+        variant = calc.variant(name)
+        vdd = variant.vdd
+        load = reference_load(calc, name)
+        node_switch = a01 * clock * load * vdd * vdd * uw
+        node_internal = a01 * clock * variant.internal_energy * uw
+        switching += node_switch
+        internal += node_internal
+        lc_power = 0.0
+        for rail in reference_groups(calc, name):
+            lc_vdd = rails[rail]
+            out_load = reference_group_load(calc, name, rail)
+            out_energy = out_load * lc_vdd * lc_vdd
+            energy = calc.lc_cell_for(rail).internal_energy + out_energy
+            lc_power += a01 * clock * energy * uw
+        converter += lc_power
+        per_node[name] = node_switch + node_internal + lc_power
+    return switching, internal, converter, per_node
+
+
+def assert_grouping_matches_reference(state, calc):
+    """Loads, shifter delays, area and serial power == the reference."""
+    for name in state.network.topological():
+        assert calc.load(name) == reference_load(calc, name)
+    for driver, reader in state.lc_edges:
+        rail = calc.converter_rail(driver, reader)
+        load = reference_group_load(calc, driver, rail)
+        want = calc.lc_cell_for(rail).pin_delay(0, load)
+        assert calc.lc_delay(driver, reader) == want
+    assert calc.total_area() == reference_area(calc)
+    power = estimate_power_calc(calc, state.activity)
+    switching, internal, converter, per_node = reference_power(state, calc)
+    assert power.switching == switching
+    assert power.internal == internal
+    assert power.converter == converter
+    assert power.total == switching + internal + converter
+    assert list(power.per_node.items()) == list(per_node.items())
+
+
+class TestShifterGroupingOracle:
+    """Every consumer of the converter profile == a test-local grouping.
+
+    Random three-rail states carry primary-output shifters and stale
+    edges (a reader at or below its driver's rail, priced toward the
+    next rail up), on the state's cached calculator and on an uncached
+    one.
+    """
+
+    @given(seed=st.integers(0, 2**16))
+    @RELAXED
+    def test_three_rails(self, three_rail, seed):
+        state = make_state(*three_rail)
+        rng = random.Random(seed)
+        state.timing()
+        for _ in range(3):
+            # Warm the cached calculator, so a missed invalidation by
+            # the next mutations would surface as a stale entry.
+            assert_grouping_matches_reference(state, state.calc)
+            history(rng, state, 1)
+            for gate in state.network.gates():
+                if not state.is_low(gate) and rng.random() < 0.2:
+                    state.demote(gate)
+            add_stale_edges(state)
+            add_output_edges(rng, state)
+            assert_grouping_matches_reference(state, state.calc)
+            assert_grouping_matches_reference(state, oracle_calc(state))
+        assert any(reader == OUTPUT for _, reader in state.lc_edges)
+        stale = [
+            (d, r)
+            for d, r in state.lc_edges
+            if r != OUTPUT and state.rail_of(r) >= state.rail_of(d)
+        ]
+        assert stale, "scenario needs a stale edge"

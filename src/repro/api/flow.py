@@ -35,7 +35,7 @@ from repro.api.cache import PreparedCache
 from repro.api.config import FlowConfig
 from repro.api.registry import get_method
 from repro.core.restore import MaterializedDesign, materialize_converters
-from repro.core.state import ScalingState
+from repro.core.state import ScaleBaseline, ScalingState
 from repro.library.cells import Library
 from repro.mapping.mapper import map_network, recover_area, speed_up_sizing
 from repro.mapping.match import MatchTable
@@ -54,7 +54,20 @@ _RUN_STAGES = STAGES[3:]
 
 @dataclass
 class PreparedCircuit:
-    """A mapped circuit ready for voltage scaling."""
+    """A mapped circuit ready for voltage scaling.
+
+    Every method scales a :meth:`fresh_copy` of ``network`` at the same
+    ``tspec`` and ``activity``, so every method starts from the same
+    baseline.  The first scale of :meth:`Flow.execute` records it as
+    :attr:`scale_baseline` (a :class:`~repro.core.state.ScaleBaseline`:
+    the flat snapshot, the timing engine's arrays and the power before
+    scaling), and every later scale with the same library and options
+    adopts it instead of rebuilding it.  ``scale_baseline`` is not a
+    dataclass field: ``==`` and ``repr`` ignore it and pickling leaves
+    it out, so a circuit pickles to the same bytes (and the
+    :class:`~repro.api.cache.PreparedCache` sizes it the same) before
+    and after a scale.
+    """
 
     name: str
     network: Network
@@ -62,8 +75,15 @@ class PreparedCircuit:
     min_delay: float
     activity: Activity
 
+    scale_baseline = None
+
     def fresh_copy(self) -> Network:
         return self.network.copy()
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("scale_baseline", None)
+        return state
 
 
 @dataclass
@@ -73,6 +93,7 @@ class FlowContext:
     config: FlowConfig
     library: Library
     match_table: MatchTable | None = None
+    prepared: PreparedCircuit | None = None
     network: Network | None = None
     name: str = ""
     min_delay: float = 0.0
@@ -143,7 +164,13 @@ def constrain_stage(ctx: FlowContext) -> None:
 
 
 def scale_stage(ctx: FlowContext) -> None:
-    """Run the configured scaling method on a fresh :class:`ScalingState`."""
+    """Run the configured scaling method on a fresh :class:`ScalingState`.
+
+    Under :meth:`Flow.execute` (``ctx.prepared`` set) the state adopts
+    the prepared circuit's :attr:`~PreparedCircuit.scale_baseline` when
+    it fits, or records it when it does not; :meth:`Flow.scale` builds
+    the state from scratch.
+    """
     from repro.core.moves import get_cost_model
 
     config = ctx.config
@@ -162,14 +189,21 @@ def scale_stage(ctx: FlowContext) -> None:
             f"cost model {config.cost_model!r} cannot influence it; run "
             f"it under the default model instead"
         )
+    prepared = ctx.prepared
     state = ScalingState(
         ctx.network,
         ctx.library,
         ctx.tspec,
         activity=ctx.activity,
         options=config.options,
+        baseline=None if prepared is None else prepared.scale_baseline,
     )
-    power_before = state.power()
+    if state.baseline is not None:
+        power_before = state.baseline.power
+    else:
+        power_before = state.power()
+        if prepared is not None:
+            prepared.scale_baseline = ScaleBaseline.record(state, power_before)
     started = time.perf_counter()
     method.run(state, config)
     elapsed = time.perf_counter() - started
@@ -410,11 +444,16 @@ class Flow:
         artifact -- the live :class:`ScalingState` or the materialized
         design.  ``prepared`` skips the prefix stages; the scaling
         always works on a fresh copy, so one prepared circuit serves
-        many methods.
+        many methods.  The first scale of a prepared circuit records
+        its :attr:`~PreparedCircuit.scale_baseline` and later ones with
+        the same library and options start from it, so the flat
+        snapshot, the full timing sweep and the power before scaling
+        are built once per circuit, not once per method.
         """
         if prepared is None:
             prepared = self.prepare(source)
         ctx = self._context()
+        ctx.prepared = prepared
         ctx.network = prepared.fresh_copy()
         ctx.name = prepared.name
         ctx.min_delay = prepared.min_delay

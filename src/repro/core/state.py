@@ -77,8 +77,88 @@ class ScalingOptions:
     timing_tolerance: float = 1e-9
 
 
+class ScaleBaseline:
+    """The start of every scale of one circuit, recorded once.
+
+    Before its first move a state's flat snapshot, its timing engine's
+    ``(load, arrival, required)`` lists, its power and its initial
+    area are functions of the network, the library, the options,
+    ``tspec`` and the activity alone.  :meth:`record` takes private
+    copies of them from such a state; a later
+    ``ScalingState(..., baseline=...)`` on an equal copy of the same
+    network adopts them (:meth:`fits` says when) instead of building
+    the snapshot, sweeping the engine and measuring the power again.
+    :class:`repro.api.flow.PreparedCircuit` keeps one per circuit.
+    """
+
+    __slots__ = (
+        "library",
+        "options",
+        "tspec",
+        "activity",
+        "flat",
+        "arrays",
+        "power",
+        "initial_area",
+    )
+
+    @classmethod
+    def record(
+        cls, state: ScalingState, power: PowerBreakdown
+    ) -> ScaleBaseline:
+        """Copy ``state``'s start; ``power`` is its :meth:`ScalingState.power`.
+
+        The state must not have moved yet.  Nothing recorded aliases
+        the state: the snapshot's planes a resize patches and every
+        list are copies, so the state's later moves leave the record
+        as it was.
+        """
+        if state.assignment_version or state.cells_version:
+            raise ValueError("a scale baseline is recorded before any move")
+        _, arrival, required, load = state.timing().levelized_arrays()
+        baseline = cls()
+        baseline.library = state.library
+        baseline.options = state.options
+        baseline.tspec = state.tspec
+        baseline.activity = state.activity
+        baseline.flat = state.flat().rebind(None)
+        baseline.arrays = (list(load), list(arrival), list(required))
+        baseline.power = power
+        baseline.initial_area = state.initial_area
+        return baseline
+
+    def fits(
+        self,
+        network: Network,
+        library: Library,
+        tspec: float,
+        activity: Activity,
+        options: ScalingOptions,
+    ) -> bool:
+        """Whether a state on these arguments starts where this one did.
+
+        Copies of one network share its topological order and fanout
+        iteration order, but a copy of a copy need not, so the order is
+        compared as well as the key.
+        """
+        return (
+            library is self.library
+            and activity is self.activity
+            and tspec == self.tspec
+            and options == self.options
+            and network.topological() == self.flat.order
+        )
+
+
 class ScalingState:
-    """Mapped network + rail assignments + converter placement."""
+    """Mapped network + rail assignments + converter placement.
+
+    ``baseline`` is an optional :class:`ScaleBaseline`: when it
+    :meth:`~ScaleBaseline.fits` the arguments, the state starts from
+    copies of it instead of building its snapshot and timing engine,
+    and :attr:`baseline` keeps it; otherwise it is ignored and
+    :attr:`baseline` is ``None``.
+    """
 
     def __init__(
         self,
@@ -87,6 +167,7 @@ class ScalingState:
         tspec: float,
         activity: Activity | None = None,
         options: ScalingOptions | None = None,
+        baseline: ScaleBaseline | None = None,
     ):
         if library.vdd_low is None:
             raise ValueError("library must be enriched with low-Vdd cells")
@@ -135,7 +216,15 @@ class ScalingState:
                 seed=self.options.activity_seed,
             )
         self.activity = activity
-        self.initial_area = self.calc.total_area()
+        if baseline is not None and not baseline.fits(
+            network, library, tspec, activity, self.options
+        ):
+            baseline = None
+        self.baseline = baseline
+        if baseline is not None:
+            self.initial_area = baseline.initial_area
+        else:
+            self.initial_area = self.calc.total_area()
         self.resized: dict[str, tuple[str, str]] = {}
         self._sizing_delta_cache: float | None = 0.0
         # Bumped on every cell swap; the flat snapshot carries the
@@ -148,6 +237,14 @@ class ScalingState:
         # optimizers so CVS inside Gscale reports alongside the
         # resizes).
         self.move_stats = MoveStats()
+        if baseline is not None:
+            self._flat_cache = baseline.flat.rebind(network)
+            self._engine = IncrementalTiming.from_arrays(
+                self.calc,
+                tspec,
+                tuple(list(a) for a in baseline.arrays),
+                flat_source=self.flat,
+            )
 
     # ------------------------------------------------------------------
     # Assignment writers
@@ -570,4 +667,4 @@ class ScalingState:
             )
 
 
-__all__ = ["ScalingOptions", "ScalingState"]
+__all__ = ["ScaleBaseline", "ScalingOptions", "ScalingState"]

@@ -35,9 +35,16 @@ state's ``cells_version`` (bumped by every gate resize) no longer
 matches.  A gate resize does not force that rebuild: the state patches
 a current snapshot in place through :meth:`FlatNetwork.resize` and
 stamps it with the new ``cells_version``, so only a topology edit or a
-snapshot that fell behind is rebuilt.  Rail assignments, level-shifter
-edges, and the timing arrays are *not* in the snapshot -- they change
-per move.  Consumers overlay them through :meth:`FlatNetwork.rail_plane`
+snapshot that fell behind is rebuilt.  A state built on a copy of a
+prepared circuit's network does not build at all when the circuit has
+a :class:`~repro.core.state.ScaleBaseline`: it starts from
+:meth:`FlatNetwork.rebind` of the baseline's detached copy, which
+copies the planes a resize patches and shares the rest.  The baseline
+is itself a ``rebind(None)`` of the first state's snapshot, taken
+before that state's first move, so a later resize of the first state
+patches its own planes and never the record.  Rail assignments,
+level-shifter edges, and the timing arrays are *not* in the snapshot
+-- they change per move.  Consumers overlay them through :meth:`FlatNetwork.rail_plane`
 and :meth:`FlatNetwork.lc_edge_keys`, plain read-only functions of the
 assignment they are given.  The state memoizes the pair per
 assignment version
@@ -101,6 +108,10 @@ def find_keys(keys, query):
         return idx, np.zeros(len(query), dtype=bool)
     np.minimum(idx, len(keys) - 1, out=idx)
     return idx, keys[idx] == query
+
+
+_RESIZED_PLANES = ("no_wire", "drive", "energy", "fi_intr", "rp_intr", "e_cap")
+"""The planes :meth:`FlatNetwork.resize` writes in place."""
 
 
 class FlatNetwork:
@@ -199,6 +210,28 @@ class FlatNetwork:
             cached = (activity, np.asarray([rate01(n) for n in self.order]))
             self.rate_cache = cached
         return cached[1]
+
+    def rebind(self, network) -> FlatNetwork:
+        """A copy of this snapshot over ``network``, at cells version 0.
+
+        ``network`` is an equal copy of the snapshot's own network whose
+        ``topological()`` list equals ``order`` (the caller checks), or
+        ``None`` for a detached copy with its own copy of ``order``.
+        The planes :meth:`resize` patches are copied; every other
+        plane, the memoized rates and reachability included, is shared,
+        because nothing writes to it.
+        """
+        flat = FlatNetwork()
+        for slot in FlatNetwork.__slots__:
+            setattr(flat, slot, getattr(self, slot))
+        for slot in _RESIZED_PLANES:
+            setattr(flat, slot, getattr(self, slot).copy())
+        flat.network = network
+        flat.version = 0
+        flat.order = (
+            list(self.order) if network is None else network.topological()
+        )
+        return flat
 
     def resize(self, i: int, calc) -> None:
         """Patch the planes after node ``i``'s cell was swapped.

@@ -107,6 +107,10 @@ converter-edge keys from ``lc_edges``
 edge's shifter delay to its arrival and required rows, so no node
 leaves the vector path.  :class:`~repro.timing.sta.TimingAnalysis` is
 the readable serial oracle the sweep is tested against.
+:meth:`IncrementalTiming.from_arrays` skips the initial sweep for an
+engine whose arrays are already known: a state adopting a recorded
+:class:`~repro.core.state.ScaleBaseline` starts from copies of the
+first state's swept lists.
 """
 
 from __future__ import annotations
@@ -307,6 +311,36 @@ class IncrementalTiming:
         (:meth:`repro.core.state.ScalingState.flat`); without it the
         engine builds its own snapshot per full sweep.
         """
+        self._bind(calculator, tspec, flat_source)
+        self._build()
+
+    @classmethod
+    def from_arrays(
+        cls,
+        calculator: DelayCalculator,
+        tspec: float,
+        arrays: tuple[list[float], list[float], list[float]],
+        flat_source=None,
+    ) -> IncrementalTiming:
+        """An engine that starts from ``(load, arrival, required)``.
+
+        No sweep runs: the lists are taken over as the engine's arrays,
+        so they must be what a sweep of ``calculator``'s current
+        assignment would return, and the caller must not keep them.
+        :class:`repro.core.state.ScalingState` passes copies of a
+        recorded :class:`~repro.core.state.ScaleBaseline`.
+        """
+        engine = cls.__new__(cls)
+        engine._bind(calculator, tspec, flat_source)
+        engine._build(arrays)
+        return engine
+
+    # ------------------------------------------------------------------
+    # Construction
+    # ------------------------------------------------------------------
+
+    def _bind(self, calculator, tspec, flat_source) -> None:
+        """Set the engine's inputs; :meth:`_build` fills the arrays."""
         self.calculator = calculator
         self.network: Network = calculator.network
         self.tspec = tspec
@@ -315,14 +349,9 @@ class IncrementalTiming:
         #: The PI-to-PO ``(node, pin)`` path behind the last yes of
         #: :meth:`exceeds` inside a transaction, or ``None``.
         self.last_path: tuple | None = None
-        self._build()
 
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-
-    def _build(self) -> None:
-        """Cache the topology and run one full sweep."""
+    def _build(self, arrays=None) -> None:
+        """Cache the topology and take ``arrays`` or run one full sweep."""
         network = self.network
         # The cached list object itself (not a copy): the engine's
         # topology snapshot must match the shared flat snapshot's
@@ -335,9 +364,9 @@ class IncrementalTiming:
         self._fanouts_cache: list[tuple[str, ...]] | None = None
         self._reader_pins = network.reader_pins()
         self._is_output = frozenset(network.outputs)
-        self._load, self._arrival, self._required = _sweep(
-            self._acquire_flat(), self.calculator, self.tspec
-        )
+        if arrays is None:
+            arrays = _sweep(self._acquire_flat(), self.calculator, self.tspec)
+        self._load, self._arrival, self._required = arrays
         self.arrival = _ArrayView(
             self, self._pos, self._arrival, forward_only=True
         )

@@ -5,8 +5,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.api import Flow, FlowConfig
+from repro.bench.mcnc import load_circuit
 from repro.netlist.functions import TruthTable, random_table
 from repro.netlist.network import Network, Node
+
+COPY_CIRCUITS = ["C432", "alu2", "i1", "gen:layered:width=10:depth=10:seed=1"]
 
 _AND2 = TruthTable.and_(2)
 _OR2 = TruthTable.or_(2)
@@ -257,6 +261,26 @@ class TestCopy:
         net = small_network()
         assert len(net) == 4
         assert [node.name for node in net] == net.topological()
+
+    @pytest.mark.parametrize("mapped", [False, True])
+    @pytest.mark.parametrize("circuit", COPY_CIRCUITS)
+    def test_copies_of_one_network_share_every_order(
+        self, circuit, mapped, library
+    ):
+        # A prepared circuit's scale baseline is adopted by every later
+        # copy of its network, which is sound only while all copies of
+        # one network iterate their nodes, reader pins and fanout sets
+        # in the same order.
+        if mapped:
+            flow = Flow(FlowConfig(circuit=circuit), library=library)
+            net = flow.prepare().network
+        else:
+            net = load_circuit(circuit)
+        first, second = net.copy(), net.copy()
+        assert first.topological() == second.topological()
+        assert first.reader_pins() == second.reader_pins()
+        for name in first.nodes:
+            assert list(first.fanouts(name)) == list(second.fanouts(name))
 
 
 class TestCachedIndexes:

@@ -26,7 +26,8 @@ from repro.core.dscale import _slack_set
 from repro.core.moves import DemoteMove, MoveEngine, PromoteMove, ResizeMove
 from repro.core.state import ScalingOptions, ScalingState
 from repro.mapping.match import MatchTable
-from repro.netlist.flat import FlatNetwork, build_flat
+from flat_planes import assert_planes_equal
+from repro.netlist.flat import build_flat
 from repro.power.estimate import estimate_power_calc
 from repro.timing.delay import OUTPUT, DelayCalculator
 from repro.timing.incremental import IncrementalTiming
@@ -197,28 +198,6 @@ class TestFullBuild:
         mutate(random.Random(4), state, steps=6)
         engine.full_invalidate()
         assert engine.levelized_arrays() == oracle_arrays(state)
-
-
-def assert_planes_equal(flat, fresh):
-    """Every plane of ``flat`` equals the fresh build's."""
-    skip = {
-        "network",
-        "version",
-        "rate_cache",
-        "reach_cache",
-    }
-    for plane in FlatNetwork.__slots__:
-        if plane in skip:
-            continue
-        got, want = getattr(flat, plane), getattr(fresh, plane)
-        if plane == "by_depth":
-            assert len(got) == len(want)
-            assert all(map(np.array_equal, got, want))
-        elif isinstance(want, np.ndarray):
-            assert np.array_equal(got, want), plane
-        else:
-            assert got == want, plane
-    assert flat.reach() == fresh.reach()
 
 
 def oracle_calc(state):

@@ -180,7 +180,6 @@ class PreparedCache:
         self,
         config: FlowConfig,
         build: Callable[[], PreparedCircuit],
-        size: int | None = None,
     ) -> PreparedCircuit:
         """The prepared circuit for ``config``, building on a miss.
 
@@ -188,9 +187,7 @@ class PreparedCache:
         campaign workers and plain flows) never pickles the value, so
         large generated circuits skip the serialize-per-insert tax
         entirely.  A byte-capped cache (the daemon) measures the entry
-        once on insert and keeps the number on the entry -- or reuses
-        ``size`` when the caller already has the pickled byte count in
-        hand (e.g. a daemon that just shipped the same object).
+        once on insert and keeps the number on the entry.
         """
         key = self.prepared_key(config)
         entry = self._prepared.get(key)
@@ -200,8 +197,7 @@ class PreparedCache:
             return entry.value
         self.stats.misses += 1
         value = build()
-        if size is None:
-            size = _estimate_bytes(value) if self.max_bytes is not None else 0
+        size = _estimate_bytes(value) if self.max_bytes is not None else 0
         entry = _Entry(value=value, size=size)
         self._prepared[key] = entry
         self.stats.entries = len(self._prepared)

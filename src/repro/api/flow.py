@@ -140,19 +140,23 @@ def constrain_stage(ctx: FlowContext) -> None:
     the relaxed remap -- the algorithms start with zero slack on the
     remapped critical paths.  Switching activity is measured here so
     every method scores against the same vectors.
+
+    One timing engine serves the whole stage: the sizing, every
+    recovery pass and every budget check read and repair it, so the
+    circuit is swept once.
     """
     options = ctx.config.options
-    min_delay = speed_up_sizing(
-        ctx.network, ctx.library, po_load=options.po_load
+    engine = IncrementalTiming(
+        DelayCalculator(
+            ctx.network, ctx.library, po_load=options.po_load, cache=True
+        ),
+        0.0,
     )
+    min_delay = speed_up_sizing(engine)
     achieved = min_delay
     for _ in range(4):
-        budget = ctx.config.slack_factor * min_delay
-        recover_area(ctx.network, ctx.library, budget, po_load=options.po_load)
-        achieved = IncrementalTiming(
-            DelayCalculator(ctx.network, ctx.library, po_load=options.po_load),
-            budget,
-        ).worst_delay
+        recover_area(engine, ctx.config.slack_factor * min_delay)
+        achieved = engine.worst_delay
         if achieved >= min_delay - 1e-9:
             break
         min_delay = achieved
@@ -313,14 +317,6 @@ class Flow:
             self.stages.update(stages)
 
     # -- construction helpers ---------------------------------------
-
-    @classmethod
-    def from_json(cls, text: str, **kwargs) -> Flow:
-        return cls(FlowConfig.loads(text), **kwargs)
-
-    @classmethod
-    def from_toml(cls, text: str, **kwargs) -> Flow:
-        return cls(FlowConfig.from_toml(text), **kwargs)
 
     @property
     def library(self) -> Library:

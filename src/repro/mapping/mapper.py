@@ -8,10 +8,12 @@ downsized in reverse topological order under exact required-time
 bookkeeping, trading the slack for area -- the same area-delay trade-off
 the SIS mapper performs when given the loosened constraint.
 
-Both sizing loops run on one
-:class:`~repro.timing.incremental.IncrementalTiming` engine per call,
-over a caching :class:`~repro.timing.delay.DelayCalculator`, and report
-every cell swap through :func:`~repro.timing.incremental.swap_cell`.
+Both sizing loops take the caller's
+:class:`~repro.timing.incremental.IncrementalTiming` engine, over a
+caching :class:`~repro.timing.delay.DelayCalculator`, and report every
+cell swap through :func:`~repro.timing.incremental.swap_cell`; the
+constrain stage times a circuit on one engine from Dmin sizing to its
+last budget check.
 ``speed_up_sizing`` tries each upsize inside an engine transaction and
 rolls a rejected one back, so a trial costs its own cone, not a full
 analysis.
@@ -38,7 +40,6 @@ from repro.netlist.functions import TruthTable, _var_pattern, compose_bits
 from repro.netlist.network import Network
 from repro.mapping.match import MatchTable
 from repro.mapping.subject import to_subject_graph
-from repro.timing.delay import DelayCalculator, DEFAULT_PO_LOAD
 from repro.timing.incremental import IncrementalTiming, swap_cell
 
 EST_LOAD = 21.0
@@ -230,12 +231,7 @@ def map_network(
     return _extract(subject, choice, f"{network.name}_mapped")
 
 
-def speed_up_sizing(
-    mapped: Network,
-    library: Library,
-    po_load: float = DEFAULT_PO_LOAD,
-    max_passes: int = 12,
-) -> float:
+def speed_up_sizing(engine: IncrementalTiming, max_passes: int = 12) -> float:
     """Upsize critical-path gates until the worst delay stops improving.
 
     The covering DP works with estimated loads, so the freshly-extracted
@@ -243,10 +239,12 @@ def speed_up_sizing(
     size up for each critical-path gate, keep it only if the measured
     worst delay drops) plays the fanout-optimization role of the paper's
     ``map -n1 -AFG`` and makes the "minimum delay" that anchors the 20%
-    relaxation honest.  Returns the final worst delay.
+    relaxation honest.  ``engine`` times the mapped network on a caching
+    calculator.  Returns the final worst delay.
     """
-    calculator = DelayCalculator(mapped, library, po_load=po_load, cache=True)
-    engine = IncrementalTiming(calculator, 0.0)
+    calculator = engine.calculator
+    mapped = engine.network
+    library = calculator.library
     best = engine.worst_delay
     for _ in range(max_passes):
         improved = False
@@ -273,12 +271,7 @@ def speed_up_sizing(
     return best
 
 
-def recover_area(
-    mapped: Network,
-    library: Library,
-    tspec: float,
-    po_load: float = DEFAULT_PO_LOAD,
-) -> int:
+def recover_area(engine: IncrementalTiming, tspec: float) -> int:
     """Downsize gates under ``tspec``; returns the number of resizes.
 
     Repeated reverse-topological sweeps with exact suffix required times
@@ -287,11 +280,14 @@ def recover_area(
     accepted downsize sheds input capacitance upstream, creating room
     for further downsizing -- this is what consumes the relaxed
     constraint's slack the way the paper's area-delay-trade-off remap
-    does.  Raises if the input mapping already misses ``tspec``.
+    does.  ``engine`` times the mapped network on a caching calculator;
+    its own ``tspec`` is not read.  Raises if the input mapping already
+    misses ``tspec``.
     """
-    calculator = DelayCalculator(mapped, library, po_load=po_load, cache=True)
-    engine = IncrementalTiming(calculator, tspec)
-    if not engine.meets_timing():
+    calculator = engine.calculator
+    mapped = engine.network
+    library = calculator.library
+    if engine.worst_delay > tspec + 1e-9:
         raise ValueError(
             f"mapping misses tspec before recovery: "
             f"{engine.worst_delay:.3f} > {tspec:.3f} ns"
@@ -336,7 +332,7 @@ def recover_area(
         if not resized_this_pass:
             break
 
-    if not engine.meets_timing():
+    if engine.worst_delay > tspec + 1e-9:
         raise AssertionError(
             f"area recovery broke timing: {engine.worst_delay:.3f} > "
             f"{tspec:.3f} ns"

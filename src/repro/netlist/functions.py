@@ -85,6 +85,11 @@ class TruthTable:
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("TruthTable is immutable")
 
+    def __reduce__(self):
+        # Default unpickling sets the slots through the raising
+        # __setattr__; rebuild through the validating constructor.
+        return TruthTable, (self.n_inputs, self.bits)
+
     # ------------------------------------------------------------------
     # Constructors
     # ------------------------------------------------------------------

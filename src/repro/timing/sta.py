@@ -4,10 +4,11 @@
 *current* voltage levels and converter placement of a
 :class:`~repro.timing.delay.DelayCalculator` in one plain sweep per
 direction, written for reading rather than speed.  It is the oracle,
-not a production path: every production caller -- the mapper's sizing
-loops, the constrain stage's budget check and the scaling passes --
-runs on :class:`repro.timing.incremental.IncrementalTiming`, which is
-tested bit for bit against this class (``tests/timing/``,
+not a production path: every production caller -- the constrain
+stage, whose one engine the mapper's sizing loops and its budget check
+share, and the scaling passes -- runs on
+:class:`repro.timing.incremental.IncrementalTiming`, which is tested
+bit for bit against this class (``tests/timing/``,
 ``tests/mapping/test_mapper.py``).  The only other users are
 :meth:`repro.core.state.ScalingState.full_timing` (the oracle on an
 uncached calculator) and the materialization check in

@@ -154,15 +154,3 @@ def test_unbounded_cache_never_sizes_entries(monkeypatch):
     cache.prepared(make_config(), lambda: payload(4096))
     assert cache.stats.bytes == 0
     assert len(cache) == 1
-
-
-def test_caller_supplied_size_skips_estimation(monkeypatch):
-    import repro.api.cache as cache_mod
-
-    monkeypatch.setattr(
-        cache_mod, "_estimate_bytes",
-        lambda value: (_ for _ in ()).throw(AssertionError("estimated")),
-    )
-    cache = PreparedCache(max_bytes=10_000)
-    cache.prepared(make_config(), lambda: payload(64), size=123)
-    assert cache.stats.bytes == 123

@@ -1,6 +1,7 @@
 """Flow pipeline tests: stages, swapping, registry dispatch, artifacts."""
 
 import dataclasses
+import pickle
 
 import pytest
 
@@ -14,6 +15,7 @@ from repro.api import (
     register_method,
     unregister_method,
 )
+from repro.flow.store import rows_equal
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +62,15 @@ def test_one_prepared_circuit_serves_every_method(pm1_flow, pm1_prepared):
         assert artifact.method == method
         baselines.add(artifact.report.power_before_uw)
     assert len(baselines) == 1  # shared activity -> shared baseline
+
+
+def test_unpickled_prepared_circuit_scales_to_the_same_row(library):
+    flow = Flow(FlowConfig(circuit="C432", method="gscale"), library=library)
+    prepared = flow.prepare()
+    twin = pickle.loads(pickle.dumps(prepared))
+    assert twin.network is not prepared.network
+    rows = [flow.run(prepared=p).to_row() for p in (prepared, twin)]
+    assert rows_equal(rows[:1], rows[1:])
 
 
 def test_replace_keeps_library_when_rails_unchanged(pm1_flow):

@@ -19,6 +19,7 @@ from repro.mapping.subject import to_subject_graph
 from repro.netlist.validate import check_network, networks_equivalent
 from repro.opt.script import rugged
 from repro.timing.delay import DEFAULT_PO_LOAD, DelayCalculator
+from repro.timing.incremental import IncrementalTiming
 from repro.timing.sta import TimingAnalysis
 
 
@@ -114,15 +115,15 @@ def test_xor_rich_logic_uses_xor_cells(library, match_table):
 def test_speed_up_sizing_never_hurts(mapped_adder, library):
     calc = DelayCalculator(mapped_adder, library)
     before = TimingAnalysis(calc, 0.0).worst_delay
-    after = speed_up_sizing(mapped_adder, library)
+    after = speed_up_sizing(_engine(mapped_adder, library))
     assert after <= before + 1e-12
 
 
 def test_recover_area_respects_tspec(mapped_control, library):
-    dmin = speed_up_sizing(mapped_control, library)
+    dmin = speed_up_sizing(_engine(mapped_control, library))
     tspec = 1.2 * dmin
     area_before = _area(mapped_control)
-    resized = recover_area(mapped_control, library, tspec)
+    resized = recover_area(_engine(mapped_control, library), tspec)
     area_after = _area(mapped_control)
     final = TimingAnalysis(DelayCalculator(mapped_control, library), tspec)
     assert final.meets_timing()
@@ -132,28 +133,35 @@ def test_recover_area_respects_tspec(mapped_control, library):
 
 def test_recover_area_rejects_broken_input(mapped_control, library):
     with pytest.raises(ValueError, match="misses tspec"):
-        recover_area(mapped_control, library, tspec=1e-6)
+        recover_area(_engine(mapped_control, library), tspec=1e-6)
 
 
 def test_recovery_preserves_function(mapped_adder, library):
     reference = mapped_adder.copy()
-    dmin = speed_up_sizing(mapped_adder, library)
-    recover_area(mapped_adder, library, 1.3 * dmin)
+    dmin = speed_up_sizing(_engine(mapped_adder, library))
+    recover_area(_engine(mapped_adder, library), 1.3 * dmin)
     assert networks_equivalent(reference, mapped_adder)
     check_network(mapped_adder, require_mapped=True)
 
 
 def test_tighter_tspec_keeps_more_area(mapped_control, library):
-    dmin = speed_up_sizing(mapped_control, library)
+    dmin = speed_up_sizing(_engine(mapped_control, library))
     loose = mapped_control.copy()
     tight = mapped_control.copy()
-    recover_area(loose, library, 1.5 * dmin)
-    recover_area(tight, library, 1.02 * dmin)
+    recover_area(_engine(loose, library), 1.5 * dmin)
+    recover_area(_engine(tight, library), 1.02 * dmin)
     assert _area(loose) <= _area(tight) + 1e-9
 
 
 def _area(network):
     return sum(network.nodes[g].cell.area for g in network.gates())
+
+
+def _engine(network, library):
+    """The timing engine the sizing loops take, as prepare builds it."""
+    return IncrementalTiming(
+        DelayCalculator(network, library, cache=True), 0.0
+    )
 
 
 # ---------------------------------------------------------------------
@@ -310,24 +318,24 @@ def test_sizing_loops_match_timing_analysis_reference(
     mapped = map_network(network, library, match_table=match_table)
     ours, theirs = mapped.copy(), mapped.copy()
 
-    min_delay = speed_up_sizing(ours, library)
+    min_delay = speed_up_sizing(_engine(ours, library))
     assert min_delay == _reference_speed_up_sizing(theirs, library)
     assert _cells(ours) == _cells(theirs)
 
     tspec = 1.2 * min_delay
-    resized = recover_area(ours, library, tspec)
+    resized = recover_area(_engine(ours, library), tspec)
     assert resized > 0
     assert resized == _reference_recover_area(theirs, library, tspec)
     assert _cells(ours) == _cells(theirs)
 
-    missed = _error(recover_area, ours, library, 1e-6)
+    missed = _error(recover_area, _engine(ours, library), 1e-6)
     assert missed[0] is ValueError
     assert missed == _error(_reference_recover_area, theirs, library, 1e-6)
 
-    tight = speed_up_sizing(ours, library)
+    tight = speed_up_sizing(_engine(ours, library))
     _reference_speed_up_sizing(theirs, library)
     _inflated_variants(library, monkeypatch)
-    broken = _error(recover_area, ours, library, tight)
+    broken = _error(recover_area, _engine(ours, library), tight)
     assert broken[0] is AssertionError
     assert broken == _error(_reference_recover_area, theirs, library, tight)
     assert _cells(ours) == _cells(theirs)

@@ -1,5 +1,7 @@
 """Unit and property tests for truth-table boolean functions."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -80,6 +82,29 @@ class TestConstruction:
         table = TruthTable.var(1, 0)
         with pytest.raises(AttributeError):
             table.bits = 0
+
+    @given(tables)
+    def test_pickle_round_trip(self, table):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            twin = pickle.loads(pickle.dumps(table, protocol=protocol))
+            assert type(twin) is TruthTable
+            assert (twin.n_inputs, twin.bits) == (table.n_inputs, table.bits)
+            assert twin == table and hash(twin) == hash(table)
+        with pytest.raises(AttributeError):
+            twin.bits = 0
+
+    def test_deepcopy(self):
+        table = TruthTable.from_cubes(3, ["1-0", "011"])
+        twin = copy.deepcopy([table, table])
+        assert twin == [table, table]
+        assert twin[0] is twin[1]
+        assert copy.copy(table) == table
+
+    def test_unpickling_validates(self):
+        rebuild, args = TruthTable.var(2, 0).__reduce__()
+        assert rebuild(*args) == TruthTable.var(2, 0)
+        with pytest.raises(ValueError, match="out of range"):
+            rebuild(2, 1 << 4)
 
 
 class TestGateFamilies:

@@ -61,12 +61,17 @@ class PreparedCircuit:
     baseline.  The first scale of :meth:`Flow.execute` records it as
     :attr:`scale_baseline` (a :class:`~repro.core.state.ScaleBaseline`:
     the flat snapshot, the timing engine's arrays and the power before
-    scaling), and every later scale with the same library and options
-    adopts it instead of rebuilding it.  ``scale_baseline`` is not a
-    dataclass field: ``==`` and ``repr`` ignore it and pickling leaves
-    it out, so a circuit pickles to the same bytes (and the
+    scaling, and later the outcome of the first CVS), and every later
+    scale with the same library and options adopts it instead of
+    rebuilding it.  ``scale_baseline`` is not a dataclass field: ``==``
+    and ``repr`` ignore it and pickling leaves it out, so a circuit
+    pickles to the same bytes (and the
     :class:`~repro.api.cache.PreparedCache` sizes it the same) before
     and after a scale.
+
+    ``==`` compares ``network`` by content (its structure and cells),
+    so a second prepare of a circuit, or an unpickled copy, equals the
+    original when its network, ``tspec`` and activity do.
     """
 
     name: str
@@ -84,6 +89,32 @@ class PreparedCircuit:
         state = dict(self.__dict__)
         state.pop("scale_baseline", None)
         return state
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._content() == other._content()
+
+    def _content(self) -> tuple:
+        """The fields, with the network as its structure and cells.
+
+        The network's inputs, outputs and every node's name, fanins,
+        function and cell in node order; its name and caches are left
+        out, and :class:`Network` itself keeps identity equality.
+        """
+        network = self.network
+        return (
+            self.name,
+            self.tspec,
+            self.min_delay,
+            self.activity,
+            network.inputs,
+            network.outputs,
+            [
+                (node.name, node.fanins, node.function, node.cell)
+                for node in network.nodes.values()
+            ],
+        )
 
 
 @dataclass
@@ -172,8 +203,10 @@ def scale_stage(ctx: FlowContext) -> None:
 
     Under :meth:`Flow.execute` (``ctx.prepared`` set) the state adopts
     the prepared circuit's :attr:`~PreparedCircuit.scale_baseline` when
-    it fits, or records it when it does not; :meth:`Flow.scale` builds
-    the state from scratch.
+    it fits, or records it when it does not, and becomes the record's
+    :attr:`~repro.core.state.ScalingState.origin` so its first CVS is
+    recorded there too; :meth:`Flow.scale` builds the state from
+    scratch.
     """
     from repro.core.moves import get_cost_model
 
@@ -207,7 +240,8 @@ def scale_stage(ctx: FlowContext) -> None:
     else:
         power_before = state.power()
         if prepared is not None:
-            prepared.scale_baseline = ScaleBaseline.record(state, power_before)
+            state.origin = ScaleBaseline.record(state, power_before)
+            prepared.scale_baseline = state.origin
     started = time.perf_counter()
     method.run(state, config)
     elapsed = time.perf_counter() - started
@@ -443,8 +477,9 @@ class Flow:
         many methods.  The first scale of a prepared circuit records
         its :attr:`~PreparedCircuit.scale_baseline` and later ones with
         the same library and options start from it, so the flat
-        snapshot, the full timing sweep and the power before scaling
-        are built once per circuit, not once per method.
+        snapshot, the full timing sweep, the power before scaling and
+        the first CVS are computed once per circuit, not once per
+        method.
         """
         if prepared is None:
             prepared = self.prepare(source)

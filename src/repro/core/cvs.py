@@ -42,7 +42,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.core.moves import DemoteMove, MoveEngine, demotion_deadline
+from repro.core.moves import (
+    DemoteMove,
+    MoveEngine,
+    MoveStats,
+    demotion_deadline,
+)
 from repro.core.state import ScalingState
 from repro.timing.delay import OUTPUT
 
@@ -53,6 +58,35 @@ class CvsResult:
 
     demoted: list[str] = field(default_factory=list)
     tcb: frozenset[str] = frozenset()
+
+
+class _CvsPoint:
+    """Where the first CVS run leaves an unmoved state, recorded once.
+
+    Private copies, taken after every rail pass: the demoted gates'
+    rails in insertion order, the converter edges in order, the
+    engine's repaired ``(load, arrival, required)`` lists, the run's
+    move counters and its result.  The run's callers query timing
+    next, so the repair the record needs is one they pay anyway.
+    """
+
+    __slots__ = ("levels", "lc_edges", "arrays", "stats", "result")
+
+    def __init__(
+        self, state: ScalingState, result: CvsResult, stats: MoveStats
+    ):
+        self.levels = tuple(state.levels.items())
+        self.lc_edges = tuple(state.lc_edges)
+        _, arrival, required, load = state.timing().levelized_arrays()
+        self.arrays = (list(load), list(arrival), list(required))
+        self.stats = stats
+        self.result = CvsResult(list(result.demoted), result.tcb)
+
+    def adopt(self, state: ScalingState) -> CvsResult:
+        """Put ``state`` where the recorded run left its own state."""
+        state.replay(self.levels, self.lc_edges, self.arrays)
+        state.move_stats.add(self.stats)
+        return CvsResult(list(self.result.demoted), self.result.tcb)
 
 
 def _cvs_pass(
@@ -140,14 +174,35 @@ def run_cvs(state: ScalingState) -> CvsResult:
     existing clusters (the paper's "new CVS operates with every TCB").
     The reported TCB is the rail 0 -> 1 frontier, the boundary Gscale's
     sizing pushes toward the inputs.
+
+    On a state that has not moved, the outcome depends only on the key
+    of the state's :attr:`~repro.core.state.ScalingState.origin`
+    baseline, so the first such run records it on that
+    :class:`~repro.core.state.ScaleBaseline` and every later one adopts
+    the record: the same assignment, written in the same order, the
+    same repaired timing arrays, move counters and result, without
+    running the passes.  Under :meth:`repro.api.flow.Flow.execute`
+    the ``cvs`` method, Dscale and Gscale on one prepared circuit thus
+    share one run of their first CVS; later runs on a moved state
+    (Gscale's follow-ups) run the passes as before.
     """
+    origin = state.origin
+    if state.assignment_version or state.cells_version:
+        origin = None
+    if origin is not None and origin.cvs is not None:
+        return origin.cvs.adopt(state)
     engine = MoveEngine(state)
+    if origin is not None:
+        engine.stats = MoveStats()  # this run's counters, for the record
     result = CvsResult()
     for target in range(1, state.n_rails):
         demoted, frontier = _cvs_pass(state, target, engine)
         result.demoted.extend(demoted)
         if target == 1:
             result.tcb = frontier
+    if origin is not None:
+        origin.cvs = _CvsPoint(state, result, engine.stats)
+        state.move_stats.add(engine.stats)
     return result
 
 

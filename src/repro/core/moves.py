@@ -78,6 +78,16 @@ class MoveStats:
         """Committed moves of one kind."""
         return self.committed.get(kind, 0)
 
+    def add(self, other: MoveStats) -> None:
+        """Add ``other``'s counters to these."""
+        for mine, theirs in (
+            (self.attempted, other.attempted),
+            (self.committed, other.committed),
+            (self.rolled_back, other.rolled_back),
+        ):
+            for kind, n in theirs.items():
+                mine[kind] = mine.get(kind, 0) + n
+
     def as_dict(self) -> dict[str, dict[str, int]]:
         """A plain, deterministically-ordered JSON-ready snapshot."""
         return {

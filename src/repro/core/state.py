@@ -89,6 +89,12 @@ class ScaleBaseline:
     network adopts them (:meth:`fits` says when) instead of building
     the snapshot, sweeping the engine and measuring the power again.
     :class:`repro.api.flow.PreparedCircuit` keeps one per circuit.
+
+    The first :func:`~repro.core.cvs.run_cvs` is a function of the same
+    key, so the record also keeps its outcome as :attr:`cvs` (``None``
+    until then): the first ``run_cvs`` on an unmoved state whose
+    :attr:`ScalingState.origin` is this baseline stores it, and every
+    later one on such a state adopts it instead of running the passes.
     """
 
     __slots__ = (
@@ -100,6 +106,7 @@ class ScaleBaseline:
         "arrays",
         "power",
         "initial_area",
+        "cvs",
     )
 
     @classmethod
@@ -125,6 +132,7 @@ class ScaleBaseline:
         baseline.arrays = (list(load), list(arrival), list(required))
         baseline.power = power
         baseline.initial_area = state.initial_area
+        baseline.cvs = None
         return baseline
 
     def fits(
@@ -158,6 +166,12 @@ class ScalingState:
     copies of it instead of building its snapshot and timing engine,
     and :attr:`baseline` keeps it; otherwise it is ignored and
     :attr:`baseline` is ``None``.
+
+    :attr:`origin` is the baseline this state starts from: the one it
+    adopted, or the one recorded from it (the recorder sets it, as
+    :func:`repro.api.flow.scale_stage` does).  While the state has not
+    moved, :func:`~repro.core.cvs.run_cvs` records its outcome on the
+    origin or adopts the one recorded there.
     """
 
     def __init__(
@@ -220,7 +234,7 @@ class ScalingState:
             network, library, tspec, activity, self.options
         ):
             baseline = None
-        self.baseline = baseline
+        self.baseline = self.origin = baseline
         if baseline is not None:
             self.initial_area = baseline.initial_area
         else:
@@ -309,6 +323,31 @@ class ScalingState:
         self.calc.invalidate_net(driver)
         if self._engine is not None:
             self._engine.note_net_changed(driver)
+
+    def replay(
+        self,
+        levels: tuple[tuple[str, int], ...],
+        lc_edges: tuple[tuple[str, str], ...],
+        arrays: tuple[list[float], list[float], list[float]],
+    ) -> None:
+        """Write a recorded assignment and take its timing arrays.
+
+        ``levels`` (``(gate, rail)`` items) and ``lc_edges`` go through
+        :meth:`set_rail` and :meth:`add_converter` in their order, so
+        the views, the fanout counts, the calculator caches and
+        :attr:`assignment_version` follow as for any write.  The timing
+        engine does not repair the writes: it takes copies of
+        ``arrays``, the ``(load, arrival, required)`` lists a repair
+        after them returns, in place (:meth:`IncrementalTiming.reseed`).
+        """
+        engine = self.timing()
+        self._engine = None  # reseeded below: no repair seeds needed
+        for name, rail in levels:
+            self.set_rail(name, rail)
+        for edge in lc_edges:
+            self.add_converter(edge)
+        self._engine = engine
+        engine.reseed(tuple(list(a) for a in arrays))
 
     # ------------------------------------------------------------------
     # Queries

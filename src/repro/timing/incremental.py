@@ -411,6 +411,20 @@ class IncrementalTiming:
             raise RuntimeError("cannot rebuild inside a transaction")
         self._build()
 
+    def reseed(
+        self, arrays: tuple[list[float], list[float], list[float]]
+    ) -> None:
+        """Take ``(load, arrival, required)`` as the arrays, in place.
+
+        :meth:`from_arrays` for a live engine: pending repair seeds are
+        dropped, so the lists must be what a sweep of the calculator's
+        current assignment would return, and the caller must not keep
+        them.
+        """
+        if self._journal is not None:
+            raise RuntimeError("cannot reseed inside a transaction")
+        self._build(arrays)
+
     # ------------------------------------------------------------------
     # Invalidation API
     # ------------------------------------------------------------------

@@ -73,6 +73,30 @@ def test_unpickled_prepared_circuit_scales_to_the_same_row(library):
     assert rows_equal(rows[:1], rows[1:])
 
 
+def test_prepared_circuits_compare_networks_by_content(library):
+    flow = Flow(FlowConfig(circuit="C432"), library=library)
+    prepared = flow.prepare()
+    again = flow.prepare()
+    twin = pickle.loads(pickle.dumps(prepared))
+    for other in (again, twin):
+        assert other.network is not prepared.network
+        assert other == prepared
+    # Network itself stays identity-equal and hashable.
+    assert twin.network != prepared.network
+    assert len({twin.network, prepared.network}) == 2
+    swapped = pickle.loads(pickle.dumps(prepared))
+    node = next(
+        node
+        for node in swapped.network.nodes.values()
+        if node.cell is not None and library.next_size_up(node.cell)
+    )
+    node.cell = library.next_size_up(node.cell)
+    assert swapped != prepared
+    assert dataclasses.replace(prepared, tspec=prepared.tspec * 1.1) != (
+        prepared
+    )
+
+
 def test_replace_keeps_library_when_rails_unchanged(pm1_flow):
     sibling = pm1_flow.replace(method="cvs")
     assert sibling.library is pm1_flow.library

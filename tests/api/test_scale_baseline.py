@@ -2,22 +2,27 @@
 
 The first scale of a :class:`PreparedCircuit` records its baseline (the
 flat snapshot, the engine's swept arrays, the power before scaling)
-and later methods adopt copies of it.  These tests pin that adoption
-changes nothing: rows equal those of a fresh prepare in any method
-order, every adopted snapshot and engine equals a fresh build, the
-first state's later moves never reach the record, and the record is
-invisible to pickling, ``==`` and ``repr``.
+and later methods adopt copies of it.  The first CVS on an unmoved
+state is recorded on the same baseline and adopted by every later
+method's first CVS.  These tests pin that adoption changes nothing:
+rows equal those of a fresh prepare in any method order, every adopted
+snapshot, engine and CVS point equals a fresh build, the first state's
+later moves never reach the record, and the record is invisible to
+pickling, ``==`` and ``repr``.
 """
 
 from __future__ import annotations
 
+import itertools
 import pickle
 
 import pytest
 
+import repro.core.gscale
 from flat_planes import assert_planes_equal
 from repro.api import Flow, FlowConfig, PreparedCircuit
 from repro.api.cache import _estimate_bytes
+from repro.core.cvs import _CvsPoint, run_cvs
 from repro.core.state import ScaleBaseline, ScalingOptions, ScalingState
 from repro.flow.store import normalize_row
 from repro.mapping.match import MatchTable
@@ -67,9 +72,7 @@ def test_adopted_methods_match_fresh_prepares(flow, monkeypatch):
         adopted.append(network)
         return engine
 
-    monkeypatch.setattr(
-        IncrementalTiming, "from_arrays", classmethod(checked)
-    )
+    monkeypatch.setattr(IncrementalTiming, "from_arrays", classmethod(checked))
     prepared = flow.prepare()
     for method in ORDER:
         ctx = flow.replace(method=method).execute(prepared=prepared)
@@ -87,15 +90,24 @@ def test_record_is_not_the_first_states_snapshot(flow):
     state = ctx.state
     assert state.n_resized > 0  # Gscale patched its live snapshot
     live = state.flat()
-    for plane in ("no_wire", "drive", "energy", "fi_intr", "rp_intr",
-                  "e_cap"):
+    for plane in (
+        "no_wire",
+        "drive",
+        "energy",
+        "fi_intr",
+        "rp_intr",
+        "e_cap",
+    ):
         assert getattr(baseline.flat, plane) is not getattr(live, plane)
     assert baseline.flat.network is None
     assert baseline.flat.order is not state.network.topological()
     # The record still equals a build on an untouched copy.
     copy = prepared.fresh_copy()
     fresh = ScalingState(
-        copy, flow.library, prepared.tspec, activity=prepared.activity,
+        copy,
+        flow.library,
+        prepared.tspec,
+        activity=prepared.activity,
         options=flow.config.options,
     )
     assert_planes_equal(baseline.flat, build_flat(copy, fresh.calc))
@@ -114,12 +126,15 @@ def test_adoption_needs_the_same_key(flow):
 
     def state(network=None, **changes):
         kwargs = dict(
-            tspec=prepared.tspec, activity=prepared.activity,
+            tspec=prepared.tspec,
+            activity=prepared.activity,
             options=options,
         )
         kwargs.update(changes)
         return ScalingState(
-            network or prepared.fresh_copy(), library, baseline=baseline,
+            network or prepared.fresh_copy(),
+            library,
+            baseline=baseline,
             **kwargs,
         )
 
@@ -130,9 +145,8 @@ def test_adoption_needs_the_same_key(flow):
     other = Flow(FlowConfig(circuit="x2"), library=library).prepare()
     assert state(other.fresh_copy()).baseline is None
     # A new key records a new baseline in its place.
-    flow.replace(
-        method="cvs", options=ScalingOptions(clock_mhz=40.0)
-    ).run(prepared=prepared)
+    clock = ScalingOptions(clock_mhz=40.0)
+    flow.replace(method="cvs", options=clock).run(prepared=prepared)
     assert prepared.scale_baseline is not baseline
     assert prepared.scale_baseline.options.clock_mhz == 40.0
 
@@ -149,7 +163,9 @@ def test_flow_scale_builds_fresh(flow):
 def test_record_refuses_a_moved_state(flow):
     prepared = flow.prepare()
     state = ScalingState(
-        prepared.fresh_copy(), flow.library, prepared.tspec,
+        prepared.fresh_copy(),
+        flow.library,
+        prepared.tspec,
         activity=prepared.activity,
     )
     power = state.power()
@@ -164,8 +180,11 @@ def test_baseline_leaves_pickle_eq_and_repr_alone(flow):
     size = _estimate_bytes(prepared)
     text = repr(prepared)
     twin = PreparedCircuit(
-        prepared.name, prepared.network, prepared.tspec,
-        prepared.min_delay, prepared.activity,
+        prepared.name,
+        prepared.network,
+        prepared.tspec,
+        prepared.min_delay,
+        prepared.activity,
     )
     flow.replace(method="dscale").run(prepared=prepared)
     assert prepared.scale_baseline is not None
@@ -173,3 +192,197 @@ def test_baseline_leaves_pickle_eq_and_repr_alone(flow):
     assert _estimate_bytes(prepared) == size
     assert repr(prepared) == text
     assert prepared == twin
+
+
+# -- the recorded CVS point -------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def fresh_rows(flow):
+    """Each method's row on a prepare of its own (nothing to adopt)."""
+    return {
+        method: row(flow.replace(method=method).run(prepared=flow.prepare()))
+        for method in ORDER
+    }
+
+
+def fresh_state(prepared, like):
+    """An unmoved state on a fresh copy, keyed as ``like``, no baseline."""
+    return ScalingState(
+        prepared.fresh_copy(),
+        like.library,
+        like.tspec,
+        activity=like.activity,
+        options=like.options,
+    )
+
+
+def engine_bits(state):
+    _, arrival, required, load = state.timing().levelized_arrays()
+    return bits(load), bits(arrival), bits(required)
+
+
+def assert_same_cvs(state, result, fresh, fresh_result):
+    """``state`` and ``result`` are where ``fresh``'s CVS left it."""
+    assert list(state.levels.items()) == list(fresh.levels.items())
+    assert list(state.lc_edges) == list(fresh.lc_edges)
+    assert engine_bits(state) == engine_bits(fresh)
+    assert state.move_stats == fresh.move_stats
+    assert result == fresh_result
+
+
+@pytest.fixture
+def watch_adoptions(monkeypatch):
+    """Check every CVS adoption against a fresh CVS on ``prepared``.
+
+    Returns the adopting states, in order.
+    """
+    adopted = []
+    adopt = _CvsPoint.adopt
+
+    def install(prepared):
+        def checked(point, state):
+            engine = state.timing()
+            result = adopt(point, state)
+            assert state.timing() is engine  # reseeded in place
+            fresh = fresh_state(prepared, state)
+            assert fresh.origin is None
+            assert_same_cvs(state, result, fresh, run_cvs(fresh))
+            adopted.append(state)
+            return result
+
+        monkeypatch.setattr(_CvsPoint, "adopt", checked)
+        return adopted
+
+    return install
+
+
+@pytest.mark.parametrize(
+    "order", list(itertools.permutations(ORDER)), ids="-".join
+)
+def test_every_method_order_matches_fresh_prepares(
+    flow, fresh_rows, watch_adoptions, order
+):
+    prepared = flow.prepare()
+    adopted = watch_adoptions(prepared)
+    for method in order:
+        artifact = flow.replace(method=method).run(prepared=prepared)
+        assert row(artifact) == fresh_rows[method], method
+    # Each method runs one first CVS; the first method's is recorded.
+    assert len(adopted) == len(order) - 1
+    assert prepared.scale_baseline.cvs is not None
+
+
+def test_output_converters_replay_in_order(flow, watch_adoptions):
+    # Converters only at the outputs: CVS itself adds some, in order.
+    flow = flow.replace(options=ScalingOptions(lc_at_outputs=True))
+    prepared = flow.prepare()
+    adopted = watch_adoptions(prepared)
+    for method in ORDER:
+        job = flow.replace(method=method)
+        alone = job.run(prepared=flow.prepare())
+        assert row(job.run(prepared=prepared)) == row(alone), method
+    assert len(adopted) == len(ORDER) - 1
+    assert len(prepared.scale_baseline.cvs.lc_edges) > 1
+
+
+def test_cvs_record_survives_gscale(flow):
+    prepared = flow.prepare()
+    state = flow.replace(method="gscale").execute(prepared=prepared).state
+    point = prepared.scale_baseline.cvs
+    # Gscale's resizes and follow-up CVS moved its state on ...
+    assert state.n_resized > 0
+    assert tuple(state.levels.items()) != point.levels
+    # ... but the record is still where a fresh CVS leaves a state.
+    fresh = fresh_state(prepared, state)
+    fresh_result = run_cvs(fresh)
+    assert point.levels == tuple(fresh.levels.items())
+    assert point.lc_edges == tuple(fresh.lc_edges)
+    assert tuple(bits(a) for a in point.arrays) == engine_bits(fresh)
+    assert point.stats == fresh.move_stats
+    assert point.result == fresh_result
+
+
+def _demote(state):
+    state.demote(state.network.gates()[-1])
+
+
+def _demote_and_promote(state):
+    gate = state.network.gates()[-1]
+    state.demote(gate)
+    state.promote(gate)  # the assignment is empty again, but moved
+
+
+def _upsize(state):
+    library = state.library
+    for gate in state.network.gates():
+        bigger = library.next_size_up(state.network.nodes[gate].cell)
+        if bigger is not None:
+            state.resize(gate, bigger)
+            return
+    raise AssertionError("no resizable gate")
+
+
+@pytest.mark.parametrize(
+    "move",
+    [_demote, _demote_and_promote, _upsize],
+    ids=["demote", "demote-promote", "upsize"],
+)
+def test_a_moved_state_runs_its_own_cvs(flow, watch_adoptions, move):
+    prepared = flow.prepare()
+    flow.replace(method="cvs").run(prepared=prepared)
+    baseline = prepared.scale_baseline
+    point = baseline.cvs
+    adopted = watch_adoptions(prepared)
+    state = ScalingState(
+        prepared.fresh_copy(),
+        flow.library,
+        prepared.tspec,
+        activity=prepared.activity,
+        options=flow.config.options,
+        baseline=baseline,
+    )
+    assert state.origin is baseline
+    move(state)
+    result = run_cvs(state)
+    assert not adopted
+    assert baseline.cvs is point  # a moved state records nothing either
+    fresh = fresh_state(prepared, state)
+    move(fresh)
+    assert_same_cvs(state, result, fresh, run_cvs(fresh))
+
+
+def test_only_the_first_cvs_adopts(flow, watch_adoptions, monkeypatch):
+    prepared = flow.prepare()
+    flow.replace(method="cvs").run(prepared=prepared)
+    adopted = watch_adoptions(prepared)
+    calls = []
+    run = repro.core.gscale.run_cvs
+
+    def counted(state):
+        calls.append(state)
+        return run(state)
+
+    monkeypatch.setattr(repro.core.gscale, "run_cvs", counted)
+    state = flow.replace(method="gscale").execute(prepared=prepared).state
+    assert len(calls) > 1  # the initial CVS and the follow-ups
+    assert adopted == [state]
+    scaled, _ = flow.scale(
+        prepared.fresh_copy(), prepared.tspec, activity=prepared.activity
+    )
+    assert scaled.origin is None
+    assert adopted == [state]
+
+
+def test_msv_job_group_keeps_its_rows(flow, watch_adoptions):
+    msv = dict(method="dscale", non_adjacent=True, retarget_shifters=True)
+    jobs = (
+        flow.replace(**msv),
+        flow.replace(cost_model="placement", **msv),
+        flow.replace(method="gscale"),
+    )
+    alone = [row(job.run(prepared=flow.prepare())) for job in jobs]
+    prepared = flow.prepare()
+    adopted = watch_adoptions(prepared)
+    assert [row(job.run(prepared=prepared)) for job in jobs] == alone
+    assert len(adopted) == len(jobs) - 1

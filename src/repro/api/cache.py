@@ -20,12 +20,14 @@ cap.
 
 Eviction applies to prepared circuits only (libraries are few and
 small; they stay pinned until :meth:`PreparedCache.clear`).  Entry
-sizes are estimated from the pickled representation -- measured once
-per insert, cached on the entry, and only when a byte cap is actually
+sizes are estimated from the pickled representation -- measured on
+insert, cached on the entry, and only when a byte cap is actually
 active (an unbounded cache never pays the pickle) -- so the
 ``max_bytes`` cap tracks what a worker would actually hold; the cap is
 advisory for a single entry (the newest entry always stays, otherwise a
-cache smaller than one circuit could never serve it).
+cache smaller than one circuit could never serve it).  A circuit's
+scale record, attached by its first scale and left out of its pickle,
+is charged at the next hit or insert, which then sheds.
 
 The batch campaign keeps its historical memory profile by constructing
 the cache with ``retain_prepared=False``: every group is dispatched
@@ -53,7 +55,7 @@ class CacheStats:
     ``hits`` / ``misses`` count prepared-circuit lookups, the cache's
     expensive section; ``library_hits`` / ``library_misses`` count the
     (library, match table) section.  ``bytes`` is the estimated size of
-    the retained prepared circuits.
+    the retained prepared circuits and their scale records.
     """
 
     hits: int = 0
@@ -109,6 +111,14 @@ def _estimate_bytes(value: Any) -> int:
 class _Entry:
     value: Any
     size: int = 0
+    #: The :func:`_record_of` pair ``size`` was measured with.
+    record: tuple | None = None
+
+
+def _record_of(value: Any) -> tuple | None:
+    """``(scale record, its CVS point)`` of ``value``, or ``None``."""
+    record = getattr(value, "scale_baseline", None)
+    return None if record is None else (record, record.cvs)
 
 
 @dataclass
@@ -187,23 +197,33 @@ class PreparedCache:
         campaign workers and plain flows) never pickles the value, so
         large generated circuits skip the serialize-per-insert tax
         entirely.  A byte-capped cache (the daemon) measures the entry
-        once on insert and keeps the number on the entry.
+        on insert and keeps the number on the entry; every hit and
+        insert measures again the entries whose scale record changed.
         """
         key = self.prepared_key(config)
         entry = self._prepared.get(key)
         if entry is not None:
             self.stats.hits += 1
             self._prepared.move_to_end(key)
+            self._shed(protect=key)
             return entry.value
         self.stats.misses += 1
-        value = build()
-        size = _estimate_bytes(value) if self.max_bytes is not None else 0
-        entry = _Entry(value=value, size=size)
+        entry = _Entry(value=build())
         self._prepared[key] = entry
         self.stats.entries = len(self._prepared)
-        self.stats.bytes += entry.size
+        if self.max_bytes is not None:
+            self._measure(entry)
         self._shed(protect=key)
-        return value
+        return entry.value
+
+    def _measure(self, entry: _Entry) -> None:
+        """Size ``entry``, its scale record included; fix the total."""
+        entry.record = _record_of(entry.value)
+        size = _estimate_bytes(entry.value)
+        if entry.record is not None:
+            size += _estimate_bytes(entry.record[0].sized_parts())
+        self.stats.bytes += size - entry.size
+        entry.size = size
 
     def evict_prepared(self, config: FlowConfig) -> bool:
         """Explicitly drop one prepared circuit (the batch runner's
@@ -222,10 +242,14 @@ class PreparedCache:
 
     def _shed(self, protect: Any) -> None:
         """Evict under the byte cap; never evicts ``protect`` (the
-        entry just inserted -- the cap is advisory for a lone entry
-        bigger than the whole budget)."""
+        entry just inserted or hit -- the cap is advisory for a lone
+        entry bigger than the whole budget).  Entries whose scale
+        record changed since they were sized are sized again first."""
         if self.max_bytes is None:
             return
+        for entry in self._prepared.values():
+            if _record_of(entry.value) != entry.record:
+                self._measure(entry)
         while self.stats.bytes > self.max_bytes and len(self._prepared) > 1:
             key = next(iter(self._prepared))
             if key == protect:

@@ -60,14 +60,12 @@ class PreparedCircuit:
     ``tspec`` and ``activity``, so every method starts from the same
     baseline.  The first scale of :meth:`Flow.execute` records it as
     :attr:`scale_baseline` (a :class:`~repro.core.state.ScaleBaseline`:
-    the flat snapshot, the timing engine's arrays and the power before
-    scaling, and later the outcome of the first CVS), and every later
-    scale with the same library and options adopts it instead of
-    rebuilding it.  ``scale_baseline`` is not a dataclass field: ``==``
-    and ``repr`` ignore it and pickling leaves it out, so a circuit
-    pickles to the same bytes (and the
-    :class:`~repro.api.cache.PreparedCache` sizes it the same) before
-    and after a scale.
+    the flat snapshot and the power before scaling, then the outcome
+    of the first CVS), and every later scale with the same library and
+    options adopts it at its first CVS.  ``scale_baseline`` is not a
+    dataclass field: ``==`` and ``repr`` ignore it and pickling leaves
+    it out, so a circuit pickles to the same bytes before and after a
+    scale; :class:`~repro.api.cache.PreparedCache` charges it apart.
 
     ``==`` compares ``network`` by content (its structure and cells),
     so a second prepare of a circuit, or an unpickled copy, equals the
@@ -201,12 +199,12 @@ def constrain_stage(ctx: FlowContext) -> None:
 def scale_stage(ctx: FlowContext) -> None:
     """Run the configured scaling method on a fresh :class:`ScalingState`.
 
-    Under :meth:`Flow.execute` (``ctx.prepared`` set) the state adopts
-    the prepared circuit's :attr:`~PreparedCircuit.scale_baseline` when
-    it fits, or records it when it does not, and becomes the record's
-    :attr:`~repro.core.state.ScalingState.origin` so its first CVS is
-    recorded there too; :meth:`Flow.scale` builds the state from
-    scratch.
+    Under :meth:`Flow.execute` (``ctx.prepared`` set) the prepared
+    circuit's :attr:`~PreparedCircuit.scale_baseline` becomes the
+    state's :attr:`~repro.core.state.ScalingState.baseline` when it
+    fits, and supplies the power before scaling; otherwise a new
+    record is taken from the state.  :meth:`Flow.scale` builds the
+    state from scratch.
     """
     from repro.core.moves import get_cost_model
 
@@ -233,15 +231,16 @@ def scale_stage(ctx: FlowContext) -> None:
         ctx.tspec,
         activity=ctx.activity,
         options=config.options,
-        baseline=None if prepared is None else prepared.scale_baseline,
     )
-    if state.baseline is not None:
-        power_before = state.baseline.power
+    record = None if prepared is None else prepared.scale_baseline
+    if record is not None and record.fits(state):
+        state.baseline = record
+        power_before = record.power
     else:
         power_before = state.power()
         if prepared is not None:
-            state.origin = ScaleBaseline.record(state, power_before)
-            prepared.scale_baseline = state.origin
+            record = ScaleBaseline(state, power_before)
+            state.baseline = prepared.scale_baseline = record
     started = time.perf_counter()
     method.run(state, config)
     elapsed = time.perf_counter() - started
@@ -476,10 +475,12 @@ class Flow:
         always works on a fresh copy, so one prepared circuit serves
         many methods.  The first scale of a prepared circuit records
         its :attr:`~PreparedCircuit.scale_baseline` and later ones with
-        the same library and options start from it, so the flat
-        snapshot, the full timing sweep, the power before scaling and
-        the first CVS are computed once per circuit, not once per
-        method.
+        the same library and options adopt it at their first CVS, so
+        the flat snapshot, the full timing sweep, the power before
+        scaling and the first CVS are computed once per circuit, not
+        once per method.  A registered method that does not begin with
+        ``run_cvs`` gets the same rows but builds its own snapshot and
+        runs its own sweep.
         """
         if prepared is None:
             prepared = self.prepare(source)

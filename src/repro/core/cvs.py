@@ -49,6 +49,7 @@ from repro.core.moves import (
     demotion_deadline,
 )
 from repro.core.state import ScalingState
+from repro.netlist.flat import FlatNetwork
 from repro.timing.delay import OUTPUT
 
 
@@ -82,9 +83,9 @@ class _CvsPoint:
         self.stats = stats
         self.result = CvsResult(list(result.demoted), result.tcb)
 
-    def adopt(self, state: ScalingState) -> CvsResult:
+    def adopt(self, state: ScalingState, flat: FlatNetwork) -> CvsResult:
         """Put ``state`` where the recorded run left its own state."""
-        state.replay(self.levels, self.lc_edges, self.arrays)
+        state.replay(flat, self.levels, self.lc_edges, self.arrays)
         state.move_stats.add(self.stats)
         return CvsResult(list(self.result.demoted), self.result.tcb)
 
@@ -176,23 +177,23 @@ def run_cvs(state: ScalingState) -> CvsResult:
     sizing pushes toward the inputs.
 
     On a state that has not moved, the outcome depends only on the key
-    of the state's :attr:`~repro.core.state.ScalingState.origin`
-    baseline, so the first such run records it on that
-    :class:`~repro.core.state.ScaleBaseline` and every later one adopts
-    the record: the same assignment, written in the same order, the
-    same repaired timing arrays, move counters and result, without
-    running the passes.  Under :meth:`repro.api.flow.Flow.execute`
-    the ``cvs`` method, Dscale and Gscale on one prepared circuit thus
-    share one run of their first CVS; later runs on a moved state
-    (Gscale's follow-ups) run the passes as before.
+    of the state's :attr:`~repro.core.state.ScalingState.baseline`, so
+    the first such run records it on that
+    :class:`~repro.core.state.ScaleBaseline`, and a later first run on
+    a state with no timing engine yet adopts it, the one place that
+    does: the recorded snapshot, the assignment in the same order, the
+    repaired timing arrays, move counters and result, without a sweep
+    or a pass.  A moved or already timed state runs the passes.
     """
-    origin = state.origin
+    baseline = state.baseline
     if state.assignment_version or state.cells_version:
-        origin = None
-    if origin is not None and origin.cvs is not None:
-        return origin.cvs.adopt(state)
+        baseline = None
+    if baseline is not None and baseline.cvs is not None:
+        if not state.timed:
+            return baseline.cvs.adopt(state, baseline.flat)
+        baseline = None  # recorded already
     engine = MoveEngine(state)
-    if origin is not None:
+    if baseline is not None:
         engine.stats = MoveStats()  # this run's counters, for the record
     result = CvsResult()
     for target in range(1, state.n_rails):
@@ -200,8 +201,8 @@ def run_cvs(state: ScalingState) -> CvsResult:
         result.demoted.extend(demoted)
         if target == 1:
             result.tcb = frontier
-    if origin is not None:
-        origin.cvs = _CvsPoint(state, result, engine.stats)
+    if baseline is not None:
+        baseline.cvs = _CvsPoint(state, result, engine.stats)
         state.move_stats.add(engine.stats)
     return result
 

@@ -80,21 +80,16 @@ class ScalingOptions:
 class ScaleBaseline:
     """The start of every scale of one circuit, recorded once.
 
-    Before its first move a state's flat snapshot, its timing engine's
-    ``(load, arrival, required)`` lists, its power and its initial
-    area are functions of the network, the library, the options,
-    ``tspec`` and the activity alone.  :meth:`record` takes private
-    copies of them from such a state; a later
-    ``ScalingState(..., baseline=...)`` on an equal copy of the same
-    network adopts them (:meth:`fits` says when) instead of building
-    the snapshot, sweeping the engine and measuring the power again.
-    :class:`repro.api.flow.PreparedCircuit` keeps one per circuit.
-
-    The first :func:`~repro.core.cvs.run_cvs` is a function of the same
-    key, so the record also keeps its outcome as :attr:`cvs` (``None``
-    until then): the first ``run_cvs`` on an unmoved state whose
-    :attr:`ScalingState.origin` is this baseline stores it, and every
-    later one on such a state adopts it instead of running the passes.
+    Before its first move a state's flat snapshot, its power and where
+    its first :func:`~repro.core.cvs.run_cvs` leaves it are functions
+    of the network, the library, the options, ``tspec`` and the
+    activity alone.  The record keeps a detached copy of the first
+    such state's snapshot and its power, and that state's first
+    ``run_cvs`` stores its outcome as :attr:`cvs` (``None`` until
+    then).  :class:`repro.api.flow.PreparedCircuit` keeps one per
+    circuit; :func:`repro.api.flow.scale_stage` makes it the
+    :attr:`ScalingState.baseline` of every later state it
+    :meth:`fits`, and that state's first ``run_cvs`` adopts it.
     """
 
     __slots__ = (
@@ -103,75 +98,61 @@ class ScaleBaseline:
         "tspec",
         "activity",
         "flat",
-        "arrays",
         "power",
-        "initial_area",
         "cvs",
     )
 
-    @classmethod
-    def record(
-        cls, state: ScalingState, power: PowerBreakdown
-    ) -> ScaleBaseline:
+    def __init__(self, state: ScalingState, power: PowerBreakdown):
         """Copy ``state``'s start; ``power`` is its :meth:`ScalingState.power`.
 
-        The state must not have moved yet.  Nothing recorded aliases
-        the state: the snapshot's planes a resize patches and every
-        list are copies, so the state's later moves leave the record
-        as it was.
+        The state must not have moved yet.  The snapshot's planes a
+        resize patches are copies, so the state's later moves leave the
+        record as it was.
         """
         if state.assignment_version or state.cells_version:
             raise ValueError("a scale baseline is recorded before any move")
-        _, arrival, required, load = state.timing().levelized_arrays()
-        baseline = cls()
-        baseline.library = state.library
-        baseline.options = state.options
-        baseline.tspec = state.tspec
-        baseline.activity = state.activity
-        baseline.flat = state.flat().rebind(None)
-        baseline.arrays = (list(load), list(arrival), list(required))
-        baseline.power = power
-        baseline.initial_area = state.initial_area
-        baseline.cvs = None
-        return baseline
+        self.library = state.library
+        self.options = state.options
+        self.tspec = state.tspec
+        self.activity = state.activity
+        self.flat = state.flat().rebind(None)
+        self.power = power
+        self.cvs = None
 
-    def fits(
-        self,
-        network: Network,
-        library: Library,
-        tspec: float,
-        activity: Activity,
-        options: ScalingOptions,
-    ) -> bool:
-        """Whether a state on these arguments starts where this one did.
+    def fits(self, state: ScalingState) -> bool:
+        """Whether an unmoved ``state`` starts where this record did.
 
         Copies of one network share its topological order and fanout
         iteration order, but a copy of a copy need not, so the order is
         compared as well as the key.
         """
         return (
-            library is self.library
-            and activity is self.activity
-            and tspec == self.tspec
-            and options == self.options
-            and network.topological() == self.flat.order
+            state.library is self.library
+            and state.activity is self.activity
+            and state.tspec == self.tspec
+            and state.options == self.options
+            and state.network.topological() == self.flat.order
         )
+
+    def sized_parts(self) -> tuple:
+        """What the record alone holds, for a size estimate.
+
+        The snapshot's planes (not its memoized rates, which carry the
+        activity) and the CVS point.
+        """
+        flat = self.flat
+        slots = [s for s in flat.__slots__ if s != "rate_cache"]
+        return [getattr(flat, slot) for slot in slots], self.cvs
 
 
 class ScalingState:
     """Mapped network + rail assignments + converter placement.
 
-    ``baseline`` is an optional :class:`ScaleBaseline`: when it
-    :meth:`~ScaleBaseline.fits` the arguments, the state starts from
-    copies of it instead of building its snapshot and timing engine,
-    and :attr:`baseline` keeps it; otherwise it is ignored and
-    :attr:`baseline` is ``None``.
-
-    :attr:`origin` is the baseline this state starts from: the one it
-    adopted, or the one recorded from it (the recorder sets it, as
-    :func:`repro.api.flow.scale_stage` does).  While the state has not
-    moved, :func:`~repro.core.cvs.run_cvs` records its outcome on the
-    origin or adopts the one recorded there.
+    :attr:`baseline` is the :class:`ScaleBaseline` this state starts
+    from, or ``None``: :func:`repro.api.flow.scale_stage` sets it to
+    the record it adopts or takes from the state.  While the state has
+    not moved, :func:`~repro.core.cvs.run_cvs` records its outcome
+    there or starts the state at the one recorded (:meth:`replay`).
     """
 
     def __init__(
@@ -181,7 +162,6 @@ class ScalingState:
         tspec: float,
         activity: Activity | None = None,
         options: ScalingOptions | None = None,
-        baseline: ScaleBaseline | None = None,
     ):
         if library.vdd_low is None:
             raise ValueError("library must be enriched with low-Vdd cells")
@@ -230,15 +210,8 @@ class ScalingState:
                 seed=self.options.activity_seed,
             )
         self.activity = activity
-        if baseline is not None and not baseline.fits(
-            network, library, tspec, activity, self.options
-        ):
-            baseline = None
-        self.baseline = self.origin = baseline
-        if baseline is not None:
-            self.initial_area = baseline.initial_area
-        else:
-            self.initial_area = self.calc.total_area()
+        self.baseline: ScaleBaseline | None = None
+        self.initial_area = self.calc.total_area()
         self.resized: dict[str, tuple[str, str]] = {}
         self._sizing_delta_cache: float | None = 0.0
         # Bumped on every cell swap; the flat snapshot carries the
@@ -251,14 +224,6 @@ class ScalingState:
         # optimizers so CVS inside Gscale reports alongside the
         # resizes).
         self.move_stats = MoveStats()
-        if baseline is not None:
-            self._flat_cache = baseline.flat.rebind(network)
-            self._engine = IncrementalTiming.from_arrays(
-                self.calc,
-                tspec,
-                tuple(list(a) for a in baseline.arrays),
-                flat_source=self.flat,
-            )
 
     # ------------------------------------------------------------------
     # Assignment writers
@@ -326,28 +291,34 @@ class ScalingState:
 
     def replay(
         self,
+        flat: FlatNetwork,
         levels: tuple[tuple[str, int], ...],
         lc_edges: tuple[tuple[str, str], ...],
         arrays: tuple[list[float], list[float], list[float]],
     ) -> None:
-        """Write a recorded assignment and take its timing arrays.
+        """Start this engine-less state at a recorded assignment.
 
-        ``levels`` (``(gate, rail)`` items) and ``lc_edges`` go through
-        :meth:`set_rail` and :meth:`add_converter` in their order, so
-        the views, the fanout counts, the calculator caches and
-        :attr:`assignment_version` follow as for any write.  The timing
-        engine does not repair the writes: it takes copies of
-        ``arrays``, the ``(load, arrival, required)`` lists a repair
-        after them returns, in place (:meth:`IncrementalTiming.reseed`).
+        The snapshot is a :meth:`FlatNetwork.rebind` of ``flat`` (from
+        an equal network).  ``levels`` (``(gate, rail)`` items) and
+        ``lc_edges`` go through :meth:`set_rail` and
+        :meth:`add_converter` in their order, so every view, count,
+        cache and :attr:`assignment_version` follows as for any write.
+        The engine then starts from copies of ``arrays``, the ``(load,
+        arrival, required)`` lists a sweep after the writes returns.
         """
-        engine = self.timing()
-        self._engine = None  # reseeded below: no repair seeds needed
+        if self._engine is not None:
+            raise RuntimeError("replay starts the state's timing engine")
+        self._flat_cache = flat.rebind(self.network)
         for name, rail in levels:
             self.set_rail(name, rail)
         for edge in lc_edges:
             self.add_converter(edge)
-        self._engine = engine
-        engine.reseed(tuple(list(a) for a in arrays))
+        self._engine = IncrementalTiming.from_arrays(
+            self.calc,
+            self.tspec,
+            tuple(list(a) for a in arrays),
+            flat_source=self.flat,
+        )
 
     # ------------------------------------------------------------------
     # Queries
@@ -401,6 +372,11 @@ class ScalingState:
     def low_ratio(self) -> float:
         gates = self.n_gates
         return self.n_low / gates if gates else 0.0
+
+    @property
+    def timed(self) -> bool:
+        """Whether :meth:`timing` or :meth:`replay` made the engine."""
+        return self._engine is not None
 
     def timing(self) -> IncrementalTiming:
         """The current timing picture (incrementally repaired).

@@ -35,26 +35,26 @@ state's ``cells_version`` (bumped by every gate resize) no longer
 matches.  A gate resize does not force that rebuild: the state patches
 a current snapshot in place through :meth:`FlatNetwork.resize` and
 stamps it with the new ``cells_version``, so only a topology edit or a
-snapshot that fell behind is rebuilt.  A state built on a copy of a
-prepared circuit's network does not build at all when the circuit has
-a :class:`~repro.core.state.ScaleBaseline`: it starts from
-:meth:`FlatNetwork.rebind` of the baseline's detached copy, which
-copies the planes a resize patches and shares the rest.  The baseline
-is itself a ``rebind(None)`` of the first state's snapshot, taken
-before that state's first move, so a later resize of the first state
-patches its own planes and never the record.  Rail assignments,
-level-shifter edges, and the timing arrays are *not* in the snapshot
--- they change per move.  Consumers overlay them through :meth:`FlatNetwork.rail_plane`
-and :meth:`FlatNetwork.lc_edge_keys`, plain read-only functions of the
-assignment they are given.  The state memoizes the pair per
-assignment version
-(:meth:`~repro.core.state.ScalingState.assignment_overlays`), so a
-Dscale round that filters, checks and prices one assignment builds
-each overlay once.  :meth:`FlatNetwork.reach` is built lazily once per
-snapshot; a resize keeps it, because only a topology edit (a new
-snapshot) changes reachability.  :meth:`FlatNetwork.rates` is the one
-per-position activity-rate plane, built on first use and memoized for
-the last activity it was asked for.
+snapshot that fell behind is rebuilt.  A state started at a prepared
+circuit's recorded :class:`~repro.core.state.ScaleBaseline` does not
+build at all: its first CVS adopts the record
+(:meth:`~repro.core.state.ScalingState.replay`), whose snapshot it
+takes as a :meth:`FlatNetwork.rebind`, which copies the planes a
+resize patches and shares the rest.  The record's snapshot is itself a
+``rebind(None)`` of the first state's, taken before that state's first
+move, so a later resize of the first state patches its own planes and
+never the record.  Rail assignments, level-shifter edges, and the
+timing arrays are *not* in the snapshot -- they change per move.
+Consumers overlay them through :meth:`FlatNetwork.rail_plane` and
+:meth:`FlatNetwork.lc_edge_keys`, plain read-only functions of the
+assignment they are given.  The state memoizes the pair per assignment
+version (:meth:`~repro.core.state.ScalingState.assignment_overlays`),
+so a Dscale round that filters, checks and prices one assignment
+builds each overlay once.  :meth:`FlatNetwork.reach` is built lazily
+once per snapshot; a resize keeps it, because only a topology edit (a
+new snapshot) changes reachability.  :meth:`FlatNetwork.rates` is the
+one per-position activity-rate plane, built on first use and memoized
+for the last activity it was asked for.
 
 Planes are NumPy arrays (NumPy is a required dependency): the
 ``*_ptr`` / ``*_src`` / ``*_reader`` tables and ``by_depth`` batches

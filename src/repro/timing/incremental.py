@@ -4,11 +4,14 @@
 flat arrays indexed by cached topological position and repairs them
 lazily after state mutations instead of rebuilding the whole analysis
 (the paper's ``update_timing`` as an incremental operation).  It is the
-one timing path of the scaling passes.  Its query surface (``arrival`` /
-``required`` / ``load`` mappings, ``slack``, ``worst_delay``,
-``critical_path``, ...) matches :class:`repro.timing.sta.TimingAnalysis`,
-the serial oracle the engine is tested against, so the serial oracles
-(``check_demotion``, ``demotion_gain``) accept either.
+one timing path of the scaling passes.  Its ``arrival`` /
+``required`` / ``load`` mappings and its ``slack``, ``worst_delay``,
+``worst_slack``, ``meets_timing`` and ``critical_path`` queries carry
+the names and values of :class:`repro.timing.sta.TimingAnalysis`, the
+serial oracle the engine is tested against, so a reader of those
+alone (``repro.core.dscale.check_demotion``) accepts either.  The
+snapshots, transactions and bounded probes below are the engine's
+own.
 
 Invalidation contract
 ---------------------
@@ -99,18 +102,18 @@ after round is re-rejected without re-timing its cone.
 
 Full builds
 -----------
-The initial build and every :meth:`full_invalidate` run one levelized
-NumPy sweep over the shared :class:`~repro.netlist.flat.FlatNetwork`
-snapshot, level-shifter edges included: the sweep derives the sorted
-converter-edge keys from ``lc_edges``
-(:meth:`~repro.netlist.flat.FlatNetwork.lc_edge_keys`) and adds each
-edge's shifter delay to its arrival and required rows, so no node
-leaves the vector path.  :class:`~repro.timing.sta.TimingAnalysis` is
-the readable serial oracle the sweep is tested against.
-:meth:`IncrementalTiming.from_arrays` skips the initial sweep for an
-engine whose arrays are already known: a state adopting a recorded
-:class:`~repro.core.state.ScaleBaseline` starts from copies of the
-first state's swept lists.
+The constructor runs one levelized NumPy sweep over the shared
+:class:`~repro.netlist.flat.FlatNetwork` snapshot, level-shifter edges
+included: the sweep derives the sorted converter-edge keys from
+``lc_edges`` (:meth:`~repro.netlist.flat.FlatNetwork.lc_edge_keys`)
+and adds each edge's shifter delay to its arrival and required rows,
+so no node leaves the vector path.
+:class:`~repro.timing.sta.TimingAnalysis` is the readable serial
+oracle the sweep is tested against.  :meth:`from_arrays` skips the
+sweep for an engine whose arrays are already known: a state adopting
+a prepared circuit's recorded CVS point
+(:meth:`repro.core.state.ScalingState.replay`) starts from copies of
+the lists the recording state's engine held after that CVS.
 """
 
 from __future__ import annotations
@@ -309,10 +312,9 @@ class IncrementalTiming:
         ``flat_source`` is an optional zero-argument callable returning
         the owner's cached :class:`~repro.netlist.flat.FlatNetwork`
         (:meth:`repro.core.state.ScalingState.flat`); without it the
-        engine builds its own snapshot per full sweep.
+        engine builds its own snapshot for the sweep.
         """
-        self._bind(calculator, tspec, flat_source)
-        self._build()
+        self._start(calculator, tspec, flat_source, None)
 
     @classmethod
     def from_arrays(
@@ -327,20 +329,15 @@ class IncrementalTiming:
         No sweep runs: the lists are taken over as the engine's arrays,
         so they must be what a sweep of ``calculator``'s current
         assignment would return, and the caller must not keep them.
-        :class:`repro.core.state.ScalingState` passes copies of a
-        recorded :class:`~repro.core.state.ScaleBaseline`.
+        :meth:`repro.core.state.ScalingState.replay` passes copies of a
+        recorded CVS point.
         """
         engine = cls.__new__(cls)
-        engine._bind(calculator, tspec, flat_source)
-        engine._build(arrays)
+        engine._start(calculator, tspec, flat_source, arrays)
         return engine
 
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-
-    def _bind(self, calculator, tspec, flat_source) -> None:
-        """Set the engine's inputs; :meth:`_build` fills the arrays."""
+    def _start(self, calculator, tspec, flat_source, arrays) -> None:
+        """Cache the inputs and the topology; take ``arrays`` or sweep."""
         self.calculator = calculator
         self.network: Network = calculator.network
         self.tspec = tspec
@@ -349,23 +346,18 @@ class IncrementalTiming:
         #: The PI-to-PO ``(node, pin)`` path behind the last yes of
         #: :meth:`exceeds` inside a transaction, or ``None``.
         self.last_path: tuple | None = None
-
-    def _build(self, arrays=None) -> None:
-        """Cache the topology and take ``arrays`` or run one full sweep."""
         network = self.network
         # The cached list object itself (not a copy): the engine's
         # topology snapshot must match the shared flat snapshot's
         # ``order`` *by identity*, which makes staleness detection in
-        # _acquire_flat O(1).  A topology edit invalidates the
-        # network-level cache, so a later full_invalidate() picks up a
-        # new list while this reference keeps the old snapshot intact.
+        # _acquire_flat O(1).
         self._order: list[str] = network.topological()
         self._pos: dict[str, int] = network.topo_index()
         self._fanouts_cache: list[tuple[str, ...]] | None = None
         self._reader_pins = network.reader_pins()
         self._is_output = frozenset(network.outputs)
         if arrays is None:
-            arrays = _sweep(self._acquire_flat(), self.calculator, self.tspec)
+            arrays = _sweep(self._acquire_flat(), calculator, tspec)
         self._load, self._arrival, self._required = arrays
         self.arrival = _ArrayView(
             self, self._pos, self._arrival, forward_only=True
@@ -404,26 +396,6 @@ class IncrementalTiming:
             if flat.order is self._order or flat.order == self._order:
                 return flat
         return build_flat(self.network, self.calculator)
-
-    def full_invalidate(self) -> None:
-        """Rebuild everything (only needed if the topology itself changed)."""
-        if self._journal is not None:
-            raise RuntimeError("cannot rebuild inside a transaction")
-        self._build()
-
-    def reseed(
-        self, arrays: tuple[list[float], list[float], list[float]]
-    ) -> None:
-        """Take ``(load, arrival, required)`` as the arrays, in place.
-
-        :meth:`from_arrays` for a live engine: pending repair seeds are
-        dropped, so the lists must be what a sweep of the calculator's
-        current assignment would return, and the caller must not keep
-        them.
-        """
-        if self._journal is not None:
-            raise RuntimeError("cannot reseed inside a transaction")
-        self._build(arrays)
 
     # ------------------------------------------------------------------
     # Invalidation API
@@ -788,15 +760,6 @@ class IncrementalTiming:
         i = self._pos[name]
         return self._required[i] - self._arrival[i]
 
-    def slacks(self) -> dict[str, float]:
-        self.refresh()
-        required = self._required
-        arrival = self._arrival
-        return {
-            name: required[i] - arrival[i]
-            for name, i in self._pos.items()
-        }
-
     @property
     def worst_delay(self) -> float:
         """Latest arrival at any primary output, converters included."""
@@ -853,15 +816,6 @@ class IncrementalTiming:
         """One worst input-to-output path (node names, PI first)."""
         self._ensure_forward()
         return trace_critical_path(self.calculator, self.arrival, self.load)
-
-    def nodes_with_slack(self, threshold: float) -> list[str]:
-        """Internal nodes whose slack strictly exceeds ``threshold``."""
-        self.refresh()
-        return [
-            name
-            for name in self.network.gates()
-            if self.slack(name) > threshold
-        ]
 
 
 __all__ = ["IncrementalTiming", "swap_cell"]

@@ -128,9 +128,6 @@ class TimingAnalysis:
     def slack(self, name: str) -> float:
         return self.required[name] - self.arrival[name]
 
-    def slacks(self) -> dict[str, float]:
-        return {name: self.slack(name) for name in self.network.nodes}
-
     @property
     def worst_delay(self) -> float:
         """Latest arrival at any primary output, converters included."""

@@ -9,6 +9,7 @@ from repro.api.cache import (
     _estimate_bytes,
 )
 from repro.api.config import FlowConfig
+from repro.api.flow import Flow
 
 
 def make_config(circuit="z4ml", method="gscale", **kw):
@@ -88,6 +89,40 @@ def test_single_oversized_entry_survives_the_cap():
     cache.prepared(config, lambda: payload(4096))
     assert len(cache) == 1
     assert cache.prepared(config, pytest.fail) == payload(4096)
+
+
+def test_byte_cap_charges_the_scale_record():
+    # The first scale of a cached circuit attaches its scale record,
+    # which its pickle leaves out.  The cap below holds two unscaled
+    # circuits but not two scaled ones, so the next hit or insert must
+    # size a scaled circuit again and shed.
+    configs = [make_config(circuit=c) for c in ("z4ml", "x2")]
+    library = configs[0].build_library()
+    sizes, records = [], []
+    for config in configs:
+        probe = Flow(config, library=library).prepare()
+        sizes.append(_estimate_bytes(probe))
+        Flow(config, library=library).run(prepared=probe)
+        records.append(_estimate_bytes(probe.scale_baseline.sized_parts()))
+        assert _estimate_bytes(probe) == sizes[-1]  # pickle unchanged
+    cache = PreparedCache(max_bytes=sum(sizes))
+    a, b = (Flow(config, library=library, cache=cache) for config in configs)
+    held = a.prepare(), b.prepare()
+    assert len(cache) == 2 and cache.stats.bytes == sum(sizes)
+
+    a.run(prepared=held[0])
+    assert a.prepare() is held[0]  # a hit that finds the record
+    assert cache.stats.evictions == 1
+    assert cache.stats.bytes == sizes[0] + records[0]
+    assert a.prepare() is held[0]  # sized once per record
+    assert cache.stats.bytes == sizes[0] + records[0]
+
+    cache.clear()
+    a.run(prepared=a.prepare())
+    b.prepare()  # an insert finds the other entry's record
+    assert cache.stats.evictions == 2
+    assert len(cache) == 1
+    assert cache.stats.bytes == sizes[1]
 
 
 def test_explicit_evict_is_not_counted_as_pressure():

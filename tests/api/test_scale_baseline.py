@@ -1,14 +1,14 @@
-"""One scale baseline per prepared circuit.
+"""One scale record per prepared circuit, adopted at the first CVS.
 
 The first scale of a :class:`PreparedCircuit` records its baseline (the
-flat snapshot, the engine's swept arrays, the power before scaling)
-and later methods adopt copies of it.  The first CVS on an unmoved
-state is recorded on the same baseline and adopted by every later
-method's first CVS.  These tests pin that adoption changes nothing:
-rows equal those of a fresh prepare in any method order, every adopted
-snapshot, engine and CVS point equals a fresh build, the first state's
-later moves never reach the record, and the record is invisible to
-pickling, ``==`` and ``repr``.
+flat snapshot and the power before scaling), and the first CVS on an
+unmoved state records its outcome there too.  A later method's first
+CVS, on a state with no timing engine yet, adopts the record: the
+snapshot, the assignment and the timing arrays.  These tests pin that
+adoption changes nothing: rows equal those of a fresh prepare in any
+method order, every adopted snapshot, engine and CVS point equals a
+fresh build, the first state's later moves never reach the record, and
+the record is invisible to pickling, ``==`` and ``repr``.
 """
 
 from __future__ import annotations
@@ -22,6 +22,11 @@ import repro.core.gscale
 from flat_planes import assert_planes_equal
 from repro.api import Flow, FlowConfig, PreparedCircuit
 from repro.api.cache import _estimate_bytes
+from repro.api.registry import (
+    ScalingMethod,
+    register_method,
+    unregister_method,
+)
 from repro.core.cvs import _CvsPoint, run_cvs
 from repro.core.state import ScaleBaseline, ScalingOptions, ScalingState
 from repro.flow.store import normalize_row
@@ -58,8 +63,9 @@ def test_adopted_methods_match_fresh_prepares(flow, monkeypatch):
 
     def checked(cls, calculator, tspec, arrays, flat_source=None):
         engine = from_arrays(cls, calculator, tspec, arrays, flat_source)
-        # At adoption: the copied snapshot is a fresh build of this
-        # job's network, and the copied arrays are a fresh sweep.
+        # At adoption: the rebound snapshot is a fresh build of this
+        # job's network, and the copied arrays are a fresh sweep of the
+        # assignment the first CVS left.
         network = calculator.network
         flat = flat_source()
         fresh = build_flat(network, calculator)
@@ -76,8 +82,7 @@ def test_adopted_methods_match_fresh_prepares(flow, monkeypatch):
     prepared = flow.prepare()
     for method in ORDER:
         ctx = flow.replace(method=method).execute(prepared=prepared)
-        first = method == ORDER[0]
-        assert (ctx.state.baseline is None) is first
+        assert ctx.state.baseline is prepared.scale_baseline
         alone = flow.replace(method=method).run(prepared=flow.prepare())
         assert row(ctx.artifact) == row(alone), method
     assert len(adopted) == len(ORDER) - 1
@@ -111,13 +116,10 @@ def test_record_is_not_the_first_states_snapshot(flow):
         options=flow.config.options,
     )
     assert_planes_equal(baseline.flat, build_flat(copy, fresh.calc))
-    _, arrival, required, load = fresh.timing().levelized_arrays()
-    assert baseline.arrays == (load, arrival, required)
     assert baseline.power == fresh.power()
-    assert baseline.initial_area == fresh.initial_area
 
 
-def test_adoption_needs_the_same_key(flow):
+def test_adoption_needs_the_same_key(flow, watch_adoptions):
     prepared = flow.prepare()
     flow.replace(method="cvs").run(prepared=prepared)
     baseline = prepared.scale_baseline
@@ -132,22 +134,22 @@ def test_adoption_needs_the_same_key(flow):
         )
         kwargs.update(changes)
         return ScalingState(
-            network or prepared.fresh_copy(),
-            library,
-            baseline=baseline,
-            **kwargs,
+            network or prepared.fresh_copy(), library, **kwargs
         )
 
-    assert state().baseline is baseline
-    assert state(tspec=prepared.tspec * 1.1).baseline is None
-    assert state(options=ScalingOptions(clock_mhz=40.0)).baseline is None
-    assert state(activity=None).baseline is None
+    assert baseline.fits(state())
+    assert not baseline.fits(state(tspec=prepared.tspec * 1.1))
+    assert not baseline.fits(state(options=ScalingOptions(clock_mhz=40.0)))
+    assert not baseline.fits(state(activity=None))
     other = Flow(FlowConfig(circuit="x2"), library=library).prepare()
-    assert state(other.fresh_copy()).baseline is None
-    # A new key records a new baseline in its place.
+    assert not baseline.fits(state(other.fresh_copy()))
+    # A new key records a new baseline in its place, adopting nothing.
+    adopted = watch_adoptions(prepared)
     clock = ScalingOptions(clock_mhz=40.0)
-    flow.replace(method="cvs", options=clock).run(prepared=prepared)
+    ctx = flow.replace(method="cvs", options=clock).execute(prepared=prepared)
+    assert not adopted
     assert prepared.scale_baseline is not baseline
+    assert ctx.state.baseline is prepared.scale_baseline
     assert prepared.scale_baseline.options.clock_mhz == 40.0
 
 
@@ -171,7 +173,7 @@ def test_record_refuses_a_moved_state(flow):
     power = state.power()
     state.demote(state.network.gates()[0])
     with pytest.raises(ValueError):
-        ScaleBaseline.record(state, power)
+        ScaleBaseline(state, power)
 
 
 def test_baseline_leaves_pickle_eq_and_repr_alone(flow):
@@ -207,14 +209,16 @@ def fresh_rows(flow):
 
 
 def fresh_state(prepared, like):
-    """An unmoved state on a fresh copy, keyed as ``like``, no baseline."""
-    return ScalingState(
+    """An unmoved state on a fresh copy, keyed as ``like``, no record."""
+    state = ScalingState(
         prepared.fresh_copy(),
         like.library,
         like.tspec,
         activity=like.activity,
         options=like.options,
     )
+    assert state.baseline is None
+    return state
 
 
 def engine_bits(state):
@@ -241,13 +245,12 @@ def watch_adoptions(monkeypatch):
     adopt = _CvsPoint.adopt
 
     def install(prepared):
-        def checked(point, state):
-            engine = state.timing()
-            result = adopt(point, state)
-            assert state.timing() is engine  # reseeded in place
+        def checked(point, state, flat):
+            assert not state.timed  # only an engine-less state adopts
+            result = adopt(point, state, flat)
             fresh = fresh_state(prepared, state)
-            assert fresh.origin is None
             assert_same_cvs(state, result, fresh, run_cvs(fresh))
+            assert_planes_equal(state.flat(), fresh.flat())
             adopted.append(state)
             return result
 
@@ -340,9 +343,9 @@ def test_a_moved_state_runs_its_own_cvs(flow, watch_adoptions, move):
         prepared.tspec,
         activity=prepared.activity,
         options=flow.config.options,
-        baseline=baseline,
     )
-    assert state.origin is baseline
+    assert baseline.fits(state)
+    state.baseline = baseline
     move(state)
     result = run_cvs(state)
     assert not adopted
@@ -370,7 +373,7 @@ def test_only_the_first_cvs_adopts(flow, watch_adoptions, monkeypatch):
     scaled, _ = flow.scale(
         prepared.fresh_copy(), prepared.tspec, activity=prepared.activity
     )
-    assert scaled.origin is None
+    assert scaled.baseline is None
     assert adopted == [state]
 
 
@@ -386,3 +389,46 @@ def test_msv_job_group_keeps_its_rows(flow, watch_adoptions):
     adopted = watch_adoptions(prepared)
     assert [row(job.run(prepared=prepared)) for job in jobs] == alone
     assert len(adopted) == len(jobs) - 1
+
+
+def test_a_timed_state_runs_its_own_cvs(flow, watch_adoptions):
+    prepared = flow.prepare()
+    flow.replace(method="cvs").run(prepared=prepared)
+    baseline = prepared.scale_baseline
+    point = baseline.cvs
+    adopted = watch_adoptions(prepared)
+    state = fresh_state(prepared, baseline)
+    assert baseline.fits(state)
+    state.baseline = baseline
+    state.timing()  # the engine exists before the first CVS
+    result = run_cvs(state)
+    assert not adopted
+    assert baseline.cvs is point
+    fresh = fresh_state(prepared, state)
+    assert_same_cvs(state, result, fresh, run_cvs(fresh))
+
+
+@pytest.fixture
+def no_cvs_method():
+    """A registered method that never calls ``run_cvs``."""
+    name = "validate_only"
+    register_method(ScalingMethod(name, lambda state, config: None))
+    yield name
+    unregister_method(name)
+
+
+def test_a_method_without_cvs_leaves_the_point_to_the_next(
+    flow, fresh_rows, watch_adoptions, no_cvs_method
+):
+    prepared = flow.prepare()
+    adopted = watch_adoptions(prepared)
+    job = flow.replace(method=no_cvs_method)
+    alone = row(job.run(prepared=flow.prepare()))
+    assert row(job.run(prepared=prepared)) == alone
+    assert prepared.scale_baseline.cvs is None
+    for method in ORDER:
+        artifact = flow.replace(method=method).run(prepared=prepared)
+        assert row(artifact) == fresh_rows[method], method
+    # The first of the three records the point; the other two adopt it.
+    assert prepared.scale_baseline.cvs is not None
+    assert len(adopted) == len(ORDER) - 1

@@ -189,16 +189,6 @@ class TestFullBuild:
         assert state.lc_edges, "scenario must exercise converter edges"
         assert_builds_bit_identical(state)
 
-    def test_invalidate_rebuild_matches_oracle(self, prepared, library):
-        # A full_invalidate() on a live engine must rebuild through the
-        # same vectorized path and land on the oracle again.
-        state = make_state(prepared, library)
-        mutate(random.Random(3), state, steps=6)
-        engine = state.timing()
-        mutate(random.Random(4), state, steps=6)
-        engine.full_invalidate()
-        assert engine.levelized_arrays() == oracle_arrays(state)
-
 
 def oracle_calc(state):
     """An uncached calculator over the state's live tables."""

@@ -31,15 +31,11 @@ def test_ablation_max_iter(benchmark, prepared_cache, library, name,
     flow = Flow(FlowConfig(method="gscale", max_iter=max_iter),
                 library=library)
 
-    def setup():
-        return (prepared.fresh_copy(),), {}
-
-    def run(network):
-        return flow.scale(network, prepared.tspec,
+    def run():
+        return flow.scale(prepared.network, prepared.tspec,
                           activity=prepared.activity)
 
-    _, artifact = benchmark.pedantic(run, setup=setup, rounds=1,
-                                     iterations=1)
+    _, artifact = benchmark.pedantic(run, rounds=1, iterations=1)
     report = artifact.report
     benchmark.extra_info["improvement_pct"] = round(report.improvement_pct, 2)
     benchmark.extra_info["max_iter"] = max_iter
@@ -74,15 +70,11 @@ def test_ablation_area_budget(benchmark, prepared_cache, library, budget):
     flow = Flow(FlowConfig(method="gscale", area_budget=budget),
                 library=library)
 
-    def setup():
-        return (prepared.fresh_copy(),), {}
-
-    def run(network):
-        return flow.scale(network, prepared.tspec,
+    def run():
+        return flow.scale(prepared.network, prepared.tspec,
                           activity=prepared.activity)
 
-    _, artifact = benchmark.pedantic(run, setup=setup, rounds=1,
-                                     iterations=1)
+    _, artifact = benchmark.pedantic(run, rounds=1, iterations=1)
     report = artifact.report
     benchmark.extra_info["budget"] = budget
     benchmark.extra_info["improvement_pct"] = round(report.improvement_pct, 2)
@@ -102,15 +94,11 @@ def test_ablation_converter_design(benchmark, prepared_cache, library,
         library=library,
     )
 
-    def setup():
-        return (prepared.fresh_copy(),), {}
-
-    def run(network):
-        return flow.scale(network, prepared.tspec,
+    def run():
+        return flow.scale(prepared.network, prepared.tspec,
                           activity=prepared.activity)
 
-    _, artifact = benchmark.pedantic(run, setup=setup, rounds=1,
-                                     iterations=1)
+    _, artifact = benchmark.pedantic(run, rounds=1, iterations=1)
     report = artifact.report
     benchmark.extra_info["lc_kind"] = lc_kind
     benchmark.extra_info["improvement_pct"] = round(report.improvement_pct, 2)

@@ -31,7 +31,7 @@ def prepared(prepared_cache):
 
 @pytest.fixture(scope="module")
 def state(prepared, library):
-    return ScalingState(prepared.fresh_copy(), library,
+    return ScalingState(prepared.network, library,
                         tspec=prepared.tspec, activity=prepared.activity)
 
 
@@ -63,7 +63,7 @@ def test_sta_incremental_update(benchmark, state):
 
 def test_cvs_single_pass(benchmark, prepared, library):
     def setup():
-        fresh = ScalingState(prepared.fresh_copy(), library,
+        fresh = ScalingState(prepared.network, library,
                              tspec=prepared.tspec,
                              activity=prepared.activity)
         return (fresh,), {}

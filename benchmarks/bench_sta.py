@@ -74,7 +74,7 @@ def time_call(fn, repeat=1):
 
 def fresh_state(prepared, library):
     return ScalingState(
-        prepared.fresh_copy(),
+        prepared.network,
         library,
         tspec=prepared.tspec,
         activity=prepared.activity,

@@ -29,15 +29,11 @@ def test_table1_cell(benchmark, prepared_cache, library, record_report,
     prepared = prepared_cache(name)
     flow = Flow(FlowConfig(method=method), library=library)
 
-    def setup():
-        return (prepared.fresh_copy(),), {}
-
-    def run(network):
-        return flow.scale(network, prepared.tspec,
+    def run():
+        return flow.scale(prepared.network, prepared.tspec,
                           activity=prepared.activity)
 
-    _, artifact = benchmark.pedantic(run, setup=setup, rounds=1,
-                                     iterations=1)
+    _, artifact = benchmark.pedantic(run, rounds=1, iterations=1)
     report = artifact.report
     paper = PAPER_TABLE1[name]
     paper_pct = {"cvs": paper.cvs_pct, "dscale": paper.dscale_pct,

@@ -40,6 +40,7 @@ from repro.library.cells import Library
 from repro.mapping.mapper import map_network, recover_area, speed_up_sizing
 from repro.mapping.match import MatchTable
 from repro.netlist.network import Network
+from repro.netlist.validate import check_network
 from repro.power.activity import Activity, random_activities
 from repro.timing.delay import DelayCalculator
 from repro.timing.incremental import IncrementalTiming
@@ -56,9 +57,11 @@ _RUN_STAGES = STAGES[3:]
 class PreparedCircuit:
     """A mapped circuit ready for voltage scaling.
 
-    Every method scales a :meth:`fresh_copy` of ``network`` at the same
-    ``tspec`` and ``activity``, so every method starts from the same
-    baseline.  The first scale of :meth:`Flow.execute` records it as
+    Every method scales ``network`` itself, at the same ``tspec`` and
+    ``activity``, so every method starts from the same baseline.
+    Scaling never writes the network: rails, converters and resized
+    cells live on each method's :class:`~repro.core.state.ScalingState`.
+    The first scale of :meth:`Flow.execute` records the baseline as
     :attr:`scale_baseline` (a :class:`~repro.core.state.ScaleBaseline`:
     the flat snapshot and the power before scaling, then the outcome
     of the first CVS), and every later scale with the same library and
@@ -79,9 +82,6 @@ class PreparedCircuit:
     activity: Activity
 
     scale_baseline = None
-
-    def fresh_copy(self) -> Network:
-        return self.network.copy()
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
@@ -199,11 +199,15 @@ def constrain_stage(ctx: FlowContext) -> None:
 def scale_stage(ctx: FlowContext) -> None:
     """Run the configured scaling method on a fresh :class:`ScalingState`.
 
-    Under :meth:`Flow.execute` (``ctx.prepared`` set) the prepared
-    circuit's :attr:`~PreparedCircuit.scale_baseline` becomes the
-    state's :attr:`~repro.core.state.ScalingState.baseline` when it
-    fits, and supplies the power before scaling; otherwise a new
-    record is taken from the state.  :meth:`Flow.scale` builds the
+    The network is checked (:func:`~repro.netlist.validate.check_network`)
+    the first time it is scaled: always under :meth:`Flow.scale`, and
+    under :meth:`Flow.execute` while the prepared circuit has no scale
+    record yet.  Scaling never writes it, so one check serves every
+    later method.  Under :meth:`Flow.execute` (``ctx.prepared`` set)
+    the prepared circuit's :attr:`~PreparedCircuit.scale_baseline`
+    becomes the state's :attr:`~repro.core.state.ScalingState.baseline`
+    when it fits, and supplies the power before scaling; otherwise a
+    new record is taken from the state.  :meth:`Flow.scale` builds the
     state from scratch.
     """
     from repro.core.moves import get_cost_model
@@ -225,6 +229,9 @@ def scale_stage(ctx: FlowContext) -> None:
             f"it under the default model instead"
         )
     prepared = ctx.prepared
+    record = None if prepared is None else prepared.scale_baseline
+    if record is None:
+        check_network(ctx.network, require_mapped=True)
     state = ScalingState(
         ctx.network,
         ctx.library,
@@ -232,7 +239,6 @@ def scale_stage(ctx: FlowContext) -> None:
         activity=ctx.activity,
         options=config.options,
     )
-    record = None if prepared is None else prepared.scale_baseline
     if record is not None and record.fits(state):
         state.baseline = record
         power_before = record.power
@@ -449,13 +455,18 @@ class Flow:
         ctx.name = ctx.network.name
         for stage in _PREPARE_STAGES:
             self.stages[stage](ctx)
-        # The prepared network's adjacency/topological caches are hit by
-        # every downstream method; build them once here so they are
-        # shared (and so cache hits hand out a pre-warmed network).
-        ctx.network.warm_caches()
+        # Every method scales this one network.  A row's last bits
+        # follow its fanout-set iteration order, and the reference rows
+        # and the dual-rail golden pin the order of one copy of the
+        # constrained network.
+        network = ctx.network.copy()
+        # Its adjacency/topological caches are hit by every downstream
+        # method; build them once here so they are shared (and so cache
+        # hits hand out a pre-warmed network).
+        network.warm_caches()
         return PreparedCircuit(
             name=ctx.name,
-            network=ctx.network,
+            network=network,
             tspec=ctx.tspec,
             min_delay=ctx.min_delay,
             activity=ctx.activity,
@@ -471,11 +482,12 @@ class Flow:
 
         Use this instead of :meth:`run` when you need more than the
         artifact -- the live :class:`ScalingState` or the materialized
-        design.  ``prepared`` skips the prefix stages; the scaling
-        always works on a fresh copy, so one prepared circuit serves
-        many methods.  The first scale of a prepared circuit records
-        its :attr:`~PreparedCircuit.scale_baseline` and later ones with
-        the same library and options adopt it at their first CVS, so
+        design.  ``prepared`` skips the prefix stages; every method
+        scales ``prepared.network`` itself, which scaling never writes,
+        so one prepared circuit serves many methods.  The first scale
+        of a prepared circuit records its
+        :attr:`~PreparedCircuit.scale_baseline` and later ones with the
+        same library and options adopt it at their first CVS, so
         the flat snapshot, the full timing sweep, the power before
         scaling and the first CVS are computed once per circuit, not
         once per method.  A registered method that does not begin with
@@ -486,7 +498,7 @@ class Flow:
             prepared = self.prepare(source)
         ctx = self._context()
         ctx.prepared = prepared
-        ctx.network = prepared.fresh_copy()
+        ctx.network = prepared.network
         ctx.name = prepared.name
         ctx.min_delay = prepared.min_delay
         ctx.tspec = prepared.tspec
@@ -513,10 +525,13 @@ class Flow:
     ) -> tuple[ScalingState, RunArtifact]:
         """Enter at the ``scale`` stage with an already-mapped network.
 
-        The network is modified in place only by Gscale's gate
-        resizing; voltage levels and converters stay in the returned
-        state (set ``config.materialize`` or call
-        :func:`~repro.core.restore.materialize_converters` to export).
+        The caller's network is checked and never written: voltage
+        levels, converters and Gscale's resized cells stay in the
+        returned state (:attr:`ScalingState.cells
+        <repro.core.state.ScalingState.cells>` holds the resized gates).
+        Set ``config.materialize`` or call
+        :func:`~repro.core.restore.materialize_converters` to export
+        them into a copy of the network.
         """
         ctx = self._context()
         ctx.network = network

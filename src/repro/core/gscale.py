@@ -81,7 +81,8 @@ def resize_profile(
     land on a shared path in the worst case).
     """
     node = state.network.nodes[name]
-    candidate = state.library.next_size_up(node.cell)
+    cell = state.cell(name)
+    candidate = state.library.next_size_up(cell)
     if candidate is None:
         return None
 
@@ -96,11 +97,11 @@ def resize_profile(
         driver = state.network.nodes[fanin]
         if driver.is_input:
             continue  # inputs are ideal drivers in this model
-        delta_cap = candidate.input_caps[pin] - node.cell.input_caps[pin]
+        delta_cap = candidate.input_caps[pin] - cell.input_caps[pin]
         penalty = calc.variant(fanin).drive_res * delta_cap
         driver_penalty = max(driver_penalty, penalty)
 
-    area_penalty = candidate.area - node.cell.area
+    area_penalty = candidate.area - cell.area
     return area_penalty, own_gain - driver_penalty, driver_penalty
 
 
@@ -169,11 +170,7 @@ def run_gscale(
     # snapshot at the end.
     snapshot_levels = dict(state.levels)
     snapshot_lc_edges = dict.fromkeys(state.lc_edges)
-    snapshot_cells = {
-        name: node.cell
-        for name, node in state.network.nodes.items()
-        if node.cell is not None
-    }
+    snapshot_cells = dict(state.cells)
     snapshot_power = state.power().total
 
     while tcb and state.sizing_area_delta < sizing_budget - 1e-12:
@@ -210,11 +207,11 @@ def run_gscale(
         for name in cut:
             if name not in profiles:
                 continue
-            node = state.network.nodes[name]
-            bigger = state.library.next_size_up(node.cell)
+            cell = state.cell(name)
+            bigger = state.library.next_size_up(cell)
             if bigger is None:
                 continue
-            growth = bigger.area - node.cell.area
+            growth = bigger.area - cell.area
             if state.sizing_area_delta + growth > sizing_budget:
                 continue
             if engine.try_move(
@@ -255,8 +252,9 @@ def run_gscale(
                 state.drop_converter(edge)
         for edge in snapshot_lc_edges:
             state.add_converter(edge)
-        for name, cell in snapshot_cells.items():
-            if state.network.nodes[name].cell is not cell:
+        for name in list(state.cells):
+            cell = snapshot_cells.get(name, state.network.nodes[name].cell)
+            if state.cell(name) is not cell:
                 state.resize(name, cell)
         result.demoted = list(initial.demoted)
         result.resized = []

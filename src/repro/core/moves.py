@@ -216,7 +216,7 @@ class ResizeMove(Move):
         self._old_cell = None
 
     def apply(self, state) -> None:
-        self._old_cell = state.network.nodes[self.name].cell
+        self._old_cell = state.cell(self.name)
         state.resize(self.name, self.cell)
 
     def undo(self, state) -> None:
@@ -620,7 +620,7 @@ def demoted_arrival(
     """
     calc = state.calc
     node = state.network.nodes[name]
-    low_cell = calc.rail_variant_of(node.cell, target)
+    low_cell = calc.rail_variant_of(calc.cell(name), target)
     out_arrival = 0.0
     for pin, fanin in enumerate(node.fanins):
         at_pin = arrival[fanin] + calc.edge_extra_delay(fanin, name)

@@ -39,9 +39,13 @@ def materialize_converters(state: ScalingState) -> MaterializedDesign:
     destination rail) -- characterized at the destination supply --
     feeding all of that group's recorded readers and, for a converted
     primary output, taking over the output slot.  A dual-Vdd state has
-    one rail-0 group per driver, reproducing the classic layout.
+    one rail-0 group per driver, reproducing the classic layout.  The
+    copy binds every resized gate's current cell (:attr:`ScalingState.cells`);
+    the state's own network is left as it was.
     """
     network = state.network.copy(f"{state.network.name}_dualvdd")
+    for name, cell in state.cells.items():
+        network.nodes[name].cell = cell
     calc = state.calc
     levels = dict(state.levels)
     converters: list[str] = []

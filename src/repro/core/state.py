@@ -1,11 +1,14 @@
 """Shared mutable state for the multi-Vdd scaling algorithms.
 
-A :class:`ScalingState` owns the mapped network plus the *assignment*
-every algorithm reads and writes: the rail of each gate and the set of
-edges carrying level converters.  The timing calculator and the power
-estimator both read the assignment live, so a demotion is visible to
-the next query immediately -- no network surgery happens until
-:func:`repro.core.restore.materialize_converters` exports the result.
+A :class:`ScalingState` reads a mapped network and owns the
+*assignment* every algorithm reads and writes over it: the rail of each
+gate, the set of edges carrying level converters, and the cell of each
+resized gate.  The timing calculator and the power estimator both read
+the assignment live, so a demotion or a resize is visible to the next
+query immediately.  Scaling never writes the network, so one prepared
+network serves every state built on it;
+:func:`repro.core.restore.materialize_converters` exports the result
+into a copy.
 
 Rails are indexed: 0 is the high supply
 (:attr:`repro.library.cells.Library.rails`).  With a two-rail library
@@ -13,17 +16,21 @@ every code path below reduces bit-identically to the dual-Vdd original
 (enforced by ``tests/core/test_rail_equivalence.py``).
 
 The state is the only writer of the assignment.  Every write goes
-through :meth:`ScalingState.set_rail`, :meth:`ScalingState.add_converter`
-or :meth:`ScalingState.drop_converter` (``demote`` / ``promote`` and
-the moves' undo paths call them), and each effective write bumps
-:attr:`ScalingState.assignment_version` and reports the change to the
-shared :class:`~repro.timing.delay.DelayCalculator` cache and to the
+through :meth:`ScalingState.set_rail`, :meth:`ScalingState.add_converter`,
+:meth:`ScalingState.drop_converter` or :meth:`ScalingState.resize`
+(``demote`` / ``promote`` and the moves' undo paths call them); each
+effective rail or converter write bumps
+:attr:`ScalingState.assignment_version`, each resize
+:attr:`ScalingState.cells_version`, and every write reports the change
+to the shared :class:`~repro.timing.delay.DelayCalculator` cache and to the
 lazily created :class:`~repro.timing.incremental.IncrementalTiming`
 engine, so :meth:`ScalingState.timing` repairs only the affected cone
 instead of rebuilding a full analysis per move.  ``levels`` (the
-demoted gates and their rails; a gate on rail 0 has no entry) and
-``lc_edges`` are live read-only views: writing through them raises,
-so no write can skip the invalidation.  :meth:`ScalingState.full_timing`
+demoted gates and their rails; a gate on rail 0 has no entry),
+``lc_edges`` and ``cells`` (the resized gates and their current cells,
+in first-resize order) are live read-only views: writing through them
+raises, so no write can skip the invalidation.  :meth:`ScalingState.cell`
+reads a gate's current cell.  :meth:`ScalingState.full_timing`
 is the rebuild-from-scratch oracle the tests compare the engine
 against.
 """
@@ -37,10 +44,9 @@ import numpy as np
 
 import repro.netlist.flat
 from repro.core.moves import MoveStats
-from repro.library.cells import Library
+from repro.library.cells import Cell, Library
 from repro.netlist.flat import FlatNetwork
 from repro.netlist.network import Network
-from repro.netlist.validate import check_network
 from repro.power.activity import Activity, random_activities
 from repro.power.estimate import (
     DEFAULT_CLOCK_MHZ,
@@ -48,7 +54,7 @@ from repro.power.estimate import (
     estimate_power_calc,
 )
 from repro.timing.delay import DEFAULT_PO_LOAD, OUTPUT, DelayCalculator
-from repro.timing.incremental import IncrementalTiming, swap_cell
+from repro.timing.incremental import IncrementalTiming, note_cell_swap
 from repro.timing.sta import TimingAnalysis
 
 
@@ -115,38 +121,40 @@ class ScaleBaseline:
         self.options = state.options
         self.tspec = state.tspec
         self.activity = state.activity
-        self.flat = state.flat().rebind(None)
+        self.flat = state.flat().copy()
         self.power = power
         self.cvs = None
 
     def fits(self, state: ScalingState) -> bool:
         """Whether an unmoved ``state`` starts where this record did.
 
-        Copies of one network share its topological order and fanout
-        iteration order, but a copy of a copy need not, so the order is
-        compared as well as the key.
+        The state must scale the very network the record was taken on:
+        a copy need not keep its fanout iteration order, and with it
+        the last bits of the sums over fanouts.
         """
         return (
-            state.library is self.library
+            state.network is self.flat.network
+            and state.library is self.library
             and state.activity is self.activity
             and state.tspec == self.tspec
             and state.options == self.options
-            and state.network.topological() == self.flat.order
         )
 
     def sized_parts(self) -> tuple:
         """What the record alone holds, for a size estimate.
 
-        The snapshot's planes (not its memoized rates, which carry the
+        The snapshot's planes (not the network and its order, which
+        the circuit holds, nor the memoized rates, which carry the
         activity) and the CVS point.
         """
         flat = self.flat
-        slots = [s for s in flat.__slots__ if s != "rate_cache"]
+        shared = ("network", "order", "rate_cache")
+        slots = [s for s in flat.__slots__ if s not in shared]
         return [getattr(flat, slot) for slot in slots], self.cvs
 
 
 class ScalingState:
-    """Mapped network + rail assignments + converter placement.
+    """Rails, converters and resized cells over a read-only network.
 
     :attr:`baseline` is the :class:`ScaleBaseline` this state starts
     from, or ``None``: :func:`repro.api.flow.scale_stage` sets it to
@@ -165,7 +173,6 @@ class ScalingState:
     ):
         if library.vdd_low is None:
             raise ValueError("library must be enriched with low-Vdd cells")
-        check_network(network, require_mapped=True)
         self.network = network
         self.library = library
         self.tspec = tspec
@@ -184,12 +191,15 @@ class ScalingState:
             t: {name: len(network.fanouts(name)) for name in network.nodes}
             for t in range(1, library.n_rails)
         }
-        # The assignment: the rail of every demoted gate, and the
-        # converter edges (a dict used as an insertion-ordered set).
+        # The assignment: the rail of every demoted gate, the
+        # converter edges (a dict used as an insertion-ordered set) and
+        # the cell of every resized gate, in first-resize order.
         self._levels: dict[str, int] = {}
         self._lc_edges: dict[tuple[str, str], None] = {}
+        self._cells: dict[str, Cell] = {}
         self.levels = MappingProxyType(self._levels)
         self.lc_edges = self._lc_edges.keys()
+        self.cells = MappingProxyType(self._cells)
         # Bumped on every effective assignment write; keys the overlay
         # memo of assignment_overlays.
         self.assignment_version = 0
@@ -199,6 +209,7 @@ class ScalingState:
             library,
             levels=self._levels,
             lc_edges=self._lc_edges,
+            cells=self._cells,
             lc_kind=self.options.lc_kind,
             po_load=self.options.po_load,
             cache=True,
@@ -212,7 +223,6 @@ class ScalingState:
         self.activity = activity
         self.baseline: ScaleBaseline | None = None
         self.initial_area = self.calc.total_area()
-        self.resized: dict[str, tuple[str, str]] = {}
         self._sizing_delta_cache: float | None = 0.0
         # Bumped on every cell swap; the flat snapshot carries the
         # version it was built or last patched for (rails and
@@ -298,9 +308,9 @@ class ScalingState:
     ) -> None:
         """Start this engine-less state at a recorded assignment.
 
-        The snapshot is a :meth:`FlatNetwork.rebind` of ``flat`` (from
-        an equal network).  ``levels`` (``(gate, rail)`` items) and
-        ``lc_edges`` go through :meth:`set_rail` and
+        The snapshot is a :meth:`FlatNetwork.copy` of ``flat``, a
+        snapshot of this state's network.  ``levels`` (``(gate, rail)``
+        items) and ``lc_edges`` go through :meth:`set_rail` and
         :meth:`add_converter` in their order, so every view, count,
         cache and :attr:`assignment_version` follows as for any write.
         The engine then starts from copies of ``arrays``, the ``(load,
@@ -308,7 +318,7 @@ class ScalingState:
         """
         if self._engine is not None:
             raise RuntimeError("replay starts the state's timing engine")
-        self._flat_cache = flat.rebind(self.network)
+        self._flat_cache = flat.copy()
         for name, rail in levels:
             self.set_rail(name, rail)
         for edge in lc_edges:
@@ -338,6 +348,10 @@ class ScalingState:
 
     def is_low(self, name: str) -> bool:
         return name in self._levels
+
+    def cell(self, name: str) -> Cell | None:
+        """The high-rail cell bound to ``name`` (resized or the network's)."""
+        return self.calc.cell(name)
 
     def low_nodes(self) -> list[str]:
         return list(self._levels)
@@ -406,6 +420,7 @@ class ScalingState:
             self.library,
             levels=self._levels,
             lc_edges=self._lc_edges,
+            cells=self._cells,
             lc_kind=self.options.lc_kind,
             po_load=self.options.po_load,
         )
@@ -414,8 +429,8 @@ class ScalingState:
     def flat(self) -> FlatNetwork:
         """The shared CSR snapshot of this state's network.
 
-        Cached on the state and rebuilt only when the network identity
-        or its topological revision changes: :meth:`resize` patches a
+        Cached on the state and rebuilt only when the network's
+        topological revision changes: :meth:`resize` patches a
         current snapshot in place and stamps it with the new
         ``cells_version``.  Rails, converter edges, activity rates and
         timing are overlaid by the consumers (full-STA builds, batched
@@ -434,14 +449,13 @@ class ScalingState:
     def _cached_flat(self) -> FlatNetwork | None:
         """The cached snapshot if it is still current, else ``None``.
 
-        Current means built (or patched) for this network object, its
-        cached topological-order list (a topology edit makes a new
-        one) and the current ``cells_version``.
+        Current means built (or patched) for the network's cached
+        topological-order list (a topology edit makes a new one) and
+        the current ``cells_version``.
         """
         flat = self._flat_cache
         if (
             flat is not None
-            and flat.network is self.network
             and flat.version == self.cells_version
             and flat.order is self.network.topological()
         ):
@@ -501,13 +515,11 @@ class ScalingState:
         the seed computation regardless of resize order.)
         """
         if self._sizing_delta_cache is None:
+            # A gate resized back to its cell adds an exact 0.0.
+            nodes = self.network.nodes
             delta = 0.0
-            for old_name, new_name in self.resized.values():
-                if old_name != new_name:
-                    delta += (
-                        self.library.cell(new_name).area
-                        - self.library.cell(old_name).area
-                    )
+            for name, new in self._cells.items():
+                delta += new.area - nodes[name].cell.area
             self._sizing_delta_cache = delta
         return self._sizing_delta_cache
 
@@ -590,27 +602,31 @@ class ScalingState:
             if reader_rail >= new_rail:
                 self.drop_converter((name, reader))
 
-    def resize(self, name: str, cell) -> None:
-        """Swap a gate's bound cell (same base, other size)."""
-        node = self.network.nodes[name]
-        if cell.base != node.cell.base:
+    def resize(self, name: str, cell: Cell) -> None:
+        """Bind another size of a gate's cell (same base) in :attr:`cells`.
+
+        The network keeps its cell; a gate resized back to it keeps its
+        entry (and its place in the first-resize order).
+        """
+        base = self.cell(name).base
+        if cell.base != base:
             raise ValueError(
-                f"resize must stay within one base: {node.cell.base!r} "
+                f"resize must stay within one base: {base!r} "
                 f"vs {cell.base!r}"
             )
-        self.resized.setdefault(name, (node.cell.name, cell.name))
-        self.resized[name] = (self.resized[name][0], cell.name)
+        self._cells[name] = cell
         self._sizing_delta_cache = None
         flat = self._cached_flat()
         self.cells_version += 1
-        swap_cell(self.calc, self._engine, name, cell)
+        note_cell_swap(self.calc, self._engine, name)
         if flat is not None:
             flat.resize(flat.pos[name], self.calc)
             flat.version = self.cells_version
 
     @property
     def n_resized(self) -> int:
-        return sum(1 for old, new in self.resized.values() if old != new)
+        nodes = self.network.nodes
+        return sum(c.name != nodes[n].cell.name for n, c in self.cells.items())
 
     # ------------------------------------------------------------------
     # What-if transactions

@@ -28,29 +28,33 @@ vectorized forward/backward sweeps.
 
 Lifecycle
 ---------
+The snapshot reads gate cells through the state's calculator
+(:meth:`~repro.timing.delay.DelayCalculator.cell`), so it describes the
+state's cell assignment over a network that scaling never writes.
 :meth:`repro.core.state.ScalingState.flat` owns the cached snapshot
-and rebuilds it when either the network identity, the network's
-topological revision (``order is network.topological()``), or the
-state's ``cells_version`` (bumped by every gate resize) no longer
-matches.  A gate resize does not force that rebuild: the state patches
-a current snapshot in place through :meth:`FlatNetwork.resize` and
-stamps it with the new ``cells_version``, so only a topology edit or a
-snapshot that fell behind is rebuilt.  A state started at a prepared
+and rebuilds it when either the network's topological revision
+(``order is network.topological()``) or the state's ``cells_version``
+(bumped by every gate resize) no longer matches.  A gate resize does
+not force that rebuild: the state patches a current snapshot in place
+through :meth:`FlatNetwork.resize` and stamps it with the new
+``cells_version``, so only a topology edit or a snapshot that fell
+behind is rebuilt.  A state started at a prepared
 circuit's recorded :class:`~repro.core.state.ScaleBaseline` does not
 build at all: its first CVS adopts the record
 (:meth:`~repro.core.state.ScalingState.replay`), whose snapshot it
-takes as a :meth:`FlatNetwork.rebind`, which copies the planes a
-resize patches and shares the rest.  The record's snapshot is itself a
-``rebind(None)`` of the first state's, taken before that state's first
-move, so a later resize of the first state patches its own planes and
-never the record.  Rail assignments, level-shifter edges, and the
-timing arrays are *not* in the snapshot -- they change per move.
-Consumers overlay them through :meth:`FlatNetwork.rail_plane` and
-:meth:`FlatNetwork.lc_edge_keys`, plain read-only functions of the
-assignment they are given.  The state memoizes the pair per assignment
-version (:meth:`~repro.core.state.ScalingState.assignment_overlays`),
-so a Dscale round that filters, checks and prices one assignment
-builds each overlay once.  :meth:`FlatNetwork.reach` is built lazily
+takes as a :meth:`FlatNetwork.copy`, which copies the planes a
+resize patches and shares the rest, the network and its order
+included.  The record's snapshot is itself a ``copy()`` of the first
+state's, taken before that state's first move, so a later resize of
+the first state patches its own planes and never the record.  Rail
+assignments, level-shifter edges, and the timing arrays are *not* in
+the snapshot -- they change per move.  Consumers overlay them through
+:meth:`FlatNetwork.rail_plane` and :meth:`FlatNetwork.lc_edge_keys`,
+plain read-only functions of the assignment they are given.  The
+state memoizes the pair per assignment version
+(:meth:`~repro.core.state.ScalingState.assignment_overlays`), so a
+Dscale round that filters, checks and prices one assignment builds
+each overlay once.  :meth:`FlatNetwork.reach` is built lazily
 once per snapshot; a resize keeps it, because only a topology edit (a
 new snapshot) changes reachability.  :meth:`FlatNetwork.rates` is the
 one per-position activity-rate plane, built on first use and memoized
@@ -211,26 +215,19 @@ class FlatNetwork:
             self.rate_cache = cached
         return cached[1]
 
-    def rebind(self, network) -> FlatNetwork:
-        """A copy of this snapshot over ``network``, at cells version 0.
+    def copy(self) -> FlatNetwork:
+        """A copy of this snapshot at cells version 0.
 
-        ``network`` is an equal copy of the snapshot's own network whose
-        ``topological()`` list equals ``order`` (the caller checks), or
-        ``None`` for a detached copy with its own copy of ``order``.
         The planes :meth:`resize` patches are copied; every other
-        plane, the memoized rates and reachability included, is shared,
-        because nothing writes to it.
+        plane, the network, its order, the memoized rates and
+        reachability included, is shared, because nothing writes to it.
         """
         flat = FlatNetwork()
         for slot in FlatNetwork.__slots__:
             setattr(flat, slot, getattr(self, slot))
         for slot in _RESIZED_PLANES:
             setattr(flat, slot, getattr(self, slot).copy())
-        flat.network = network
         flat.version = 0
-        flat.order = (
-            list(self.order) if network is None else network.topological()
-        )
         return flat
 
     def resize(self, i: int, calc) -> None:
@@ -241,10 +238,11 @@ class FlatNetwork:
         ``rp_intr`` rows read by this gate plus the ``e_cap`` of the
         edge into it (pins summed in ascending order, as
         :func:`build_flat` does), so the snapshot equals a fresh build
-        bit for bit.  ``calc`` supplies the rail twins.
+        bit for bit.  ``calc`` supplies the gate's cell and its rail
+        twins.
         """
         node = self.network.nodes[self.order[i]]
-        cell = node.cell
+        cell = calc.cell(node.name)
         cells = [
             cell if r == 0 else calc.rail_variant_of(cell, r)
             for r in range(self.n_rails)
@@ -278,10 +276,10 @@ def build_flat(network, calc, version: int = 0) -> FlatNetwork:
     """Build the flat snapshot of a mapped ``network``.
 
     ``calc`` is the state's :class:`~repro.timing.delay.DelayCalculator`
-    (duck-typed: ``rail_variant_of`` / ``lc_cell_for`` / ``po_load`` /
-    ``n_rails`` / ``library``); ``version`` stamps the cells version
-    the snapshot is built for.  Row emission replicates the serial
-    query order exactly -- see the module docstring.
+    (duck-typed: ``cell`` / ``rail_variant_of`` / ``lc_cell_for`` /
+    ``po_load`` / ``n_rails`` / ``library``); ``version`` stamps the
+    cells version the snapshot is built for.  Row emission replicates
+    the serial query order exactly -- see the module docstring.
     """
     nodes = network.nodes
     order = network.topological()
@@ -314,7 +312,7 @@ def build_flat(network, calc, version: int = 0) -> FlatNetwork:
         while len(by_depth) <= level:
             by_depth.append([])
         by_depth[level].append(i)
-        cell = node.cell
+        cell = calc.cell(name)
         if cell is not None:
             no_wire[i] = cell.is_level_converter
             cells = tuple(
@@ -343,7 +341,7 @@ def build_flat(network, calc, version: int = 0) -> FlatNetwork:
             rpos = pos[reader]
             rnode = nodes[reader]
             rcells = variants[rpos]
-            caps = rnode.cell.input_caps
+            caps = rcells[0].input_caps
             cap = 0
             for pin, fanin in enumerate(rnode.fanins):
                 if fanin != name:

@@ -254,7 +254,7 @@ def demotion_gain(calculator: DelayCalculator, activity: Activity, name: str,
     vdd_after = rails[target]
 
     cell_before = calculator.variant(name)
-    cell_after = calculator.rail_variant_of(node.cell, target)
+    cell_after = calculator.rail_variant_of(calculator.cell(name), target)
     change = calculator.demotion_net_change(name, lc_at_outputs, target)
 
     load_before = calculator.load(name)

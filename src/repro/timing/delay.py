@@ -21,11 +21,13 @@ converter area and power all read its per-net profile.  With two rails
 every group lands on rail 0 and the arithmetic reduces term for term to
 the dual-Vdd original.
 
-The calculator reads the caller's ``levels`` / ``lc_edges`` collections
-*live* -- for a :class:`repro.core.state.ScalingState` these are the
-state's private assignment dicts, which only its writers
-(``set_rail`` / ``add_converter`` / ``drop_converter``) change -- and
-every query reflects the current assignment.
+The calculator reads the caller's ``levels`` / ``lc_edges`` / ``cells``
+collections *live* -- for a :class:`repro.core.state.ScalingState` these
+are the state's private assignment dicts, which only its writers
+(``set_rail`` / ``add_converter`` / ``drop_converter`` / ``resize``)
+change -- and every query reflects the current assignment.  A gate's
+bound cell is its ``cells`` entry, else the network's
+(:meth:`DelayCalculator.cell`), so resizing never writes the network.
 
 With ``cache=True`` the calculator memoizes per-net loads, per-driver
 converter profiles and stage delays, and per-gate cell variants.
@@ -86,17 +88,22 @@ class DelayCalculator:
         Collection of ``(driver, reader)`` pairs carrying a level
         converter, with ``reader == OUTPUT`` for a converter guarding a
         primary output.  Read live as well.
+    cells:
+        Mapping from gate name to the cell bound in place of the
+        network's (a resize).  Read live as well.
     cache:
         Enable per-net load / converter-delay / variant memoization.
-        Only safe when the owner of ``levels`` / ``lc_edges`` / the
-        network's cells reports every mutation via
-        :meth:`invalidate_net` and :meth:`invalidate_variant` (see
+        Only safe when the owner of ``levels`` / ``lc_edges`` /
+        ``cells`` (and of the network's own cells) reports every
+        mutation via :meth:`invalidate_net` and
+        :meth:`invalidate_variant` (see
         :class:`repro.core.state.ScalingState`).
     """
 
     def __init__(self, network: Network, library: Library,
                  levels: Mapping[str, int] | None = None,
                  lc_edges: Collection[tuple[str, str]] | None = None,
+                 cells: Mapping[str, Cell] | None = None,
                  lc_kind: str = "pg",
                  po_load: float = DEFAULT_PO_LOAD,
                  cache: bool = False):
@@ -104,6 +111,7 @@ class DelayCalculator:
         self.library = library
         self.levels = levels if levels is not None else {}
         self.lc_edges = lc_edges if lc_edges is not None else set()
+        self.cells = cells if cells is not None else {}
         self.lc_kind = lc_kind
         self.lc_cell = library.level_converter(lc_kind)
         # Shifter variants per destination rail; the lowest rail never
@@ -177,6 +185,10 @@ class DelayCalculator:
         """The shifter cell whose output swings at ``rail``."""
         return self._lc_cells[rail]
 
+    def cell(self, name: str) -> Cell | None:
+        """The high-rail cell of ``name``: ``cells``, else the network's."""
+        return self.cells.get(name) or self.network.nodes[name].cell
+
     def variant(self, name: str) -> Cell:
         """The cell implementing ``name`` at its current rail."""
         cache = self._variant_cache
@@ -184,13 +196,12 @@ class DelayCalculator:
             cell = cache.get(name)
             if cell is not None:
                 return cell
-        node = self.network.nodes[name]
-        if node.cell is None:
+        cell = self.cell(name)
+        if cell is None:
             raise ValueError(f"node {name!r} is not mapped to a cell")
         rail = self.rail_of(name)
-        cell = node.cell if rail == 0 else self.rail_variant_of(
-            node.cell, rail
-        )
+        if rail:
+            cell = self.rail_variant_of(cell, rail)
         if cache is not None:
             cache[name] = cell
         return cell
@@ -221,10 +232,10 @@ class DelayCalculator:
         the same signal more than once).  Voltage does not change pin
         capacitance, so the reader's nominal cell is consulted.
         """
-        node = self.network.nodes[reader]
+        caps = self.cell(reader).input_caps
         return sum(
-            node.cell.input_caps[pin]
-            for pin, fanin in enumerate(node.fanins)
+            caps[pin]
+            for pin, fanin in enumerate(self.network.nodes[reader].fanins)
             if fanin == driver
         )
 
@@ -265,7 +276,7 @@ class DelayCalculator:
         # converter node's net carries no interconnect estimate --
         # exactly what converter_loads() prices for the virtual
         # converter.
-        cell = self.network.nodes[name].cell
+        cell = self.cell(name)
         if cell is None or not cell.is_level_converter:
             total += self.library.wire_model.cap(connections)
         if cache is not None:
@@ -461,9 +472,9 @@ class DelayCalculator:
     def total_area(self) -> float:
         """Cell area plus converter area under the current state."""
         area = sum(
-            node.cell.area
-            for node in self.network.nodes.values()
-            if node.cell is not None
+            cell.area
+            for cell in map(self.cell, self.network.nodes)
+            if cell is not None
         )
         group_counts: dict[int, int] = {}
         for driver in {driver for driver, _ in self.lc_edges}:

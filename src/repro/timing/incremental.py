@@ -41,11 +41,13 @@ layer's non-adjacent :class:`~repro.core.moves.DemoteMove` and
 :class:`~repro.core.moves.RetargetShifterMove` exact inside a what-if
 transaction (oracle-tested in ``tests/core/test_moves.py``).
 
-A cell swap (resize) is both at once, and :func:`swap_cell` is the one
-place that says so: it rebinds the gate and reports its own variant
-plus every distinct fanin net, to the calculator caches and to the
-engine.  :meth:`repro.core.state.ScalingState.resize` and the mapper's
-sizing loops both call it.
+A cell swap (resize) is both at once, and :func:`note_cell_swap` is
+the one place that says so: it reports the gate's own variant plus
+every distinct fanin net, to the calculator caches and to the engine.
+The mapper's sizing loops rebind the cell on the network they own
+through :func:`swap_cell`; :meth:`repro.core.state.ScalingState.resize`
+writes the state's cell table instead, so scaling never writes the
+network.  Both report through ``note_cell_swap``.
 
 From those seed sets :meth:`refresh` propagates arrival changes forward
 and required changes backward in topological order through the affected
@@ -278,12 +280,21 @@ def _edge_delays(keys, key_delay, query):
 
 
 def swap_cell(
-    calc: DelayCalculator,
-    engine: IncrementalTiming | None,
-    name: str,
-    cell,
+    calc: DelayCalculator, engine: IncrementalTiming | None, name: str, cell
 ) -> None:
-    """Bind ``cell`` to gate ``name`` and report the swap.
+    """Bind ``cell`` to gate ``name`` on the network and report the swap.
+
+    Prepare's sizing loops own the network they size; scaling keeps
+    its cells in the state instead (see :func:`note_cell_swap`).
+    """
+    calc.network.nodes[name].cell = cell
+    note_cell_swap(calc, engine, name)
+
+
+def note_cell_swap(
+    calc: DelayCalculator, engine: IncrementalTiming | None, name: str
+) -> None:
+    """Report that gate ``name`` is bound to another cell.
 
     The gate's own stage delay changed, and its new input pin
     capacitances changed every fanin driver's net load.  Both the
@@ -291,7 +302,6 @@ def swap_cell(
     are dirtied for exactly that.
     """
     node = calc.network.nodes[name]
-    node.cell = cell
     calc.invalidate_variant(name)
     if engine is not None:
         engine.note_variant_changed(name)
@@ -347,10 +357,8 @@ class IncrementalTiming:
         #: :meth:`exceeds` inside a transaction, or ``None``.
         self.last_path: tuple | None = None
         network = self.network
-        # The cached list object itself (not a copy): the engine's
-        # topology snapshot must match the shared flat snapshot's
-        # ``order`` *by identity*, which makes staleness detection in
-        # _acquire_flat O(1).
+        # The cached list object itself (not a copy), as the owner's
+        # flat snapshot's ``order`` is.
         self._order: list[str] = network.topological()
         self._pos: dict[str, int] = network.topo_index()
         self._fanouts_cache: list[tuple[str, ...]] | None = None
@@ -389,12 +397,15 @@ class IncrementalTiming:
         return cache
 
     def _acquire_flat(self) -> FlatNetwork:
-        """The shared snapshot for a full sweep (a private one if stale)."""
+        """The owner's snapshot for a full sweep, else a private one.
+
+        The owner's is current: :meth:`repro.core.state.ScalingState.flat`
+        rebuilds a snapshot whose order is not the network's
+        ``topological()`` list, which :meth:`_start` has just taken.
+        """
         source = self._flat_source
         if source is not None:
-            flat = source()
-            if flat.order is self._order or flat.order == self._order:
-                return flat
+            return source()
         return build_flat(self.network, self.calculator)
 
     # ------------------------------------------------------------------
@@ -818,4 +829,4 @@ class IncrementalTiming:
         return trace_critical_path(self.calculator, self.arrival, self.load)
 
 
-__all__ = ["IncrementalTiming", "swap_cell"]
+__all__ = ["IncrementalTiming", "note_cell_swap", "swap_cell"]

@@ -141,7 +141,7 @@ def test_execute_exposes_state_and_design(pm1_flow, pm1_prepared):
 
 def test_scale_entry_matches_full_flow(pm1_flow, pm1_prepared):
     state, artifact = pm1_flow.scale(
-        pm1_prepared.fresh_copy(), pm1_prepared.tspec,
+        pm1_prepared.network, pm1_prepared.tspec,
         activity=pm1_prepared.activity,
     )
     full = pm1_flow.run(prepared=pm1_prepared)

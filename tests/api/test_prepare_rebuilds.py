@@ -8,14 +8,22 @@ rebuilt, a handful of times per prepare at any circuit size.
 The constrain stage builds one timing engine per circuit, and the
 sizing loops and every budget check repair it, so prepare runs one
 full sweep over one flat snapshot.
+
+Scaling only reads the prepared network: every method scales it
+itself, checks it once, and keeps its rails, converters and resized
+cells on its own state.
 """
 
 import pytest
 
+import repro.api.flow
 import repro.timing.incremental as incremental
-from repro.api import Flow, FlowConfig
+from repro.api import Flow, FlowConfig, PreparedCircuit
+from repro.core.restore import materialize_converters
 from repro.library.compass import build_compass_library
 from repro.netlist.network import Network
+from repro.netlist.validate import NetworkError
+from repro.power.activity import random_activities
 from repro.timing.incremental import IncrementalTiming
 
 CIRCUITS = ["C432", "gen:layered:width=24:depth=24:seed=1"]
@@ -68,3 +76,86 @@ def test_prepare_builds_one_engine_and_one_snapshot(
     rail_flow.prepare(circuit)
     assert len(engines) == 1
     assert len(snapshots) == 1
+
+
+def _unbound(network):
+    """``network`` with its first gate's cell unbound."""
+    network.nodes[network.gates()[0]].cell = None
+    return network
+
+
+def test_flow_scale_checks_its_network(mapped_adder, library):
+    flow = Flow(FlowConfig(), library=library)
+    with pytest.raises(NetworkError, match="no cell"):
+        flow.scale(_unbound(mapped_adder), 100.0)
+
+
+def test_bad_prepared_circuit_raises_at_first_execute(mapped_adder, library):
+    network = _unbound(mapped_adder)
+    prepared = PreparedCircuit(
+        "bad",
+        network,
+        tspec=100.0,
+        min_delay=1.0,
+        activity=random_activities(network, n_vectors=64, seed=1),
+    )
+    with pytest.raises(NetworkError, match="no cell"):
+        Flow(FlowConfig(), library=library).execute(prepared=prepared)
+
+
+SCALE_ORDER = ("gscale", "cvs", "dscale")
+
+
+def test_one_check_per_prepared_circuit(library, monkeypatch):
+    flow = Flow(FlowConfig(circuit="C432"), library=library)
+    prepared = flow.prepare()
+    checked = []
+    check = repro.api.flow.check_network
+
+    def counted(network, **kwargs):
+        checked.append(network)
+        check(network, **kwargs)
+
+    monkeypatch.setattr(repro.api.flow, "check_network", counted)
+    for method in SCALE_ORDER:
+        flow.replace(method=method).run(prepared=prepared)
+    assert checked == [prepared.network]
+
+
+def test_scaling_never_writes_the_prepared_network(rail_flow, monkeypatch):
+    flow = rail_flow.replace(circuit="C432")
+    prepared = flow.prepare()
+    network = prepared.network
+    cells = {name: node.cell for name, node in network.nodes.items()}
+    calls = []
+    copy = Network.copy
+    build = Network._build_adjacency
+
+    def counted_copy(self, *args, **kwargs):
+        calls.append("copy")
+        return copy(self, *args, **kwargs)
+
+    def counted_build(self):
+        calls.append("adjacency")
+        build(self)
+
+    monkeypatch.setattr(Network, "copy", counted_copy)
+    monkeypatch.setattr(Network, "_build_adjacency", counted_build)
+    states = {
+        method: flow.replace(method=method).execute(prepared=prepared).state
+        for method in SCALE_ORDER
+    }
+    assert calls == []
+    monkeypatch.undo()
+    for name, node in network.nodes.items():
+        assert node.cell is cells[name], name
+    assert prepared == flow.prepare()
+    state = states["gscale"]
+    assert state.n_resized > 0
+    assert state.network is network
+    design = materialize_converters(state)
+    for name in network.gates():
+        assert design.network.nodes[name].cell == state.cell(name), name
+    assert any(
+        design.network.nodes[name].cell != cells[name] for name in state.cells
+    )

@@ -104,10 +104,10 @@ def test_record_is_not_the_first_states_snapshot(flow):
         "e_cap",
     ):
         assert getattr(baseline.flat, plane) is not getattr(live, plane)
-    assert baseline.flat.network is None
-    assert baseline.flat.order is not state.network.topological()
-    # The record still equals a build on an untouched copy.
-    copy = prepared.fresh_copy()
+    assert baseline.flat.network is state.network
+    assert baseline.flat.order is state.network.topological()
+    # The record still equals a build on the untouched network.
+    copy = prepared.network
     fresh = ScalingState(
         copy,
         flow.library,
@@ -134,7 +134,7 @@ def test_adoption_needs_the_same_key(flow, watch_adoptions):
         )
         kwargs.update(changes)
         return ScalingState(
-            network or prepared.fresh_copy(), library, **kwargs
+            network or prepared.network, library, **kwargs
         )
 
     assert baseline.fits(state())
@@ -142,7 +142,7 @@ def test_adoption_needs_the_same_key(flow, watch_adoptions):
     assert not baseline.fits(state(options=ScalingOptions(clock_mhz=40.0)))
     assert not baseline.fits(state(activity=None))
     other = Flow(FlowConfig(circuit="x2"), library=library).prepare()
-    assert not baseline.fits(state(other.fresh_copy()))
+    assert not baseline.fits(state(other.network))
     # A new key records a new baseline in its place, adopting nothing.
     adopted = watch_adoptions(prepared)
     clock = ScalingOptions(clock_mhz=40.0)
@@ -157,7 +157,7 @@ def test_flow_scale_builds_fresh(flow):
     prepared = flow.prepare()
     flow.run(prepared=prepared)
     state, _ = flow.scale(
-        prepared.fresh_copy(), prepared.tspec, activity=prepared.activity
+        prepared.network, prepared.tspec, activity=prepared.activity
     )
     assert state.baseline is None
 
@@ -165,7 +165,7 @@ def test_flow_scale_builds_fresh(flow):
 def test_record_refuses_a_moved_state(flow):
     prepared = flow.prepare()
     state = ScalingState(
-        prepared.fresh_copy(),
+        prepared.network,
         flow.library,
         prepared.tspec,
         activity=prepared.activity,
@@ -209,9 +209,9 @@ def fresh_rows(flow):
 
 
 def fresh_state(prepared, like):
-    """An unmoved state on a fresh copy, keyed as ``like``, no record."""
+    """An unmoved state on the prepared network, keyed as ``like``."""
     state = ScalingState(
-        prepared.fresh_copy(),
+        prepared.network,
         like.library,
         like.tspec,
         activity=like.activity,
@@ -319,7 +319,7 @@ def _demote_and_promote(state):
 def _upsize(state):
     library = state.library
     for gate in state.network.gates():
-        bigger = library.next_size_up(state.network.nodes[gate].cell)
+        bigger = library.next_size_up(state.cell(gate))
         if bigger is not None:
             state.resize(gate, bigger)
             return
@@ -338,7 +338,7 @@ def test_a_moved_state_runs_its_own_cvs(flow, watch_adoptions, move):
     point = baseline.cvs
     adopted = watch_adoptions(prepared)
     state = ScalingState(
-        prepared.fresh_copy(),
+        prepared.network,
         flow.library,
         prepared.tspec,
         activity=prepared.activity,
@@ -371,7 +371,7 @@ def test_only_the_first_cvs_adopts(flow, watch_adoptions, monkeypatch):
     assert len(calls) > 1  # the initial CVS and the follow-ups
     assert adopted == [state]
     scaled, _ = flow.scale(
-        prepared.fresh_copy(), prepared.tspec, activity=prepared.activity
+        prepared.network, prepared.tspec, activity=prepared.activity
     )
     assert scaled.baseline is None
     assert adopted == [state]

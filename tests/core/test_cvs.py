@@ -19,7 +19,7 @@ def prepared(library):
 
 
 def fresh_state(prepared, library, slack=1.0):
-    network = prepared.fresh_copy()
+    network = prepared.network
     return ScalingState(network, library,
                         tspec=prepared.tspec * slack,
                         activity=prepared.activity)
@@ -133,12 +133,12 @@ def test_adder_chain_blocks_cvs(library):
 
 def test_po_converter_costs_timing(prepared, library):
     convert = ScalingState(
-        prepared.fresh_copy(), library, tspec=prepared.tspec,
+        prepared.network, library, tspec=prepared.tspec,
         activity=prepared.activity,
         options=ScalingOptions(lc_at_outputs=True),
     )
     keep = ScalingState(
-        prepared.fresh_copy(), library, tspec=prepared.tspec,
+        prepared.network, library, tspec=prepared.tspec,
         activity=prepared.activity,
     )
     run_cvs(convert)

@@ -40,7 +40,7 @@ def sec_prepared(library, match_table):
 
 def fresh_state(prepared, library):
     return ScalingState(
-        prepared.fresh_copy(),
+        prepared.network,
         library,
         tspec=prepared.tspec,
         activity=prepared.activity,

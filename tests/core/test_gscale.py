@@ -21,7 +21,7 @@ def prepared(library):
 
 
 def fresh_state(prepared, library):
-    return ScalingState(prepared.fresh_copy(), library,
+    return ScalingState(prepared.network, library,
                         tspec=prepared.tspec, activity=prepared.activity)
 
 
@@ -87,7 +87,7 @@ def test_resize_profile_reports_positive_area_penalty(prepared, library):
     for name in state.network.gates():
         profile = resize_profile(state, state.timing(), name)
         if profile is None:
-            biggest = state.network.nodes[name].cell
+            biggest = state.cell(name)
             assert library.next_size_up(biggest) is None
             continue
         area_penalty, net_gain, driver_penalty = profile
@@ -120,7 +120,7 @@ def test_resized_gates_keep_function(prepared, library):
     check_network(state.network, require_mapped=True)
     for name in result.resized:
         node = state.network.nodes[name]
-        assert node.cell.function == node.function
+        assert state.cell(name).function == node.function
 
 
 def test_gscale_on_pure_chain_circuit(library):

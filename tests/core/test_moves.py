@@ -72,7 +72,7 @@ def snapshot(state):
     return (
         dict(state.levels),
         set(state.lc_edges),
-        {name: node.cell for name, node in state.network.nodes.items()
+        {name: state.cell(name) for name, node in state.network.nodes.items()
          if node.cell is not None},
     )
 
@@ -236,16 +236,16 @@ def test_promote_move_restores_converter_edges(multirail_state):
 def test_resize_move_round_trip(multirail_state):
     state = multirail_state
     name = next(n for n in state.network.gates()
-                if state.library.next_size_up(state.network.nodes[n].cell))
+                if state.library.next_size_up(state.cell(n)))
     before = snapshot(state)
-    bigger = state.library.next_size_up(state.network.nodes[name].cell)
+    bigger = state.library.next_size_up(state.cell(name))
     move = ResizeMove(name, bigger)
     move.apply(state)
     assert move.old_cell is before[2][name]
     assert_equivalent(state)
     move.undo(state)
     assert_equivalent(state)
-    assert state.network.nodes[name].cell.name == before[2][name].name
+    assert state.cell(name).name == before[2][name].name
 
 
 def test_try_move_rejection_rolls_back_exactly(multirail_state):
@@ -300,7 +300,7 @@ def _random_move(rng, state, kind):
         return PromoteMove(rng.choice(cands)) if cands else None
     if kind == "resize":
         name = rng.choice(gates)
-        cell = state.network.nodes[name].cell
+        cell = state.cell(name)
         return ResizeMove(name, rng.choice(state.library.variants(cell.base)))
     if kind == "retarget":
         # A gate that still can drop and already carries shifters: its
@@ -769,7 +769,7 @@ def test_price_moves_mixed_kinds_match_price(multirail_state):
     moves = [DemoteMove(name) for name in state.network.gates()[:8]
              if state.rail_of(name) < lowest]
     name = state.network.gates()[0]
-    cell = state.network.nodes[name].cell
+    cell = state.cell(name)
     moves.append(ResizeMove(name, state.library.variants(cell.base)[0]))
     assert len(moves) > 1
     assert engine.price_moves(moves) == [engine.price(m) for m in moves]
@@ -849,13 +849,13 @@ def test_extended_moves_strictly_improve_power_on_mcnc(mcnc_3rail):
     power on a real MCNC circuit at three rails, with a legal result."""
     library, prepared = mcnc_3rail
 
-    baseline = ScalingState(prepared.fresh_copy(), library,
+    baseline = ScalingState(prepared.network, library,
                             tspec=prepared.tspec,
                             activity=prepared.activity)
     run_dscale(baseline)
     base_power = baseline.power().total
 
-    extended = ScalingState(prepared.fresh_copy(), library,
+    extended = ScalingState(prepared.network, library,
                             tspec=prepared.tspec,
                             activity=prepared.activity)
     result = run_dscale(extended, non_adjacent=True, retarget_shifters=True)
@@ -883,7 +883,7 @@ def test_extended_moves_inert_on_two_rails(mcnc_3rail):
         ("plain", {}),
         ("flagged", dict(non_adjacent=True, retarget_shifters=True)),
     ):
-        state = ScalingState(prepared.fresh_copy(), library,
+        state = ScalingState(prepared.network, library,
                              tspec=prepared.tspec,
                              activity=prepared.activity)
         run_dscale(state, **kwargs)
@@ -905,11 +905,11 @@ def test_dscale_runs_under_placement_cost_model(mcnc_3rail):
     pluggable-economics point of the registry.
     """
     library, prepared = mcnc_3rail
-    paper = ScalingState(prepared.fresh_copy(), library,
+    paper = ScalingState(prepared.network, library,
                          tspec=prepared.tspec, activity=prepared.activity)
     paper_result = run_dscale(paper)
 
-    placement = ScalingState(prepared.fresh_copy(), library,
+    placement = ScalingState(prepared.network, library,
                              tspec=prepared.tspec,
                              activity=prepared.activity)
     result = run_dscale(placement, cost_model="placement")

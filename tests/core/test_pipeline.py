@@ -19,7 +19,7 @@ def prepared(library):
 def _scale(prepared, library, method, activity=None):
     flow = Flow(FlowConfig(method=method), library=library)
     state, artifact = flow.scale(
-        prepared.fresh_copy(), prepared.tspec, activity=activity
+        prepared.network, prepared.tspec, activity=activity
     )
     return state, artifact.report
 

@@ -32,13 +32,6 @@ def test_requires_enriched_library(mapped_adder):
         ScalingState(mapped_adder, single, tspec=100.0)
 
 
-def test_requires_mapped_network(control_network, library):
-    from repro.netlist.validate import NetworkError
-
-    with pytest.raises(NetworkError):
-        ScalingState(control_network, library, tspec=100.0)
-
-
 def test_counts_start_at_zero(mapped_adder, library):
     state = make_state(mapped_adder, library)
     assert state.n_low == 0
@@ -201,9 +194,10 @@ def test_sizing_area_delta_matches_full_rescan(mapped_adder, library):
 
     def rescan():
         total = 0.0
-        for old, new in state.resized.values():
-            if old != new:
-                total += library.cell(new).area - library.cell(old).area
+        for name, new in state.cells.items():
+            old = mapped_adder.nodes[name].cell
+            if old.name != new.name:
+                total += new.area - old.area
         return total
 
     assert state.sizing_area_delta == rescan() == 0.0
@@ -219,10 +213,7 @@ def test_sizing_area_delta_matches_full_rescan(mapped_adder, library):
             assert state.sizing_area_delta == rescan()
     # Round-tripping back to the original cells zeroes the delta.
     for name in rng_gates:
-        old_name, _ = state.resized.get(
-            name, (mapped_adder.nodes[name].cell.name,) * 2
-        )
-        state.resize(name, library.cell(old_name))
+        state.resize(name, mapped_adder.nodes[name].cell)
     assert state.sizing_area_delta == pytest.approx(0.0)
 
 
@@ -305,7 +296,7 @@ def test_gscale_fallback_restores_the_cvs_assignment(library, match_table):
 
     def fresh_state():
         return ScalingState(
-            prepared.fresh_copy(),
+            prepared.network,
             library,
             tspec=prepared.tspec,
             activity=prepared.activity,

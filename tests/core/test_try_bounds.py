@@ -101,7 +101,7 @@ def _scaled(prepared, base, monkeypatch):
         ctx = Flow(base.replace(**options)).execute(prepared=prepared)
         state = ctx.state
         cells = {
-            name: node.cell
+            name: state.cell(name)
             for name, node in state.network.nodes.items()
             if node.cell is not None
         }

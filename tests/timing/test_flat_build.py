@@ -66,7 +66,7 @@ def three_rail():
 
 def make_state(prepared, library, options=None):
     return ScalingState(
-        prepared.fresh_copy(),
+        prepared.network,
         library,
         tspec=1.5 * prepared.tspec,
         activity=prepared.activity,
@@ -77,7 +77,7 @@ def make_state(prepared, library, options=None):
 def random_resize(rng, state):
     """A ResizeMove of a random gate to another size of its base."""
     name = rng.choice(state.network.gates())
-    cell = state.network.nodes[name].cell
+    cell = state.cell(name)
     sizes = state.library.variants(cell.base)
     others = [size for size in sizes if size.name != cell.name]
     return ResizeMove(name, rng.choice(others or sizes))
@@ -197,6 +197,7 @@ def oracle_calc(state):
         state.library,
         levels=state.levels,
         lc_edges=state.lc_edges,
+        cells=state.cells,
         lc_kind=state.options.lc_kind,
         po_load=state.options.po_load,
     )
@@ -209,11 +210,11 @@ class TestSnapshotCache:
         state.demote(state.network.gates()[0])  # rails are overlays
         assert state.flat() is first
         name = state.network.gates()[1]
-        cell = state.network.nodes[name].cell
+        cell = state.cell(name)
         state.resize(name, state.library.variants(cell.base)[-1])
         # The library's sizes share pin intrinsics; a size with its own
         # makes the fi_intr / rp_intr patch observable.
-        cell = state.network.nodes[name].cell
+        cell = state.cell(name)
         slow = dataclasses.replace(
             cell,
             name=f"{cell.name}_slow",
@@ -393,7 +394,7 @@ def reference_profile(state, driver):
             rail = min(state.rail_of(reader), state.rail_of(driver) - 1)
             node = network.nodes[reader]
             cap = sum(
-                node.cell.input_caps[pin]
+                state.cell(reader).input_caps[pin]
                 for pin, fanin in enumerate(node.fanins)
                 if fanin == driver
             )
@@ -478,7 +479,7 @@ def reference_load(calc, name):
     for rail in reference_groups(calc, name):
         connections += 1
         total += calc.lc_cell_for(rail).input_caps[0]
-    cell = network.nodes[name].cell
+    cell = calc.cell(name)
     if cell is None or not cell.is_level_converter:
         total += calc.library.wire_model.cap(connections)
     return total
@@ -487,8 +488,8 @@ def reference_load(calc, name):
 def reference_area(calc):
     """Cell area plus one shifter per distinct (driver, rail) group."""
     area = sum(
-        node.cell.area
-        for node in calc.network.nodes.values()
+        calc.cell(name).area
+        for name, node in calc.network.nodes.items()
         if node.cell is not None
     )
     counts = {}

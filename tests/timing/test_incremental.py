@@ -93,7 +93,7 @@ def random_move(rng, state):
         state.promote(rng.choice(low))
     elif kind == "resize":
         name = rng.choice(gates)
-        cell = state.network.nodes[name].cell
+        cell = state.cell(name)
         variants = state.library.variants(cell.base)
         state.resize(name, rng.choice(variants))
     elif kind == "edge":
@@ -138,7 +138,7 @@ def test_interleaved_queries_and_batches(scaling_state):
 
 def _resizable_gate(state):
     for name in state.network.gates():
-        bigger = state.library.next_size_up(state.network.nodes[name].cell)
+        bigger = state.library.next_size_up(state.cell(name))
         if bigger is not None:
             return name, bigger
     return None, None
@@ -149,7 +149,7 @@ def test_transaction_commit_matches_oracle(scaling_state):
     name, bigger = _resizable_gate(state)
     if name is None:
         pytest.skip("no larger variant to try")
-    cell = state.network.nodes[name].cell
+    cell = state.cell(name)
     state.begin_move()
     state.resize(name, bigger)
     state.timing().refresh()
@@ -169,7 +169,7 @@ def test_transaction_rollback_restores_exact_values(scaling_state):
     name, bigger = _resizable_gate(state)
     if name is None:
         pytest.skip("no larger variant to try")
-    cell = state.network.nodes[name].cell
+    cell = state.cell(name)
 
     state.begin_move()
     state.resize(name, bigger)
@@ -267,7 +267,7 @@ def test_engine_equals_oracle_after_every_move(monkeypatch, rails, circuit):
         "gscale": run_gscale,
     }
     for method, run in runs.items():
-        state = ScalingState(prepared.fresh_copy(), library,
+        state = ScalingState(prepared.network, library,
                              tspec=prepared.tspec,
                              activity=prepared.activity)
         before = len(checks)
@@ -437,7 +437,7 @@ def multirail_move(rng, state, kind):
         state.set_rail(rng.choice(gates), rng.randrange(state.n_rails))
     elif kind == "resize":
         name = rng.choice(gates)
-        cell = state.network.nodes[name].cell
+        cell = state.cell(name)
         state.resize(name, rng.choice(state.library.variants(cell.base)))
     else:
         if state.lc_edges and rng.random() < 0.5:
@@ -479,7 +479,7 @@ def test_multirail_rollback_restores_exact_values(multirail_state, seed,
     before_load = dict(engine.load.items())
     levels_before = dict(state.levels)
     edges_before = set(state.lc_edges)
-    cells_before = {name: node.cell
+    cells_before = {name: state.cell(name)
                     for name, node in state.network.nodes.items()
                     if node.cell is not None}
 
@@ -491,7 +491,7 @@ def test_multirail_rollback_restores_exact_values(multirail_state, seed,
 
     # Revert our own mutations (the journal only covers the arrays) ...
     for name, cell in cells_before.items():
-        if state.network.nodes[name].cell is not cell:
+        if state.cell(name) is not cell:
             state.resize(name, cell)
     for name in list(state.levels):
         state.set_rail(name, levels_before.get(name, 0))
@@ -580,7 +580,7 @@ def _probe_move(rng, state, kind):
         return RetargetShifterMove(rng.choice(cands)) if cands else None
     if kind == "resize":
         name = rng.choice(gates)
-        cell = state.network.nodes[name].cell
+        cell = state.cell(name)
         return ResizeMove(name, rng.choice(state.library.variants(cell.base)))
     if state.lc_edges:
         return DropConverterMove(rng.choice(sorted(state.lc_edges)))
@@ -666,7 +666,7 @@ def _early_reject(state):
     """
     engine = state.timing()
     for name in state.network.gates():
-        cell = state.network.nodes[name].cell
+        cell = state.cell(name)
         others = [v for v in state.library.variants(cell.base)
                   if v is not cell]
         if not others:

@@ -69,7 +69,7 @@ def collect(
         )
         for method in METHODS:
             state, artifact = flow.replace(method=method).scale(
-                prepared.fresh_copy(),
+                prepared.network,
                 prepared.tspec,
                 activity=prepared.activity,
             )

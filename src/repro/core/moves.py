@@ -120,7 +120,7 @@ class Move:
     kind = "move"
     #: Identifies the move across retries for :meth:`MoveEngine.try_move`'s
     #: certificate memo (``None``: no memo).  It affects only how often
-    #: a replay fires, never a decision.
+    #: a replay fires or a retry is skipped, never a decision.
     key: tuple | None = None
 
     def apply(self, state) -> None:
@@ -131,6 +131,16 @@ class Move:
 
     def price(self, state, model: "CostModel") -> float:
         return 0.0
+
+    def footprint(self, state) -> tuple[str, ...] | None:
+        """The gates whose state :meth:`apply` reads, or ``None``.
+
+        A retry of a move with a footprint may be rejected unopened
+        while nothing its last replayed reject read has changed (see
+        :meth:`MoveEngine.try_move`).  ``None`` (the default) names no
+        bound, and such a move is always tried.
+        """
+        return None
 
 
 class DemoteMove(Move):
@@ -162,6 +172,16 @@ class DemoteMove(Move):
 
     def price(self, state, model: "CostModel") -> float:
         return model.demotion_gain(state, self.name, target=self.target)
+
+    def footprint(self, state) -> tuple[str, ...]:
+        """The gate, its fanins and its readers.
+
+        :meth:`ScalingState.demote` reads the rails and converter edges
+        of exactly these, and they fix the timing seeds it leaves.
+        """
+        network = state.network
+        name = self.name
+        return (name, *network.nodes[name].fanins, *network.fanouts(name))
 
 
 class RetargetShifterMove(DemoteMove):
@@ -446,13 +466,54 @@ register_cost_model(PlacementAwareCostModel())
 # -- the engine --------------------------------------------------------
 
 
+class _Certificate:
+    """The path behind one move's last timing reject.
+
+    After a reject that replayed the path, the record also holds what
+    that replay read: the timing engine and its epoch, the limit (the
+    cap folded in), the position whose arrival the replay started
+    from, and the positions of the replayed path nodes and of the
+    move's footprint.  Otherwise ``engine`` is ``None`` and the record
+    only replays.
+    """
+
+    __slots__ = ("path", "engine", "epoch", "limit", "start", "checked")
+
+    def __init__(self, path: tuple):
+        self.path = path
+        self.engine = None
+
+    def replayed(self, engine, limit, footprint) -> None:
+        """Record what a replayed reject read (``footprint`` may be None)."""
+        if footprint is None:
+            self.engine = None
+            return
+        pos = engine.network.topo_index()
+        names = [name for name, _pin in self.path[engine.replay_start :]]
+        self.engine = engine
+        self.epoch = engine.epoch
+        self.limit = limit
+        self.start = pos[names[0]]
+        self.checked = tuple({pos[name] for name in (*names, *footprint)})
+
+    def stands(self, engine, limit) -> bool:
+        """Whether a retry now would replay to the same reject."""
+        return (
+            self.engine is engine
+            and self.limit == limit
+            and engine.unchanged_since(self.epoch, self.start, self.checked)
+        )
+
+
 class MoveEngine:
     """Executes moves on one state, transactionally or not.
 
     Counters accumulate into ``state.move_stats``, so CVS running
     inside Dscale or Gscale reports into the same table.  Beyond the
-    resolved cost model the engine keeps only the last timing reject's
-    path certificate per :attr:`Move.key`, for the life of the engine.
+    resolved cost model the engine keeps one record per
+    :attr:`Move.key`, for the life of the engine: the last timing
+    reject's path certificate and, when that reject was a replay, what
+    the replay read.
     """
 
     def __init__(self, state, cost_model: str | CostModel | None = None):
@@ -469,7 +530,7 @@ class MoveEngine:
         #: attempt.  Callers chaining power-gated moves read this
         #: instead of re-estimating the whole network per commit.
         self.last_power: float | None = None
-        self._paths: dict[tuple, tuple | None] = {}
+        self._certificates: dict[tuple, _Certificate] = {}
 
     def price(self, move: Move) -> float:
         """The move's power gain (uW) under the engine's cost model."""
@@ -552,30 +613,46 @@ class MoveEngine:
         timing reject (:attr:`Move.key`) is replayed; a replay above
         the limit is a proof and rejects with no re-timing at all.  A
         rejected move is undone and the journaled timing values are
-        restored without recomputation.  Resets
-        :attr:`last_worst_delay` and :attr:`last_power` on entry.
-        Returns whether the move was committed.
+        restored without recomputation.
+
+        A retry whose last reject was such a replay is rejected before
+        any state is written while the limit is the same and no
+        arrival, rail, cell, net or converter that replay read has
+        changed since (the engine's change stamps, after its pending
+        forward repair): the replay would read the same values and
+        reject again.  Only a move with a :meth:`Move.footprint` is
+        skipped; the skip still counts as a rolled-back attempt.
+
+        Resets :attr:`last_worst_delay` and :attr:`last_power` on
+        entry.  Returns whether the move was committed.
         """
         state = self.state
         self.last_power = None
         self.last_worst_delay = None
+        check = state.timing()
+        limit = check.tspec + state.options.timing_tolerance
+        if worst_delay_cap is not None and worst_delay_cap < limit:
+            limit = worst_delay_cap
+        key = move.key
+        record = self._certificates.get(key) if key is not None else None
+        if record is not None and record.stands(check, limit):
+            self.stats.note(move.kind, committed=False)
+            return False
         if require_power_gain and power_before is None:
             power_before = state.power().total
         state.begin_move()
         try:
             move.apply(state)
-            check = state.timing()
-            limit = check.tspec + state.options.timing_tolerance
-            if worst_delay_cap is not None and worst_delay_cap < limit:
-                limit = worst_delay_cap
-            key = move.key
-            path = self._paths.get(key)
-            if path is not None and check.replay_exceeds(path, limit):
+            if record is not None and check.replay_exceeds(record.path, limit):
                 ok = False
+                record.replayed(check, limit, move.footprint(state))
             else:
                 ok = not check.exceeds(limit)
                 if key is not None:
-                    self._paths[key] = None if ok else check.last_path
+                    if ok or check.last_path is None:
+                        self._certificates.pop(key, None)
+                    else:
+                        self._certificates[key] = _Certificate(check.last_path)
             if ok and require_power_gain:
                 measured = state.power().total
                 ok = measured < power_before
@@ -588,6 +665,7 @@ class MoveEngine:
             # call with "a timing transaction is already active".
             # rollback_move runs even when undo itself raises.
             self.stats.note(move.kind, committed=False)
+            self._certificates.pop(key, None)
             try:
                 move.undo(state)
             finally:

@@ -324,10 +324,7 @@ class ScalingState:
         for edge in lc_edges:
             self.add_converter(edge)
         self._engine = IncrementalTiming.from_arrays(
-            self.calc,
-            self.tspec,
-            tuple(list(a) for a in arrays),
-            flat_source=self.flat,
+            self.calc, self.tspec, tuple(list(a) for a in arrays)
         )
 
     # ------------------------------------------------------------------

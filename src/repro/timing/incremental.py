@@ -102,6 +102,22 @@ so a replayed sum above ``limit`` is a proof as well.
 replays it before asking :meth:`exceeds`, so a move rejected round
 after round is re-rejected without re-timing its cone.
 
+The replay is a pure function of the arrival at its start
+(:attr:`replay_start` keeps the path index) and of the rail, cell, net
+and converter state of the path nodes from there on and of the move's
+footprint (:meth:`~repro.core.moves.Move.footprint`).  So the engine
+stamps changes: an :attr:`epoch` counter, a stamp per position moved
+by every note of it (the invalidation contract above covers every
+input of a variant, load, shifter delay and output shifter) and an
+arrival stamp per position moved by every new arrival there.  Outside a transaction a stamp is written at once, one
+above the epoch; inside one the noted and journaled positions wait for
+:meth:`commit`, which stamps them with a fresh epoch, and a rollback
+stamps nothing.  :meth:`begin` raises the epoch past every stamp
+written so far.  A replay that rejected at some epoch reads identical
+values, and so rejects again, while :meth:`unchanged_since` finds no
+later stamp on what it read; the move engine then rejects the retry
+without opening a transaction.
+
 Full builds
 -----------
 The constructor runs one levelized NumPy sweep over the shared
@@ -174,14 +190,20 @@ _SPENT = "timing transaction ended in an early reject; call rollback()"
 
 
 class _Journal:
-    """Pre-transaction values of every overwritten array slot."""
+    """Pre-transaction values of every overwritten array slot.
 
-    __slots__ = ("arrival", "required", "load")
+    Also the positions noted since the transaction began, which
+    :meth:`IncrementalTiming.commit` stamps and a rollback forgets.
+    """
+
+    __slots__ = ("arrival", "required", "load", "noted")
 
     def __init__(self):
         self.arrival: dict[int, float] = {}
         self.required: dict[int, float] = {}
         self.load: dict[int, float] = {}
+        #: Positions noted since :meth:`IncrementalTiming.begin`.
+        self.noted: set[int] = set()
 
 
 # ---------------------------------------------------------------------
@@ -332,7 +354,6 @@ class IncrementalTiming:
         calculator: DelayCalculator,
         tspec: float,
         arrays: tuple[list[float], list[float], list[float]],
-        flat_source=None,
     ) -> IncrementalTiming:
         """An engine that starts from ``(load, arrival, required)``.
 
@@ -343,7 +364,7 @@ class IncrementalTiming:
         recorded CVS point.
         """
         engine = cls.__new__(cls)
-        engine._start(calculator, tspec, flat_source, arrays)
+        engine._start(calculator, tspec, None, arrays)
         return engine
 
     def _start(self, calculator, tspec, flat_source, arrays) -> None:
@@ -351,7 +372,6 @@ class IncrementalTiming:
         self.calculator = calculator
         self.network: Network = calculator.network
         self.tspec = tspec
-        self._flat_source = flat_source
         self._journal: _Journal | None = None
         #: The PI-to-PO ``(node, pin)`` path behind the last yes of
         #: :meth:`exceeds` inside a transaction, or ``None``.
@@ -365,8 +385,17 @@ class IncrementalTiming:
         self._reader_pins = network.reader_pins()
         self._is_output = frozenset(network.outputs)
         if arrays is None:
-            arrays = _sweep(self._acquire_flat(), calculator, tspec)
+            arrays = _sweep(self._acquire_flat(flat_source), calculator, tspec)
         self._load, self._arrival, self._required = arrays
+        n = len(self._order)
+        # Change stamps (see "Replayed certificates" in the module
+        # docstring): ``_stamp[i]`` moves on every note of position
+        # ``i``, ``_arrival_stamp[i]`` on every new arrival there.
+        self.epoch = 0
+        self._stamp = [0] * n
+        self._arrival_stamp = [0] * n
+        #: The path index :meth:`replay_exceeds` last started from.
+        self.replay_start = 0
         self.arrival = _ArrayView(
             self, self._pos, self._arrival, forward_only=True
         )
@@ -396,14 +425,13 @@ class IncrementalTiming:
             self._fanouts_cache = cache
         return cache
 
-    def _acquire_flat(self) -> FlatNetwork:
+    def _acquire_flat(self, source) -> FlatNetwork:
         """The owner's snapshot for a full sweep, else a private one.
 
         The owner's is current: :meth:`repro.core.state.ScalingState.flat`
         rebuilds a snapshot whose order is not the network's
         ``topological()`` list, which :meth:`_start` has just taken.
         """
-        source = self._flat_source
         if source is not None:
             return source()
         return build_flat(self.network, self.calculator)
@@ -418,16 +446,27 @@ class IncrementalTiming:
         self._bwd_seeds.update(self.network.nodes[name].fanins)
         self._clean = False
         self._fwd_clean = False
+        self._note_stamp(self._pos[name])
 
     def note_net_changed(self, name: str) -> None:
         """The net driven by ``name`` changed (converters / reader caps)."""
+        i = self._pos[name]
         self._dirty_nets.add(name)
         self._fwd_seeds.add(name)
-        self._fwd_seeds.update(self._fanouts[self._pos[name]])
+        self._fwd_seeds.update(self._fanouts[i])
         self._bwd_seeds.add(name)
         self._bwd_seeds.update(self.network.nodes[name].fanins)
         self._clean = False
         self._fwd_clean = False
+        self._note_stamp(i)
+
+    def _note_stamp(self, i: int) -> None:
+        """Stamp a noted position now, or at commit inside a transaction."""
+        journal = self._journal
+        if journal is None:
+            self._stamp[i] = self.epoch + 1
+        else:
+            journal.noted.add(i)
 
     # ------------------------------------------------------------------
     # Recompute kernels (bit-identical to TimingAnalysis._compute)
@@ -534,7 +573,9 @@ class IncrementalTiming:
                             self.last_path = (*chain, *steps)
                         return True
                 if new != arrival[i]:
-                    if journal is not None and i not in journal.arrival:
+                    if journal is None:
+                        self._arrival_stamp[i] = self.epoch + 1
+                    elif i not in journal.arrival:
                         journal.arrival[i] = arrival[i]
                     arrival[i] = new
                     for reader in self._fanouts[i]:
@@ -640,6 +681,7 @@ class IncrementalTiming:
             if pos[path[k][0]] >= first:
                 break
             start = k
+        self.replay_start = start
         calc = self.calculator
         lc_edges = calc.lc_edges
         fanin = path[start][0]
@@ -651,6 +693,26 @@ class IncrementalTiming:
             at += cell.intrinsics[pin] + cell.drive_res * calc.load(name)
             fanin = name
         return at + calc.edge_extra_delay(fanin, OUTPUT) > limit
+
+    def unchanged_since(self, epoch: int, start: int, checked) -> bool:
+        """Whether a replay recorded at ``epoch`` would read the same.
+
+        Outside a transaction only: runs the pending forward repair,
+        then checks that neither the arrival at position ``start`` nor
+        any note of a ``checked`` position was stamped after ``epoch``
+        (see "Replayed certificates" in the module docstring).
+        """
+        if self._journal is not None:
+            return False
+        if not self._fwd_clean:
+            self._ensure_forward()
+        if self._arrival_stamp[start] > epoch:
+            return False
+        stamp = self._stamp
+        for i in checked:
+            if stamp[i] > epoch:
+                return False
+        return True
 
     def refresh(self) -> "IncrementalTiming":
         """Repair every stale value; no-op when nothing is dirty.
@@ -704,14 +766,25 @@ class IncrementalTiming:
             raise RuntimeError("a timing transaction is already active")
         self.refresh()
         self._journal = _Journal()
+        # Every stamp written so far is at most the new epoch, and every
+        # later one is above it.
+        self.epoch += 1
 
     def commit(self) -> None:
-        """Keep every value computed since :meth:`begin`."""
-        if self._journal is None:
+        """Keep every value computed since :meth:`begin` and stamp them."""
+        journal = self._journal
+        if journal is None:
             raise RuntimeError("no active timing transaction")
         if self._spent:
             raise RuntimeError(_SPENT)
         self._journal = None
+        self.epoch = epoch = self.epoch + 1
+        stamp = self._stamp
+        for i in journal.noted:
+            stamp[i] = epoch
+        arrival_stamp = self._arrival_stamp
+        for i in journal.arrival:
+            arrival_stamp[i] = epoch
 
     def rollback(self) -> None:
         """Restore the pre-transaction timing arrays.

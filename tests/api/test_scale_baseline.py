@@ -59,15 +59,21 @@ def bits(values):
 
 def test_adopted_methods_match_fresh_prepares(flow, monkeypatch):
     adopted = []
+    adopting = []
+    replay = ScalingState.replay
     from_arrays = IncrementalTiming.from_arrays.__func__
 
-    def checked(cls, calculator, tspec, arrays, flat_source=None):
-        engine = from_arrays(cls, calculator, tspec, arrays, flat_source)
+    def replayed(self, *args):
+        adopting.append(self)
+        return replay(self, *args)
+
+    def checked(cls, calculator, tspec, arrays):
+        engine = from_arrays(cls, calculator, tspec, arrays)
         # At adoption: the rebound snapshot is a fresh build of this
         # job's network, and the copied arrays are a fresh sweep of the
         # assignment the first CVS left.
         network = calculator.network
-        flat = flat_source()
+        flat = adopting[-1].flat()
         fresh = build_flat(network, calculator)
         assert_planes_equal(flat, fresh)
         swept = _sweep(fresh, calculator, tspec)
@@ -78,6 +84,7 @@ def test_adopted_methods_match_fresh_prepares(flow, monkeypatch):
         adopted.append(network)
         return engine
 
+    monkeypatch.setattr(ScalingState, "replay", replayed)
     monkeypatch.setattr(IncrementalTiming, "from_arrays", classmethod(checked))
     prepared = flow.prepare()
     for method in ORDER:

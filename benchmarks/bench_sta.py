@@ -21,8 +21,10 @@ the suite):
   timing rejects retried round after round.  Reports the tries, the
   timing rejects, the rejects proved by replaying the last reject's
   path certificate, and the seconds with the replay on and bypassed;
-  asserts that the engine equals the oracle and that every decision
-  equals the replay-bypassed run's.
+  asserts that the engine equals the oracle, that ``state.power()``
+  equals the serial power walk, and that every decision equals the
+  replay-bypassed run's and the run's with Dscale's round cache
+  bypassed.
 
 Run::
 
@@ -44,7 +46,10 @@ import sys
 import time
 from contextlib import contextmanager
 
+import numpy as np
+
 from repro.api import Flow, FlowConfig
+from repro.core import dscale
 from repro.core.cvs import run_cvs
 from repro.core.dscale import check_demotion, run_dscale
 from repro.core.gscale import run_gscale
@@ -52,6 +57,8 @@ from repro.core.moves import DemoteMove, MoveEngine
 from repro.core.state import ScalingState
 from repro.library.compass import build_compass_library
 from repro.mapping.match import MatchTable
+from repro.power.estimate import estimate_power_calc
+from repro.timing.delay import DelayCalculator
 from repro.timing.incremental import IncrementalTiming
 from repro.timing.sta import TimingAnalysis
 
@@ -201,6 +208,43 @@ def assert_engine_is_oracle(state, label):
         )
 
 
+def assert_power_is_serial(state, label):
+    """``state.power()`` == the serial walk on an uncached calculator."""
+    calc = DelayCalculator(
+        state.network,
+        state.library,
+        levels=state.levels,
+        lc_edges=state.lc_edges,
+        cells=state.cells,
+        lc_kind=state.options.lc_kind,
+        po_load=state.options.po_load,
+    )
+    serial = estimate_power_calc(
+        calc,
+        state.activity,
+        clock_mhz=state.options.clock_mhz,
+        include_input_nets=state.options.include_input_nets,
+    )
+
+    def parts(power):
+        return (
+            power.switching,
+            power.internal,
+            power.converter,
+            power.total,
+            list(power.per_node.items()),
+        )
+
+    if parts(state.power()) != parts(serial):
+        raise AssertionError(f"{label}: power differs from the serial walk")
+
+
+def _every_gate_stale(flat, noted, *_):
+    """Dscale's round cache bypassed: every pair re-checked and re-priced."""
+    stale = np.ones_like(noted)
+    return stale, stale
+
+
 def bench_end_to_end(prepared, library, runner, label):
     """One algorithm on the engine; asserts a legal, oracle-exact end.
 
@@ -284,6 +328,7 @@ def bench_retarget(circuit, repeat):
             state = run()
         state.validate()
         assert_engine_is_oracle(state, "retarget")
+        assert_power_is_serial(state, "retarget")
         cells = {
             name: node.cell
             for name, node in state.network.nodes.items()
@@ -311,6 +356,12 @@ def bench_retarget(circuit, repeat):
     if shipped != bypassed:
         raise AssertionError(
             "retarget: decisions differ with the replay bypassed"
+        )
+    with patched(dscale, "_stale_positions", _every_gate_stale):
+        uncached, _, _, _ = observed()
+    if shipped != uncached:
+        raise AssertionError(
+            "retarget: decisions differ with the round cache bypassed"
         )
     return {
         "circuit": circuit,

@@ -285,6 +285,109 @@ def _round_filter(
     return regrouping, saw_retarget, depths_of
 
 
+def _stale_positions(
+    flat, noted: np.ndarray, arrived: np.ndarray, required: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(check, price)``: the gates whose flag or gain may have moved.
+
+    ``noted``, ``arrived`` and ``required`` are the timing engine's
+    stamp masks (:meth:`IncrementalTiming.stamped_after`).  A gate's
+    gain reads its own rail, cell, net and converters (its note stamp)
+    and its readers' rails and cells (theirs).  Its closed-form check
+    reads those, plus its readers' loads (their note stamps) and
+    required times, and its fanins' arrivals and the shifter delays
+    into it (their note and arrival stamps).  One scatter per read set
+    over the snapshot's edge rows.
+    """
+    owner = flat.e_owner
+    reader = flat.e_reader
+    price = noted.copy()
+    price[owner[noted[reader]]] = True
+    check = price.copy()
+    check[reader[(noted | arrived)[owner]]] = True
+    check[owner[required[reader]]] = True
+    return check, price
+
+
+class _RoundCache:
+    """The flag and gain of every ``(gate, target)`` pair Dscale priced.
+
+    Kept by gate position and target rail, for one timing engine and
+    one snapshot.  Each round starts by forgetting the flags of the
+    gates :func:`_stale_positions` names since the epoch recorded after
+    the last round's sweeps, and the gains of a narrower set; only the
+    pairs left without a flag go through
+    :meth:`~repro.core.moves.MoveEngine.check_moves`, and only the
+    feasible ones left without a gain through
+    :meth:`~repro.core.moves.MoveEngine.price_moves`.  Each kept value
+    is a pure function of values that carry no later stamp, so it
+    equals a fresh sweep's bit for bit.  Gains are kept only under a
+    cost model that declares them local
+    (:attr:`~repro.core.moves.CostModel.local_gains`); otherwise every
+    feasible pair is re-priced each round.
+    """
+
+    def __init__(self, state: ScalingState, engine: MoveEngine):
+        self.state = state
+        self.engine = engine
+        self.local_gains = engine.cost_model.local_gains
+        self.timing: IncrementalTiming | None = None
+        self.flat = None
+        self.epoch = 0
+
+    def _reset(self, analysis: IncrementalTiming, flat) -> None:
+        shape = (flat.n, self.state.n_rails)
+        #: -1 unknown, else the feasibility flag.
+        self.flag = np.full(shape, -1, dtype=np.int8)
+        self.priced = np.zeros(shape, dtype=bool)
+        self.gain = np.zeros(shape)
+        self.timing = analysis
+        self.flat = flat
+
+    def sweep(
+        self, analysis: IncrementalTiming, depths_of: dict[str, list[int]]
+    ) -> dict[tuple[str, int], float]:
+        """The gain of every feasible pair of ``depths_of``, by pair."""
+        flat = self.state.flat()
+        if self.timing is not analysis or self.flat is not flat:
+            self._reset(analysis, flat)
+        else:
+            check, price = _stale_positions(
+                flat, *analysis.stamped_after(self.epoch)
+            )
+            self.flag[check] = -1
+            self.priced[price] = False
+        if not self.local_gains:
+            self.priced[:] = False
+        pairs = [
+            (name, target)
+            for name, depths in depths_of.items()
+            for target in depths
+        ]
+        pos = flat.pos
+        count = len(pairs)
+        pp = np.fromiter((pos[name] for name, _ in pairs), np.intp, count)
+        tt = np.fromiter((target for _, target in pairs), np.intp, count)
+
+        stale = np.flatnonzero(self.flag[pp, tt] < 0)
+        if len(stale):
+            moves = [DemoteMove(*pairs[k]) for k in stale.tolist()]
+            feasible = self.engine.check_moves(moves, analysis)
+            self.flag[pp[stale], tt[stale]] = feasible
+        ok = np.flatnonzero(self.flag[pp, tt] > 0)
+        fp, ft = pp[ok], tt[ok]
+        unpriced = ok[~self.priced[fp, ft]]
+        if len(unpriced):
+            moves = [DemoteMove(*pairs[k]) for k in unpriced.tolist()]
+            gains = self.engine.price_moves(moves)
+            self.gain[pp[unpriced], tt[unpriced]] = gains
+            self.priced[pp[unpriced], tt[unpriced]] = True
+        self.epoch = analysis.advance_epoch()
+        return dict(
+            zip([pairs[k] for k in ok.tolist()], self.gain[fp, ft].tolist())
+        )
+
+
 def run_dscale(
     state: ScalingState,
     max_rounds: int = 1000,
@@ -298,12 +401,18 @@ def run_dscale(
     the seed paper model).  ``non_adjacent`` and ``retarget_shifters``
     enable the N-rail move extensions; both are inert on a two-rail
     library, where neither situation can arise.
+
+    Each round checks and prices only the ``(gate, target)`` pairs
+    whose inputs changed since the last round's sweeps (see
+    :class:`_RoundCache`); every other pair keeps its flag and gain,
+    bit-identical to a fresh sweep.
     """
     engine = MoveEngine(state, cost_model)
     result = DscaleResult(cvs=run_cvs(state))
     lowest = state.n_rails - 1
     allow_deep = non_adjacent and state.n_rails > 2
     allow_retarget = retarget_shifters and state.n_rails > 2
+    cache = _RoundCache(state, engine)
 
     while result.rounds < max_rounds:
         analysis = state.timing()
@@ -313,30 +422,14 @@ def run_dscale(
         candidates: list[str] = []
         deferred: list[str] = []
 
-        # Collect every closed-form (name, target) pair, then price the
-        # whole round in two batched sweeps (feasibility + gain) through
-        # the move engine's kernel -- bit-identical to one serial
-        # check_demotion and demotion_gain per pair.
+        # Every closed-form (name, target) pair is checked and priced
+        # through the move engine's batched kernels -- bit-identical to
+        # one serial check_demotion and demotion_gain per pair -- or
+        # keeps the flag and gain of a round that read the same inputs.
         regrouping, saw_retarget, depths_of = _round_filter(
             state, slack_set, lowest, allow_deep
         )
-
-        flat = [
-            (name, target)
-            for name, depths in depths_of.items()
-            for target in depths
-        ]
-        flat_moves = [
-            DemoteMove(name, target=target) for name, target in flat
-        ]
-        feasible = engine.check_moves(flat_moves, analysis)
-        priced_pairs = [
-            pair for pair, ok in zip(flat, feasible) if ok
-        ]
-        priced_moves = [
-            move for move, ok in zip(flat_moves, feasible) if ok
-        ]
-        gain_of = dict(zip(priced_pairs, engine.price_moves(priced_moves)))
+        gain_of = cache.sweep(analysis, depths_of)
 
         for name in slack_set:
             if name in regrouping:

@@ -274,10 +274,30 @@ class CostModel:
     power).  Subclass and :func:`register_cost_model` to experiment
     with alternative economics -- the optimizers never hard-code the
     arithmetic.
+
+    Dscale keeps each pair's gain from one round to the next only
+    under a model that sets :attr:`local_gains`.  Such a model promises
+    that :meth:`demotion_gain` of ``(name, target)`` is a pure function
+    of the gate's rail, cell, net and converters and of its readers'
+    rails and cells, plus state that never changes during a run (the
+    activity, the options, the library and the model's own
+    parameters).  Those are what the timing engine's note stamps cover
+    at the gate and reader positions.  Each class declares it in its
+    own body: one that does not, a subclass of a built-in model
+    included, has ``False``, and every feasible pair is re-priced each
+    round.
     """
 
     name = ""
     description = ""
+    #: Whether gains read only the gate's and its readers' state (see
+    #: above), so Dscale may keep a gain while neither changed.
+    local_gains = False
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "local_gains" not in cls.__dict__:
+            cls.local_gains = False
 
     def demotion_gain(
         self, state, name: str, target: int | None = None
@@ -315,6 +335,7 @@ class PaperCostModel(CostModel):
         "eq. (1) demotion gain: net re-swing + internal-energy drop "
         "minus new shifter energy (the seed arithmetic)"
     )
+    local_gains = True
 
     def demotion_gain(
         self, state, name: str, target: int | None = None
@@ -354,6 +375,7 @@ class PlacementAwareCostModel(PaperCostModel):
         "paper gain minus estimated shifter-output wire energy "
         "(standalone-placed level shifters, per destination rail)"
     )
+    local_gains = True
 
     def __init__(self, wire_factor: float = 1.0):
         self.wire_factor = wire_factor
@@ -367,12 +389,13 @@ class PlacementAwareCostModel(PaperCostModel):
     def demotion_gains(
         self, state, candidates: list[tuple[str, int | None]]
     ) -> list[float]:
-        """Batched paper gains, each less its wire surcharge."""
-        gains = batch.demotion_gains(state, candidates)
-        return [
-            self._less_wire(state, name, target, gain)
-            for (name, target), gain in zip(candidates, gains)
-        ]
+        """One vectorized sweep with the wire surcharge folded in.
+
+        Bit-identical to the serial :meth:`demotion_gain` per pair.
+        """
+        return batch.demotion_gains(
+            state, candidates, wire_factor=self.wire_factor
+        )
 
     def _less_wire(
         self, state, name: str, target: int | None, gain: float
@@ -380,7 +403,7 @@ class PlacementAwareCostModel(PaperCostModel):
         """``gain`` less the wire energy of the new shifters' outputs.
 
         One subtraction per destination rail, in ascending rail order,
-        so the serial and batched gains share every float operation.
+        as the batched kernel subtracts them.
         """
         change = state.calc.demotion_net_change(
             name, state.options.lc_at_outputs, target=target

@@ -22,17 +22,18 @@ through :meth:`ScalingState.set_rail`, :meth:`ScalingState.add_converter`,
 effective rail or converter write bumps
 :attr:`ScalingState.assignment_version`, each resize
 :attr:`ScalingState.cells_version`, and every write reports the change
-to the shared :class:`~repro.timing.delay.DelayCalculator` cache and to the
+to the shared :class:`~repro.timing.delay.DelayCalculator` cache, to the
 lazily created :class:`~repro.timing.incremental.IncrementalTiming`
-engine, so :meth:`ScalingState.timing` repairs only the affected cone
-instead of rebuilding a full analysis per move.  ``levels`` (the
-demoted gates and their rails; a gate on rail 0 has no entry),
-``lc_edges`` and ``cells`` (the resized gates and their current cells,
-in first-resize order) are live read-only views: writing through them
-raises, so no write can skip the invalidation.  :meth:`ScalingState.cell`
-reads a gate's current cell.  :meth:`ScalingState.full_timing`
-is the rebuild-from-scratch oracle the tests compare the engine
-against.
+engine and to the power plane, so :meth:`ScalingState.timing` repairs
+only the affected cone instead of rebuilding a full analysis per move,
+and :meth:`ScalingState.power` recomputes only the marked terms.
+``levels`` (the demoted gates and their rails; a gate on rail 0 has
+no entry), ``lc_edges`` and ``cells`` (the resized gates and their
+current cells, in first-resize order) are live read-only views:
+writing through them raises, so no write can skip the invalidation.
+:meth:`ScalingState.cell` reads a gate's current cell.
+:meth:`ScalingState.full_timing` is the rebuild-from-scratch oracle
+the tests compare the engine against.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from repro.power.activity import Activity, random_activities
 from repro.power.estimate import (
     DEFAULT_CLOCK_MHZ,
     PowerBreakdown,
+    PowerPlane,
     estimate_power_calc,
 )
 from repro.timing.delay import DEFAULT_PO_LOAD, OUTPUT, DelayCalculator
@@ -179,6 +181,9 @@ class ScalingState:
         self.options = options or ScalingOptions()
         self._engine: IncrementalTiming | None = None
         self._flat_cache: FlatNetwork | None = None
+        # The power terms by position, marked wherever a calculator
+        # cache entry is dropped (see power()).
+        self._power_plane: PowerPlane | None = None
         self._multi_rail = library.n_rails > 2
         # Per-driver count of fanout readers above each demotion
         # boundary: ``_below_counts[t][name]`` is the number of readers
@@ -269,9 +274,12 @@ class ScalingState:
                 counts[fanin] += delta
         calc = self.calc
         engine = self._engine
+        plane = self._power_plane
         calc.invalidate_variant(name)
         if engine is not None:
             engine.note_variant_changed(name)
+        if plane is not None:
+            plane.mark(name)
         if self._multi_rail:
             nets = [name]
             nets.extend(f for f in fanins if (f, name) in self._lc_edges)
@@ -279,6 +287,8 @@ class ScalingState:
                 calc.invalidate_net(net)
                 if engine is not None:
                     engine.note_net_changed(net)
+                if plane is not None:
+                    plane.mark(net)
 
     def add_converter(self, edge: tuple[str, str]) -> None:
         """Put a level converter on ``edge`` (``(driver, reader)``)."""
@@ -298,6 +308,8 @@ class ScalingState:
         self.calc.invalidate_net(driver)
         if self._engine is not None:
             self._engine.note_net_changed(driver)
+        if self._power_plane is not None:
+            self._power_plane.mark(driver)
 
     def replay(
         self,
@@ -479,14 +491,34 @@ class ScalingState:
         return overlays
 
     def power(self) -> PowerBreakdown:
-        _, _, _, loads = self.timing().levelized_arrays()
+        """Total power and its components under the live assignment.
+
+        The state keeps one :class:`~repro.power.estimate.PowerPlane`
+        over :meth:`flat`: its first call is the full vector sweep, and
+        every writer marks the nodes whose cached variant or net it
+        drops (:meth:`set_rail`, the converter writers, :meth:`resize`:
+        the gate, its net, a resized gate's fanin nets and the regrouped
+        nets beyond two rails), so a later call recomputes only those
+        terms, bit-identically.  Loads come from the timing engine's
+        forward repair alone.  A what-if move journals the plane with
+        the timing arrays, and a rollback restores both; a plane first
+        built inside the move is repaired by the marks of the undo.
+        """
+        flat = self.flat()
+        plane = self._power_plane
+        if plane is None or plane.flat is not flat:
+            plane = self._power_plane = PowerPlane(
+                self.calc,
+                self.activity,
+                self.options.clock_mhz,
+                self.options.include_input_nets,
+                flat,
+            )
         return estimate_power_calc(
             self.calc,
             self.activity,
-            clock_mhz=self.options.clock_mhz,
-            include_input_nets=self.options.include_input_nets,
-            flat=self.flat(),
-            loads=loads,
+            loads=self.timing().forward_loads(),
+            plane=plane,
         )
 
     def area(self) -> float:
@@ -616,6 +648,11 @@ class ScalingState:
         flat = self._cached_flat()
         self.cells_version += 1
         note_cell_swap(self.calc, self._engine, name)
+        plane = self._power_plane
+        if plane is not None:
+            plane.mark(name)
+            for fanin in self.network.nodes[name].fanins:
+                plane.mark(fanin)
         if flat is not None:
             flat.resize(flat.pos[name], self.calc)
             flat.version = self.cells_version
@@ -639,16 +676,22 @@ class ScalingState:
         journaled timing values are restored without recomputation.
         """
         self.timing().begin()
+        if self._power_plane is not None:
+            self._power_plane.begin()
 
     def commit_move(self) -> None:
-        """Keep the candidate move's timing updates."""
+        """Keep the candidate move's timing and power updates."""
         if self._engine is not None:
             self._engine.commit()
+        if self._power_plane is not None:
+            self._power_plane.commit()
 
     def rollback_move(self) -> None:
-        """Restore pre-move timing (call after reverting the mutations)."""
+        """Restore pre-move timing and power (call after reverting)."""
         if self._engine is not None:
             self._engine.rollback()
+        if self._power_plane is not None:
+            self._power_plane.rollback()
 
     # ------------------------------------------------------------------
     # Legality

@@ -29,6 +29,9 @@ shifters, from their cached
 Each total is accumulated with ``np.cumsum`` in topological order --
 sequential, like the per-node walk's ``+=``, never the pairwise
 ``np.sum`` -- so the totals carry the per-node walk's bits exactly.
+A :class:`PowerPlane` keeps those term vectors between calls and
+recomputes only the nodes its owner marks; its first breakdown is the
+full sweep.
 """
 
 from __future__ import annotations
@@ -86,7 +89,8 @@ def estimate_power(network: Network, library: Library, activity: Activity,
 def estimate_power_calc(calculator: DelayCalculator, activity: Activity,
                         clock_mhz: float = DEFAULT_CLOCK_MHZ,
                         include_input_nets: bool = False,
-                        flat=None, loads=None) -> PowerBreakdown:
+                        flat=None, loads=None,
+                        plane: PowerPlane | None = None) -> PowerBreakdown:
     """Estimate power from an existing calculator (live state).
 
     ``flat`` is an optional shared
@@ -97,12 +101,17 @@ def estimate_power_calc(calculator: DelayCalculator, activity: Activity,
     float associations, same sequential topological accumulation
     order).  ``loads`` optionally supplies the net loads aligned with
     ``flat.order`` (e.g. the incremental engine's levelized load
-    array); otherwise the calculator is queried per net.
+    array); otherwise the calculator is queried per net.  ``plane`` is
+    a :class:`PowerPlane` the caller keeps across calls (it carries
+    its own snapshot, and the other arguments' values); only its
+    marked terms are recomputed.
     """
+    if plane is not None:
+        return plane.breakdown(loads)
     if flat is not None:
-        return _estimate_power_flat(
-            calculator, activity, clock_mhz, include_input_nets, flat, loads
-        )
+        return PowerPlane(
+            calculator, activity, clock_mhz, include_input_nets, flat
+        ).breakdown(loads)
     network = calculator.network
     library = calculator.library
     rails = library.rails
@@ -155,69 +164,214 @@ def estimate_power_calc(calculator: DelayCalculator, activity: Activity,
     )
 
 
-def _estimate_power_flat(calculator, activity, clock_mhz,
-                         include_input_nets, flat, loads) -> PowerBreakdown:
-    """The eq. (1) sweep over the shared flat snapshot.
+def _sequential_sum(terms: np.ndarray) -> float:
+    """``0.0 + t0 + t1 + ...`` left to right, as a Python ``+=`` loop."""
+    return float(np.cumsum(terms)[-1]) if len(terms) else 0.0
+
+
+class _PerNode(Mapping):
+    """``per_node`` of a vector breakdown, a dict built on first read.
+
+    Holds the per-position sums in topological order; the dict (same
+    content and order as the serial walk's) is made once, when read.
+    """
+
+    __slots__ = ("_order", "_values", "_dict")
+
+    def __init__(self, order, values: np.ndarray):
+        self._order = order
+        self._values = values
+        self._dict: dict[str, float] | None = None
+
+    def _built(self) -> dict[str, float]:
+        if self._dict is None:
+            self._dict = dict(zip(self._order, self._values.tolist()))
+        return self._dict
+
+    def __getitem__(self, name: str) -> float:
+        return self._built()[name]
+
+    def __iter__(self):
+        return iter(self._built())
+
+    def __len__(self) -> int:
+        return len(self._order)
+
+
+class PowerPlane:
+    """The eq. (1) terms of every node over one flat snapshot.
+
+    Keeps the switching, internal and converter terms as vectors by
+    topological position.  The first :meth:`breakdown` is the full
+    sweep; after it, :meth:`mark` names the nodes whose terms may have
+    changed and the next :meth:`breakdown` recomputes only those.  A
+    node's terms read its rail, its cell (the snapshot's ``energy``
+    plane), its net load and its shifter profile, so the owner marks a
+    node wherever it invalidates that node's variant or net in the
+    calculator caches (:class:`repro.core.state.ScalingState` does).
 
     Per-node terms replicate the serial association exactly
     (``a01 * f * load * vdd * vdd * uW`` evaluated left to right, the
     converter term summed per destination rail in first-seen order),
     excluded input nets contribute zeros, and each total is a
-    sequential ``np.cumsum`` in topological order -- so the result is
-    bit-identical to the per-node walk in :func:`estimate_power_calc`.
+    sequential ``np.cumsum`` in topological order -- so every
+    breakdown is bit-identical to the per-node walk in
+    :func:`estimate_power_calc`.
+
+    :meth:`begin` opens a transaction: every term recomputed inside it
+    is journaled once, and :meth:`rollback` restores the journaled
+    terms and the dirty set of :meth:`begin`, leaving the plane as if
+    the transaction never ran.  The owner reverts its own writes
+    before the rollback, as with the timing engine's journal.
     """
-    order = flat.order
-    rate_vec = flat.rates(activity)
-    if loads is None or len(loads) != flat.n:
-        loads = [calculator.load(name) for name in order]
 
-    rails = flat.rail_plane(calculator.levels)
-    vdd = flat.rails_v[rails]
-    energy = flat.energy[rails, flat.node_idx]
-    sw_terms = rate_vec * clock_mhz * np.asarray(loads) * vdd * vdd * _UW
-    in_terms = rate_vec * clock_mhz * energy * _UW
+    def __init__(self, calculator, activity, clock_mhz, include_input_nets,
+                 flat):
+        self.calculator = calculator
+        self.activity = activity
+        self.clock_mhz = clock_mhz
+        self.include_input_nets = include_input_nets
+        self.flat = flat
+        self._terms: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._dirty: set[int] = set()
+        self._journal: tuple[set[int], dict] | None = None
+        self._excluded = (
+            None if include_input_nets
+            else np.asarray(flat.is_input, dtype=bool)
+        )
 
-    # One shifter per (net, destination rail), each swinging its own
-    # output net at the destination supply; only drivers that carry a
-    # converter edge can have a non-zero term.
-    lc_terms = np.zeros(flat.n)
-    rails_lib = calculator.library.rails
-    pos = flat.pos
-    for driver in {driver for driver, _ in calculator.lc_edges}:
-        i = pos[driver]
-        a01 = float(rate_vec[i])
-        lc_power = 0.0
-        for rail, lc_out_load in calculator.converter_loads(driver).items():
-            lc_cell = calculator.lc_cell_for(rail)
-            lc_vdd = rails_lib[rail]
-            lc_power += a01 * clock_mhz * (
-                lc_cell.internal_energy + lc_out_load * lc_vdd * lc_vdd
-            ) * _UW
-        lc_terms[i] = lc_power
+    def mark(self, name: str) -> None:
+        """Node ``name``'s variant or net changed: recompute its terms."""
+        if self._terms is not None:
+            self._dirty.add(self.flat.pos[name])
 
-    if not include_input_nets:
-        excluded = np.asarray(flat.is_input, dtype=bool)
-        sw_terms[excluded] = 0.0
-        in_terms[excluded] = 0.0
-        lc_terms[excluded] = 0.0
-    per_node = sw_terms + in_terms + lc_terms
+    def begin(self) -> None:
+        """Open a transaction (see the class docstring).
 
-    switching = _sequential_sum(sw_terms)
-    internal = _sequential_sum(in_terms)
-    converter = _sequential_sum(lc_terms)
-    total = switching + internal + converter
-    return PowerBreakdown(
-        switching=switching,
-        internal=internal,
-        converter=converter,
-        total=total,
-        per_node=dict(zip(order, per_node.tolist())),
-    )
+        Before the first sweep there is nothing to journal: the marks
+        of the owner's undo repair a plane first swept inside the
+        transaction.
+        """
+        if self._terms is not None:
+            self._journal = (set(self._dirty), {})
 
+    def commit(self) -> None:
+        """Keep every term recomputed since :meth:`begin`."""
+        self._journal = None
 
-def _sequential_sum(terms: np.ndarray) -> float:
-    """``0.0 + t0 + t1 + ...`` left to right, as a Python ``+=`` loop."""
-    return float(np.cumsum(terms)[-1]) if len(terms) else 0.0
+    def rollback(self) -> None:
+        """Restore the plane of :meth:`begin`."""
+        journal = self._journal
+        self._journal = None
+        if journal is None:
+            return
+        dirty, saved = journal
+        if saved:
+            at = list(saved)
+            for terms, values in zip(self._terms, zip(*saved.values())):
+                terms[at] = values
+        self._dirty = dirty
+
+    def breakdown(self, loads=None) -> PowerBreakdown:
+        """The current totals, recomputing the dirty terms first.
+
+        ``loads`` are the net loads aligned with ``flat.order``;
+        otherwise the calculator is queried per net.
+        """
+        flat = self.flat
+        if self._terms is None:
+            if loads is None or len(loads) != flat.n:
+                calc = self.calculator
+                loads = [calc.load(name) for name in flat.order]
+            self._terms = self._sweep(flat.node_idx, loads, None)
+        elif self._dirty:
+            idx = np.fromiter(sorted(self._dirty), np.intp, len(self._dirty))
+            self._dirty.clear()
+            if loads is None or len(loads) != flat.n:
+                calc = self.calculator
+                order = flat.order
+                loads = {i: calc.load(order[i]) for i in idx.tolist()}
+            journal = self._journal
+            if journal is not None:
+                saved = journal[1]
+                old = [terms[idx].tolist() for terms in self._terms]
+                for i, *values in zip(idx.tolist(), *old):
+                    saved.setdefault(i, values)
+            new = self._sweep(idx, loads, self._levels_at(idx))
+            for terms, values in zip(self._terms, new):
+                terms[idx] = values
+        sw_terms, in_terms, lc_terms = self._terms
+        switching = _sequential_sum(sw_terms)
+        internal = _sequential_sum(in_terms)
+        converter = _sequential_sum(lc_terms)
+        total = switching + internal + converter
+        return PowerBreakdown(
+            switching=switching,
+            internal=internal,
+            converter=converter,
+            total=total,
+            per_node=_PerNode(flat.order, sw_terms + in_terms + lc_terms),
+        )
+
+    def _levels_at(self, idx: np.ndarray) -> np.ndarray:
+        """The current rails of the nodes at positions ``idx``."""
+        level = self.calculator.levels.get
+        order = self.flat.order
+        return np.asarray(
+            [int(level(order[i], 0) or 0) for i in idx.tolist()],
+            dtype=np.intp,
+        )
+
+    def _sweep(self, idx, loads, rails):
+        """The three term vectors of the nodes at positions ``idx``.
+
+        ``loads`` maps a position to its net load; ``rails`` holds the
+        nodes' rails (``None``: the whole snapshot, ``idx`` being every
+        position).
+        """
+        flat = self.flat
+        calculator = self.calculator
+        clock_mhz = self.clock_mhz
+        rate_vec = flat.rates(self.activity)[idx]
+        if rails is None:
+            rails = flat.rail_plane(calculator.levels)
+            node_loads = np.asarray(loads)
+            # Only drivers that carry a converter edge can have a
+            # non-zero converter term.
+            pos = flat.pos
+            drivers = {pos[driver] for driver, _ in calculator.lc_edges}
+            lc_at = [(i, i) for i in drivers]
+        else:
+            node_loads = np.asarray([loads[i] for i in idx.tolist()])
+            lc_at = enumerate(idx.tolist())
+        vdd = flat.rails_v[rails]
+        energy = flat.energy[rails, idx]
+        sw_terms = rate_vec * clock_mhz * node_loads * vdd * vdd * _UW
+        in_terms = rate_vec * clock_mhz * energy * _UW
+
+        # One shifter per (net, destination rail), each swinging its own
+        # output net at the destination supply.
+        lc_terms = np.zeros(len(idx))
+        rails_lib = calculator.library.rails
+        order = flat.order
+        for k, i in lc_at:
+            a01 = float(rate_vec[k])
+            lc_power = 0.0
+            profile = calculator.converter_loads(order[i])
+            for rail, lc_out_load in profile.items():
+                lc_cell = calculator.lc_cell_for(rail)
+                lc_vdd = rails_lib[rail]
+                lc_power += a01 * clock_mhz * (
+                    lc_cell.internal_energy + lc_out_load * lc_vdd * lc_vdd
+                ) * _UW
+            lc_terms[k] = lc_power
+
+        if self._excluded is not None:
+            excluded = self._excluded[idx]
+            sw_terms[excluded] = 0.0
+            in_terms[excluded] = 0.0
+            lc_terms[excluded] = 0.0
+        return sw_terms, in_terms, lc_terms
 
 
 def demotion_gain(calculator: DelayCalculator, activity: Activity, name: str,
@@ -281,4 +435,5 @@ __all__ = [
     "estimate_power",
     "estimate_power_calc",
     "demotion_gain",
+    "PowerPlane",
 ]

@@ -74,7 +74,9 @@ class _NetVectors:
     order-faithful per-group accumulation downstream.  ``po_new`` marks
     candidates whose new PO shifter created a fresh rail-0 group
     (inserted *last*); ``po_kept`` those keeping a PO shifter, and
-    ``has_kept`` those keeping any shifter.
+    ``has_kept`` those keeping any shifter.  ``new_counts`` counts the
+    readers behind each new shifter per (candidate, destination rail),
+    a new primary-output shifter on rail 0.
     """
 
     __slots__ = (
@@ -86,6 +88,7 @@ class _NetVectors:
         "has_kept",
         "first_ci",
         "first_rail",
+        "new_counts",
     )
 
 
@@ -171,55 +174,54 @@ def _net_vectors(static, rails_arr, cp, tg, keys, po_lc, lc_at_outputs):
     out.has_kept = is_kept.any(axis=1)
     out.first_ci = first_ci
     out.first_rail = first_rail
+    out.new_counts = cnt_mat
     return out
 
 
 def _split_candidates(state, static, candidates):
-    """Normalize targets and validate each candidate, in order.
+    """Normalize targets and validate the candidates, as arrays.
 
-    Raises the serial loops' ``ValueError`` for the first bad candidate:
-    a primary input, then a target past the lowest rail, then one not
-    below the current rail.  Returns ``(cp, tg, rails, names, ())``:
-    positions, targets and current rails as ``intp`` arrays, and the
-    names.  The fifth slot once listed the candidates routed to a
-    serial fallback; it stays, always empty, because the perfbench
-    tracer (``perfbench/spans.py``) hooks this function and reports its
-    length as ``timing.fallback_frac``.
+    Positions come from ``static.pos``, current rails from the state's
+    memoized rail plane, and targets as one array (``None``: the rail
+    below the current one).  Raises the serial loops' ``ValueError``
+    for the first bad candidate in input order: a primary input, then
+    a target past the lowest rail, then one not below the current rail.
+    Returns ``(cp, tg, rails, names, ())``: positions, targets and
+    current rails as ``intp`` arrays, and the names.  The fifth slot
+    once listed the candidates routed to a serial fallback; it stays,
+    always empty, because the perfbench tracer (``perfbench/spans.py``)
+    hooks this function and reports its length as
+    ``timing.fallback_frac``.
     """
-    pos = static.pos
-    is_input = static.is_input
-    n_rails = static.n_rails
-    level_of = state.calc.levels.get
-    cp: list[int] = []
-    tg: list[int] = []
-    rails: list[int] = []
-    names: list[str] = []
-    for name, target in candidates:
-        i = pos[name]
-        if is_input[i]:
-            raise ValueError("primary inputs cannot be demoted")
-        rail = int(level_of(name, 0) or 0)
-        if target is None:
-            target = rail + 1
-        if target >= n_rails:
-            raise ValueError(f"{name!r} is already at the lowest rail")
-        if target <= rail:
-            raise ValueError(
-                f"demotion target {target} must sit below {name!r}'s "
-                f"current rail {rail}"
-            )
-        cp.append(i)
-        tg.append(target)
-        rails.append(rail)
-        names.append(name)
     intp = np.intp
-    return (
-        np.asarray(cp, dtype=intp),
-        np.asarray(tg, dtype=intp),
-        np.asarray(rails, dtype=intp),
-        names,
-        (),
-    )
+    names, targets = zip(*candidates)
+    at = list(map(static.pos.__getitem__, names))
+    count = len(at)
+    cp = np.asarray(at, dtype=intp)
+    rails = state.assignment_overlays()[0][cp]
+    if None in targets:
+        unset = np.fromiter((t is None for t in targets), bool, count)
+        tg = rails + 1
+        tg[~unset] = [t for t in targets if t is not None]
+    else:
+        unset = np.zeros(count, dtype=bool)
+        tg = np.asarray(targets, dtype=intp)
+    is_input = np.fromiter(map(static.is_input.__getitem__, at), bool, count)
+    too_low = tg >= static.n_rails
+    bad = is_input | too_low | (tg <= rails)
+    if bad.any():
+        k = int(np.argmax(bad))
+        if is_input[k]:
+            raise ValueError("primary inputs cannot be demoted")
+        name = names[k]
+        if too_low[k]:
+            raise ValueError(f"{name!r} is already at the lowest rail")
+        target = int(tg[k]) if unset[k] else targets[k]
+        raise ValueError(
+            f"demotion target {target} must sit below {name!r}'s "
+            f"current rail {int(rails[k])}"
+        )
+    return cp, tg, rails, names, ()
 
 
 # ---------------------------------------------------------------------
@@ -324,7 +326,9 @@ def check_demotions(
 
 
 def demotion_gains(
-    state, candidates: Sequence[tuple[str, int | None]]
+    state,
+    candidates: Sequence[tuple[str, int | None]],
+    wire_factor: float | None = None,
 ) -> list[float]:
     """Paper-model power gain (uW) of each demotion, batched.
 
@@ -334,6 +338,13 @@ def demotion_gains(
     association as the serial expression), and the order-sensitive
     per-shifter subtraction runs in the same first-seen group order the
     serial loop walks.
+
+    With a ``wire_factor`` each gain is also less the placement-aware
+    model's wire surcharge
+    (:meth:`repro.core.moves.PlacementAwareCostModel.demotion_gain`):
+    one subtraction per destination rail of a new shifter, in ascending
+    rail order, each charging ``wire_factor`` times the wire cap of the
+    readers behind it at that rail's swing.
     """
     if not candidates:
         return []
@@ -370,6 +381,18 @@ def demotion_gains(
     lc_out = net.loads_mat[po_new, 0] * lc_vdd * lc_vdd
     term = rate[po_new] * (static.lc_ie[0] + lc_out) * _UW
     gains[po_new] = gains[po_new] - term
+    if wire_factor is not None:
+        for rail in range(static.n_rails):
+            counts = net.new_counts[:, rail]
+            hit = np.flatnonzero(counts > 0)
+            if not len(hit):
+                continue
+            wire_cap = wire_factor * (
+                static.wire_base + static.wire_per * counts[hit]
+            )
+            vdd = rails_v[rail]
+            term = rate[hit] * wire_cap * vdd * vdd * _UW
+            gains[hit] = gains[hit] - term
     return gains.tolist()
 
 

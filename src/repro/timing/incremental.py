@@ -108,15 +108,22 @@ and converter state of the path nodes from there on and of the move's
 footprint (:meth:`~repro.core.moves.Move.footprint`).  So the engine
 stamps changes: an :attr:`epoch` counter, a stamp per position moved
 by every note of it (the invalidation contract above covers every
-input of a variant, load, shifter delay and output shifter) and an
-arrival stamp per position moved by every new arrival there.  Outside a transaction a stamp is written at once, one
-above the epoch; inside one the noted and journaled positions wait for
-:meth:`commit`, which stamps them with a fresh epoch, and a rollback
-stamps nothing.  :meth:`begin` raises the epoch past every stamp
-written so far.  A replay that rejected at some epoch reads identical
-values, and so rejects again, while :meth:`unchanged_since` finds no
-later stamp on what it read; the move engine then rejects the retry
-without opening a transaction.
+input of a variant, load, shifter delay and output shifter), an
+arrival stamp per position moved by every new arrival there and a
+required stamp per position moved by every new required time
+:meth:`refresh` writes there.  Outside a transaction a stamp is
+written at once, one above the epoch; inside one the noted and
+journaled positions wait for :meth:`commit`, which stamps them with a
+fresh epoch, and a rollback stamps nothing.  :meth:`begin` and
+:meth:`advance_epoch` raise the epoch past every stamp written so
+far.  A replay that rejected at some epoch reads identical values, and
+so rejects again, while :meth:`unchanged_since` finds no later stamp
+on what it read; the move engine then rejects the retry without
+opening a transaction.  Dscale's round cache reads the same stamps as
+masks (:meth:`stamped_after`): a candidate's closed-form check and
+gain are pure functions of its gate's, fanins' and readers' stamped
+values, so a pair whose read set carries no stamp above the epoch the
+cache recorded keeps its flag and gain.
 
 Full builds
 -----------
@@ -394,6 +401,7 @@ class IncrementalTiming:
         self.epoch = 0
         self._stamp = [0] * n
         self._arrival_stamp = [0] * n
+        self._required_stamp = [0] * n
         #: The path index :meth:`replay_exceeds` last started from.
         self.replay_start = 0
         self.arrival = _ArrayView(
@@ -714,6 +722,36 @@ class IncrementalTiming:
                 return False
         return True
 
+    def advance_epoch(self) -> int:
+        """Raise the epoch past every stamp written so far; return it.
+
+        Every later change stamps above the returned epoch, so a caller
+        that records it right after reading the arrays can tell later
+        what has changed since (:meth:`stamped_after`).  Replay records
+        compare stamps against their own older epochs, which this keeps
+        exact.
+        """
+        self.epoch += 1
+        return self.epoch
+
+    def stamped_after(
+        self, epoch: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(noted, arrived, required)``: the stamps above ``epoch``.
+
+        Per-position boolean masks of the note, arrival and required
+        stamps, after a full repair.  Outside a transaction only: inside
+        one the stamps wait for :meth:`commit`.
+        """
+        if self._journal is not None:
+            raise RuntimeError("stamps are read outside a transaction")
+        self.refresh()
+        return (
+            np.asarray(self._stamp) > epoch,
+            np.asarray(self._arrival_stamp) > epoch,
+            np.asarray(self._required_stamp) > epoch,
+        )
+
     def refresh(self) -> "IncrementalTiming":
         """Repair every stale value; no-op when nothing is dirty.
 
@@ -733,6 +771,8 @@ class IncrementalTiming:
 
         if self._bwd_seeds:
             required = self._required
+            required_stamp = self._required_stamp
+            fresh = self.epoch + 1
             nodes = self.network.nodes
             scheduled = {pos[name] for name in self._bwd_seeds}
             self._bwd_seeds.clear()
@@ -744,7 +784,9 @@ class IncrementalTiming:
                 name = self._order[i]
                 new = self._compute_required(name)
                 if new != required[i]:
-                    if journal is not None and i not in journal.required:
+                    if journal is None:
+                        required_stamp[i] = fresh
+                    elif i not in journal.required:
                         journal.required[i] = required[i]
                     required[i] = new
                     for fanin in nodes[name].fanins:
@@ -785,6 +827,9 @@ class IncrementalTiming:
         arrival_stamp = self._arrival_stamp
         for i in journal.arrival:
             arrival_stamp[i] = epoch
+        required_stamp = self._required_stamp
+        for i in journal.required:
+            required_stamp[i] = epoch
 
     def rollback(self) -> None:
         """Restore the pre-transaction timing arrays.
@@ -832,6 +877,17 @@ class IncrementalTiming:
         """
         self.refresh()
         return self._order, self._arrival, self._required, self._load
+
+    def forward_loads(self) -> list[float]:
+        """The live load array, aligned with the order, forward-repaired.
+
+        Loads are final after the forward repair alone, so a reader of
+        loads (:meth:`repro.core.state.ScalingState.power`) skips the
+        backward required cascade :meth:`levelized_arrays` runs.  The
+        same zero-copy, read-only contract applies.
+        """
+        self._ensure_forward()
+        return self._load
 
     def required_snapshot(self) -> dict[str, float]:
         """Plain-dict copy of all required times."""

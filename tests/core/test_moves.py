@@ -931,3 +931,109 @@ def test_try_move_raising_apply_leaves_engine_usable(multirail_state):
     if engine.try_move(DemoteMove(name)):
         PromoteMove(name).apply(state)
     assert_equivalent(state)
+
+
+# -- placement-aware pricing: the batched surcharge is the serial one ---
+
+
+PLACEMENT_MODELS = [PlacementAwareCostModel(), PlacementAwareCostModel(2.5)]
+
+
+def _serial_placement(state, model, candidates):
+    return [model.demotion_gain(state, name, target=target)
+            for name, target in candidates]
+
+
+@pytest.mark.parametrize("n_rails", sorted(DENSE_RAILS))
+@settings(max_examples=8, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**32 - 1),
+       kinds=st.lists(st.sampled_from(_KINDS), min_size=0, max_size=5))
+def test_batched_placement_pricing_bit_identical_to_serial(
+        n_rails, seed, kinds):
+    """The placement model's batched gains -- the wire surcharge folded
+    into the kernel -- equal its serial demotion_gain *bitwise* on
+    randomly perturbed 2- to 4-rail states."""
+    state = _placement_state(n_rails)
+    rng = random.Random(seed)
+    applied = []
+    try:
+        for kind in kinds:
+            move = _random_move(rng, state, kind)
+            if move is not None:
+                move.apply(state)
+                applied.append(move)
+        candidates = _pricing_candidates(rng, state)
+        for model in PLACEMENT_MODELS:
+            assert (model.demotion_gains(state, candidates)
+                    == _serial_placement(state, model, candidates))
+    finally:
+        for move in reversed(applied):
+            move.undo(state)
+
+
+_PLACEMENT_STATES: dict[int, ScalingState] = {}
+
+
+def _placement_state(n_rails):
+    state = _PLACEMENT_STATES.get(n_rails)
+    if state is None:
+        state = _PLACEMENT_STATES[n_rails] = _prepared_state(
+            build_compass_library(rails=DENSE_RAILS[n_rails]))
+    return state
+
+
+@pytest.mark.parametrize("lc_at_outputs", [False, True])
+@pytest.mark.parametrize("n_rails", sorted(DENSE_RAILS))
+def test_converter_dense_placement_gains_match_serial(n_rails, lc_at_outputs):
+    """On converter-dense states the placement model's batched gains
+    equal its serial loop for every (gate, target) pair, bitwise."""
+    charged = 0
+    for seed in range(6):
+        state = _converter_dense_state(n_rails, lc_at_outputs, seed)
+        lowest = state.n_rails - 1
+        candidates = [
+            (name, target)
+            for name in state.network.gates()
+            for target in range(state.rail_of(name) + 1, lowest + 1)
+        ]
+        paper = timing_batch.demotion_gains(state, candidates)
+        for model in PLACEMENT_MODELS:
+            gains = model.demotion_gains(state, candidates)
+            assert gains == _serial_placement(state, model, candidates)
+            charged += sum(g != p for g, p in zip(gains, paper))
+    assert charged
+
+
+def test_batched_validation_names_the_first_bad_candidate(multirail_state):
+    """Mixed batches of good and bad candidates: the array validation
+    raises the message the serial loop raises at its first bad one."""
+    state = multirail_state
+    analysis = state.timing()
+    rng = random.Random(11)
+    gates = state.network.gates()
+    inputs = [n for n, node in state.network.nodes.items() if node.is_input]
+    for _ in range(40):
+        candidates = [(g, rng.choice([None, state.n_rails - 1]))
+                      for g in rng.sample(gates, 6)]
+        for _ in range(rng.randint(1, 3)):
+            gate = rng.choice(gates)
+            bad = rng.choice([(rng.choice(inputs), None),
+                              (gate, state.n_rails),
+                              (gate, state.rail_of(gate))])
+            candidates.insert(rng.randrange(len(candidates) + 1), bad)
+        expected = None
+        for name, target in candidates:
+            try:
+                check_demotion(state, analysis, name, target=target)
+            except ValueError as exc:
+                expected = str(exc)
+                break
+        assert expected is not None
+        for kernel in (
+            lambda c: timing_batch.check_demotions(state, analysis, c),
+            lambda c: timing_batch.demotion_gains(state, c),
+        ):
+            with pytest.raises(ValueError) as raised:
+                kernel(candidates)
+            assert str(raised.value) == expected

@@ -14,9 +14,9 @@ timing build -- the operation the flat-core refactor vectorizes:
   NumPy planes (the engine's default);
 
 plus a sampled batched-vs-serial Dscale pricing sweep, and the flat
-power measurement vs the serial per-node walk on a state with seeded
-demotions and level-converter edges (so every converter term is
-exercised).  Every vectorized
+power measurement (a fresh :class:`PowerPlane`'s first breakdown) vs
+the serial per-node walk on a state with seeded demotions and
+level-converter edges (so every converter term is exercised).  Every vectorized
 result is asserted bit-identical to its serial oracle in the same run,
 so the benchmark doubles as an equivalence check; any mismatch exits
 non-zero.
@@ -57,7 +57,11 @@ from repro.library.compass import build_compass_library
 from repro.mapping.match import MatchTable
 from repro.netlist.flat import build_flat
 from repro.power.activity import probabilistic_activities
-from repro.power.estimate import estimate_power_calc
+from repro.power.estimate import (
+    DEFAULT_CLOCK_MHZ,
+    PowerPlane,
+    estimate_power_calc,
+)
 from repro.timing.delay import OUTPUT
 from repro.timing.incremental import IncrementalTiming
 from repro.timing.sta import TimingAnalysis
@@ -171,10 +175,14 @@ def bench_power(label, state, activity, repeat):
     power_serial_s, p_serial = time_call(
         lambda: estimate_power_calc(state.calc, activity), repeat
     )
-    power_flat_s, p_flat = time_call(
-        lambda: estimate_power_calc(state.calc, activity, flat=state.flat()),
-        repeat,
-    )
+
+    def flat_power():
+        plane = PowerPlane(
+            state.calc, activity, DEFAULT_CLOCK_MHZ, False, state.flat()
+        )
+        return plane.breakdown()
+
+    power_flat_s, p_flat = time_call(flat_power, repeat)
     fields = ("switching", "internal", "converter", "total")
     for name in fields:
         if getattr(p_flat, name) != getattr(p_serial, name):

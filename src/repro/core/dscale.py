@@ -16,6 +16,13 @@ harvested the slack next to the primary outputs, Dscale repeatedly:
 4. applies the demotions, inserts the converters, updates timing, and
    repeats until no candidate survives.
 
+Each round is one table by (topological position, rail): the slack
+mask, the mask of the ``(gate, target)`` pairs the closed-form check
+can price, and their gain plane.  A gate's target is the first -- the
+shallowest -- maximum of its row, kept when its gain is positive;
+names appear only for the antichain, the moves and the re-target
+tries.
+
 A demotion normally moves a gate to the *adjacent* lower rail; with
 more than two rails the same loop keeps harvesting until every gate is
 pinned by timing or sits on the lowest rail.  The per-candidate check
@@ -200,42 +207,40 @@ def cleanup_converters(
     return removed
 
 
-def _slack_set(
+def _slack_mask(
     state: ScalingState,
     analysis: IncrementalTiming,
     lowest: int,
-) -> list[str]:
-    """``getSlkSet``: sub-``lowest`` gates with positive slack.
+) -> np.ndarray:
+    """``getSlkSet``: sub-``lowest`` gates with positive slack, by position.
 
     Reads the engine's levelized arrays plus the shared flat planes --
     one subtraction and two comparisons per node, vectorized with
-    NumPy -- instead of a per-name ``slack()`` call through the method
-    surface.  Emitted order (topological, inputs excluded) and every
-    float comparison are identical to filtering ``network.gates()``
-    serially.
+    NumPy.  Every float comparison is the one of filtering
+    ``network.gates()`` serially through ``slack()``.
     """
     tolerance = state.options.timing_tolerance
-    flat = state.flat()
     rails, _, _ = state.assignment_overlays()
-    order, arrival, required, _ = analysis.levelized_arrays()
-    mask = (
+    _, arrival, required, _ = analysis.levelized_arrays()
+    return (
         (np.asarray(required) - np.asarray(arrival) > tolerance)
         & (rails < lowest)
-        & ~np.asarray(flat.is_input)
+        & ~np.asarray(state.flat().is_input)
     )
-    return [order[i] for i in np.flatnonzero(mask).tolist()]
 
 
-def _round_filter(
+def _round_pairs(
     state: ScalingState,
-    slack_set: list[str],
+    slack: np.ndarray,
     lowest: int,
     allow_deep: bool,
-) -> tuple[set[str], set[str], dict[str, list[int]]]:
-    """Route the slack set: ``(regrouping, saw_retarget, depths_of)``.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Route the slack mask: ``(pairs, deferred)``, by position.
 
-    Two kinds of gate cannot be priced by the closed-form check, and
-    both are read off one pass over the converter-edge keys:
+    ``pairs`` is the ``(n, n_rails)`` mask of the ``(gate, target)``
+    pairs the closed-form check prices; ``deferred`` masks the slack
+    gates it cannot price.  Two kinds of gate are deferred alike, both
+    read off one pass over the converter-edge keys:
 
     * a driver *regroups* when one of its shifters has a reader at or
       below the driver's rail (a stale edge awaiting cleanup; a
@@ -252,37 +257,22 @@ def _round_filter(
       lower-swing shifter is a slower one, and the check prices input
       shifters at their current destination).
 
-    Every other gate gets the adjacent step, or every deeper rail down
-    to ``lowest`` when ``allow_deep``.  Neither kind exists with two
-    rails: a demotable gate is at rail 0 and carries no shifters.
+    Every other slack gate gets the adjacent step, or every deeper
+    rail down to ``lowest`` when ``allow_deep``.  Neither kind exists
+    with two rails: a demotable gate is at rail 0 and carries no
+    shifters.
     """
     flat = state.flat()
     rails, keys, po_lc = state.assignment_overlays()
     driver, reader = np.divmod(keys, flat.n)
-    regroups = po_lc & (rails == 0)
-    regroups[driver[rails[reader] >= rails[driver]]] = True
-    retargets = np.zeros(flat.n, dtype=bool)
-    retargets[reader[rails[driver] - 1 > rails[reader]]] = True
-
-    idx = [flat.pos[name] for name in slack_set]
-    regrouping: set[str] = set()
-    saw_retarget: set[str] = set()
-    depths_of: dict[str, list[int]] = {}
-    for name, rail, regroup, retarget in zip(
-        slack_set,
-        rails[idx].tolist(),
-        regroups[idx].tolist(),
-        retargets[idx].tolist(),
-    ):
-        if regroup:
-            regrouping.add(name)
-        elif retarget:
-            saw_retarget.add(name)
-            depths_of[name] = []
-        else:
-            deepest = lowest if allow_deep else rail + 1
-            depths_of[name] = list(range(rail + 1, deepest + 1))
-    return regrouping, saw_retarget, depths_of
+    held = po_lc & (rails == 0)
+    held[driver[rails[reader] >= rails[driver]]] = True
+    held[reader[rails[driver] - 1 > rails[reader]]] = True
+    step = rails[:, None]
+    targets = np.arange(state.n_rails)
+    deepest = lowest if allow_deep else step + 1
+    pairs = (slack & ~held)[:, None] & (targets > step) & (targets <= deepest)
+    return pairs, slack & held
 
 
 def _stale_positions(
@@ -307,6 +297,13 @@ def _stale_positions(
     check[reader[(noted | arrived)[owner]]] = True
     check[owner[required[reader]]] = True
     return check, price
+
+
+def _demotions(order, pp: np.ndarray, tt: np.ndarray) -> list[DemoteMove]:
+    """One :class:`DemoteMove` per ``(position, target)`` pair."""
+    return [
+        DemoteMove(order[p], t) for p, t in zip(pp.tolist(), tt.tolist())
+    ]
 
 
 class _RoundCache:
@@ -345,9 +342,13 @@ class _RoundCache:
         self.flat = flat
 
     def sweep(
-        self, analysis: IncrementalTiming, depths_of: dict[str, list[int]]
-    ) -> dict[tuple[str, int], float]:
-        """The gain of every feasible pair of ``depths_of``, by pair."""
+        self, analysis: IncrementalTiming, pairs: np.ndarray
+    ) -> np.ndarray:
+        """The gain of every feasible pair of ``pairs``, as a plane.
+
+        Shaped like ``pairs``; ``-inf`` wherever a pair is not asked
+        for or not feasible.
+        """
         flat = self.state.flat()
         if self.timing is not analysis or self.flat is not flat:
             self._reset(analysis, flat)
@@ -359,33 +360,26 @@ class _RoundCache:
             self.priced[price] = False
         if not self.local_gains:
             self.priced[:] = False
-        pairs = [
-            (name, target)
-            for name, depths in depths_of.items()
-            for target in depths
-        ]
-        pos = flat.pos
-        count = len(pairs)
-        pp = np.fromiter((pos[name] for name, _ in pairs), np.intp, count)
-        tt = np.fromiter((target for _, target in pairs), np.intp, count)
-
-        stale = np.flatnonzero(self.flag[pp, tt] < 0)
-        if len(stale):
-            moves = [DemoteMove(*pairs[k]) for k in stale.tolist()]
-            feasible = self.engine.check_moves(moves, analysis)
-            self.flag[pp[stale], tt[stale]] = feasible
-        ok = np.flatnonzero(self.flag[pp, tt] > 0)
+        order = flat.order
+        # Row-major: topological position, then ascending target.
+        pp, tt = np.nonzero(pairs)
+        stale = self.flag[pp, tt] < 0
+        if stale.any():
+            sp, st = pp[stale], tt[stale]
+            moves = _demotions(order, sp, st)
+            self.flag[sp, st] = self.engine.check_moves(moves, analysis)
+        ok = self.flag[pp, tt] > 0
         fp, ft = pp[ok], tt[ok]
-        unpriced = ok[~self.priced[fp, ft]]
-        if len(unpriced):
-            moves = [DemoteMove(*pairs[k]) for k in unpriced.tolist()]
-            gains = self.engine.price_moves(moves)
-            self.gain[pp[unpriced], tt[unpriced]] = gains
-            self.priced[pp[unpriced], tt[unpriced]] = True
+        unpriced = ~self.priced[fp, ft]
+        if unpriced.any():
+            up, ut = fp[unpriced], ft[unpriced]
+            moves = _demotions(order, up, ut)
+            self.gain[up, ut] = self.engine.price_moves(moves)
+            self.priced[up, ut] = True
         self.epoch = analysis.advance_epoch()
-        return dict(
-            zip([pairs[k] for k in ok.tolist()], self.gain[fp, ft].tolist())
-        )
+        gains = np.full(pairs.shape, -np.inf)
+        gains[fp, ft] = self.gain[fp, ft]
+        return gains
 
 
 def run_dscale(
@@ -402,10 +396,13 @@ def run_dscale(
     enable the N-rail move extensions; both are inert on a two-rail
     library, where neither situation can arise.
 
-    Each round checks and prices only the ``(gate, target)`` pairs
-    whose inputs changed since the last round's sweeps (see
+    Each round routes its slack gates into one ``(position, rail)``
+    pair mask (:func:`_round_pairs`), and checks and prices only the
+    pairs whose inputs changed since the last round's sweeps (see
     :class:`_RoundCache`); every other pair keeps its flag and gain,
-    bit-identical to a fresh sweep.
+    bit-identical to a fresh sweep.  Each gate takes the ``argmax`` of
+    its gain row: the shallowest of its best targets, as an ascending
+    strict-improvement scan picks.
     """
     engine = MoveEngine(state, cost_model)
     result = DscaleResult(cvs=run_cvs(state))
@@ -416,56 +413,35 @@ def run_dscale(
 
     while result.rounds < max_rounds:
         analysis = state.timing()
-        slack_set = _slack_set(state, analysis, lowest)
-        weights: dict[str, int] = {}
-        targets: dict[str, int] = {}
-        candidates: list[str] = []
-        deferred: list[str] = []
-
-        # Every closed-form (name, target) pair is checked and priced
+        order = state.flat().order
+        slack = _slack_mask(state, analysis, lowest)
+        # Every closed-form (gate, target) pair is checked and priced
         # through the move engine's batched kernels -- bit-identical to
         # one serial check_demotion and demotion_gain per pair -- or
         # keeps the flag and gain of a round that read the same inputs.
-        regrouping, saw_retarget, depths_of = _round_filter(
-            state, slack_set, lowest, allow_deep
-        )
-        gain_of = cache.sweep(analysis, depths_of)
-
-        for name in slack_set:
-            if name in regrouping:
-                deferred.append(name)
-                continue
-            # Ascending targets, strict improvement; a name whose every
-            # depth would re-target a fanin shifter is routed to the
-            # deferred path.
-            best: tuple[float, int] | None = None
-            for target in depths_of[name]:
-                gain = gain_of.get((name, target))
-                if gain is None:
-                    continue
-                if best is None or gain > best[0]:
-                    best = (gain, target)
-            if best is None:
-                if name in saw_retarget:
-                    deferred.append(name)
-                continue
-            gain, target = best
-            if gain <= 0:
-                continue
-            candidates.append(name)
-            targets[name] = target
-            weights[name] = max(1, int(round(gain * _WEIGHT_SCALE)))
+        pairs, deferred = _round_pairs(state, slack, lowest, allow_deep)
+        gains = cache.sweep(analysis, pairs)
+        # The first maximum is the shallowest best target.
+        best = gains.argmax(axis=1)
+        gain = gains.max(axis=1)
+        picked = np.flatnonzero(gain > 0).tolist()
+        candidates = [order[i] for i in picked]
 
         low_set: list[str] = []
         if candidates:
-            pairs = candidate_order_pairs(state, candidates)
-            low_set, _ = max_weight_antichain(candidates, pairs, weights)
+            weights = {
+                name: max(1, int(round(g * _WEIGHT_SCALE)))
+                for name, g in zip(candidates, gain[picked].tolist())
+            }
+            targets = dict(zip(candidates, best[picked].tolist()))
+            order_pairs = candidate_order_pairs(state, candidates)
+            low_set, _ = max_weight_antichain(candidates, order_pairs, weights)
             for name in low_set:
                 engine.apply(DemoteMove(name, target=targets[name]))
             result.demoted.extend(low_set)
 
         retargeted = 0
-        if allow_retarget and deferred:
+        if allow_retarget and deferred.any():
             # Shifter-carrying candidates the closed-form check cannot
             # price: attempt each as its own exact transaction (the
             # engine re-times the mutated cone; the measured total
@@ -475,7 +451,7 @@ def run_dscale(
             # measured once and refreshed only on commits: a rolled-
             # back attempt provably leaves the total unchanged.
             power_now = state.power().total
-            for name in deferred:
+            for name in [order[i] for i in np.flatnonzero(deferred)]:
                 if engine.try_move(
                     RetargetShifterMove(name),
                     require_power_gain=True,

@@ -69,9 +69,7 @@ def demotion_shortfall(
 
 
 def resize_profile(
-    state: ScalingState,
-    analysis: IncrementalTiming,
-    name: str,
+    state: ScalingState, name: str
 ) -> tuple[float, float, float] | None:
     """(area penalty, net timing gain, worst driver penalty) of an upsize.
 
@@ -180,7 +178,7 @@ def run_gscale(
         weights: dict[str, int] = {}
         profiles: dict[str, tuple[float, float, float]] = {}
         for name in nodes:
-            profile = resize_profile(state, analysis, name)
+            profile = resize_profile(state, name)
             if profile is None or profile[1] <= 0:
                 weights[name] = _UNRESIZABLE
                 continue

@@ -89,29 +89,21 @@ def estimate_power(network: Network, library: Library, activity: Activity,
 def estimate_power_calc(calculator: DelayCalculator, activity: Activity,
                         clock_mhz: float = DEFAULT_CLOCK_MHZ,
                         include_input_nets: bool = False,
-                        flat=None, loads=None,
+                        loads=None,
                         plane: PowerPlane | None = None) -> PowerBreakdown:
     """Estimate power from an existing calculator (live state).
 
-    ``flat`` is an optional shared
-    :class:`~repro.netlist.flat.FlatNetwork` snapshot of the
-    calculator's network: the per-node switching/internal terms are
-    then computed over its planes instead of walking ``network.nodes``
-    through the calculator's method surface, bit-identically (same
-    float associations, same sequential topological accumulation
-    order).  ``loads`` optionally supplies the net loads aligned with
-    ``flat.order`` (e.g. the incremental engine's levelized load
-    array); otherwise the calculator is queried per net.  ``plane`` is
-    a :class:`PowerPlane` the caller keeps across calls (it carries
-    its own snapshot, and the other arguments' values); only its
-    marked terms are recomputed.
+    Without ``plane`` this is the serial per-node walk through the
+    calculator's method surface.  ``plane`` is a :class:`PowerPlane`
+    the caller keeps across calls (it carries its own snapshot, and the
+    other arguments' values); only its marked terms are recomputed,
+    bit-identically to the walk.  ``loads`` optionally supplies the net
+    loads aligned with the plane's snapshot order (e.g. the incremental
+    engine's levelized load array); otherwise the calculator is queried
+    per net.
     """
     if plane is not None:
         return plane.breakdown(loads)
-    if flat is not None:
-        return PowerPlane(
-            calculator, activity, clock_mhz, include_input_nets, flat
-        ).breakdown(loads)
     network = calculator.network
     library = calculator.library
     rails = library.rails

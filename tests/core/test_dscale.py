@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,8 @@ from repro.core.dscale import (
 )
 from antichain_oracle import is_antichain
 from repro.core.state import ScalingState
+from repro.library.compass import build_compass_library
+from repro.mapping.match import MatchTable
 
 
 def _prepare(library, match_table, network):
@@ -235,6 +238,65 @@ def test_each_round_selection_is_antichain(sec_prepared, library, monkeypatch):
     for pairs, chosen in recorded:
         assert is_antichain(pairs, chosen)
         assert chosen
+
+
+def test_each_gate_takes_its_first_best_positive_target(monkeypatch):
+    """The target rule on a planted 3-rail gain plane: a tie goes to the
+    shallower target, a strictly better deeper target wins, and a gate
+    whose best gain is zero or negative is no candidate."""
+    library = build_compass_library(rails=(5.0, 4.3, 3.6))
+    network = mixed_datapath(width=4, n_control=3, n_products=6, seed=0)
+    prep = _prepare(library, MatchTable(library), network)
+    state = ScalingState(
+        prep.network,
+        library,
+        tspec=prep.tspec,
+        activity=prep.activity,
+    )
+    # Gains at targets 1 and 2, planted on gates feasible at both.
+    planted = {
+        "tie": (0.5, 0.5),
+        "deeper": (0.2, 0.7),
+        "tiny": (1e-9, -0.1),
+        "zero": (0.0, -0.2),
+        "negative": (-0.3, -0.1),
+    }
+    gate = {}
+    sweep = dscale_module._RoundCache.sweep
+
+    def planted_sweep(self, analysis, pairs):
+        if gate:
+            return np.full(pairs.shape, -np.inf)
+        feasible = np.isfinite(sweep(self, analysis, pairs)[:, 1:]).all(1)
+        flat = self.state.flat()
+        reach = flat.reach()
+        chosen = []  # mutually incomparable, so the antichain takes all
+        for i in np.flatnonzero(feasible).tolist():
+            if not any(reach[j] >> i & 1 for j in chosen):
+                chosen.append(i)
+        assert len(chosen) >= len(planted)
+        gains = np.full(pairs.shape, -np.inf)
+        for i, (role, planted_gains) in zip(chosen, planted.items()):
+            gate[role] = flat.order[i]
+            gains[i, 1:] = planted_gains
+        return gains
+
+    offered = []
+    antichain = dscale_module.max_weight_antichain
+
+    def spy(elements, pairs, weights):
+        offered.append((list(elements), dict(weights)))
+        return antichain(elements, pairs, weights)
+
+    monkeypatch.setattr(dscale_module._RoundCache, "sweep", planted_sweep)
+    monkeypatch.setattr(dscale_module, "max_weight_antichain", spy)
+    result = run_dscale(state, non_adjacent=True)
+
+    candidates = [gate["tie"], gate["deeper"], gate["tiny"]]
+    assert offered == [(candidates, dict(zip(candidates, (5000, 7000, 1))))]
+    assert sorted(result.demoted) == sorted(candidates)
+    rails = {role: state.rail_of(name) for role, name in gate.items()}
+    assert rails == dict(tie=1, deeper=2, tiny=1, zero=0, negative=0)
 
 
 def test_round_cap_respected(prepared, library):

@@ -85,7 +85,7 @@ def test_cpn_is_a_separatable_fanin_region(prepared, library):
 def test_resize_profile_reports_positive_area_penalty(prepared, library):
     state = fresh_state(prepared, library)
     for name in state.network.gates():
-        profile = resize_profile(state, state.timing(), name)
+        profile = resize_profile(state, name)
         if profile is None:
             biggest = state.cell(name)
             assert library.next_size_up(biggest) is None

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from repro.api import Flow, FlowConfig
 from repro.bench.generators import mixed_datapath
-from repro.core.dscale import _round_filter, check_demotion, run_dscale
+from repro.core.dscale import _round_pairs, check_demotion, run_dscale
 from repro.core.moves import (
     BUILTIN_COST_MODELS,
     CostModel,
@@ -572,16 +572,27 @@ def test_round_filter_matches_per_name_oracle(n_rails, lc_at_outputs):
     routed = set()
     for seed in range(4):
         state = _converter_dense_state(n_rails, lc_at_outputs, seed)
+        flat = state.flat()
         lowest = state.n_rails - 1
         slack_set = [
             name for name in state.network.gates()
             if state.rail_of(name) < lowest
         ]
+        slack = np.zeros(flat.n, dtype=bool)
+        slack[[flat.pos[name] for name in slack_set]] = True
         for allow_deep in (False, True):
-            got = _round_filter(state, slack_set, lowest, allow_deep)
-            assert got == _round_filter_oracle(
+            pairs, deferred = _round_pairs(state, slack, lowest, allow_deep)
+            oracle = _round_filter_oracle(
                 state, slack_set, lowest, allow_deep)
-            routed |= {kind for kind, names in zip("RT", got) if names}
+            regrouping, saw_retarget, depths_of = oracle
+            expected = np.zeros_like(pairs)
+            for name, depths in depths_of.items():
+                expected[flat.pos[name], depths] = True
+            assert np.array_equal(pairs, expected)
+            held = regrouping | saw_retarget
+            assert [flat.order[i] for i in np.flatnonzero(deferred)] == [
+                name for name in slack_set if name in held]
+            routed |= {kind for kind, names in zip("RT", oracle) if names}
     assert routed == (set() if n_rails == 2 else {"R", "T"})
 
 

@@ -50,14 +50,20 @@ def _state(n_rails):
     )
 
 
-def _full_sweep(cache, analysis, depths_of):
+def _full_sweep(cache, analysis, pairs):
     """Every pair checked, and every feasible one priced, from scratch."""
-    pairs = [(n, t) for n, depths in depths_of.items() for t in depths]
+    order = cache.state.flat().order
+    listed = list(zip(*(axis.tolist() for axis in np.nonzero(pairs))))
     engine = cache.engine
-    flags = engine.check_moves([DemoteMove(*p) for p in pairs], analysis)
-    feasible = [pair for pair, ok in zip(pairs, flags) if ok]
-    gains = engine.price_moves([DemoteMove(*p) for p in feasible])
-    return dict(zip(feasible, gains)), len(pairs)
+    flags = engine.check_moves(
+        [DemoteMove(order[p], t) for p, t in listed], analysis
+    )
+    feasible = [pair for pair, ok in zip(listed, flags) if ok]
+    gains = engine.price_moves([DemoteMove(order[p], t) for p, t in feasible])
+    full = np.full(pairs.shape, -np.inf)
+    for (p, t), gain in zip(feasible, gains):
+        full[p, t] = gain
+    return full, len(listed)
 
 
 def _bypass(monkeypatch):
@@ -85,15 +91,14 @@ def test_every_round_equals_a_full_sweep(
         counts["checked"] += len(moves)
         return check_moves(self, moves, analysis)
 
-    def compared_sweep(self, analysis, depths_of):
-        got = sweep(self, analysis, depths_of)
+    def compared_sweep(self, analysis, pairs):
+        got = sweep(self, analysis, pairs)
         with monkeypatch.context() as inner:
             inner.setattr(MoveEngine, "check_moves", check_moves)
-            full, pairs = _full_sweep(self, analysis, depths_of)
-        assert got == full
-        assert list(got) == list(full)
+            full, listed = _full_sweep(self, analysis, pairs)
+        assert np.array_equal(got, full)
         counts["rounds"] += 1
-        counts["pairs"] += pairs
+        counts["pairs"] += listed
         return got
 
     monkeypatch.setattr(_RoundCache, "sweep", compared_sweep)
@@ -174,9 +179,9 @@ def test_custom_models_are_repriced_every_round(monkeypatch):
     feasible = []
     sweep = _RoundCache.sweep
 
-    def counted_sweep(self, analysis, depths_of):
-        got = sweep(self, analysis, depths_of)
-        feasible.append(len(got))
+    def counted_sweep(self, analysis, pairs):
+        got = sweep(self, analysis, pairs)
+        feasible.append(int(np.isfinite(got).sum()))
         return got
 
     monkeypatch.setattr(_RoundCache, "sweep", counted_sweep)

@@ -49,9 +49,11 @@ import resource
 import sys
 import time
 
+import numpy as np
+
 from repro.bench.mcnc import load_circuit
 from repro.core.dscale import check_demotion
-from repro.core.moves import DemoteMove, MoveEngine
+from repro.core.moves import MoveEngine
 from repro.core.state import ScalingState
 from repro.library.compass import build_compass_library
 from repro.mapping.match import MatchTable
@@ -123,7 +125,11 @@ def bench_pricing_sample(state, sample=512, repeat=1):
         gate for gate in state.network.gates()
         if analysis.slack(gate) > 0 and state.rail_of(gate) < lowest
     ][:sample]
-    moves = [DemoteMove(gate) for gate in candidates]
+    pos = state.flat().pos
+    positions = np.array([pos[gate] for gate in candidates], dtype=np.intp)
+    targets = np.array(
+        [state.rail_of(gate) + 1 for gate in candidates], dtype=np.intp
+    )
     model = engine.cost_model
 
     def serial():
@@ -138,9 +144,9 @@ def bench_pricing_sample(state, sample=512, repeat=1):
         return feasible, gains
 
     def batched():
-        feasible = engine.check_moves(moves, analysis)
-        picked = [move for move, ok in zip(moves, feasible) if ok]
-        return feasible, engine.price_moves(picked)
+        feasible = engine.check_moves(positions, targets, analysis)
+        ok = np.array(feasible, dtype=bool)
+        return feasible, engine.price_moves(positions[ok], targets[ok])
 
     serial_s, serial_result = time_call(serial, repeat)
     batch_s, batch_result = time_call(batched, repeat)

@@ -13,7 +13,8 @@ the suite):
 * ``pricing``: throughput of one Dscale candidate sweep (feasibility
   check + gain pricing over the slack set) through the serial
   per-candidate calls vs the batched ``MoveEngine.check_moves`` /
-  ``price_moves`` kernels, asserting the results are bit-identical;
+  ``price_moves`` kernels on position and target arrays, asserting
+  the results are bit-identical;
   the speedup is the median ratio of interleaved serial/batched rounds
   after a warm-up;
 * ``retarget``: a three-rail Dscale with non-adjacent demotions and
@@ -53,7 +54,7 @@ from repro.core import dscale
 from repro.core.cvs import run_cvs
 from repro.core.dscale import check_demotion, run_dscale
 from repro.core.gscale import run_gscale
-from repro.core.moves import DemoteMove, MoveEngine
+from repro.core.moves import MoveEngine
 from repro.core.state import ScalingState
 from repro.library.compass import build_compass_library
 from repro.mapping.match import MatchTable
@@ -146,7 +147,11 @@ def bench_pricing(prepared, library, rounds=31):
         for gate in state.network.gates()
         if analysis.slack(gate) > 0 and state.rail_of(gate) < lowest
     ]
-    moves = [DemoteMove(gate, target=target) for gate, target in candidates]
+    pos = state.flat().pos
+    positions = np.array([pos[gate] for gate, _ in candidates], dtype=np.intp)
+    targets = np.array(
+        [state.rail_of(gate) + 1 for gate, _ in candidates], dtype=np.intp
+    )
     model = engine.cost_model
 
     def serial():
@@ -162,9 +167,9 @@ def bench_pricing(prepared, library, rounds=31):
         return feasible, gains
 
     def batched():
-        feasible = engine.check_moves(moves, analysis)
-        picked = [move for move, ok in zip(moves, feasible) if ok]
-        return feasible, engine.price_moves(picked)
+        feasible = engine.check_moves(positions, targets, analysis)
+        ok = np.array(feasible, dtype=bool)
+        return feasible, engine.price_moves(positions[ok], targets[ok])
 
     serial_result = serial()
     if batched() != serial_result:

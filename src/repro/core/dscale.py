@@ -299,13 +299,6 @@ def _stale_positions(
     return check, price
 
 
-def _demotions(order, pp: np.ndarray, tt: np.ndarray) -> list[DemoteMove]:
-    """One :class:`DemoteMove` per ``(position, target)`` pair."""
-    return [
-        DemoteMove(order[p], t) for p, t in zip(pp.tolist(), tt.tolist())
-    ]
-
-
 class _RoundCache:
     """The flag and gain of every ``(gate, target)`` pair Dscale priced.
 
@@ -360,21 +353,18 @@ class _RoundCache:
             self.priced[price] = False
         if not self.local_gains:
             self.priced[:] = False
-        order = flat.order
         # Row-major: topological position, then ascending target.
         pp, tt = np.nonzero(pairs)
         stale = self.flag[pp, tt] < 0
         if stale.any():
             sp, st = pp[stale], tt[stale]
-            moves = _demotions(order, sp, st)
-            self.flag[sp, st] = self.engine.check_moves(moves, analysis)
+            self.flag[sp, st] = self.engine.check_moves(sp, st, analysis)
         ok = self.flag[pp, tt] > 0
         fp, ft = pp[ok], tt[ok]
         unpriced = ~self.priced[fp, ft]
         if unpriced.any():
             up, ut = fp[unpriced], ft[unpriced]
-            moves = _demotions(order, up, ut)
-            self.gain[up, ut] = self.engine.price_moves(moves)
+            self.gain[up, ut] = self.engine.price_moves(up, ut)
             self.priced[up, ut] = True
         self.epoch = analysis.advance_epoch()
         gains = np.full(pairs.shape, -np.inf)

@@ -8,9 +8,9 @@ explicit:
 * a :class:`Move` is one reversible state mutation
   (:class:`DemoteMove`, :class:`PromoteMove`, :class:`ResizeMove`,
   :class:`RetargetShifterMove`, :class:`DropConverterMove`) with
-  ``apply(state)`` / ``undo(state)`` and an optional ``price`` hook;
-* a :class:`CostModel` turns a candidate move into a power gain figure
-  (uW saved); the registry ships the seed paper arithmetic
+  ``apply(state)`` / ``undo(state)``;
+* a :class:`CostModel` turns a candidate demotion into a power gain
+  figure (uW saved); the registry ships the seed paper arithmetic
   (:class:`PaperCostModel`, the default -- bit-identical to the
   pre-refactor inlined computation) and a placement-aware level-shifter
   model (:class:`PlacementAwareCostModel`) in the spirit of the
@@ -112,9 +112,7 @@ class Move:
     ``apply`` performs the mutation through the state's writers
     (``set_rail`` / ``add_converter`` / ``drop_converter`` /
     ``resize``, so every timing invalidation routes automatically) and
-    records whatever ``undo`` needs to revert it exactly.  ``price``
-    asks a :class:`CostModel` for the move's power gain in uW (positive
-    = saves power); moves whose selection is not gain-driven return 0.
+    records whatever ``undo`` needs to revert it exactly.
     """
 
     kind = "move"
@@ -128,9 +126,6 @@ class Move:
 
     def undo(self, state) -> None:
         raise NotImplementedError
-
-    def price(self, state, model: "CostModel") -> float:
-        return 0.0
 
     def footprint(self, state) -> tuple[str, ...] | None:
         """The gates whose state :meth:`apply` reads, or ``None``.
@@ -169,9 +164,6 @@ class DemoteMove(Move):
         for edge in self._new_edges:
             state.drop_converter(edge)
         state.set_rail(self.name, self._old_rail)
-
-    def price(self, state, model: "CostModel") -> float:
-        return model.demotion_gain(state, self.name, target=self.target)
 
     def footprint(self, state) -> tuple[str, ...]:
         """The gate, its fanins and its readers.
@@ -268,7 +260,7 @@ class DropConverterMove(Move):
 
 
 class CostModel:
-    """Prices candidate moves; the optimizers select on these figures.
+    """Prices candidate demotions; the optimizers select on these figures.
 
     A model returns *power gain in uW* (positive = the move saves
     power).  Subclass and :func:`register_cost_model` to experiment
@@ -305,19 +297,21 @@ class CostModel:
         """Power saved by dropping ``name`` to ``target`` (uW)."""
         raise NotImplementedError
 
-    def demotion_gains(
-        self, state, candidates: list[tuple[str, int | None]]
-    ) -> list[float]:
-        """Batched :meth:`demotion_gain` over ``(name, target)`` pairs.
+    def demotion_gains(self, state, positions, targets) -> list[float]:
+        """Batched :meth:`demotion_gain` over ``(position, target)`` pairs.
 
-        The default loops over :meth:`demotion_gain`, so custom models
-        are batch-correct without writing any batch code; models whose
-        arithmetic vectorizes override this (``paper`` delegates to the
+        ``positions`` index the state's flat snapshot and ``targets``
+        name each pair's destination rail.  The default maps positions
+        to names through the snapshot's order and loops over
+        :meth:`demotion_gain`, so custom models are batch-correct
+        without writing any batch code; models whose arithmetic
+        vectorizes override this (``paper`` delegates to the
         :mod:`repro.timing.batch` kernel).
         """
+        order = state.flat().order
         return [
-            self.demotion_gain(state, name, target=target)
-            for name, target in candidates
+            self.demotion_gain(state, order[p], target=int(t))
+            for p, t in zip(positions, targets)
         ]
 
 
@@ -349,11 +343,9 @@ class PaperCostModel(CostModel):
             target=target,
         )
 
-    def demotion_gains(
-        self, state, candidates: list[tuple[str, int | None]]
-    ) -> list[float]:
+    def demotion_gains(self, state, positions, targets) -> list[float]:
         """One vectorized sweep; bit-identical to the serial loop."""
-        return batch.demotion_gains(state, candidates)
+        return batch.demotion_gains(state, positions, targets)
 
 
 class PlacementAwareCostModel(PaperCostModel):
@@ -386,15 +378,13 @@ class PlacementAwareCostModel(PaperCostModel):
         gain = super().demotion_gain(state, name, target=target)
         return self._less_wire(state, name, target, gain)
 
-    def demotion_gains(
-        self, state, candidates: list[tuple[str, int | None]]
-    ) -> list[float]:
+    def demotion_gains(self, state, positions, targets) -> list[float]:
         """One vectorized sweep with the wire surcharge folded in.
 
         Bit-identical to the serial :meth:`demotion_gain` per pair.
         """
         return batch.demotion_gains(
-            state, candidates, wire_factor=self.wire_factor
+            state, positions, targets, wire_factor=self.wire_factor
         )
 
     def _less_wire(
@@ -531,6 +521,11 @@ class _Certificate:
 class MoveEngine:
     """Executes moves on one state, transactionally or not.
 
+    It also checks and prices a batch of plain demotions in one sweep
+    (:meth:`check_moves`, :meth:`price_moves`), given as parallel
+    arrays of snapshot positions and target rails -- the form a Dscale
+    round's pair table holds.
+
     Counters accumulate into ``state.move_stats``, so CVS running
     inside Dscale or Gscale reports into the same table.  Beyond the
     resolved cost model the engine keeps one record per
@@ -555,58 +550,29 @@ class MoveEngine:
         self.last_power: float | None = None
         self._certificates: dict[tuple, _Certificate] = {}
 
-    def price(self, move: Move) -> float:
-        """The move's power gain (uW) under the engine's cost model."""
-        return move.price(self.state, self.cost_model)
+    def price_moves(self, positions, targets) -> list[float]:
+        """Power gain (uW) of each ``(position, target)`` demotion.
 
-    def price_moves(self, moves: list[Move]) -> list[float]:
-        """Power gain (uW) of each move, batching the demotions.
-
-        Demotions route through the cost model's
-        :meth:`CostModel.demotion_gains` sweep (vectorized for the
-        built-in models, bit-identical to the serial loop); every
-        other kind is priced through its own :meth:`Move.price` hook,
-        so mixed batches are fine.
+        One :meth:`CostModel.demotion_gains` sweep of the engine's cost
+        model (vectorized for the built-in models, bit-identical to the
+        serial loop).
         """
-        gains: list[float] = [0.0] * len(moves)
-        demote_at: list[int] = []
-        candidates: list[tuple[str, int | None]] = []
-        for i, move in enumerate(moves):
-            if move.kind == "demote":
-                demote_at.append(i)
-                candidates.append((move.name, move.target))
-            else:
-                gains[i] = self.price(move)
-        if candidates:
-            batched = self.cost_model.demotion_gains(self.state, candidates)
-            for i, gain in zip(demote_at, batched):
-                gains[i] = gain
-        return gains
+        return self.cost_model.demotion_gains(self.state, positions, targets)
 
-    def check_moves(self, moves: list[Move], analysis=None) -> list[bool]:
-        """Closed-form feasibility of a batch of plain demotions.
+    def check_moves(self, positions, targets, analysis=None) -> list[bool]:
+        """Closed-form feasibility of each ``(position, target)`` demotion.
 
         One sweep of the :mod:`repro.timing.batch` kernel over the
-        analysis' levelized arrays, bit-identical to running the serial
-        ``check_demotion`` per move.  The closed form is exact for
-        antichain application of plain :class:`DemoteMove` only; any
-        other kind (including :class:`RetargetShifterMove`, which is
-        outside the closed form's model) raises ``ValueError`` --
-        verify those transactionally with :meth:`try_move` instead.
+        analysis' levelized arrays (the state's timing engine when
+        ``analysis`` is ``None``), bit-identical to running the serial
+        ``check_demotion`` per pair.  The closed form is exact for
+        antichain application of plain demotions only; verify anything
+        transactional (a :class:`RetargetShifterMove`, say) with
+        :meth:`try_move` instead.
         """
-        candidates: list[tuple[str, int | None]] = []
-        for move in moves:
-            if move.kind != "demote":
-                raise ValueError(
-                    f"check_moves covers plain demotions only; verify "
-                    f"{move.kind!r} moves transactionally via try_move"
-                )
-            candidates.append((move.name, move.target))
-        if not candidates:
-            return []
         if analysis is None:
             analysis = self.state.timing()
-        return batch.check_demotions(self.state, analysis, candidates)
+        return batch.check_demotions(self.state, analysis, positions, targets)
 
     def apply(self, move: Move) -> None:
         """Apply unconditionally (the caller already verified it)."""

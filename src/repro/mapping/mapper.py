@@ -40,7 +40,11 @@ from repro.netlist.functions import TruthTable, _var_pattern, compose_bits
 from repro.netlist.network import Network
 from repro.mapping.match import MatchTable
 from repro.mapping.subject import to_subject_graph
-from repro.timing.incremental import IncrementalTiming, swap_cell
+from repro.timing.incremental import (
+    IncrementalTiming,
+    TimingInfeasible,
+    swap_cell,
+)
 
 EST_LOAD = 21.0
 """Nominal load (fF) assumed while covering: ~2 average pins + wire."""
@@ -281,14 +285,15 @@ def recover_area(engine: IncrementalTiming, tspec: float) -> int:
     for further downsizing -- this is what consumes the relaxed
     constraint's slack the way the paper's area-delay-trade-off remap
     does.  ``engine`` times the mapped network on a caching calculator;
-    its own ``tspec`` is not read.  Raises if the input mapping already
-    misses ``tspec``.
+    its own ``tspec`` is not read.  Raises
+    :class:`~repro.timing.incremental.TimingInfeasible` if the input
+    mapping already misses ``tspec``.
     """
     calculator = engine.calculator
     mapped = engine.network
     library = calculator.library
     if engine.worst_delay > tspec + 1e-9:
-        raise ValueError(
+        raise TimingInfeasible(
             f"mapping misses tspec before recovery: "
             f"{engine.worst_delay:.3f} > {tspec:.3f} ns"
         )

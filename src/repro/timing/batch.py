@@ -6,7 +6,11 @@ antichain check), and what does it save (the eq. (1) gain).  The
 serial loops answer them one gate at a time through the method-call
 surface of :class:`~repro.timing.delay.DelayCalculator`, re-deriving
 the reader pin capacitances and rail assignments per query; this
-module answers them for a whole batch at once.
+module answers them for a whole batch at once.  A batch is two
+parallel arrays, the candidates' snapshot positions and their
+destination rails: the form a Dscale round's ``(position, rail)`` pair
+table already holds, so no name or move object sits between the round
+and the arithmetic.
 
 The shared :class:`~repro.netlist.flat.FlatNetwork` snapshot -- cached
 on the state, patched in place by cell resizes and rebuilt only on
@@ -53,8 +57,6 @@ the move engine above can delegate to it without an import cycle.
 """
 
 from __future__ import annotations
-
-from collections.abc import Sequence
 
 import numpy as np
 
@@ -178,35 +180,27 @@ def _net_vectors(static, rails_arr, cp, tg, keys, po_lc, lc_at_outputs):
     return out
 
 
-def _split_candidates(state, static, candidates):
-    """Normalize targets and validate the candidates, as arrays.
+def _split_candidates(state, static, positions, targets):
+    """Validate the ``(position, target)`` candidates, as arrays.
 
-    Positions come from ``static.pos``, current rails from the state's
-    memoized rail plane, and targets as one array (``None``: the rail
-    below the current one).  Raises the serial loops' ``ValueError``
-    for the first bad candidate in input order: a primary input, then
-    a target past the lowest rail, then one not below the current rail.
-    Returns ``(cp, tg, rails, names, ())``: positions, targets and
-    current rails as ``intp`` arrays, and the names.  The fifth slot
-    once listed the candidates routed to a serial fallback; it stays,
-    always empty, because the perfbench tracer (``perfbench/spans.py``)
-    hooks this function and reports its length as
-    ``timing.fallback_frac``.
+    Current rails come from the state's memoized rail plane.  Raises
+    the serial loops' ``ValueError`` for the first bad candidate in
+    input order: a primary input, then a target past the lowest rail,
+    then one not below the current rail.  Returns ``(cp, tg, rails,
+    names, ())``: positions, targets and current rails as ``intp``
+    arrays, and the names.  The fifth slot once listed the candidates
+    routed to a serial fallback; it stays, always empty, because the
+    perfbench tracer (``perfbench/spans.py``) hooks this function and
+    reports its length as ``timing.fallback_frac``.
     """
-    intp = np.intp
-    names, targets = zip(*candidates)
-    at = list(map(static.pos.__getitem__, names))
-    count = len(at)
-    cp = np.asarray(at, dtype=intp)
+    cp = np.asarray(positions, dtype=np.intp)
+    tg = np.asarray(targets, dtype=np.intp)
+    at = cp.tolist()
+    names = list(map(static.order.__getitem__, at))
     rails = state.assignment_overlays()[0][cp]
-    if None in targets:
-        unset = np.fromiter((t is None for t in targets), bool, count)
-        tg = rails + 1
-        tg[~unset] = [t for t in targets if t is not None]
-    else:
-        unset = np.zeros(count, dtype=bool)
-        tg = np.asarray(targets, dtype=intp)
-    is_input = np.fromiter(map(static.is_input.__getitem__, at), bool, count)
+    is_input = np.fromiter(
+        map(static.is_input.__getitem__, at), bool, len(at)
+    )
     too_low = tg >= static.n_rails
     bad = is_input | too_low | (tg <= rails)
     if bad.any():
@@ -216,9 +210,8 @@ def _split_candidates(state, static, candidates):
         name = names[k]
         if too_low[k]:
             raise ValueError(f"{name!r} is already at the lowest rail")
-        target = int(tg[k]) if unset[k] else targets[k]
         raise ValueError(
-            f"demotion target {target} must sit below {name!r}'s "
+            f"demotion target {int(tg[k])} must sit below {name!r}'s "
             f"current rail {int(rails[k])}"
         )
     return cp, tg, rails, names, ()
@@ -229,10 +222,8 @@ def _split_candidates(state, static, candidates):
 # ---------------------------------------------------------------------
 
 
-def check_demotions(
-    state, analysis, candidates: Sequence[tuple[str, int | None]]
-) -> list[bool]:
-    """Feasibility of each ``(name, target)`` demotion, batched.
+def check_demotions(state, analysis, positions, targets) -> list[bool]:
+    """Feasibility of each ``(position, target)`` demotion, batched.
 
     Bit-identical to calling ``repro.core.dscale.check_demotion`` once
     per candidate against the same analysis: same net change, same
@@ -241,12 +232,15 @@ def check_demotions(
     deadline comparisons -- for every candidate, shifters on its output
     or input edges included.  ``analysis`` is the state's
     :class:`~repro.timing.incremental.IncrementalTiming` engine.
-    ``target=None`` checks the classic one-rail step.
+    ``positions`` index the state's flat snapshot; ``targets`` are the
+    destination rails, one per position.
     """
-    if not candidates:
+    if not len(positions):
         return []
     static = state.flat()
-    cp, tg, rails, names, _ = _split_candidates(state, static, candidates)
+    cp, tg, rails, names, _ = _split_candidates(
+        state, static, positions, targets
+    )
     calc = state.calc
     options = state.options
     tolerance = options.timing_tolerance
@@ -326,9 +320,7 @@ def check_demotions(
 
 
 def demotion_gains(
-    state,
-    candidates: Sequence[tuple[str, int | None]],
-    wire_factor: float | None = None,
+    state, positions, targets, wire_factor: float | None = None
 ) -> list[float]:
     """Paper-model power gain (uW) of each demotion, batched.
 
@@ -344,12 +336,15 @@ def demotion_gains(
     (:meth:`repro.core.moves.PlacementAwareCostModel.demotion_gain`):
     one subtraction per destination rail of a new shifter, in ascending
     rail order, each charging ``wire_factor`` times the wire cap of the
-    readers behind it at that rail's swing.
+    readers behind it at that rail's swing.  ``positions`` and
+    ``targets`` are as :func:`check_demotions` takes them.
     """
-    if not candidates:
+    if not len(positions):
         return []
     static = state.flat()
-    cp, tg, rails, names, _ = _split_candidates(state, static, candidates)
+    cp, tg, rails, names, _ = _split_candidates(
+        state, static, positions, targets
+    )
     options = state.options
     rails_arr, keys, po_lc = state.assignment_overlays()
     net = _net_vectors(

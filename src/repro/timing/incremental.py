@@ -196,6 +196,15 @@ class _ArrayView(Mapping):
 _SPENT = "timing transaction ended in an early reject; call rollback()"
 
 
+class TimingInfeasible(ValueError):
+    """A circuit misses its timing budget before any move was made.
+
+    Raised where a stage would otherwise start work it cannot finish
+    legally: area recovery on a mapping that already misses ``tspec``,
+    and a scaling method on a state whose starting delay exceeds it.
+    """
+
+
 class _Journal:
     """Pre-transaction values of every overwritten array slot.
 
@@ -958,4 +967,9 @@ class IncrementalTiming:
         return trace_critical_path(self.calculator, self.arrival, self.load)
 
 
-__all__ = ["IncrementalTiming", "note_cell_swap", "swap_cell"]
+__all__ = [
+    "IncrementalTiming",
+    "TimingInfeasible",
+    "note_cell_swap",
+    "swap_cell",
+]

@@ -380,9 +380,20 @@ def _serial_pricing(state, analysis, candidates):
     return feasible, gains
 
 
+def _as_arrays(state, candidates):
+    """``(positions, targets)`` of ``(name, target)`` candidates, a
+    ``None`` target made the rail below the gate's current one."""
+    pos = state.flat().pos
+    positions = [pos[name] for name, _ in candidates]
+    targets = [state.rail_of(name) + 1 if target is None else target
+               for name, target in candidates]
+    return positions, targets
+
+
 def _batched_pricing(state, analysis, candidates):
-    feasible = timing_batch.check_demotions(state, analysis, candidates)
-    gains = timing_batch.demotion_gains(state, candidates)
+    arrays = _as_arrays(state, candidates)
+    feasible = timing_batch.check_demotions(state, analysis, *arrays)
+    gains = timing_batch.demotion_gains(state, *arrays)
     return feasible, gains
 
 
@@ -748,49 +759,31 @@ def test_batched_pricing_validation_matches_serial(multirail_state):
     """The batch kernels raise the serial loops' ValueErrors verbatim."""
     state = multirail_state
     analysis = state.timing()
+    pos = state.flat().pos
     name = state.network.gates()[0]
+    at = pos[name]
     with pytest.raises(ValueError, match="already at the lowest rail"):
         timing_batch.check_demotions(
-            state, analysis, [(name, state.n_rails)])
+            state, analysis, [at], [state.n_rails])
     with pytest.raises(ValueError, match="must sit below"):
         timing_batch.check_demotions(
-            state, analysis, [(name, state.rail_of(name))])
+            state, analysis, [at], [state.rail_of(name)])
     with pytest.raises(ValueError, match="already at the lowest rail"):
-        timing_batch.demotion_gains(state, [(name, state.n_rails)])
+        timing_batch.demotion_gains(state, [at], [state.n_rails])
     primary_input = next(
         n for n, node in state.network.nodes.items() if node.is_input)
+    pi_at = pos[primary_input]
+    pi_target = state.rail_of(primary_input) + 1
     with pytest.raises(ValueError, match="primary inputs"):
-        timing_batch.demotion_gains(state, [(primary_input, None)])
+        timing_batch.demotion_gains(state, [pi_at], [pi_target])
     with pytest.raises(ValueError, match="primary inputs"):
         check_demotion(state, analysis, primary_input)
     with pytest.raises(ValueError, match="primary inputs"):
-        timing_batch.check_demotions(state, analysis, [(primary_input, None)])
+        timing_batch.check_demotions(state, analysis, [pi_at], [pi_target])
     # Candidates validate in order: the first bad one names the error.
     with pytest.raises(ValueError, match="already at the lowest rail"):
         timing_batch.demotion_gains(
-            state, [(name, state.n_rails), (primary_input, None)])
-
-
-def test_price_moves_mixed_kinds_match_price(multirail_state):
-    """price_moves batches the demotions and passes other kinds through
-    Move.price -- a mixed batch prices exactly like the scalar calls."""
-    state = multirail_state
-    engine = MoveEngine(state)
-    lowest = state.n_rails - 1
-    moves = [DemoteMove(name) for name in state.network.gates()[:8]
-             if state.rail_of(name) < lowest]
-    name = state.network.gates()[0]
-    cell = state.cell(name)
-    moves.append(ResizeMove(name, state.library.variants(cell.base)[0]))
-    assert len(moves) > 1
-    assert engine.price_moves(moves) == [engine.price(m) for m in moves]
-
-
-def test_check_moves_rejects_non_demote(multirail_state):
-    engine = MoveEngine(multirail_state)
-    name = multirail_state.network.gates()[0]
-    with pytest.raises(ValueError, match="transactionally"):
-        engine.check_moves([PromoteMove(name)])
+            state, [at, pi_at], [state.n_rails, pi_target])
 
 
 def test_last_power_tracks_power_gated_commits(multirail_state):
@@ -976,7 +969,8 @@ def test_batched_placement_pricing_bit_identical_to_serial(
                 applied.append(move)
         candidates = _pricing_candidates(rng, state)
         for model in PLACEMENT_MODELS:
-            assert (model.demotion_gains(state, candidates)
+            arrays = _as_arrays(state, candidates)
+            assert (model.demotion_gains(state, *arrays)
                     == _serial_placement(state, model, candidates))
     finally:
         for move in reversed(applied):
@@ -1008,9 +1002,10 @@ def test_converter_dense_placement_gains_match_serial(n_rails, lc_at_outputs):
             for name in state.network.gates()
             for target in range(state.rail_of(name) + 1, lowest + 1)
         ]
-        paper = timing_batch.demotion_gains(state, candidates)
+        arrays = _as_arrays(state, candidates)
+        paper = timing_batch.demotion_gains(state, *arrays)
         for model in PLACEMENT_MODELS:
-            gains = model.demotion_gains(state, candidates)
+            gains = model.demotion_gains(state, *arrays)
             assert gains == _serial_placement(state, model, candidates)
             charged += sum(g != p for g, p in zip(gains, paper))
     assert charged
@@ -1041,10 +1036,11 @@ def test_batched_validation_names_the_first_bad_candidate(multirail_state):
                 expected = str(exc)
                 break
         assert expected is not None
+        arrays = _as_arrays(state, candidates)
         for kernel in (
-            lambda c: timing_batch.check_demotions(state, analysis, c),
-            lambda c: timing_batch.demotion_gains(state, c),
+            lambda a: timing_batch.check_demotions(state, analysis, *a),
+            lambda a: timing_batch.demotion_gains(state, *a),
         ):
             with pytest.raises(ValueError) as raised:
-                kernel(candidates)
+                kernel(arrays)
             assert str(raised.value) == expected

@@ -18,13 +18,13 @@ from repro.core import dscale
 from repro.core.dscale import _RoundCache, run_dscale
 from repro.core.moves import (
     CostModel,
-    DemoteMove,
     MoveEngine,
     PaperCostModel,
     get_cost_model,
 )
 from repro.core.state import ScalingState
 from repro.flow.store import normalize_row
+from repro.power.estimate import demotion_gain
 
 CIRCUIT = "gen:layered:width=10:depth=10:seed=1"
 RAILS = {2: (), 3: (1.8, 1.0, 0.6), 4: (1.8, 1.3, 0.9, 0.6)}
@@ -52,18 +52,14 @@ def _state(n_rails):
 
 def _full_sweep(cache, analysis, pairs):
     """Every pair checked, and every feasible one priced, from scratch."""
-    order = cache.state.flat().order
-    listed = list(zip(*(axis.tolist() for axis in np.nonzero(pairs))))
+    pp, tt = np.nonzero(pairs)
     engine = cache.engine
-    flags = engine.check_moves(
-        [DemoteMove(order[p], t) for p, t in listed], analysis
-    )
-    feasible = [pair for pair, ok in zip(listed, flags) if ok]
-    gains = engine.price_moves([DemoteMove(order[p], t) for p, t in feasible])
+    flags = np.asarray(engine.check_moves(pp, tt, analysis), dtype=bool)
+    gains = engine.price_moves(pp[flags], tt[flags])
     full = np.full(pairs.shape, -np.inf)
-    for (p, t), gain in zip(feasible, gains):
+    for p, t, gain in zip(pp[flags].tolist(), tt[flags].tolist(), gains):
         full[p, t] = gain
-    return full, len(listed)
+    return full, len(pp)
 
 
 def _bypass(monkeypatch):
@@ -87,9 +83,9 @@ def test_every_round_equals_a_full_sweep(
     counts = {"rounds": 0, "pairs": 0, "checked": 0}
     check_moves = MoveEngine.check_moves
 
-    def counted_check(self, moves, analysis=None):
-        counts["checked"] += len(moves)
-        return check_moves(self, moves, analysis)
+    def counted_check(self, positions, targets, analysis=None):
+        counts["checked"] += len(positions)
+        return check_moves(self, positions, targets, analysis)
 
     def compared_sweep(self, analysis, pairs):
         got = sweep(self, analysis, pairs)
@@ -164,9 +160,9 @@ class _CountingModel(PaperCostModel):
     def __init__(self):
         self.priced = 0
 
-    def demotion_gains(self, state, candidates):
-        self.priced += len(candidates)
-        return super().demotion_gains(state, candidates)
+    def demotion_gains(self, state, positions, targets):
+        self.priced += len(positions)
+        return super().demotion_gains(state, positions, targets)
 
 
 def test_custom_models_are_repriced_every_round(monkeypatch):
@@ -192,3 +188,39 @@ def test_custom_models_are_repriced_every_round(monkeypatch):
     paper = _state(3)
     assert run_dscale(paper, non_adjacent=True).demoted == result.demoted
     assert dict(paper.levels) == dict(state.levels)
+
+
+class _SerialPaperModel(CostModel):
+    """The README's custom-model pattern: only ``demotion_gain``, here
+    the serial paper arithmetic, priced through the default batch loop."""
+
+    name = "serial-paper"
+
+    def demotion_gain(self, state, name, target=None):
+        return demotion_gain(
+            state.calc,
+            state.activity,
+            name,
+            clock_mhz=state.options.clock_mhz,
+            lc_at_outputs=state.options.lc_at_outputs,
+            target=target,
+        )
+
+
+@pytest.mark.parametrize(
+    "n_rails, non_adjacent", [(2, False), (3, True)], ids=["2", "3-deep"]
+)
+def test_a_model_with_only_demotion_gain_scales_like_paper(
+    n_rails, non_adjacent
+):
+    """Dscale under a model that defines only ``demotion_gain`` demotes
+    exactly what the built-in ``paper`` model does."""
+    custom = _state(n_rails)
+    result = run_dscale(
+        custom, cost_model=_SerialPaperModel(), non_adjacent=non_adjacent
+    )
+    paper = _state(n_rails)
+    expected = run_dscale(paper, non_adjacent=non_adjacent)
+    assert result.demoted
+    assert result.demoted == expected.demoted
+    assert dict(custom.levels) == dict(paper.levels)

@@ -19,7 +19,7 @@ from repro.mapping.subject import to_subject_graph
 from repro.netlist.validate import check_network, networks_equivalent
 from repro.opt.script import rugged
 from repro.timing.delay import DEFAULT_PO_LOAD, DelayCalculator
-from repro.timing.incremental import IncrementalTiming
+from repro.timing.incremental import IncrementalTiming, TimingInfeasible
 from repro.timing.sta import TimingAnalysis
 
 
@@ -202,7 +202,7 @@ def _reference_recover_area(mapped, library, tspec, po_load=DEFAULT_PO_LOAD):
     calculator = DelayCalculator(mapped, library, po_load=po_load)
     analysis = TimingAnalysis(calculator, tspec)
     if not analysis.meets_timing():
-        raise ValueError(
+        raise TimingInfeasible(
             f"mapping misses tspec before recovery: "
             f"{analysis.worst_delay:.3f} > {tspec:.3f} ns"
         )
@@ -329,7 +329,7 @@ def test_sizing_loops_match_timing_analysis_reference(
     assert _cells(ours) == _cells(theirs)
 
     missed = _error(recover_area, _engine(ours, library), 1e-6)
-    assert missed[0] is ValueError
+    assert missed[0] is TimingInfeasible
     assert missed == _error(_reference_recover_area, theirs, library, 1e-6)
 
     tight = speed_up_sizing(_engine(ours, library))

@@ -182,11 +182,13 @@ def bench_power(label, state, activity, repeat):
         lambda: estimate_power_calc(state.calc, activity), repeat
     )
 
+    loads = state.timing().forward_loads()
+
     def flat_power():
         plane = PowerPlane(
             state.calc, activity, DEFAULT_CLOCK_MHZ, False, state.flat()
         )
-        return plane.breakdown()
+        return plane.breakdown(loads)
 
     power_flat_s, p_flat = time_call(flat_power, repeat)
     fields = ("switching", "internal", "converter", "total")
@@ -240,7 +242,7 @@ def bench_size(label, spec, library, match_table, slack=1.2):
     )
     flat_s, _ = time_call(lambda: build_flat(network, state.calc), repeat)
     numpy_s, engine_numpy = time_call(
-        lambda: IncrementalTiming(state.calc, tspec, flat_source=state.flat),
+        lambda: IncrementalTiming(state.calc, tspec, flat=state.flat()),
         repeat,
     )
     order, arrival, required, load = engine_numpy.levelized_arrays()

@@ -43,7 +43,7 @@ from repro.netlist.network import Network
 from repro.netlist.validate import check_network
 from repro.power.activity import Activity, random_activities
 from repro.timing.delay import DelayCalculator
-from repro.timing.incremental import IncrementalTiming, TimingInfeasible
+from repro.timing.incremental import IncrementalTiming
 
 STAGES = ("optimize", "map", "constrain", "scale", "restore", "measure")
 """Stage execution order.  ``prepare()`` runs the first three;
@@ -209,7 +209,8 @@ def scale_stage(ctx: FlowContext) -> None:
     when it fits, and supplies the power before scaling; otherwise a
     new record is taken from the state.  :meth:`Flow.scale` builds the
     state from scratch.  A state that misses ``tspec`` before any move
-    raises :class:`~repro.timing.incremental.TimingInfeasible`, and the
+    raises :class:`~repro.timing.incremental.TimingInfeasible`
+    (:meth:`~repro.core.state.ScalingState.check_start`), and the
     method never runs.
     """
     from repro.core.moves import get_cost_model
@@ -250,12 +251,7 @@ def scale_stage(ctx: FlowContext) -> None:
         # skips this branch: its state was checked when it was taken,
         # and timing it here would bar run_cvs from adopting the CVS
         # point, which it does only on an untimed state.
-        timing = state.timing()
-        if not timing.meets_timing(state.options.timing_tolerance):
-            raise TimingInfeasible(
-                f"the network misses tspec before scaling: "
-                f"{timing.worst_delay:.4f} ns > tspec {ctx.tspec:.4f} ns"
-            )
+        state.check_start()
         if prepared is not None:
             record = ScaleBaseline(state, power_before)
             state.baseline = prepared.scale_baseline = record

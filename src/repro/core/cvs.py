@@ -90,6 +90,27 @@ class _CvsPoint:
         return CvsResult(list(self.result.demoted), self.result.tcb)
 
 
+def _retargets(state: ScalingState, name: str) -> bool:
+    """Whether demoting ``name`` would move a shifter's destination rail.
+
+    The pass prices shifters at their current destination, so such a
+    gate is not eligible.  Dscale's rule (``_round_pairs``): one of the
+    gate's own shifters has a reader at or below its rail (a primary
+    output counts as rail 0), or a fanin ``f`` converts into it with
+    ``rail_of(f) - 1 > rail_of(name)``.  Only shifters left by a
+    multi-rail Dscale can meet either.
+    """
+    rail = state.rail_of(name)
+    for reader in state.converter_readers(name):
+        if (0 if reader == OUTPUT else state.rail_of(reader)) >= rail:
+            return True
+    return any(
+        state.rail_of(fanin) - 1 > rail
+        for fanin in state.network.nodes[name].fanins
+        if (fanin, name) in state.lc_edges
+    )
+
+
 def _cvs_pass(
     state: ScalingState, target: int, engine: MoveEngine
 ) -> tuple[list[str], frozenset[str]]:
@@ -144,6 +165,8 @@ def _cvs_pass(
             continue  # some reader above the boundary: not eligible
         if name not in outputs and not network.fanouts(name):
             continue  # dangling node: nothing downstream to protect
+        if state.lc_edges and _retargets(state, name):
+            continue
         # Would dropping the gate to rail ``target`` still meet timing?
         # Exact given the snapshot arrivals: only its own stage delay
         # (and, at the boundary, its load and output shifter) changes.
@@ -183,15 +206,17 @@ def run_cvs(state: ScalingState) -> CvsResult:
     a state with no timing engine yet adopts it, the one place that
     does: the recorded snapshot, the assignment in the same order, the
     repaired timing arrays, move counters and result, without a sweep
-    or a pass.  A moved or already timed state runs the passes.
+    or a pass.  A moved or already timed state runs the passes, after
+    :meth:`~repro.core.state.ScalingState.check_start` (a state that
+    misses ``tspec`` raises
+    :class:`~repro.timing.incremental.TimingInfeasible` unmoved).
     """
-    baseline = state.baseline
-    if state.assignment_version or state.cells_version:
-        baseline = None
+    baseline = None if state.moved else state.baseline
     if baseline is not None and baseline.cvs is not None:
         if not state.timed:
             return baseline.cvs.adopt(state, baseline.flat)
         baseline = None  # recorded already
+    state.check_start()
     engine = MoveEngine(state)
     if baseline is not None:
         engine.stats = MoveStats()  # this run's counters, for the record

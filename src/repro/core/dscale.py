@@ -302,8 +302,10 @@ def _stale_positions(
 class _RoundCache:
     """The flag and gain of every ``(gate, target)`` pair Dscale priced.
 
-    Kept by gate position and target rail, for one timing engine and
-    one snapshot.  Each round starts by forgetting the flags of the
+    Kept by gate position and target rail over the state's snapshot,
+    which, like its timing engine, lasts as long as the state (build
+    the cache after :func:`~repro.core.cvs.run_cvs`, which may adopt
+    both).  Each round starts by forgetting the flags of the
     gates :func:`_stale_positions` names since the epoch recorded after
     the last round's sweeps, and the gains of a narrower set; only the
     pairs left without a flag go through
@@ -319,20 +321,15 @@ class _RoundCache:
 
     def __init__(self, state: ScalingState, engine: MoveEngine):
         self.state = state
+        self.flat = state.flat()
         self.engine = engine
         self.local_gains = engine.cost_model.local_gains
-        self.timing: IncrementalTiming | None = None
-        self.flat = None
         self.epoch = 0
-
-    def _reset(self, analysis: IncrementalTiming, flat) -> None:
-        shape = (flat.n, self.state.n_rails)
+        shape = (self.flat.n, state.n_rails)
         #: -1 unknown, else the feasibility flag.
         self.flag = np.full(shape, -1, dtype=np.int8)
         self.priced = np.zeros(shape, dtype=bool)
         self.gain = np.zeros(shape)
-        self.timing = analysis
-        self.flat = flat
 
     def sweep(
         self, analysis: IncrementalTiming, pairs: np.ndarray
@@ -342,15 +339,11 @@ class _RoundCache:
         Shaped like ``pairs``; ``-inf`` wherever a pair is not asked
         for or not feasible.
         """
-        flat = self.state.flat()
-        if self.timing is not analysis or self.flat is not flat:
-            self._reset(analysis, flat)
-        else:
-            check, price = _stale_positions(
-                flat, *analysis.stamped_after(self.epoch)
-            )
-            self.flag[check] = -1
-            self.priced[price] = False
+        check, price = _stale_positions(
+            self.flat, *analysis.stamped_after(self.epoch)
+        )
+        self.flag[check] = -1
+        self.priced[price] = False
         if not self.local_gains:
             self.priced[:] = False
         # Row-major: topological position, then ascending target.
@@ -400,10 +393,10 @@ def run_dscale(
     allow_deep = non_adjacent and state.n_rails > 2
     allow_retarget = retarget_shifters and state.n_rails > 2
     cache = _RoundCache(state, engine)
+    analysis = state.timing()
+    order = cache.flat.order
 
     while result.rounds < max_rounds:
-        analysis = state.timing()
-        order = state.flat().order
         slack = _slack_mask(state, analysis, lowest)
         # Every closed-form (gate, target) pair is checked and priced
         # through the move engine's batched kernels -- bit-identical to

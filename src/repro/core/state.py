@@ -20,13 +20,15 @@ through :meth:`ScalingState.set_rail`, :meth:`ScalingState.add_converter`,
 :meth:`ScalingState.drop_converter` or :meth:`ScalingState.resize`
 (``demote`` / ``promote`` and the moves' undo paths call them); each
 effective rail or converter write bumps
-:attr:`ScalingState.assignment_version`, each resize
-:attr:`ScalingState.cells_version`, and every write reports the change
-to the shared :class:`~repro.timing.delay.DelayCalculator` cache, to the
-lazily created :class:`~repro.timing.incremental.IncrementalTiming`
-engine and to the power plane, so :meth:`ScalingState.timing` repairs
-only the affected cone instead of rebuilding a full analysis per move,
-and :meth:`ScalingState.power` recomputes only the marked terms.
+:attr:`ScalingState.assignment_version`.  A state owns one flat
+snapshot, one :class:`~repro.timing.incremental.IncrementalTiming`
+engine and one power plane for its whole life, each made on first use:
+scaling never writes the network, and a resize patches the snapshot in
+place.  Every write reports the gates and nets it changed through one
+place to the shared :class:`~repro.timing.delay.DelayCalculator` cache,
+the engine and the plane, so :meth:`ScalingState.timing` repairs only
+the affected cone instead of rebuilding a full analysis per move, and
+:meth:`ScalingState.power` recomputes only the marked terms.
 ``levels`` (the demoted gates and their rails; a gate on rail 0 has
 no entry), ``lc_edges`` and ``cells`` (the resized gates and their
 current cells, in first-resize order) are live read-only views:
@@ -56,7 +58,7 @@ from repro.power.estimate import (
     estimate_power_calc,
 )
 from repro.timing.delay import DEFAULT_PO_LOAD, OUTPUT, DelayCalculator
-from repro.timing.incremental import IncrementalTiming, note_cell_swap
+from repro.timing.incremental import IncrementalTiming, TimingInfeasible
 from repro.timing.sta import TimingAnalysis
 
 
@@ -117,7 +119,7 @@ class ScaleBaseline:
         resize patches are copies, so the state's later moves leave the
         record as it was.
         """
-        if state.assignment_version or state.cells_version:
+        if state.moved:
             raise ValueError("a scale baseline is recorded before any move")
         self.library = state.library
         self.options = state.options
@@ -180,7 +182,7 @@ class ScalingState:
         self.tspec = tspec
         self.options = options or ScalingOptions()
         self._engine: IncrementalTiming | None = None
-        self._flat_cache: FlatNetwork | None = None
+        self._flat: FlatNetwork | None = None
         # The power terms by position, marked wherever a calculator
         # cache entry is dropped (see power()).
         self._power_plane: PowerPlane | None = None
@@ -229,11 +231,6 @@ class ScalingState:
         self.baseline: ScaleBaseline | None = None
         self.initial_area = self.calc.total_area()
         self._sizing_delta_cache: float | None = 0.0
-        # Bumped on every cell swap; the flat snapshot carries the
-        # version it was built or last patched for (rails and
-        # converter edges are overlays keyed by assignment_version, so
-        # only resizes move it).
-        self.cells_version = 0
         # Per-move-kind counters every MoveEngine over this state
         # accumulates into (one table per run, shared across the
         # optimizers so CVS inside Gscale reports alongside the
@@ -272,23 +269,11 @@ class ScalingState:
                 continue
             for fanin in fanins:
                 counts[fanin] += delta
-        calc = self.calc
-        engine = self._engine
-        plane = self._power_plane
-        calc.invalidate_variant(name)
-        if engine is not None:
-            engine.note_variant_changed(name)
-        if plane is not None:
-            plane.mark(name)
+        nets = []
         if self._multi_rail:
-            nets = [name]
+            nets.append(name)
             nets.extend(f for f in fanins if (f, name) in self._lc_edges)
-            for net in nets:
-                calc.invalidate_net(net)
-                if engine is not None:
-                    engine.note_net_changed(net)
-                if plane is not None:
-                    plane.mark(net)
+        self._changed((name,), nets)
 
     def add_converter(self, edge: tuple[str, str]) -> None:
         """Put a level converter on ``edge`` (``(driver, reader)``)."""
@@ -305,11 +290,29 @@ class ScalingState:
     def _converter_changed(self, driver: str) -> None:
         """A converter edge (dis)appeared: the driver's net changed."""
         self.assignment_version += 1
-        self.calc.invalidate_net(driver)
-        if self._engine is not None:
-            self._engine.note_net_changed(driver)
-        if self._power_plane is not None:
-            self._power_plane.mark(driver)
+        self._changed((), (driver,))
+
+    def _changed(self, variants, nets) -> None:
+        """Report changed gate variants and nets to every cache.
+
+        The one path from a write to the calculator caches, the timing
+        engine and the power plane (the latter two once they exist).
+        """
+        calc = self.calc
+        engine = self._engine
+        plane = self._power_plane
+        for name in variants:
+            calc.invalidate_variant(name)
+            if engine is not None:
+                engine.note_variant_changed(name)
+            if plane is not None:
+                plane.mark(name)
+        for net in nets:
+            calc.invalidate_net(net)
+            if engine is not None:
+                engine.note_net_changed(net)
+            if plane is not None:
+                plane.mark(net)
 
     def replay(
         self,
@@ -321,7 +324,8 @@ class ScalingState:
         """Start this engine-less state at a recorded assignment.
 
         The snapshot is a :meth:`FlatNetwork.copy` of ``flat``, a
-        snapshot of this state's network.  ``levels`` (``(gate, rail)``
+        snapshot of this state's network (a snapshot the unmoved state
+        already built equals it, and is kept).  ``levels`` (``(gate, rail)``
         items) and ``lc_edges`` go through :meth:`set_rail` and
         :meth:`add_converter` in their order, so every view, count,
         cache and :attr:`assignment_version` follows as for any write.
@@ -330,7 +334,8 @@ class ScalingState:
         """
         if self._engine is not None:
             raise RuntimeError("replay starts the state's timing engine")
-        self._flat_cache = flat.copy()
+        if self._flat is None:
+            self._flat = flat.copy()
         for name, rail in levels:
             self.set_rail(name, rail)
         for edge in lc_edges:
@@ -397,6 +402,11 @@ class ScalingState:
         return self.n_low / gates if gates else 0.0
 
     @property
+    def moved(self) -> bool:
+        """Whether any rail, converter or cell write has happened."""
+        return bool(self.assignment_version or self._cells)
+
+    @property
     def timed(self) -> bool:
         """Whether :meth:`timing` or :meth:`replay` made the engine."""
         return self._engine is not None
@@ -410,12 +420,26 @@ class ScalingState:
         engine = self._engine
         if engine is None:
             engine = self._engine = IncrementalTiming(
-                self.calc, self.tspec, flat_source=self.flat
+                self.calc, self.tspec, flat=self.flat()
             )
         # No eager refresh: every engine query self-repairs, and probes
         # that only ask worst_delay / meets_timing then pay just the
         # forward (arrival) repair, never the backward required cascade.
         return engine
+
+    def check_start(self) -> None:
+        """Raise :class:`TimingInfeasible` if the state misses ``tspec``.
+
+        A scale starts from a legal circuit: without this check a
+        state over budget is demoted first and fails only at the
+        final :meth:`validate`, blaming the scaled result.
+        """
+        timing = self.timing()
+        if not timing.meets_timing(self.options.timing_tolerance):
+            raise TimingInfeasible(
+                f"the network misses tspec before scaling: "
+                f"{timing.worst_delay:.4f} ns > tspec {self.tspec:.4f} ns"
+            )
 
     def full_timing(self) -> TimingAnalysis:
         """A rebuild-from-scratch analysis on an uncached calculator.
@@ -436,83 +460,66 @@ class ScalingState:
         return TimingAnalysis(oracle_calc, self.tspec)
 
     def flat(self) -> FlatNetwork:
-        """The shared CSR snapshot of this state's network.
+        """The state's CSR snapshot of its network.
 
-        Cached on the state and rebuilt only when the network's
-        topological revision changes: :meth:`resize` patches a
-        current snapshot in place and stamps it with the new
-        ``cells_version``.  Rails, converter edges, activity rates and
-        timing are overlaid by the consumers (full-STA builds, batched
-        pricing, power, candidate enumeration); see
-        :meth:`assignment_overlays` and :mod:`repro.netlist.flat`.
+        Built on first use (or taken from the adopted record by
+        :meth:`replay`) and kept for the state's life: the network is
+        never written, and :meth:`resize` patches the snapshot in place.
+        Rails, converter edges, activity rates and timing are overlaid
+        by the consumers (full-STA builds, batched pricing, power,
+        candidate enumeration); see :meth:`assignment_overlays` and
+        :mod:`repro.netlist.flat`.
         """
-        flat = self._cached_flat()
+        flat = self._flat
         if flat is None:
             # Looked up on the module per call, so a wrapper installed
             # there (perfbench's ``netlist.flat`` span) sees every build.
-            flat = self._flat_cache = repro.netlist.flat.build_flat(
-                self.network, self.calc, version=self.cells_version
+            flat = self._flat = repro.netlist.flat.build_flat(
+                self.network, self.calc
             )
         return flat
-
-    def _cached_flat(self) -> FlatNetwork | None:
-        """The cached snapshot if it is still current, else ``None``.
-
-        Current means built (or patched) for the network's cached
-        topological-order list (a topology edit makes a new one) and
-        the current ``cells_version``.
-        """
-        flat = self._flat_cache
-        if (
-            flat is not None
-            and flat.version == self.cells_version
-            and flat.order is self.network.topological()
-        ):
-            return flat
-        return None
 
     def assignment_overlays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(rails, keys, po_lc)``: the assignment over :meth:`flat`.
 
         ``rails`` is :meth:`FlatNetwork.rail_plane` and ``(keys,
         po_lc)`` is :meth:`FlatNetwork.lc_edge_keys` of the current
-        assignment.  Memoized per (snapshot, ``assignment_version``),
-        so a Dscale round that filters, checks and prices one
-        assignment builds the overlays once.  The arrays are read-only.
+        assignment.  Memoized per ``assignment_version``, so a Dscale
+        round that filters, checks and prices one assignment builds the
+        overlays once.  The arrays are read-only.
         """
-        flat = self.flat()
         version = self.assignment_version
         memo = self._overlay_memo
-        if memo is not None and memo[0] is flat and memo[1] == version:
-            return memo[2]
-        keys, po_lc = flat.lc_edge_keys(self._lc_edges)
-        overlays = (flat.rail_plane(self._levels), keys, po_lc)
-        self._overlay_memo = (flat, version, overlays)
-        return overlays
+        if memo is None or memo[0] != version:
+            flat = self.flat()
+            keys, po_lc = flat.lc_edge_keys(self._lc_edges)
+            memo = (version, (flat.rail_plane(self._levels), keys, po_lc))
+            self._overlay_memo = memo
+        return memo[1]
 
     def power(self) -> PowerBreakdown:
         """Total power and its components under the live assignment.
 
         The state keeps one :class:`~repro.power.estimate.PowerPlane`
-        over :meth:`flat`: its first call is the full vector sweep, and
-        every writer marks the nodes whose cached variant or net it
-        drops (:meth:`set_rail`, the converter writers, :meth:`resize`:
-        the gate, its net, a resized gate's fanin nets and the regrouped
-        nets beyond two rails), so a later call recomputes only those
-        terms, bit-identically.  Loads come from the timing engine's
-        forward repair alone.  A what-if move journals the plane with
-        the timing arrays, and a rollback restores both; a plane first
-        built inside the move is repaired by the marks of the undo.
+        over :meth:`flat`, made on the first call, whose first breakdown
+        is the full vector sweep.  Every writer marks the nodes whose
+        cached variant or net it drops (:meth:`set_rail`, the converter
+        writers, :meth:`resize`: the gate, its net, a resized gate's
+        fanin nets and the regrouped nets beyond two rails), so a later
+        call recomputes only those terms, bit-identically.  Loads come
+        from the timing engine's forward repair alone.  A what-if move
+        journals the plane with the timing arrays, and a rollback
+        restores both; a plane first built inside the move is repaired
+        by the marks of the undo.
         """
-        flat = self.flat()
         plane = self._power_plane
-        if plane is None or plane.flat is not flat:
+        if plane is None:
             plane = self._power_plane = PowerPlane(
                 self.calc,
                 self.activity,
                 self.options.clock_mhz,
                 self.options.include_input_nets,
-                flat,
+                self.flat(),
             )
         return estimate_power_calc(
             self.calc,
@@ -562,33 +569,6 @@ class ScalingState:
     # Moves
     # ------------------------------------------------------------------
 
-    def new_lc_edges_for(
-        self, name: str, target: int | None = None
-    ) -> list[tuple[str, str]]:
-        """Converter edges a demotion of ``name`` to ``target`` would add.
-
-        ``target=None`` prices the classic one-rail step; a deeper
-        ``target`` prices a non-adjacent demotion (every reader still
-        above ``target`` needs a converter).
-        """
-        if target is None:
-            target = self.rail_of(name) + 1
-        edges = []
-        lc_edges = self._lc_edges
-        for reader in self.network.fanouts(name):
-            if (
-                self.rail_of(reader) < target
-                and (name, reader) not in lc_edges
-            ):
-                edges.append((name, reader))
-        if (
-            self.options.lc_at_outputs
-            and name in self.network.outputs
-            and (name, OUTPUT) not in lc_edges
-        ):
-            edges.append((name, OUTPUT))
-        return edges
-
     def demote(
         self, name: str, target: int | None = None
     ) -> list[tuple[str, str]]:
@@ -598,22 +578,19 @@ class ScalingState:
         deeper ``target`` performs a non-adjacent demotion in a single
         mutation -- one rail write, one batch of new converter edges --
         so the timing engine repairs the cone once, not once per
-        intermediate rail.
+        intermediate rail.  The new edges are those of
+        :meth:`~repro.timing.delay.DelayCalculator.demotion_net_change`
+        (every reader still above ``target`` without a converter, then
+        the primary output under ``lc_at_outputs``), which also rejects
+        a ``target`` that is not below the gate's rail.
         """
-        node = self.network.nodes[name]
-        if node.is_input:
+        if self.network.nodes[name].is_input:
             raise ValueError("primary inputs cannot be demoted")
-        rail = self.rail_of(name)
         if target is None:
-            target = rail + 1
-        if target >= self.n_rails:
-            raise ValueError(f"{name!r} is already at the lowest rail")
-        if target <= rail:
-            raise ValueError(
-                f"demotion target {target} must sit below {name!r}'s "
-                f"current rail {rail}"
-            )
-        edges = self.new_lc_edges_for(name, target)
+            target = self.rail_of(name) + 1
+        edges = self.calc.demotion_net_change(
+            name, self.options.lc_at_outputs, target
+        ).new_edges
         self.set_rail(name, target)
         for edge in edges:
             self.add_converter(edge)
@@ -645,17 +622,12 @@ class ScalingState:
             )
         self._cells[name] = cell
         self._sizing_delta_cache = None
-        flat = self._cached_flat()
-        self.cells_version += 1
-        note_cell_swap(self.calc, self._engine, name)
-        plane = self._power_plane
-        if plane is not None:
-            plane.mark(name)
-            for fanin in self.network.nodes[name].fanins:
-                plane.mark(fanin)
-        if flat is not None:
-            flat.resize(flat.pos[name], self.calc)
-            flat.version = self.cells_version
+        # The gate's stage delay and, through its pin caps, every fanin
+        # net changed (as :func:`~repro.timing.incremental.note_cell_swap`
+        # reports for prepare's sizing).
+        self._changed((name,), dict.fromkeys(self.network.nodes[name].fanins))
+        if self._flat is not None:
+            self._flat.resize(self._flat.pos[name], self.calc)
 
     @property
     def n_resized(self) -> int:

@@ -12,9 +12,9 @@ consumed by all of those layers.
 Layout
 ------
 Node axis: topological position (``pos[name]``; ``order`` *is* the
-network's cached topological list, so identity of ``order`` tracks
-topology revisions).  Row axes: fanin *pin* rows (``fi_*``), fanout
-reader *pin* rows (``rp_*``), and fanout *edge* rows (``e_*``, one per
+network's cached topological list).  Row axes: fanin *pin* rows
+(``fi_*``), fanout reader *pin* rows (``rp_*``), and fanout *edge*
+rows (``e_*``, one per
 (driver, reader) pair with the reader's pin caps pre-summed in
 ascending-pin order -- the same sum
 :meth:`~repro.timing.delay.DelayCalculator.reader_pin_cap` computes).
@@ -31,14 +31,11 @@ Lifecycle
 The snapshot reads gate cells through the state's calculator
 (:meth:`~repro.timing.delay.DelayCalculator.cell`), so it describes the
 state's cell assignment over a network that scaling never writes.
-:meth:`repro.core.state.ScalingState.flat` owns the cached snapshot
-and rebuilds it when either the network's topological revision
-(``order is network.topological()``) or the state's ``cells_version``
-(bumped by every gate resize) no longer matches.  A gate resize does
-not force that rebuild: the state patches a current snapshot in place
-through :meth:`FlatNetwork.resize` and stamps it with the new
-``cells_version``, so only a topology edit or a snapshot that fell
-behind is rebuilt.  A state started at a prepared
+:meth:`repro.core.state.ScalingState.flat` builds one snapshot on
+first use and keeps it for the state's life: the network's topology
+never changes under a state, and a gate resize patches the snapshot in
+place through :meth:`FlatNetwork.resize`.  The state's timing engine
+and power plane read the same object.  A state started at a prepared
 circuit's recorded :class:`~repro.core.state.ScaleBaseline` does not
 build at all: its first CVS adopts the record
 (:meth:`~repro.core.state.ScalingState.replay`), whose snapshot it
@@ -55,8 +52,8 @@ state memoizes the pair per assignment version
 (:meth:`~repro.core.state.ScalingState.assignment_overlays`), so a
 Dscale round that filters, checks and prices one assignment builds
 each overlay once.  :meth:`FlatNetwork.reach` is built lazily
-once per snapshot; a resize keeps it, because only a topology edit (a
-new snapshot) changes reachability.  :meth:`FlatNetwork.rates` is the
+once per snapshot; a resize keeps it, because only a topology edit
+changes reachability.  :meth:`FlatNetwork.rates` is the
 one per-position activity-rate plane, built on first use and memoized
 for the last activity it was asked for.
 
@@ -125,7 +122,7 @@ class FlatNetwork:
     """
 
     __slots__ = (
-        "network", "version", "order", "pos", "n", "n_rails",
+        "network", "order", "pos", "n", "n_rails",
         "is_input", "is_po", "no_wire", "rails_v",
         "fi_ptr", "fi_src", "fi_intr",
         "rp_ptr", "rp_reader", "rp_intr",
@@ -216,7 +213,7 @@ class FlatNetwork:
         return cached[1]
 
     def copy(self) -> FlatNetwork:
-        """A copy of this snapshot at cells version 0.
+        """A copy of this snapshot for another state.
 
         The planes :meth:`resize` patches are copied; every other
         plane, the network, its order, the memoized rates and
@@ -227,7 +224,6 @@ class FlatNetwork:
             setattr(flat, slot, getattr(self, slot))
         for slot in _RESIZED_PLANES:
             setattr(flat, slot, getattr(self, slot).copy())
-        flat.version = 0
         return flat
 
     def resize(self, i: int, calc) -> None:
@@ -272,13 +268,12 @@ class FlatNetwork:
             self.e_cap[lo + np.flatnonzero(self.e_reader[lo:hi] == i)] = cap
 
 
-def build_flat(network, calc, version: int = 0) -> FlatNetwork:
+def build_flat(network, calc) -> FlatNetwork:
     """Build the flat snapshot of a mapped ``network``.
 
     ``calc`` is the state's :class:`~repro.timing.delay.DelayCalculator`
     (duck-typed: ``cell`` / ``rail_variant_of`` / ``lc_cell_for`` /
-    ``po_load`` / ``n_rails`` / ``library``); ``version`` stamps the
-    cells version the snapshot is built for.  Row emission replicates
+    ``po_load`` / ``n_rails`` / ``library``).  Row emission replicates
     the serial query order exactly -- see the module docstring.
     """
     nodes = network.nodes
@@ -377,7 +372,6 @@ def build_flat(network, calc, version: int = 0) -> FlatNetwork:
 
     flat = FlatNetwork()
     flat.network = network
-    flat.version = version
     flat.order = order
     flat.pos = pos
     flat.n = n

@@ -97,10 +97,9 @@ def estimate_power_calc(calculator: DelayCalculator, activity: Activity,
     calculator's method surface.  ``plane`` is a :class:`PowerPlane`
     the caller keeps across calls (it carries its own snapshot, and the
     other arguments' values); only its marked terms are recomputed,
-    bit-identically to the walk.  ``loads`` optionally supplies the net
-    loads aligned with the plane's snapshot order (e.g. the incremental
-    engine's levelized load array); otherwise the calculator is queried
-    per net.
+    bit-identically to the walk.  With a plane, ``loads`` are the net
+    loads aligned with the plane's snapshot order: the timing engine's
+    (:meth:`~repro.timing.incremental.IncrementalTiming.forward_loads`).
     """
     if plane is not None:
         return plane.breakdown(loads)
@@ -264,25 +263,18 @@ class PowerPlane:
                 terms[at] = values
         self._dirty = dirty
 
-    def breakdown(self, loads=None) -> PowerBreakdown:
+    def breakdown(self, loads) -> PowerBreakdown:
         """The current totals, recomputing the dirty terms first.
 
-        ``loads`` are the net loads aligned with ``flat.order``;
-        otherwise the calculator is queried per net.
+        ``loads`` are the current net loads aligned with ``flat.order``
+        (the timing engine's).
         """
         flat = self.flat
         if self._terms is None:
-            if loads is None or len(loads) != flat.n:
-                calc = self.calculator
-                loads = [calc.load(name) for name in flat.order]
             self._terms = self._sweep(flat.node_idx, loads, None)
         elif self._dirty:
             idx = np.fromiter(sorted(self._dirty), np.intp, len(self._dirty))
             self._dirty.clear()
-            if loads is None or len(loads) != flat.n:
-                calc = self.calculator
-                order = flat.order
-                loads = {i: calc.load(order[i]) for i in idx.tolist()}
             journal = self._journal
             if journal is not None:
                 saved = journal[1]
@@ -317,7 +309,7 @@ class PowerPlane:
     def _sweep(self, idx, loads, rails):
         """The three term vectors of the nodes at positions ``idx``.
 
-        ``loads`` maps a position to its net load; ``rails`` holds the
+        ``loads`` holds the net load by position; ``rails`` holds the
         nodes' rails (``None``: the whole snapshot, ``idx`` being every
         position).
         """

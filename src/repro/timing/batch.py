@@ -12,16 +12,15 @@ destination rails: the form a Dscale round's ``(position, rail)`` pair
 table already holds, so no name or move object sits between the round
 and the arithmetic.
 
-The shared :class:`~repro.netlist.flat.FlatNetwork` snapshot -- cached
-on the state, patched in place by cell resizes and rebuilt only on
-topology revisions -- freezes everything that does not change between
-moves into flat CSR-style arrays: fanin pin rows, reader pin rows,
-fanout edge rows with pre-summed pin capacitances, and the per-rail
-twin constants (intrinsics, drive resistance, internal energy) of
-every gate.  Each call overlays what does change: the rail plane and
-the sorted keys of the level-shifter edges (the state's
-``assignment_overlays``, memoized per assignment version), and the
-timing arrays of
+The state's :class:`~repro.netlist.flat.FlatNetwork` snapshot -- one
+for the state's life, patched in place by cell resizes -- freezes
+everything that does not change between moves into flat CSR-style
+arrays: fanin pin rows, reader pin rows, fanout edge rows with
+pre-summed pin capacitances, and the per-rail twin constants
+(intrinsics, drive resistance, internal energy) of every gate.  Each
+call overlays what does change: the rail plane and the sorted keys of
+the level-shifter edges (the state's ``assignment_overlays``, memoized
+per assignment version), and the timing arrays of
 :class:`~repro.timing.incremental.IncrementalTiming`.  The
 per-candidate arithmetic is then elementwise NumPy math plus segmented
 reductions, for every candidate: an edge row that already carries a

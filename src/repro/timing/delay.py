@@ -229,15 +229,17 @@ class DelayCalculator:
         """Capacitance the ``driver -> reader`` connection presents.
 
         Sums every pin of ``reader`` fed by ``driver`` (a gate may read
-        the same signal more than once).  Voltage does not change pin
-        capacitance, so the reader's nominal cell is consulted.
+        the same signal more than once), left to right in pin order as
+        :func:`~repro.netlist.flat.build_flat` does.  Voltage does not
+        change pin capacitance, so the reader's nominal cell is
+        consulted.
         """
         caps = self.cell(reader).input_caps
-        return sum(
-            caps[pin]
-            for pin, fanin in enumerate(self.network.nodes[reader].fanins)
-            if fanin == driver
-        )
+        cap = 0
+        for pin, fanin in enumerate(self.network.nodes[reader].fanins):
+            if fanin == driver:
+                cap += caps[pin]
+        return cap
 
     def load(self, name: str) -> float:
         """Total capacitance (fF) on the net driven by ``name``.

@@ -127,12 +127,14 @@ cache recorded keeps its flag and gain.
 
 Full builds
 -----------
-The constructor runs one levelized NumPy sweep over the shared
+The constructor runs one levelized NumPy sweep over a
 :class:`~repro.netlist.flat.FlatNetwork` snapshot, level-shifter edges
 included: the sweep derives the sorted converter-edge keys from
 ``lc_edges`` (:meth:`~repro.netlist.flat.FlatNetwork.lc_edge_keys`)
 and adds each edge's shifter delay to its arrival and required rows,
-so no node leaves the vector path.
+so no node leaves the vector path.  A scaling state hands the engine
+its own snapshot (:meth:`repro.core.state.ScalingState.flat`), which
+both keep for the state's life; an engine with no owner builds one.
 :class:`~repro.timing.sta.TimingAnalysis` is the readable serial
 oracle the sweep is tested against.  :meth:`from_arrays` skips the
 sweep for an engine whose arrays are already known: a state adopting
@@ -352,17 +354,14 @@ def note_cell_swap(
 class IncrementalTiming:
     """Incrementally-maintained arrival/required/slack over one network."""
 
-    def __init__(
-        self, calculator: DelayCalculator, tspec: float, flat_source=None
-    ):
+    def __init__(self, calculator: DelayCalculator, tspec: float, flat=None):
         """Build the engine and run one full sweep.
 
-        ``flat_source`` is an optional zero-argument callable returning
-        the owner's cached :class:`~repro.netlist.flat.FlatNetwork`
+        ``flat`` is the owner's snapshot of ``calculator``'s network
         (:meth:`repro.core.state.ScalingState.flat`); without it the
-        engine builds its own snapshot for the sweep.
+        engine builds its own for the sweep.
         """
-        self._start(calculator, tspec, flat_source, None)
+        self._start(calculator, tspec, flat, None)
 
     @classmethod
     def from_arrays(
@@ -383,7 +382,7 @@ class IncrementalTiming:
         engine._start(calculator, tspec, None, arrays)
         return engine
 
-    def _start(self, calculator, tspec, flat_source, arrays) -> None:
+    def _start(self, calculator, tspec, flat, arrays) -> None:
         """Cache the inputs and the topology; take ``arrays`` or sweep."""
         self.calculator = calculator
         self.network: Network = calculator.network
@@ -401,7 +400,9 @@ class IncrementalTiming:
         self._reader_pins = network.reader_pins()
         self._is_output = frozenset(network.outputs)
         if arrays is None:
-            arrays = _sweep(self._acquire_flat(flat_source), calculator, tspec)
+            if flat is None:
+                flat = build_flat(network, calculator)
+            arrays = _sweep(flat, calculator, tspec)
         self._load, self._arrival, self._required = arrays
         n = len(self._order)
         # Change stamps (see "Replayed certificates" in the module
@@ -441,17 +442,6 @@ class IncrementalTiming:
             cache = [tuple(network.fanouts(name)) for name in self._order]
             self._fanouts_cache = cache
         return cache
-
-    def _acquire_flat(self, source) -> FlatNetwork:
-        """The owner's snapshot for a full sweep, else a private one.
-
-        The owner's is current: :meth:`repro.core.state.ScalingState.flat`
-        rebuilds a snapshot whose order is not the network's
-        ``topological()`` list, which :meth:`_start` has just taken.
-        """
-        if source is not None:
-            return source()
-        return build_flat(self.network, self.calculator)
 
     # ------------------------------------------------------------------
     # Invalidation API

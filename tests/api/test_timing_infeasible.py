@@ -14,6 +14,11 @@ import pytest
 
 from repro.api import Flow, FlowConfig
 from repro.api import flow as flow_module
+from repro.core.cvs import run_cvs
+from repro.core.dscale import run_dscale
+from repro.core.gscale import run_gscale
+from repro.core.moves import MoveStats
+from repro.core.state import ScalingState
 from repro.flow.campaign import build_jobs, iter_group_rows
 from repro.timing.incremental import TimingInfeasible
 
@@ -70,3 +75,27 @@ def test_campaign_rows_name_the_typed_error():
     for row in rows:
         assert row["status"] == "failed"
         assert row["error"].startswith("TimingInfeasible: ")
+
+
+@functools.cache
+def _direct():
+    flow = Flow(FlowConfig(circuit=CIRCUIT))
+    return flow.prepare(), flow.library
+
+
+@pytest.mark.parametrize(
+    "run", [run_cvs, run_dscale, run_gscale], ids=list(METHODS)
+)
+def test_direct_runs_below_the_network_delay_raise_unmoved(run):
+    """Outside ``Flow``, each method's first CVS checks the start."""
+    prepared, library = _direct()
+    state = ScalingState(
+        prepared.network,
+        library,
+        0.97 * prepared.min_delay,
+        activity=prepared.activity,
+    )
+    with pytest.raises(TimingInfeasible, match="misses tspec before scaling"):
+        run(state)
+    assert not state.levels
+    assert state.move_stats == MoveStats()

@@ -517,8 +517,7 @@ def test_converter_dense_states_match_serial(n_rails, lc_at_outputs):
         worst = state.full_timing().worst_delay
         for tspec in (worst, 1.02 * worst, 1.05 * worst):
             state.tspec = tspec
-            fresh = IncrementalTiming(state.calc, tspec,
-                                      flat_source=state.flat)
+            fresh = IncrementalTiming(state.calc, tspec, flat=state.flat())
             serial = _serial_pricing(state, fresh, candidates)
             assert _batched_pricing(state, fresh, candidates) == serial
 

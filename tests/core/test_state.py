@@ -83,7 +83,7 @@ def test_no_converter_toward_low_reader(mapped_adder, library):
     )
     for reader in mapped_adder.fanouts(victim):
         state.set_rail(reader, True)
-    assert state.new_lc_edges_for(victim) == []
+    assert state.demote(victim) == []
 
 
 def test_output_converter_policy(mapped_adder, library):

@@ -14,7 +14,6 @@ def assert_planes_equal(flat, fresh):
     """Every plane of ``flat`` equals the fresh build's."""
     skip = {
         "network",
-        "version",
         "rate_cache",
         "reach_cache",
     }

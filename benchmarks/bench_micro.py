@@ -2,8 +2,9 @@
 
 These isolate the costs the paper's complexity section discusses: the
 O(n+e) CVS pass and timing sweeps, the flow-based MWIS (Dscale's inner
-engine), the Edmonds-Karp separator (Gscale's inner engine), mapping,
-and power estimation.
+engine), the max-flow min-cut separator (Gscale's inner engine; both
+run on one Dinic kernel levelled from the sink), mapping, and power
+estimation.
 """
 
 from __future__ import annotations

@@ -170,11 +170,11 @@ def _cvs_pass(
         # Would dropping the gate to rail ``target`` still meet timing?
         # Exact given the snapshot arrivals: only its own stage delay
         # (and, at the boundary, its load and output shifter) changes.
-        out_arrival, deadline = demotion_deadline(
+        out_arrival, deadline, change = demotion_deadline(
             state, name, target, arrival, required
         )
         if out_arrival <= deadline + tolerance:
-            engine.apply(DemoteMove(name))
+            engine.apply(DemoteMove(name, change=change))
             demoted.append(name)
             stale.update(node.fanins)
             # The converter (if any) changed this node's delay model;

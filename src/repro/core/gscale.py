@@ -58,7 +58,7 @@ def demotion_shortfall(
 
     Positive for TCB members; their CVS check failed by this margin.
     """
-    out_arrival, deadline = demotion_deadline(
+    out_arrival, deadline, _ = demotion_deadline(
         state,
         name,
         state.rail_of(name) + 1,

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 
 from repro.power.estimate import demotion_gain
 from repro.timing import batch
-from repro.timing.delay import OUTPUT
+from repro.timing.delay import OUTPUT, DemotionNetChange
 
 MOVE_KINDS = ("demote", "promote", "resize", "retarget", "drop_converter")
 """Every move kind a stats table may carry, in reporting order."""
@@ -144,21 +144,26 @@ class DemoteMove(Move):
     ``target=None`` is the classic one-rail step; an explicit deeper
     ``target`` is a *non-adjacent* demotion -- one transactional jump
     past the intermediate rails (N-rail libraries only; a two-rail
-    library has no non-adjacent pair).
+    library has no non-adjacent pair).  ``change`` is the move's
+    ``demotion_net_change`` when the caller derived it already, on the
+    state the move applies to (see :meth:`ScalingState.demote`).
     """
 
     kind = "demote"
 
-    def __init__(self, name: str, target: int | None = None):
+    def __init__(self, name: str, target: int | None = None, change=None):
         self.name = name
         self.target = target
+        self.change = change
         self.key = (self.kind, name, target)
         self._old_rail: int = 0
         self._new_edges: tuple[tuple[str, str], ...] = ()
 
     def apply(self, state) -> None:
         self._old_rail = state.rail_of(self.name)
-        self._new_edges = tuple(state.demote(self.name, target=self.target))
+        self._new_edges = tuple(
+            state.demote(self.name, self.target, self.change)
+        )
 
     def undo(self, state) -> None:
         for edge in self._new_edges:
@@ -699,14 +704,16 @@ def demoted_arrival(
 
 def demotion_deadline(
     state, name: str, target: int, arrival, required
-) -> tuple[float, float]:
-    """``(out_arrival, deadline)`` of dropping ``name`` one rail now.
+) -> tuple[float, float, DemotionNetChange]:
+    """``(out_arrival, deadline, change)`` of dropping ``name`` one rail now.
 
     The CVS / Gscale closed-form check: the :func:`demoted_arrival` of
     the gate at ``target`` (its current rail plus one) against its own
     required time, tightened at a primary output by the delay of the
     boundary shifter the demotion would splice in.  Callers compare the
-    pair themselves (CVS's feasibility, Gscale's shortfall).
+    pair themselves (CVS's feasibility, Gscale's shortfall); ``change``
+    is the demotion's net change, which CVS hands to the move it
+    applies.
     """
     calc = state.calc
     change = calc.demotion_net_change(
@@ -719,7 +726,7 @@ def demotion_deadline(
     if name in state.network.outputs and (name, OUTPUT) in change.new_edges:
         po_extra = calc.new_converter_delays(change)[0]
         deadline = min(deadline, state.tspec - po_extra)
-    return out_arrival, deadline
+    return out_arrival, deadline, change
 
 
 __all__ = [

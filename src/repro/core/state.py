@@ -570,7 +570,7 @@ class ScalingState:
     # ------------------------------------------------------------------
 
     def demote(
-        self, name: str, target: int | None = None
+        self, name: str, target: int | None = None, change=None
     ) -> list[tuple[str, str]]:
         """Drop ``name`` to a lower rail and splice the required converters.
 
@@ -582,19 +582,22 @@ class ScalingState:
         :meth:`~repro.timing.delay.DelayCalculator.demotion_net_change`
         (every reader still above ``target`` without a converter, then
         the primary output under ``lc_at_outputs``), which also rejects
-        a ``target`` that is not below the gate's rail.
+        a ``target`` that is not below the gate's rail.  A caller that
+        derived that ``change`` for this ``target`` on the unchanged state
+        passes it instead.
         """
         if self.network.nodes[name].is_input:
             raise ValueError("primary inputs cannot be demoted")
         if target is None:
             target = self.rail_of(name) + 1
-        edges = self.calc.demotion_net_change(
-            name, self.options.lc_at_outputs, target
-        ).new_edges
+        if change is None:
+            change = self.calc.demotion_net_change(
+                name, self.options.lc_at_outputs, target
+            )
         self.set_rail(name, target)
-        for edge in edges:
+        for edge in change.new_edges:
             self.add_converter(edge)
-        return edges
+        return change.new_edges
 
     def promote(self, name: str) -> None:
         """Raise ``name`` one rail (rollback support); O(fanout)."""

@@ -12,10 +12,11 @@ We solve the problem exactly through LP duality: the chain-covering dual
 of the antichain LP is a *minimum flow with lower bounds* on a split-node
 network.  A feasible flow is seeded directly as residual capacities,
 reduced to minimality by a reverse (sink-to-source) maximum flow on the
-Dinic kernel of :mod:`repro.graphalg.maxflow` (the paper's reference
-solves it by augmenting paths; any maximum flow leaves the same unique
-minimal residual cut, so the antichain does not depend on the choice),
-and the optimal antichain is read off that cut.
+Dinic kernel of :mod:`repro.graphalg.maxflow`, whose phases level the
+nodes by residual distance to that flow's target, the network's source
+(the paper's reference solves it by augmenting paths; any maximum flow
+leaves the same unique minimal residual cut, so the antichain does not
+depend on the choice), and the optimal antichain is read off that cut.
 
 The seeded flow already merges chains along the given pairs: each
 element's weight enters from the source and leaves to the sink, and one

@@ -2,11 +2,19 @@
 
 The paper cites Edmonds-Karp (Cormen et al. ch. 27) for Gscale's
 separator; Dscale's antichain is a flow problem too.  Both run on this
-one kernel, Dinic's algorithm: a BFS level graph, then a blocking flow
-by an iterative current-arc DFS.  The deviation changes speed, never
-results: after *any* maximum flow, the nodes reachable from the source
-in the residual graph are the unique inclusion-minimal min-cut source
-side, and that cut is all the callers read.
+one kernel, Dinic's algorithm levelled from the sink.  Each phase labels
+every node with its residual distance *to* the sink, by a reverse BFS
+over arcs with positive residual that stops once the source is
+labelled; an iterative current-arc DFS from the source then saturates
+the shortest paths, stepping only along arcs one level nearer the sink,
+so it never walks into a branch that cannot reach it.  When the source
+is no longer labelled the flow is maximum, and one forward search from
+the source over positive residuals reads the cut.
+
+The deviation from the paper changes speed, never results: after *any*
+maximum flow, the nodes reachable from the source in the residual graph
+are the unique inclusion-minimal min-cut source side, and that cut is
+all the callers read.
 
 Nodes are ints ``0 .. n-1``.  Arc ``e`` and its reverse ``e ^ 1`` live
 in flat ``to`` (head) and ``res`` (residual capacity) lists; each node
@@ -15,8 +23,6 @@ weights first so flow arithmetic is exact.  The kernel is pure Python.
 """
 
 from __future__ import annotations
-
-from collections.abc import Hashable, Iterable
 
 INFINITY = 10**15
 """Effectively unbounded integer capacity (safe against overflow in sums)."""
@@ -58,26 +64,42 @@ class ResidualGraph:
         if source == sink:
             raise ValueError("source and sink must differ")
         adj, to, res = self.adj, self.to, self.res
+        n = len(adj)
         total = 0
         while True:
-            level = [-1] * len(adj)
-            level[source] = 0
-            queue = [source]
-            for u in queue:
-                if u == sink:
+            # Residual distance to the sink, by a reverse BFS that stops
+            # once the source is labelled: arc ``arc ^ 1`` runs u -> v.
+            dist = [-1] * n
+            dist[sink] = 0
+            queue = [sink]
+            for v in queue:
+                if dist[source] >= 0:
                     break
-                depth = level[u] + 1
-                for arc in adj[u]:
-                    v = to[arc]
-                    if res[arc] and level[v] < 0:
-                        level[v] = depth
-                        queue.append(v)
-            if level[sink] < 0:
-                return total, [depth >= 0 for depth in level]
-            total += self._blocking_flow(source, sink, level)
+                depth = dist[v] + 1
+                for arc in adj[v]:
+                    u = to[arc]
+                    if dist[u] < 0 and res[arc ^ 1]:
+                        dist[u] = depth
+                        queue.append(u)
+            if dist[source] < 0:
+                break
+            total += self._blocking_flow(source, sink, dist)
+        reachable = [False] * n
+        reachable[source] = True
+        queue = [source]
+        for u in queue:
+            for arc in adj[u]:
+                v = to[arc]
+                if res[arc] and not reachable[v]:
+                    reachable[v] = True
+                    queue.append(v)
+        return total, reachable
 
-    def _blocking_flow(self, source: int, sink: int, level: list[int]) -> int:
-        """Saturate the level graph's shortest paths; returns the push."""
+    def _blocking_flow(self, source: int, sink: int, dist: list[int]) -> int:
+        """Saturate the shortest source-sink paths; returns the push.
+
+        Every step follows a residual arc one level nearer the sink.
+        """
         adj, to, res = self.adj, self.to, self.res
         current = [0] * len(adj)
         path: list[int] = []
@@ -96,11 +118,11 @@ class ResidualGraph:
                 del path[cut:]
                 continue
             arcs = adj[u]
-            depth = level[u] + 1
+            depth = dist[u] - 1
             k = current[u]
             while k < len(arcs):
                 arc = arcs[k]
-                if res[arc] and level[to[arc]] == depth:
+                if res[arc] and dist[to[arc]] == depth:
                     break
                 k += 1
             current[u] = k
@@ -108,31 +130,10 @@ class ResidualGraph:
                 path.append(arc)
                 u = to[arc]
             elif path:
-                level[u] = -1  # dead end: prune it for the rest of the phase
+                dist[u] = -1  # dead end: prune it for the rest of the phase
                 u = to[path.pop() ^ 1]
             else:
                 return pushed
 
 
-def max_flow(
-    edges: Iterable[tuple[Hashable, Hashable, int]],
-    source: Hashable,
-    sink: Hashable,
-) -> tuple[int, set[Hashable]]:
-    """Labelled adapter: returns (flow value, source side of the min cut).
-
-    Maps hashable labels to the kernel's integer nodes; the source side
-    is the minimal one, as :meth:`ResidualGraph.max_flow` reads it.
-    """
-    edges = list(edges)
-    index: dict[Hashable, int] = {}
-    for label in [source, sink] + [x for u, v, _ in edges for x in (u, v)]:
-        index.setdefault(label, len(index))
-    graph = ResidualGraph(len(index))
-    for u, v, capacity in edges:
-        graph.add_arc(index[u], index[v], capacity)
-    value, reachable = graph.max_flow(index[source], index[sink])
-    return value, {label for label, k in index.items() if reachable[k]}
-
-
-__all__ = ["INFINITY", "ResidualGraph", "max_flow"]
+__all__ = ["INFINITY", "ResidualGraph"]

@@ -6,7 +6,8 @@ time-critical boundary is sped up by a resize -- and (b) has minimum total
 weight, where the weight is the area-penalty-per-unit-of-timing-gain of
 resizing that node.  That is exactly a minimum-weight vertex separator,
 computed with the classic node-splitting reduction to edge min-cut on
-the Dinic kernel of :mod:`repro.graphalg.maxflow`.  The paper runs
+the Dinic kernel of :mod:`repro.graphalg.maxflow`, whose phases level
+the nodes by residual distance to the super-sink.  The paper runs
 Edmonds-Karp, but every maximum flow leaves the same unique minimal
 residual cut, where the separator is read, so the choice changes nothing.
 """

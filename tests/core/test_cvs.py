@@ -6,6 +6,7 @@ from repro.api import Flow, FlowConfig
 from repro.bench.generators import mixed_datapath, ripple_adder
 from repro.core.cvs import run_cvs
 from repro.core.state import ScalingOptions, ScalingState
+from repro.timing.delay import DelayCalculator
 
 
 @pytest.fixture(scope="module")
@@ -146,3 +147,64 @@ def test_po_converter_costs_timing(prepared, library):
     convert.validate()
     # Boundary conversion consumes slack, so it can only demote fewer.
     assert convert.n_low <= keep.n_low
+
+
+def _three_rail_state():
+    flow = Flow(FlowConfig(circuit="gen:layered:width=10:depth=10:seed=1",
+                           rails=(1.8, 1.0, 0.6)))
+    prepared = flow.prepare()
+    return ScalingState(prepared.network, flow.library,
+                        tspec=prepared.tspec, activity=prepared.activity)
+
+
+@pytest.mark.parametrize("case", ["dual", "dual-po-converters", "three-rail"])
+def test_each_demotion_derives_its_net_change_once(
+    prepared, library, monkeypatch, case
+):
+    """The pass's check and its move share one ``demotion_net_change``
+    per gate and rail boundary; a demote that derives its own again
+    decides exactly the same."""
+
+    def state_for_case():
+        if case == "three-rail":
+            return _three_rail_state()
+        return ScalingState(
+            prepared.network, library, tspec=prepared.tspec,
+            activity=prepared.activity,
+            options=ScalingOptions(lc_at_outputs=case != "dual"),
+        )
+
+    def outcome(state, result):
+        return (result.demoted, result.tcb, dict(state.levels),
+                set(state.lc_edges))
+
+    derive = DelayCalculator.demotion_net_change
+    calls = {}
+
+    def counted(calc, name, lc_at_outputs, target=None):
+        key = (name, target)
+        calls[key] = calls.get(key, 0) + 1
+        return derive(calc, name, lc_at_outputs, target)
+
+    monkeypatch.setattr(DelayCalculator, "demotion_net_change", counted)
+    state = state_for_case()
+    shared = outcome(state, run_cvs(state))
+    demotions = [
+        (name, target)
+        for name, rail in shared[2].items()
+        for target in range(1, rail + 1)
+    ]
+    assert demotions
+    assert all(calls[key] == 1 for key in demotions)
+    assert all(count == 1 for count in calls.values())
+
+    monkeypatch.setattr(DelayCalculator, "demotion_net_change", derive)
+    demote = ScalingState.demote
+    monkeypatch.setattr(
+        ScalingState, "demote",
+        lambda self, name, target=None, change=None: demote(
+            self, name, target
+        ),
+    )
+    state = state_for_case()
+    assert outcome(state, run_cvs(state)) == shared

@@ -1,11 +1,43 @@
-"""Dinic max-flow kernel tests, plus its labelled ``max_flow`` adapter."""
+"""Dinic max-flow kernel tests.
+
+Small hand-checked networks go through the labelled ``max_flow``
+helper below; larger ones are checked against the Edmonds-Karp oracle
+in ``tests/maxflow_oracle.py``, on random split-node networks shaped
+like the separator's and the antichain's, and on every network a real
+Dscale and Gscale hand to the kernel.
+"""
 
 import itertools
+import random
+from collections.abc import Hashable, Iterable
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.graphalg.maxflow import INFINITY, ResidualGraph, max_flow
+from maxflow_oracle import arcs_of, edmonds_karp
+from repro.api import Flow, FlowConfig
+from repro.graphalg.maxflow import INFINITY, ResidualGraph
+
+
+def max_flow(
+    edges: Iterable[tuple[Hashable, Hashable, int]],
+    source: Hashable,
+    sink: Hashable,
+) -> tuple[int, set[Hashable]]:
+    """Labelled kernel call: (flow value, source side of the min cut).
+
+    Maps hashable labels to the kernel's integer nodes; the source side
+    is the minimal one, as :meth:`ResidualGraph.max_flow` reads it.
+    """
+    edges = list(edges)
+    index: dict[Hashable, int] = {}
+    for label in [source, sink] + [x for u, v, _ in edges for x in (u, v)]:
+        index.setdefault(label, len(index))
+    graph = ResidualGraph(len(index))
+    for u, v, capacity in edges:
+        graph.add_arc(index[u], index[v], capacity)
+    value, reachable = graph.max_flow(index[source], index[sink])
+    return value, {label for label, k in index.items() if reachable[k]}
 
 
 def test_single_edge():
@@ -179,3 +211,102 @@ def test_matches_brute_force_minimum_cuts(network):
         for k in range(n)
     ]
     assert reachable == minimal
+
+
+# -- differential tests against the Edmonds-Karp oracle -----------------
+
+_TIED_WEIGHTS = (0, 1, 2, 2, 3, 3, 3, 7)
+
+
+def _split_dag(rng):
+    """A random DAG on 9..99 elements (20..200 network nodes).
+
+    Elements are numbered in topological order; weights come from a
+    short list, so many cuts tie and only the minimal one is right.
+    """
+    n = rng.randint(9, 99)
+    density = rng.choice((0.02, 0.05, 0.1, 0.25))
+    pairs = [
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if rng.random() < density
+    ]
+    rng.shuffle(pairs)
+    weights = [rng.choice(_TIED_WEIGHTS) for _ in range(n)]
+    return n, pairs, weights
+
+
+def _separator_network(rng):
+    """Node-split network of the separator, flow from 0 to 1."""
+    n, pairs, weights = _split_dag(rng)
+    arcs = [(2 + 2 * k, 3 + 2 * k, weights[k], 0) for k in range(n)]
+    arcs += [(3 + 2 * u, 2 + 2 * v, INFINITY, 0) for u, v in pairs]
+    for k in range(n):
+        if rng.random() < 0.3:
+            arcs.append((0, 2 + 2 * k, INFINITY, 0))
+        if rng.random() < 0.3:
+            arcs.append((3 + 2 * k, 1, INFINITY, 0))
+    return 2 + 2 * n, arcs, 0, 1
+
+
+def _antichain_network(rng):
+    """Lower-bound network of the antichain, seeded with a feasible flow
+    merged greedily along the pairs; the flow is reduced from 1 to 0."""
+    n, pairs, weights = _split_dag(rng)
+    start, end = list(weights), list(weights)
+    arcs = []
+    for u, v in pairs:
+        flow = min(end[u], start[v]) if rng.random() < 0.8 else 0
+        end[u] -= flow
+        start[v] -= flow
+        arcs.append((3 + 2 * u, 2 + 2 * v, INFINITY - flow, flow))
+    for k in range(n):
+        arcs.append((0, 2 + 2 * k, INFINITY - start[k], start[k]))
+        arcs.append((2 + 2 * k, 3 + 2 * k, INFINITY - weights[k], 0))
+        arcs.append((3 + 2 * k, 1, INFINITY - end[k], end[k]))
+    return 2 + 2 * n, arcs, 1, 0
+
+
+@given(
+    st.sampled_from((_separator_network, _antichain_network)),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_split_networks_match_the_oracle(shape, seed):
+    n, arcs, source, sink = shape(random.Random(seed))
+    graph = ResidualGraph(n)
+    for u, v, capacity, reverse in arcs:
+        graph.add_arc(u, v, capacity, reverse)
+    assert graph.max_flow(source, sink) == edmonds_karp(n, arcs, source, sink)
+
+
+def test_scaling_networks_match_the_oracle(monkeypatch):
+    """Every network a 3-rail Dscale (both N-rail moves) and a Gscale
+    hand to the kernel, replayed through the oracle."""
+    recorded = []
+    solve = ResidualGraph.max_flow
+
+    def recording(self, source, sink):
+        network = (len(self.adj), arcs_of(self), source, sink)
+        result = solve(self, source, sink)
+        recorded.append((network, result))
+        return result
+
+    monkeypatch.setattr(ResidualGraph, "max_flow", recording)
+    config = FlowConfig(
+        circuit="gen:layered:width=10:depth=10:seed=1", rails=(1.8, 1.0, 0.6)
+    )
+    prepared = Flow(config).prepare()
+    jobs = [
+        config.replace(
+            method="dscale", non_adjacent=True, retarget_shifters=True
+        ),
+        config.replace(method="gscale"),
+    ]
+    for job in jobs:
+        Flow(job).execute(prepared=prepared)
+    kinds = {network[2:] for network, _ in recorded}
+    assert kinds == {(1, 0), (0, 1)}  # antichains and separators
+    for network, result in recorded:
+        assert result == edmonds_karp(*network)

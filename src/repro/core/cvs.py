@@ -8,12 +8,13 @@ boundary where a low gate drives a primary output.
 
 Implementation: one reverse-topological pass per adjacent rail boundary
 (the paper's breadth-first traversal from the outputs, O(n+e) per
-rail).  Required times start from the pass-start timing snapshot (the
-incremental engine's arrays, which already satisfy the required-time
-fixed point) and are repaired against *final* downstream decisions
-during the very same pass -- each demotion marks only its fanins stale
-and the repair propagates upstream exactly as far as values actually
-move.  Arrivals are taken from a snapshot at pass start; a node is
+rail).  Each candidate reads its required time from the state's timing
+engine (:meth:`~repro.timing.incremental.IncrementalTiming.required_at`),
+which repairs only what is positioned at or after the candidate: every
+demotion already applied in the pass sits later, so the value is exact
+against *final* downstream decisions, and the repair moves upstream
+only as far as values actually change.  Arrivals are taken from a
+snapshot at pass start, which ``required_at`` never repairs; a node is
 demoted when its slowed-down, converter-adjusted output still meets its
 required time on every fanout edge.  The pass-start arrivals are safe
 because on any path the demoted node closest to the inputs is decided
@@ -39,8 +40,9 @@ rather than a per-move transaction.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.core.moves import (
     DemoteMove,
@@ -116,52 +118,27 @@ def _cvs_pass(
 ) -> tuple[list[str], frozenset[str]]:
     """One reverse-topological pass demoting rail ``target - 1`` gates."""
     network = state.network
-    calc = state.calc
-    order = network.topological()
-    reader_pins = network.reader_pins()
     outputs = frozenset(network.outputs)
-    tspec = state.tspec
     tolerance = state.options.timing_tolerance
-
-    # Pass-start snapshots.  The timing engine already satisfies the
-    # required-time fixed point
-    # ``required[n] = f(required[readers of n], current state)``
-    # bit-exactly, so instead of re-deriving every node's required time
-    # the pass copies the snapshot and repairs only the *stale region*:
-    # a demotion marks its fanins stale (the gate's variant -- and, at
-    # the boundary, its load -- entered their equations), and a stale
-    # recompute whose value moves marks its own fanins in turn.  Every
-    # untouched node keeps a value identical to what the seed's full
-    # backward sweep would have recomputed.
+    flat = state.flat()
+    pos = flat.pos
+    # Per driver position, its readers above the boundary (one edge row
+    # per distinct reader).  A demotion takes its gate below it, one
+    # reader fewer for each distinct fanin.
+    rails = flat.rail_plane(state.levels)
+    above = np.bincount(
+        flat.e_owner[rails[flat.e_reader] < target], minlength=flat.n
+    ).tolist()
     analysis = state.timing()
     arrival = analysis.arrival_snapshot()
-    required = analysis.required_snapshot()
-    below_counts = state.fanout_counts_below(target)
 
     demoted: list[str] = []
     tcb: set[str] = set()
-    stale: set[str] = set()
-    for name in reversed(order):
+    for name in reversed(flat.order):
         node = network.nodes[name]
-        if name in stale:
-            stale.discard(name)
-            req = math.inf
-            if name in outputs:
-                req = tspec - calc.edge_extra_delay(name, OUTPUT)
-            for reader, pin in reader_pins[name]:
-                req = min(
-                    req,
-                    required[reader]
-                    - calc.variant(reader).pin_delay(pin, calc.load(reader))
-                    - calc.edge_extra_delay(name, reader),
-                )
-            if req != required[name]:
-                required[name] = req
-                stale.update(node.fanins)
-
         if node.is_input or state.rail_of(name) != target - 1:
             continue
-        if below_counts[name]:
+        if above[pos[name]]:
             continue  # some reader above the boundary: not eligible
         if name not in outputs and not network.fanouts(name):
             continue  # dangling node: nothing downstream to protect
@@ -171,19 +148,13 @@ def _cvs_pass(
         # Exact given the snapshot arrivals: only its own stage delay
         # (and, at the boundary, its load and output shifter) changes.
         out_arrival, deadline, change = demotion_deadline(
-            state, name, target, arrival, required
+            state, name, target, arrival, analysis.required_at(name)
         )
         if out_arrival <= deadline + tolerance:
             engine.apply(DemoteMove(name, change=change))
             demoted.append(name)
-            stale.update(node.fanins)
-            # The converter (if any) changed this node's delay model;
-            # refresh its required-time record for upstream decisions.
-            if name in outputs:
-                required[name] = min(
-                    required[name],
-                    tspec - calc.edge_extra_delay(name, OUTPUT),
-                )
+            for fanin in dict.fromkeys(node.fanins):
+                above[pos[fanin]] -= 1
         else:
             tcb.add(name)
 

@@ -105,8 +105,8 @@ def check_demotion(
     # Post-demotion delays: new edges merge into any kept shifter of
     # the same destination rail (a rail>=1 candidate can carry a kept
     # primary-output shifter), so price the *surviving* groups, not the
-    # new loads in isolation.  Identical to new_converter_delays when
-    # the candidate has no shifters -- every dual-rail candidate.
+    # new loads in isolation.  When the candidate has no shifters --
+    # every dual-rail candidate -- each group is just its new load.
     converter_delays = calc.post_demotion_converter_delays(name, change)
 
     out_arrival = demoted_arrival(

@@ -63,7 +63,7 @@ def demotion_shortfall(
         name,
         state.rail_of(name) + 1,
         analysis.arrival,
-        analysis.required,
+        analysis.required[name],
     )
     return out_arrival - deadline
 

@@ -703,17 +703,19 @@ def demoted_arrival(
 
 
 def demotion_deadline(
-    state, name: str, target: int, arrival, required
+    state, name: str, target: int, arrival, required: float
 ) -> tuple[float, float, DemotionNetChange]:
     """``(out_arrival, deadline, change)`` of dropping ``name`` one rail now.
 
     The CVS / Gscale closed-form check: the :func:`demoted_arrival` of
-    the gate at ``target`` (its current rail plus one) against its own
-    required time, tightened at a primary output by the delay of the
-    boundary shifter the demotion would splice in.  Callers compare the
-    pair themselves (CVS's feasibility, Gscale's shortfall); ``change``
-    is the demotion's net change, which CVS hands to the move it
-    applies.
+    the gate at ``target`` (its current rail plus one) against
+    ``required``, the gate's own required time, tightened at a primary
+    output by the delay of the boundary shifter the demotion would
+    splice in, priced as
+    :meth:`~repro.timing.delay.DelayCalculator.post_demotion_converter_delays`
+    prices it.  Callers compare the pair themselves (CVS's feasibility,
+    Gscale's shortfall); ``change`` is the demotion's net change, which
+    CVS hands to the move it applies.
     """
     calc = state.calc
     change = calc.demotion_net_change(
@@ -722,9 +724,9 @@ def demotion_deadline(
     out_arrival = demoted_arrival(
         state, name, target, arrival, change.load_after
     )
-    deadline = required[name]
+    deadline = required
     if name in state.network.outputs and (name, OUTPUT) in change.new_edges:
-        po_extra = calc.new_converter_delays(change)[0]
+        po_extra = calc.post_demotion_converter_delays(name, change)[0]
         deadline = min(deadline, state.tspec - po_extra)
     return out_arrival, deadline, change
 

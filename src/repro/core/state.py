@@ -187,17 +187,6 @@ class ScalingState:
         # cache entry is dropped (see power()).
         self._power_plane: PowerPlane | None = None
         self._multi_rail = library.n_rails > 2
-        # Per-driver count of fanout readers above each demotion
-        # boundary: ``_below_counts[t][name]`` is the number of readers
-        # of ``name`` assigned to a rail shallower than ``t``.  The CVS
-        # pass toward rail ``t`` reads it for O(1) cluster-eligibility
-        # checks instead of scanning every reader per visit; with two
-        # rails the single ``t=1`` table is the classic high-fanout
-        # count.  Maintained by set_rail.
-        self._below_counts: dict[int, dict[str, int]] = {
-            t: {name: len(network.fanouts(name)) for name in network.nodes}
-            for t in range(1, library.n_rails)
-        }
         # The assignment: the rail of every demoted gate, the
         # converter edges (a dict used as an insertion-ordered set) and
         # the cell of every resized gate, in first-resize order.
@@ -260,19 +249,14 @@ class ScalingState:
         else:
             del levels[name]
         self.assignment_version += 1
-        lo, hi = (old, rail) if old < rail else (rail, old)
-        delta = -1 if rail > old else 1
-        fanins = set(self.network.nodes[name].fanins)
-        for t in range(lo + 1, hi + 1):
-            counts = self._below_counts.get(t)
-            if counts is None:
-                continue
-            for fanin in fanins:
-                counts[fanin] += delta
         nets = []
         if self._multi_rail:
             nets.append(name)
-            nets.extend(f for f in fanins if (f, name) in self._lc_edges)
+            nets.extend(
+                f
+                for f in set(self.network.nodes[name].fanins)
+                if (f, name) in self._lc_edges
+            )
         self._changed((name,), nets)
 
     def add_converter(self, edge: tuple[str, str]) -> None:
@@ -383,10 +367,6 @@ class ScalingState:
         if (driver, OUTPUT) in edges:
             readers.append(OUTPUT)
         return tuple(readers)
-
-    def fanout_counts_below(self, target: int) -> dict[str, int]:
-        """Per-driver count of readers assigned shallower than ``target``."""
-        return self._below_counts[target]
 
     @property
     def n_low(self) -> int:

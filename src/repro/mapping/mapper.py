@@ -19,18 +19,21 @@ rolls a rejected one back, so a trial costs its own cone, not a full
 analysis.
 
 The area-recovery sweep is provably safe without re-timing after every
-accept.  Required times are computed against already-final downstream
-choices, from calculator loads that ``swap_cell`` keeps exact (it drops
-every fanin net of a swapped gate).  Arrivals are copied from the engine
-at the start of each pass and are upper bounds for the rest of it,
-because downsizing only ever *removes* input capacitance from upstream
-nets.  An accepted downsize therefore only notes the engine; the engine
-repairs the dirty cones once, when the next pass copies its arrivals.
+accept.  Each gate's required time is the engine's
+(:meth:`~repro.timing.incremental.IncrementalTiming.required_at`), which
+repairs only the values positioned at or after the gate: every downsize
+already accepted in the pass sits later and was noted through
+``swap_cell`` (the gate's own variant and every fanin net), so the
+value is exact against already-final downstream choices.  Arrivals are
+copied from the engine at the start of each pass and are upper bounds
+for the rest of it, because downsizing only ever *removes* input
+capacitance from upstream nets.  An accepted downsize therefore only
+notes the engine; the engine repairs the dirty arrival cones once, when
+the next pass copies its arrivals.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -284,8 +287,10 @@ def recover_area(engine: IncrementalTiming, tspec: float) -> int:
     accepted downsize sheds input capacitance upstream, creating room
     for further downsizing -- this is what consumes the relaxed
     constraint's slack the way the paper's area-delay-trade-off remap
-    does.  ``engine`` times the mapped network on a caching calculator;
-    its own ``tspec`` is not read.  Raises
+    does.  ``engine`` times the mapped network on a caching calculator
+    and is retimed to ``tspec``
+    (:meth:`~repro.timing.incremental.IncrementalTiming.set_tspec`):
+    its required times are read against this budget.  Raises
     :class:`~repro.timing.incremental.TimingInfeasible` if the input
     mapping already misses ``tspec``.
     """
@@ -298,29 +303,16 @@ def recover_area(engine: IncrementalTiming, tspec: float) -> int:
             f"{engine.worst_delay:.3f} > {tspec:.3f} ns"
         )
 
+    engine.set_tspec(tspec)
     resized = 0
     while True:
         resized_this_pass = 0
         arrival = engine.arrival_snapshot()
-        required: dict[str, float] = {}
         for name in reversed(mapped.topological()):
             node = mapped.nodes[name]
-            req = tspec if name in mapped.outputs else math.inf
-            for reader in mapped.fanouts(name):
-                reader_node = mapped.nodes[reader]
-                reader_load = calculator.load(reader)
-                for pin, fanin in enumerate(reader_node.fanins):
-                    if fanin != name:
-                        continue
-                    req = min(
-                        req,
-                        required[reader]
-                        - reader_node.cell.pin_delay(pin, reader_load),
-                    )
-            required[name] = req
             if node.is_input:
                 continue
-
+            req = engine.required_at(name)
             load = calculator.load(name)
             for candidate in library.variants(node.cell.base):
                 if candidate.size >= node.cell.size:

@@ -432,20 +432,6 @@ class DelayCalculator:
             new_edges=new_edges,
         )
 
-    def new_converter_delays(self, change: "DemotionNetChange"
-                             ) -> dict[int, float]:
-        """Stage delay of each *new* shifter a demotion would splice in.
-
-        Exact only when the driver has no existing shifter on the same
-        destination rail; CVS candidates satisfy that by construction
-        (no new reader edges at all), Dscale must use
-        :meth:`post_demotion_converter_delays` instead.
-        """
-        return {
-            rail: self.lc_cell_for(rail).pin_delay(0, load)
-            for rail, load in change.converter_loads.items()
-        }
-
     def post_demotion_converter_delays(self, name: str,
                                        change: "DemotionNetChange"
                                        ) -> dict[int, float]:
@@ -456,8 +442,8 @@ class DelayCalculator:
         output shifter on rail 0) merges into it: the surviving
         shifter's delay is priced at the combined output load, and a
         kept group with no new members keeps its current delay.  With
-        no existing groups this reduces exactly to
-        :meth:`new_converter_delays`.
+        no existing groups each new shifter is priced at its new load
+        alone.
         """
         profile = self.converter_loads(name)
         delays: dict[int, float] = {}

@@ -49,12 +49,32 @@ through :func:`swap_cell`; :meth:`repro.core.state.ScalingState.resize`
 writes the state's cell table instead, so scaling never writes the
 network.  Both report through ``note_cell_swap``.
 
-From those seed sets :meth:`refresh` propagates arrival changes forward
+From those seeds :meth:`refresh` propagates arrival changes forward
 and required changes backward in topological order through the affected
 cone only, stopping early at every node whose recomputed value is
 bit-identical to the stored one.  Because each value is a pure function
 of its frontier, the repaired arrays are bit-identical to a rebuild
-from scratch.
+from scratch.  The backward seeds are positions: the stale loads and
+the stale required times are each a position set beside a max-heap of
+the same positions, so the repair pops them in decreasing order.
+
+Partial backward repair
+-----------------------
+A required time reads only values positioned after it: its readers'
+required times and loads.  So :meth:`required_at` repairs the stale
+loads and required times positioned at or after one node, pops the
+required seeds in decreasing order as :meth:`refresh` does, and leaves
+arrivals and every earlier value pending; a value that moves marks its
+fanins, which sit earlier, so the answer is exact.  A reverse
+topological walk that writes the state at each node it passes (CVS's
+demotions, area recovery's downsizes) seeds loads and required times
+only at or before the walk, so each value is recomputed once, after
+all of its readers are final -- the walk reads the same suffix
+required times a full repair would, at the cost of the moved cones
+alone.
+:meth:`refresh` is the same repair from position 0.
+:meth:`set_tspec` retimes the engine to another budget by seeding
+every primary output.
 
 What-if transactions
 --------------------
@@ -351,6 +371,13 @@ def note_cell_swap(
             engine.note_net_changed(fanin)
 
 
+def _mark(stale: set[int], heap: list[int], i: int) -> None:
+    """Mark position ``i`` stale: a position set and its max-heap."""
+    if i not in stale:
+        stale.add(i)
+        heapq.heappush(heap, -i)
+
+
 class IncrementalTiming:
     """Incrementally-maintained arrival/required/slack over one network."""
 
@@ -421,9 +448,13 @@ class IncrementalTiming:
             self, self._pos, self._required, forward_only=False
         )
         self.load = _ArrayView(self, self._pos, self._load, forward_only=True)
-        self._dirty_nets: set[str] = set()
         self._fwd_seeds: set[str] = set()
-        self._bwd_seeds: set[str] = set()
+        # Stale load and required positions, each with a max-heap of
+        # the same positions (negated); see _mark.
+        self._stale_loads: set[int] = set()
+        self._load_heap: list[int] = []
+        self._stale_required: set[int] = set()
+        self._required_heap: list[int] = []
         self._clean = True
         self._fwd_clean = True
         self._spent = False
@@ -450,7 +481,7 @@ class IncrementalTiming:
     def note_variant_changed(self, name: str) -> None:
         """The cell implementing ``name`` changed (voltage flip / resize)."""
         self._fwd_seeds.add(name)
-        self._bwd_seeds.update(self.network.nodes[name].fanins)
+        self._mark_fanins(name)
         self._clean = False
         self._fwd_clean = False
         self._note_stamp(self._pos[name])
@@ -458,14 +489,32 @@ class IncrementalTiming:
     def note_net_changed(self, name: str) -> None:
         """The net driven by ``name`` changed (converters / reader caps)."""
         i = self._pos[name]
-        self._dirty_nets.add(name)
+        _mark(self._stale_loads, self._load_heap, i)
         self._fwd_seeds.add(name)
         self._fwd_seeds.update(self._fanouts[i])
-        self._bwd_seeds.add(name)
-        self._bwd_seeds.update(self.network.nodes[name].fanins)
+        _mark(self._stale_required, self._required_heap, i)
+        self._mark_fanins(name)
         self._clean = False
         self._fwd_clean = False
         self._note_stamp(i)
+
+    def set_tspec(self, tspec: float) -> None:
+        """Retime the required times to the budget ``tspec``.
+
+        Seeds every primary output; the repair runs on the next
+        required-time query, as after a note.
+        """
+        self.tspec = tspec
+        pos = self._pos
+        for out in self.network.outputs:
+            _mark(self._stale_required, self._required_heap, pos[out])
+        self._clean = False
+
+    def _mark_fanins(self, name: str) -> None:
+        """Mark the required times of ``name``'s fanins stale."""
+        pos = self._pos
+        for fanin in self.network.nodes[name].fanins:
+            _mark(self._stale_required, self._required_heap, pos[fanin])
 
     def _note_stamp(self, i: int) -> None:
         """Stamp a noted position now, or at commit inside a transaction."""
@@ -539,18 +588,9 @@ class IncrementalTiming:
             raise RuntimeError(_SPENT)
         if self._fwd_clean:
             return False
-        calc = self.calculator
         pos = self._pos
         journal = self._journal
-
-        for name in self._dirty_nets:
-            i = pos[name]
-            new = calc.load(name)
-            if new != self._load[i]:
-                if journal is not None and i not in journal.load:
-                    journal.load[i] = self._load[i]
-                self._load[i] = new
-        self._dirty_nets.clear()
+        self._repair_loads(0)
 
         if self._fwd_seeds:
             arrival = self._arrival
@@ -559,9 +599,8 @@ class IncrementalTiming:
             if limit is not None:
                 # Only the backward seeds and their fanin cones hold
                 # stale required times; every later node's is exact.
-                above = max(
-                    (pos[name] for name in self._bwd_seeds), default=-1
-                )
+                heap = self._required_heap
+                above = -heap[0] if heap else -1
                 margin = limit - self.tspec
                 required = self._required
             self._fwd_seeds.clear()
@@ -765,37 +804,73 @@ class IncrementalTiming:
         if self._clean:
             return self
         self._ensure_forward()
-        journal = self._journal
-        pos = self._pos
-
-        if self._bwd_seeds:
-            required = self._required
-            required_stamp = self._required_stamp
-            fresh = self.epoch + 1
-            nodes = self.network.nodes
-            scheduled = {pos[name] for name in self._bwd_seeds}
-            self._bwd_seeds.clear()
-            heap = [-i for i in scheduled]
-            heapq.heapify(heap)
-            while heap:
-                i = -heapq.heappop(heap)
-                scheduled.discard(i)
-                name = self._order[i]
-                new = self._compute_required(name)
-                if new != required[i]:
-                    if journal is None:
-                        required_stamp[i] = fresh
-                    elif i not in journal.required:
-                        journal.required[i] = required[i]
-                    required[i] = new
-                    for fanin in nodes[name].fanins:
-                        j = pos[fanin]
-                        if j not in scheduled:
-                            scheduled.add(j)
-                            heapq.heappush(heap, -j)
-
+        self._repair_required(0)
         self._clean = True
         return self
+
+    def required_at(self, name: str) -> float:
+        """``name``'s required time, repaired only as far as it needs.
+
+        Repairs the stale loads and required times positioned at or
+        after ``name`` and leaves arrivals and earlier values pending
+        (see "Partial backward repair" in the module docstring).
+        """
+        if self._spent:
+            raise RuntimeError(_SPENT)
+        i = self._pos[name]
+        self._repair_loads(i)
+        self._repair_required(i)
+        return self._required[i]
+
+    def _repair_loads(self, floor: int) -> None:
+        """Recompute the stale loads positioned at or after ``floor``."""
+        heap = self._load_heap
+        stale = self._stale_loads
+        calc = self.calculator
+        order = self._order
+        load = self._load
+        journal = self._journal
+        while heap and -heap[0] >= floor:
+            i = -heapq.heappop(heap)
+            stale.discard(i)
+            new = calc.load(order[i])
+            if new != load[i]:
+                if journal is not None and i not in journal.load:
+                    journal.load[i] = load[i]
+                load[i] = new
+
+    def _repair_required(self, floor: int) -> None:
+        """Recompute the stale required times positioned at or after
+        ``floor``, in decreasing position order.
+
+        Every reader of a popped node sits later and is final, so each
+        value is recomputed after all of its inputs; one that moves
+        marks its fanins, which sit earlier.
+        """
+        heap = self._required_heap
+        if not heap or -heap[0] < floor:
+            return
+        stale = self._stale_required
+        journal = self._journal
+        pos = self._pos
+        order = self._order
+        nodes = self.network.nodes
+        required = self._required
+        required_stamp = self._required_stamp
+        fresh = self.epoch + 1
+        while heap and -heap[0] >= floor:
+            i = -heapq.heappop(heap)
+            stale.discard(i)
+            name = order[i]
+            new = self._compute_required(name)
+            if new != required[i]:
+                if journal is None:
+                    required_stamp[i] = fresh
+                elif i not in journal.required:
+                    journal.required[i] = required[i]
+                required[i] = new
+                for fanin in nodes[name].fanins:
+                    _mark(stale, heap, pos[fanin])
 
     # ------------------------------------------------------------------
     # Transactions
@@ -847,9 +922,11 @@ class IncrementalTiming:
             self._required[i] = value
         for i, value in journal.load.items():
             self._load[i] = value
-        self._dirty_nets.clear()
         self._fwd_seeds.clear()
-        self._bwd_seeds.clear()
+        self._stale_loads.clear()
+        self._load_heap.clear()
+        self._stale_required.clear()
+        self._required_heap.clear()
         self._clean = True
         self._fwd_clean = True
         self._spent = False
@@ -887,11 +964,6 @@ class IncrementalTiming:
         """
         self._ensure_forward()
         return self._load
-
-    def required_snapshot(self) -> dict[str, float]:
-        """Plain-dict copy of all required times."""
-        self.refresh()
-        return dict(zip(self._order, self._required))
 
     def slack(self, name: str) -> float:
         if not self._clean:
